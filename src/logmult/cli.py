@@ -210,7 +210,6 @@ def cmd_partition(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         and np.all((psi_vals >= 0.0) & (psi_vals <= 1.0))
     )
     # octave overlap: count active dilates per radius in the covered band
-    active = np.zeros_like(sweep)
     probe = np.linspace(lo, hi, 4001)
     counts = np.zeros_like(probe)
     for scale in pair.scales:
@@ -220,7 +219,7 @@ def cmd_partition(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     uncovered = []
     if grid.nyquist > hi * 2.0:
         uncovered.append(f"octaves above 2**{scale_max} up to Nyquist {grid.nyquist} are uncovered")
-    if grid.spacing > 0 and lo > 1.0 / grid.period:
+    if lo > 1.0 / grid.period:
         uncovered.append(f"octaves below 2**{scale_min} down to {1.0 / grid.period} are uncovered")
 
     passed = defect < tolerance and support_ok and overlap_ok

@@ -25,8 +25,9 @@ import numpy as np
 
 from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, profile_to_field
 from .exponents import PTuple, lambda_st, sharp_lambda
-from .field import GridSpec, SampledField, Spectrum, inverse, lp_norm
+from .field import GridSpec, SampledField, lp_norm
 from .multiplier import DyadicRange, SpectralFactor, TensorKernel, apply_t, d_lambda
+from .shifted_lab import bump_train
 
 __all__ = [
     "CxConfig",
@@ -325,26 +326,12 @@ def build_inputs(cfg: CxConfig) -> List[SampledField]:
         raise ValueError("building inputs requires a grid")
     _require_valid(cfg)
     grid = cfg.grid
-    eta_hat, beta_hat = cfg.profiles
+    _, beta_hat = cfg.profiles
+    # packet z sits at -2**(top - z): the annular factor's shift 2**top / 2**z
+    # brings every packet to the origin
     top = max(cfg.zetas)
-    mesh = grid.frequency_mesh()
-    axis0 = np.asarray(mesh[0], dtype=float)
-    rest_sq = sum(np.asarray(a, dtype=float) ** 2 for a in mesh[1:]) if grid.dimension > 1 else 0.0
-
-    def train(conjugate: bool) -> SampledField:
-        coeffs = np.zeros(grid.shape, dtype=np.complex128)
-        sign = -1.0 if conjugate else 1.0
-        for z in cfg.zetas:
-            kappa = sign * 2.0**z
-            b = 2.0 ** (top - z)
-            centered = axis0 - kappa
-            radii = np.sqrt(centered**2 + rest_sq)
-            coeffs = coeffs + eta_hat(radii) * np.exp(2j * np.pi * b * centered)
-        band = (2.0 ** min(cfg.zetas) - cfg.eta_radius, 2.0**top + cfg.eta_radius)
-        return inverse(Spectrum(grid, coeffs, support_certificate=band))
-
-    f_s = train(conjugate=False)
-    f_t = train(conjugate=True)
+    f_s = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius, conjugate=False)
+    f_t = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius, conjugate=True)
     beta_field = profile_to_field(beta_hat, grid)
     fields: List[SampledField] = []
     for slot in range(1, cfg.n + 1):

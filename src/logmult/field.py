@@ -39,6 +39,10 @@ __all__ = [
     "transform",
     "inverse",
     "convolve",
+    "translation_phase",
+    "multiplier_symbol",
+    "apply_multiplier",
+    "piece_band",
     "phase_shift",
     "grid_aligned_steps",
     "lp_norm",
@@ -336,8 +340,7 @@ def transform(f: SampledField) -> Spectrum:
 
 def inverse(s: Spectrum) -> SampledField:
     """Inverse transform; round-trips with :func:`transform` to roundoff."""
-    values = np.fft.ifftn(np.asarray(s.coefficients)) / s.grid.cell_volume
-    return SampledField(s.grid, values, band=s.support_certificate)
+    return SampledField(s.grid, apply_multiplier(s), band=s.support_certificate)
 
 
 def convolve(f: SampledField, g: SampledField) -> SampledField:
@@ -359,15 +362,98 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
 
 
 def grid_aligned_steps(shift: Sequence[float], grid: GridSpec) -> Optional[Tuple[int, ...]]:
-    """Sample steps realizing the shift exactly, or None when off-grid."""
+    """Sample steps realizing the shift exactly, or None when off-grid.
+
+    The spacing is the period over a power of two, so ``a / spacing`` is exact
+    and only a whole number of samples counts as aligned: a shift a hair off
+    the grid keeps its sub-sample part instead of being rounded onto it.
+    """
     steps = []
     for a in shift:
         t = a / grid.spacing
         r = round(t)
-        if abs(t - r) > 1e-9 * max(1.0, abs(t)):
+        if t != r:
             return None
         steps.append(int(r) % grid.samples_per_axis)
     return tuple(steps)
+
+
+# ---------------------------------------------------------------------------
+# the spectral multiplier: profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))
+# ---------------------------------------------------------------------------
+
+def translation_phase(grid: GridSpec, shift: Sequence[float]) -> np.ndarray:
+    """``exp(-2 pi i (shift, xi))`` on the grid frequencies: translation by ``shift``."""
+    phase_arg = sum(a * axis for a, axis in zip(shift, grid.frequency_mesh()))
+    return np.exp(-2j * np.pi * phase_arg)
+
+
+def _dilated_shift(translation: Optional[Sequence[float]], scale: int) -> Optional[np.ndarray]:
+    """``2**-scale * translation``, or None when there is nothing to translate."""
+    if translation is None:
+        return None
+    shift = np.atleast_1d(np.asarray(translation, dtype=float)) * 2.0**-scale
+    return shift if np.any(shift != 0.0) else None
+
+
+def multiplier_symbol(
+    grid: GridSpec, profile, scale: int = 0, translation: Optional[Sequence[float]] = None
+) -> np.ndarray:
+    """The symbol ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))`` on the grid frequencies."""
+    values = profile(grid.frequency_radii() * 2.0**-scale).astype(np.complex128)
+    shift = _dilated_shift(translation, scale)
+    if shift is not None:
+        values *= translation_phase(grid, shift)
+    return values
+
+
+def apply_multiplier(
+    spectrum: Spectrum,
+    profile=None,
+    scale: int = 0,
+    translation: Optional[Sequence[float]] = None,
+) -> np.ndarray:
+    """Samples of the inverse transform of ``spectrum`` times :func:`multiplier_symbol`.
+
+    ``profile=None`` is the constant 1.  A grid-aligned dilated translation
+    rolls the untranslated samples (an exact permutation); any other one
+    multiplies by :func:`translation_phase`.
+    """
+    grid = spectrum.grid
+    coeffs = spectrum.coefficients
+    if profile is not None:
+        coeffs = coeffs * profile(grid.frequency_radii() * 2.0**-scale)
+    shift = _dilated_shift(translation, scale)
+    steps = None if shift is None else grid_aligned_steps(shift, grid)
+    if shift is not None and steps is None:
+        coeffs = coeffs * translation_phase(grid, shift)
+    values = np.fft.ifftn(coeffs)
+    values /= grid.cell_volume
+    if steps is not None:
+        values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
+    return values
+
+
+def piece_band(
+    f: SampledField, support: Tuple[float, float], scale: int
+) -> Optional[Tuple[float, float]]:
+    """Certified band of the scale-``scale`` piece of ``f`` under a profile supported on ``support``.
+
+    Intervals are closed; None certifies that the piece is identically zero.
+    A field without a band certificate is only accepted while the dilated
+    support stays below Nyquist, where the piece is exactly representable.
+    """
+    lo, hi = support[0] * 2.0**scale, support[1] * 2.0**scale
+    if f.band is None:
+        if hi >= f.grid.nyquist:
+            raise NyquistError(
+                f"dilated support reaches {hi} at scale {scale}, not below the Nyquist "
+                f"frequency {f.grid.nyquist}, and the field carries no band certificate"
+            )
+        return (lo, hi)
+    inner = max(lo, f.band[0])
+    outer = min(hi, f.band[1])
+    return None if inner > outer else (inner, outer)
 
 
 def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
@@ -382,18 +468,24 @@ def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
     steps = grid_aligned_steps(shift, f.grid)
     if steps is not None:
         values = np.roll(f.values, steps, axis=tuple(range(f.grid.dimension)))
-        return SampledField(f.grid, values, band=f.band)
-    s = transform(f)
-    mesh = f.grid.frequency_mesh()
-    phase_arg = sum(a * axis for a, axis in zip(shift, mesh))
-    coeffs = s.coefficients * np.exp(-2j * np.pi * phase_arg)
-    return inverse(Spectrum(f.grid, coeffs, support_certificate=s.support_certificate))
+    else:
+        values = apply_multiplier(transform(f), translation=shift)
+    return SampledField(f.grid, values, band=f.band)
 
 
 def _as_float_exponent(p: Exponent) -> float:
     if p == np.inf:
         return np.inf
     return float(p)
+
+
+def _peak_exponent(mags: np.ndarray) -> Optional[int]:
+    """Binary exponent e with max(mags) < 2**e, or None when every entry is zero.
+
+    Dividing by 2**e is exact and keeps every power of the quotient finite.
+    """
+    peak = float(np.max(mags))
+    return int(np.frexp(peak)[1]) if peak > 0.0 else None
 
 
 def lp_norm(f: SampledField, p: Exponent) -> float:
@@ -404,9 +496,15 @@ def lp_norm(f: SampledField, p: Exponent) -> float:
     mags = np.abs(f.values)
     if q == np.inf:
         return float(np.max(mags))
+    e = _peak_exponent(mags)
+    if e is None:
+        return 0.0
+    mags = np.ldexp(mags, -e)
     if q == 2.0:
-        return float(np.sqrt(np.sum(mags**2) * f.grid.cell_volume))
-    return float((np.sum(mags**q) * f.grid.cell_volume) ** (1.0 / q))
+        norm = np.sqrt(np.sum(mags**2) * f.grid.cell_volume)
+    else:
+        norm = (np.sum(mags**q) * f.grid.cell_volume) ** (1.0 / q)
+    return float(np.ldexp(norm, e))
 
 
 def mixed_norm(fs: Sequence[SampledField], spec: MixedNormSpec) -> float:
@@ -417,10 +515,16 @@ def mixed_norm(fs: Sequence[SampledField], spec: MixedNormSpec) -> float:
     q = _as_float_exponent(spec.inner_q)
     p = _as_float_exponent(spec.outer_p)
     stack = np.stack([np.abs(f.values) for f in fs])
+    e = _peak_exponent(stack)
+    if e is None:
+        return 0.0
+    stack = np.ldexp(stack, -e)
     if q == np.inf:
         inner = np.max(stack, axis=0)
     else:
         inner = np.sum(stack**q, axis=0) ** (1.0 / q)
     if p == np.inf:
-        return float(np.max(inner))
-    return float((np.sum(inner**p) * grid.cell_volume) ** (1.0 / p))
+        norm = np.max(inner)
+    else:
+        norm = (np.sum(inner**p) * grid.cell_volume) ** (1.0 / p)
+    return float(np.ldexp(norm, e))

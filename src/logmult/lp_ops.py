@@ -4,7 +4,9 @@ The shifted dilate of a profile ``Phi`` at scale ``l`` and shift ``y`` acts on
 a field by frequency multiplication with ``Phi_hat(2**-l xi) *
 exp(-2 pi i (2**-l y, xi))``; equivalently it is the unshifted piece translated
 by ``2**-l y``.  Because fields are band-limited interpolants, the action is
-exact to roundoff for any real shift.
+exact to roundoff for any real shift.  The multiplication is
+:func:`field.apply_multiplier`, and :func:`field.piece_band` decides which
+pieces are certified zero and skipped.
 
 Scale sums and suprema run over a pair's declared scale range; experiments are
 expected to certify that their inputs' spectra sit inside the covered octaves
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,11 +26,10 @@ from .calibration import LPPair
 from .field import (
     GridSpec,
     MixedNormSpec,
-    NyquistError,
     SampledField,
-    Spectrum,
-    grid_aligned_steps,
+    apply_multiplier,
     mixed_norm,
+    piece_band,
     require_same_grid,
     transform,
 )
@@ -56,63 +57,13 @@ class ShiftedDyadicOp:
     scale: int
     shift: Tuple[float, ...]
 
-    def dilated_support(self) -> Tuple[float, float]:
-        inner, outer = self.profile.support
-        s = 2.0**self.scale
-        return (inner * s, outer * s)
-
-
-def _effective_band(
-    f: SampledField, op_support: Tuple[float, float], scale: int
-) -> Tuple[float, float]:
-    """Output support certificate; raises when the piece is not exactly representable."""
-    lo, hi = op_support
-    if f.band is None:
-        if hi >= f.grid.nyquist:
-            raise NyquistError(
-                f"dilated profile support reaches {hi} at scale {scale}, not below the "
-                f"Nyquist frequency {f.grid.nyquist}, and the field carries no band certificate"
-            )
-        return (lo, hi)
-    inner = max(lo, f.band[0])
-    outer = min(hi, f.band[1])
-    if inner > outer:
-        return (0.0, 0.0)
-    return (inner, outer)
-
-
-def _piece_values(
-    spectrum: Spectrum,
-    profile,
-    scale: int,
-    shift: Sequence[float],
-) -> np.ndarray:
-    """Sample values of one shifted dyadic piece.
-
-    Grid-aligned effective shifts are realized by rolling the unshifted piece
-    (an exact permutation); everything else by unimodular spectral phases.
-    """
-    grid = spectrum.grid
-    mult = profile(grid.frequency_radii() * 2.0**-scale)
-    coeffs = spectrum.coefficients * mult
-    shift_vec = np.atleast_1d(np.asarray(shift, dtype=float)) * 2.0**-scale
-    if np.any(shift_vec != 0.0):
-        steps = grid_aligned_steps(shift_vec, grid)
-        if steps is not None:
-            values = np.fft.ifftn(coeffs) / grid.cell_volume
-            return np.roll(values, steps, axis=tuple(range(grid.dimension)))
-        mesh = grid.frequency_mesh()
-        phase_arg = sum(a * axis for a, axis in zip(shift_vec, mesh))
-        coeffs = coeffs * np.exp(-2j * np.pi * phase_arg)
-    return np.fft.ifftn(coeffs) / grid.cell_volume
-
 
 def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff)."""
-    band = _effective_band(f, op.dilated_support(), op.scale)
-    if band == (0.0, 0.0):
-        return SampledField(f.grid, np.zeros(f.grid.shape, dtype=np.complex128), band)
-    values = _piece_values(transform(f), op.profile, op.scale, op.shift)
+    band = piece_band(f, op.profile.support, op.scale)
+    if band is None:
+        return SampledField(f.grid, np.zeros(f.grid.shape, dtype=np.complex128), (0.0, 0.0))
+    values = apply_multiplier(transform(f), op.profile, op.scale, op.shift)
     return SampledField(f.grid, values, band)
 
 
@@ -125,13 +76,16 @@ def _pieces(
     profile,
     scales: Iterable[int],
     shift: Sequence[float],
-) -> Iterable[np.ndarray]:
-    """Values of the shifted dyadic pieces, one scale at a time (single forward FFT)."""
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """(scale, values) of the shifted dyadic pieces not certified zero (single forward FFT).
+
+    Skipping a certified-zero piece is exact: its product of spectrum and
+    profile is zero at every grid frequency.
+    """
     spectrum = transform(f)
-    inner, outer = profile.support
     for scale in scales:
-        _effective_band(f, (inner * 2.0**scale, outer * 2.0**scale), scale)
-        yield _piece_values(spectrum, profile, scale, shift)
+        if piece_band(f, profile.support, scale) is not None:
+            yield scale, apply_multiplier(spectrum, profile, scale, shift)
 
 
 def square_function(
@@ -141,7 +95,7 @@ def square_function(
     if shift is None:
         shift = _zero_shift(f.grid)
     acc = np.zeros(f.grid.shape, dtype=float)
-    for piece in _pieces(f, pair.psi_hat, pair.scales, shift):
+    for _, piece in _pieces(f, pair.psi_hat, pair.scales, shift):
         acc += np.abs(piece) ** 2
     return SampledField(f.grid, np.sqrt(acc))
 
@@ -153,7 +107,7 @@ def maximal_function(
     if shift is None:
         shift = _zero_shift(f.grid)
     acc = np.zeros(f.grid.shape, dtype=float)
-    for piece in _pieces(f, pair.phi_hat, pair.scales, shift):
+    for _, piece in _pieces(f, pair.phi_hat, pair.scales, shift):
         np.maximum(acc, np.abs(piece), out=acc)
     return SampledField(f.grid, acc)
 
@@ -239,15 +193,14 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
         )
     sq_pieces = {
         scale: np.abs(piece) ** 2
-        for scale, piece in zip(
-            pair.scales, _pieces(f, pair.psi_hat, pair.scales, _zero_shift(f.grid))
-        )
+        for scale, piece in _pieces(f, pair.psi_hat, pair.scales, _zero_shift(f.grid))
     }
     # cumulative sums from the top scale down: tail[l] = sum_{j >= l} |psi_j * f|^2
     tail: dict = {}
     running = np.zeros(f.grid.shape, dtype=float)
-    for scale in sorted(sq_pieces, reverse=True):
-        running = running + sq_pieces[scale]
+    for scale in sorted(pair.scales, reverse=True):
+        if scale in sq_pieces:
+            running = running + sq_pieces[scale]
         tail[scale] = running
     best = 0.0
     for k in scales:
@@ -340,6 +293,8 @@ def fefferman_stein_ratio(
     """
     if len(fs) != len(scales):
         raise ValueError("fs and scales must align")
+    if len(fs) == 0:
+        raise ValueError("empty bank: the ratio needs at least one field")
     require_same_grid(*fs)
     if band_factor is not None:
         for f, k in zip(fs, scales):

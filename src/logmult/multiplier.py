@@ -5,7 +5,9 @@ Kernels are finite sums of rank-1 tensor terms whose per-slot factors are
 with an optional physical translation, so the dilated factor transforms
 ``g_hat(2**-l xi)`` needed by the scale sum can be evaluated exactly at any
 frequency.  Every object that must be computed exactly here (the sharpness
-kernel, the shifted-form integrand) has this structure.
+kernel, the shifted-form integrand) has this structure: each slot is one
+:func:`field.apply_multiplier` call, skipped when :func:`field.piece_band`
+certifies it zero.
 
 The log-weighted size D_lambda treats a factor's declared translation as a
 position in unbounded space: the weight sees ``log(e + |center + offset|)``
@@ -24,10 +26,12 @@ import numpy as np
 from .calibration import LPPair
 from .field import (
     GridSpec,
-    NyquistError,
     SampledField,
     Spectrum,
+    apply_multiplier,
     inverse,
+    multiplier_symbol,
+    piece_band,
     require_same_grid,
     transform,
 )
@@ -64,13 +68,7 @@ class SpectralFactor:
 
     def spectrum_on(self, grid: GridSpec, dilation_scale: int = 0) -> np.ndarray:
         """Values of g_hat(2**-l xi) on the grid frequencies."""
-        scale = 2.0**-dilation_scale
-        values = self.profile(grid.frequency_radii() * scale).astype(np.complex128)
-        if self.translation is not None:
-            mesh = grid.frequency_mesh()
-            phase_arg = sum(a * scale * np.asarray(axis) for a, axis in zip(self.translation, mesh))
-            values = values * np.exp(-2j * np.pi * phase_arg)
-        return values
+        return multiplier_symbol(grid, self.profile, dilation_scale, self.translation)
 
     def field_on(self, grid: GridSpec) -> SampledField:
         inner, outer = self.support
@@ -140,6 +138,32 @@ class TensorKernel:
             )
         return lo, hi
 
+    def values_on_rows(self, grid: GridSpec, rows: Sequence[int]) -> np.ndarray:
+        """Pointwise values K on {y_1 in rows} x grid^(n-1), d = 1 and n in {2, 3}."""
+        _require_exact_grid(grid, self.n)
+        m = grid.samples_per_axis
+        out = np.zeros((len(rows),) + (m,) * (self.n - 1), dtype=np.complex128)
+        for coeff, factors in self.terms:
+            fields = [factor.field_on(grid).values for factor in factors]
+            if self.n == 2:
+                out += coeff * fields[0][rows][:, None] * fields[1][None, :]
+            else:
+                out += coeff * fields[0][rows][:, None, None] * (fields[1][:, None] * fields[2][None, :])
+        return out
+
+    def _exact_axes(self, grid: GridSpec) -> list:
+        """Per-slot weight coordinates: the lifted slot axes (shared by every term)."""
+        first = self.terms[0][1]
+        for _, factors in self.terms[1:]:
+            for k, factor in enumerate(factors):
+                if not np.allclose(factor.center(1), first[k].center(1)):
+                    raise ValueError("exact path requires all terms to share slot translations")
+        return [_lifted_axis(grid, factor.center(1)) for factor in first]
+
+    def _shell_bounds(self, centers, lows, highs, signed: bool) -> list:
+        """Per-slot bounds on |y_k| over each shell combination."""
+        return [_offset_bounds(c, lo, hi, signed) for c, lo, hi in zip(centers, lows, highs)]
+
     def to_manifest(self) -> dict:
         return {
             "n": self.n,
@@ -156,26 +180,6 @@ class TensorKernel:
         }
 
 
-def _slot_band(
-    f: SampledField, factor: SpectralFactor, scale: int
-) -> Optional[Tuple[float, float]]:
-    """Effective certified band of (dilated factor) * f_hat; None when provably zero."""
-    lo, hi = factor.support
-    lo, hi = lo * 2.0**scale, hi * 2.0**scale
-    if f.band is None:
-        if hi >= f.grid.nyquist:
-            raise NyquistError(
-                f"dilated kernel factor reaches frequency {hi} at scale {scale}, "
-                f"past Nyquist {f.grid.nyquist}, and the field carries no band certificate"
-            )
-        return (lo, hi)
-    inner = max(lo, f.band[0])
-    outer = min(hi, f.band[1])
-    if inner > outer:
-        return None
-    return (inner, outer)
-
-
 def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: DyadicRange) -> SampledField:
     """Diagonal restriction of the dyadic-sum action: per term and scale, the
     pointwise product of the per-slot convolutions ``g_{k,l} * f_k``."""
@@ -186,13 +190,12 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: DyadicRang
     out = np.zeros(grid.shape, dtype=np.complex128)
     for scale in scales:
         for coeff, factors in kernel.terms:
-            bands = [_slot_band(f, factor, scale) for f, factor in zip(fs, factors)]
-            if any(b is None for b in bands):
+            bands = [piece_band(f, factor.support, scale) for f, factor in zip(fs, factors)]
+            if None in bands:
                 continue  # certified zero at this scale
             prod = np.full(grid.shape, coeff, dtype=np.complex128)
             for spec, factor in zip(spectra, factors):
-                piece = np.fft.ifftn(spec.coefficients * factor.spectrum_on(grid, scale))
-                prod *= piece / grid.cell_volume
+                prod *= apply_multiplier(spec, factor.profile, scale, factor.translation)
             out += prod
     return SampledField(grid, out)
 
@@ -247,43 +250,29 @@ def _lifted_axis(grid: GridSpec, center: np.ndarray) -> np.ndarray:
     return center[0] + _signed_offsets(grid, center)
 
 
-def _exact_d_lambda(kernel: TensorKernel, lam: float, grid: GridSpec) -> float:
-    """Direct quadrature over the n-fold product grid (d = 1, n in {2, 3})."""
-    if grid.dimension != 1 or kernel.n > 3:
-        raise ValueError("exact path supports d = 1 with n in {2, 3}")
+def _require_exact_grid(grid: GridSpec, n: int) -> None:
+    if grid.dimension != 1 or n > 3:
+        raise ValueError("exact kernel evaluation supports d = 1 with n in {2, 3}")
+
+
+def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec) -> float:
+    """Direct quadrature over the n-fold product grid (d = 1, n in {2, 3}), in row chunks."""
+    n = kernel.n
+    _require_exact_grid(grid, n)
     m = grid.samples_per_axis
-    factor_fields = [
-        [factor.field_on(grid).values for factor in factors] for _, factors in kernel.terms
-    ]
-    coeffs = [coeff for coeff, _ in kernel.terms]
-    for _, factors in kernel.terms[1:]:
-        for k, factor in enumerate(factors):
-            if not np.allclose(factor.center(1), kernel.terms[0][1][k].center(1)):
-                raise ValueError("exact path requires all terms to share slot translations")
-    lifted = [
-        _lifted_axis(grid, kernel.terms[0][1][k].center(1)) for k in range(kernel.n)
-    ]
+    axes = kernel._exact_axes(grid)
+    if n == 2:
+        rest_sq = axes[1][None, :] ** 2
+    else:
+        rest_sq = (axes[1][:, None] ** 2 + axes[2][None, :] ** 2)[None]
+    chunk = m if n == 2 else 64
     total = 0.0
-    cell = grid.cell_volume
-    if kernel.n == 2:
-        y2sq = lifted[1] ** 2
-        for i in range(m):
-            kv = np.zeros(m, dtype=np.complex128)
-            for coeff, fields in zip(coeffs, factor_fields):
-                kv += coeff * fields[0][i] * fields[1]
-            r = np.sqrt(lifted[0][i] ** 2 + y2sq)
-            total += float(np.sum(np.abs(kv) * _weight(r, lam)))
-        return total * cell**2
-    y2 = lifted[1][:, None]
-    y3 = lifted[2][None, :]
-    rsq23 = y2**2 + y3**2
-    for i in range(m):
-        kv = np.zeros((m, m), dtype=np.complex128)
-        for coeff, fields in zip(coeffs, factor_fields):
-            kv += coeff * fields[0][i] * (fields[1][:, None] * fields[2][None, :])
-        r = np.sqrt(lifted[0][i] ** 2 + rsq23)
-        total += float(np.sum(np.abs(kv) * _weight(r, lam)))
-    return total * cell**3
+    for start in range(0, m, chunk):
+        rows = np.arange(start, min(start + chunk, m))
+        vals = np.abs(kernel.values_on_rows(grid, rows))
+        lead_sq = (axes[0][rows] ** 2).reshape((rows.size,) + (1,) * (n - 1))
+        total += float(np.sum(vals * _weight(np.sqrt(lead_sq + rest_sq), lam)))
+    return total * grid.cell_volume**n
 
 
 _DEFAULT_SHELLS = {2: 256, 3: 128, 4: 48, 5: 24}
@@ -291,8 +280,8 @@ _DEFAULT_SHELLS = {2: 256, 3: 128, 4: 48, 5: 24}
 
 def _shell_data(
     factor: SpectralFactor, grid: GridSpec, shells: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Per-shell (mass, offset low, offset high, signed?) for one factor.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-shell (mass, offset low, offset high) for one factor.
 
     d = 1 buckets the *signed* min-image offset, which keeps interval
     arithmetic on differences tight; d = 2 buckets the radial offset.
@@ -310,46 +299,50 @@ def _shell_data(
     mass = np.bincount(idx.ravel(), weights=mags.ravel(), minlength=shells) * grid.cell_volume
     lo = base + np.arange(shells) * width
     hi = lo + width
-    return mass, lo, hi, signed
+    return mass, lo, hi
 
 
-def _abs_bounds(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Bounds of |x| when x ranges over the signed interval [lo, hi]."""
-    lo_abs = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-    hi_abs = np.maximum(np.abs(lo), np.abs(hi))
-    return lo_abs, hi_abs
+def _offset_bounds(
+    center: np.ndarray, lo: np.ndarray, hi: np.ndarray, signed: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds of |center + v| for v in a shell.
+
+    ``signed`` (d = 1): v ranges over the signed interval [lo, hi].
+    Otherwise [lo, hi] bounds |v| and only |center| matters.
+    """
+    if signed:
+        x_lo, x_hi = center[0] + lo, center[0] + hi
+        lo_abs = np.where((x_lo <= 0.0) & (x_hi >= 0.0), 0.0, np.minimum(np.abs(x_lo), np.abs(x_hi)))
+        return lo_abs, np.maximum(np.abs(x_lo), np.abs(x_hi))
+    c = float(np.linalg.norm(center))
+    return np.maximum(0.0, np.maximum(lo - c, c - hi)), c + hi
 
 
 def _bracket_d_lambda(
-    kernel: TensorKernel, lam: float, grid: GridSpec, shells: Optional[int]
+    kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec, shells: Optional[int]
 ) -> Tuple[float, float]:
-    if kernel.rank != 1:
+    """Certified bounds from per-slot shell masses and the kernel's per-slot shell bounds."""
+    base = kernel.base if isinstance(kernel, TransposedKernel) else kernel
+    if base.rank != 1:
         raise ValueError("bracket path handles rank-1 kernels")
-    n = kernel.n
+    n = base.n
     s = shells or _DEFAULT_SHELLS.get(n, 16)
-    _, factors = kernel.terms[0]
-    coeff = abs(kernel.terms[0][0])
-    data = [_shell_data(f, grid, s) for f in factors]
-    grids = np.meshgrid(*[np.arange(s)] * n, indexing="ij")
-    flat = [g.ravel() for g in grids]
+    coeff, factors = base.terms[0]
+    flat = [g.ravel() for g in np.meshgrid(*[np.arange(s)] * n, indexing="ij")]
     mass = np.ones(flat[0].size)
-    lo_sq = np.zeros(flat[0].size)
-    hi_sq = np.zeros(flat[0].size)
-    for k in range(n):
-        m_k, lo_k, hi_k, signed = data[k]
+    lows, highs = [], []
+    for k, factor in enumerate(factors):
+        m_k, lo_k, hi_k = _shell_data(factor, grid, s)
         mass *= m_k[flat[k]]
-        if signed:
-            c = factors[k].center(1)[0]
-            yk_lo, yk_hi = _abs_bounds(c + lo_k[flat[k]], c + hi_k[flat[k]])
-        else:
-            c = float(np.linalg.norm(factors[k].center(grid.dimension)))
-            yk_lo = np.maximum(0.0, np.maximum(lo_k[flat[k]] - c, c - hi_k[flat[k]]))
-            yk_hi = c + hi_k[flat[k]]
-        lo_sq += yk_lo**2
-        hi_sq += yk_hi**2
+        lows.append(lo_k[flat[k]])
+        highs.append(hi_k[flat[k]])
+    centers = [f.center(grid.dimension) for f in factors]
+    bounds = kernel._shell_bounds(centers, lows, highs, signed=grid.dimension == 1)
+    lo_sq = sum(lo**2 for lo, _ in bounds)
+    hi_sq = sum(hi**2 for _, hi in bounds)
     live = mass > 0
-    lower = coeff * float(np.sum(mass[live] * _weight(np.sqrt(lo_sq[live]), lam)))
-    upper = coeff * float(np.sum(mass[live] * _weight(np.sqrt(hi_sq[live]), lam)))
+    lower = abs(coeff) * float(np.sum(mass[live] * _weight(np.sqrt(lo_sq[live]), lam)))
+    upper = abs(coeff) * float(np.sum(mass[live] * _weight(np.sqrt(hi_sq[live]), lam)))
     return lower, upper
 
 
@@ -368,8 +361,6 @@ def d_lambda(
     """
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if isinstance(kernel, TransposedKernel):
-        return kernel._d_lambda(lam, grid, method, shells, budget)
     if method == "auto":
         exact_ok = grid.dimension == 1 and kernel.n <= 3 and grid.size**kernel.n <= budget
         method = "exact" if exact_ok else "bracket"
@@ -394,7 +385,8 @@ class TransposedKernel:
 
     Evaluation at (y_1, ..., y_n) is K(y_1 - y_j, ..., -y_j, ..., y_n - y_j).
     The shear mixes slots, so the result is generally not rank-1; the handle
-    supports pointwise evaluation on the grid and the bracketed size only.
+    supports pointwise row evaluation (the exact D_lambda path) and the
+    bracketed size.
     """
 
     base: TensorKernel
@@ -414,11 +406,8 @@ class TransposedKernel:
         Grid differences stay on the grid, so the shear evaluates exactly from
         the sampled factor fields.
         """
-        if grid.dimension != 1:
-            raise ValueError("pointwise transpose evaluation is d = 1 only")
         n = self.base.n
-        if n > 3:
-            raise ValueError("pointwise transpose evaluation supports n in {2, 3}")
+        _require_exact_grid(grid, n)
         m = grid.samples_per_axis
         jj = self.j - 1
         idx = np.arange(m)
@@ -441,95 +430,26 @@ class TransposedKernel:
                 out[ri] += coeff * vals
         return out
 
-    def _d_lambda(
-        self, lam: float, grid: GridSpec, method: str, shells: Optional[int], budget: int
-    ) -> DLambdaResult:
-        if method == "auto":
-            exact_ok = grid.dimension == 1 and self.base.n <= 3 and grid.size**self.base.n <= budget
-            method = "exact" if exact_ok else "bracket"
-        if method == "exact":
-            value = self._exact(lam, grid)
-            return DLambdaResult(value, value, value, "exact")
-        lower, upper = self._bracket(lam, grid, shells)
-        value = 0.5 * (lower + upper)
-        if value > 0 and (upper - lower) > 0.1 * value:
-            raise ValueError(
-                f"bracket width {upper - lower} exceeds 10% of the value {value}; "
-                "reduce the slot count/dimension or use more shells"
-            )
-        return DLambdaResult(value, lower, upper, "bracket")
+    def _exact_axes(self, grid: GridSpec) -> list:
+        """Per-slot weight coordinates: min-image offsets from the origin."""
+        return [_signed_offsets(grid, np.zeros(1))] * self.n
 
-    def _exact(self, lam: float, grid: GridSpec) -> float:
-        m = grid.samples_per_axis
-        lifted = _signed_offsets(grid, np.zeros(1))
-        total = 0.0
-        n = self.base.n
-        chunk = 64 if n == 3 else m
-        for start in range(0, m, chunk):
-            rows = list(range(start, min(start + chunk, m)))
-            vals = np.abs(self.values_on_rows(grid, rows))
-            if n == 2:
-                r = np.sqrt(lifted[rows][:, None] ** 2 + lifted[None, :] ** 2)
-            else:
-                r = np.sqrt(
-                    lifted[rows][:, None, None] ** 2
-                    + lifted[None, :, None] ** 2
-                    + lifted[None, None, :] ** 2
-                )
-            total += float(np.sum(vals * _weight(r, lam)))
-        return total * grid.cell_volume**n
-
-    def _bracket(
-        self, lam: float, grid: GridSpec, shells: Optional[int]
-    ) -> Tuple[float, float]:
-        base = self.base
-        if base.rank != 1:
-            raise ValueError("bracket path handles rank-1 kernels")
-        n = base.n
-        s = shells or _DEFAULT_SHELLS.get(n, 16)
-        _, factors = base.terms[0]
-        coeff = abs(base.terms[0][0])
-        data = [_shell_data(f, grid, s) for f in factors]
-        centers = [f.center(grid.dimension) for f in factors]
+    def _shell_bounds(self, centers, lows, highs, signed: bool) -> list:
+        """Per-slot bounds on |y_k| after the shear y_k -> y_k - y_j (y_j -> -y_j)."""
         jj = self.j - 1
-        grids = np.meshgrid(*[np.arange(s)] * n, indexing="ij")
-        flat = [g.ravel() for g in grids]
-        mass = np.ones(flat[0].size)
-        for k in range(n):
-            mass *= data[k][0][flat[k]]
-        signed = data[jj][3]
-        lo_j = data[jj][1][flat[jj]]
-        hi_j = data[jj][2][flat[jj]]
-        if signed:
-            cj = centers[jj][0]
-            yj_lo, yj_hi = _abs_bounds(cj + lo_j, cj + hi_j)
-        else:
-            cj = float(np.linalg.norm(centers[jj]))
-            yj_lo = np.maximum(0.0, np.maximum(lo_j - cj, cj - hi_j))
-            yj_hi = cj + hi_j
-        lo_sq = yj_lo**2
-        hi_sq = yj_hi**2
-        for k in range(n):
+        c_j, lo_j, hi_j = centers[jj], lows[jj], highs[jj]
+        bounds = [_offset_bounds(c_j, lo_j, hi_j, signed)]
+        for k in range(self.n):
             if k == jj:
                 continue
-            lo_k = data[k][1][flat[k]]
-            hi_k = data[k][2][flat[k]]
+            # y_k = (a_k - a_j) + (v_k - v_j): interval arithmetic on the difference
             if signed:
-                # y_k = (a_k - a_j) + (v_k - v_j): exact signed interval arithmetic
-                d_c = centers[k][0] - centers[jj][0]
-                yk_lo, yk_hi = _abs_bounds(d_c + lo_k - hi_j, d_c + hi_k - lo_j)
+                lo, hi = lows[k] - hi_j, highs[k] - lo_j
             else:
-                dist = float(np.linalg.norm(centers[k] - centers[jj]))
-                w_lo = np.maximum(0.0, np.maximum(lo_k - hi_j, lo_j - hi_k))
-                w_hi = hi_k + hi_j
-                yk_lo = np.maximum(0.0, np.maximum(w_lo - dist, dist - w_hi))
-                yk_hi = dist + w_hi
-            lo_sq += yk_lo**2
-            hi_sq += yk_hi**2
-        live = mass > 0
-        lower = coeff * float(np.sum(mass[live] * _weight(np.sqrt(lo_sq[live]), lam)))
-        upper = coeff * float(np.sum(mass[live] * _weight(np.sqrt(hi_sq[live]), lam)))
-        return lower, upper
+                lo = np.maximum(0.0, np.maximum(lows[k] - hi_j, lo_j - highs[k]))
+                hi = highs[k] + hi_j
+            bounds.append(_offset_bounds(centers[k] - c_j, lo, hi, signed))
+        return bounds
 
 
 def transpose_kernel(kernel: TensorKernel, j: int) -> TransposedKernel:
@@ -561,20 +481,15 @@ def shifted_form(
     if len(shifts) != n1:
         raise ValueError("one shift per slot required (tau's entry is ignored)")
     spectra = [transform(f) for f in fs]
-    radii = grid.frequency_radii()
-    mesh = grid.frequency_mesh()
+    profiles = [pair.psi_hat if k in (s, t) else pair.phi_hat for k in range(1, n1 + 1)]
+    translations = [None if k == tau else shifts[k - 1] for k in range(1, n1 + 1)]
     total = 0.0 + 0.0j
     for scale in scales:
+        bands = [piece_band(f, profile.support, scale) for f, profile in zip(fs, profiles)]
+        if None in bands:
+            continue  # certified zero at this scale
         prod = np.ones(grid.shape, dtype=np.complex128)
-        for k in range(1, n1 + 1):
-            profile = pair.psi_hat if k in (s, t) else pair.phi_hat
-            mult = profile(radii * 2.0**-scale).astype(np.complex128)
-            if k != tau:
-                vec = np.atleast_1d(np.asarray(shifts[k - 1], dtype=float)) * 2.0**-scale
-                if np.any(vec != 0.0):
-                    phase_arg = sum(a * np.asarray(ax) for a, ax in zip(vec, mesh))
-                    mult = mult * np.exp(-2j * np.pi * phase_arg)
-            piece = np.fft.ifftn(spectra[k - 1].coefficients * mult) / grid.cell_volume
-            prod *= piece
+        for spec, profile, translation in zip(spectra, profiles, translations):
+            prod *= apply_multiplier(spec, profile, scale, translation)
         total += np.sum(prod) * grid.cell_volume
     return complex(total)

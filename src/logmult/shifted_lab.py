@@ -31,6 +31,7 @@ from .field import (
     phase_shift,
     require_same_grid,
     transform,
+    translation_phase,
 )
 from .lp_ops import maximal_function, square_function
 from .reporting import ExperimentReport
@@ -119,8 +120,7 @@ def modulated_bump(
     radii = np.sqrt(sum(a**2 for a in centered))
     coeffs = profile(radii).astype(np.complex128)
     if position is not None:
-        phase_arg = sum(p * np.asarray(axis) for p, axis in zip(np.atleast_1d(position), mesh))
-        coeffs = coeffs * np.exp(-2j * np.pi * phase_arg)
+        coeffs = coeffs * translation_phase(grid, np.atleast_1d(position))
     band = (max(0.0, center_frequency - envelope_radius), center_frequency + envelope_radius)
     return inverse(Spectrum(grid, coeffs, support_certificate=band))
 

@@ -199,3 +199,9 @@ def test_peetre_command(tmp_path):
     assert run(["peetre", "--outdir", str(tmp_path)]) == PASS
     csv = (tmp_path / "peetre.csv").read_text()
     assert csv.splitlines()[0].startswith("sigma,samples,cube_ratio,fs_ratio")
+
+
+@pytest.mark.parametrize("bank_size", ["0", "-1"])
+def test_peetre_empty_bank_is_config_error(tmp_path, bank_size):
+    code = run(["peetre", "--peetre.bank_size", bank_size, "--outdir", str(tmp_path)])
+    assert code == CONFIG_ERROR

@@ -249,3 +249,27 @@ def test_pointwise_product_band_arithmetic(grid):
     prod = f.pointwise(g)
     assert prod.band == (0.0, 3.0)
     transform(prod)  # the summed certificate verifies
+
+
+def test_lp_norm_survives_extreme_amplitudes(grid):
+    big = SampledField(grid, np.full(grid.shape, 1e6 + 0j))
+    assert lp_norm(big, 64) == pytest.approx(1e6 * grid.period ** (1 / 64), rel=1e-12)
+    tiny = SampledField(grid, np.full(grid.shape, 1e-170 + 0j))
+    assert lp_norm(tiny, 2) == pytest.approx(1e-170 * grid.period**0.5, rel=1e-12)
+    assert lp_norm(tiny, 3) == pytest.approx(1e-170 * grid.period ** (1 / 3), rel=1e-12)
+
+
+def test_mixed_norm_survives_extreme_amplitudes(grid):
+    huge = SampledField(grid, np.full(grid.shape, 1e200 + 0j))
+    want = 1e200 * (2.0 * grid.period) ** 0.5
+    assert mixed_norm([huge, huge], MixedNormSpec(2, 2)) == pytest.approx(want, rel=1e-12)
+    tiny = SampledField(grid, np.full(grid.shape, 1e-200 + 0j))
+    want = 1e-200 * 2.0 ** (1 / 3) * grid.period ** (1 / 4)
+    assert mixed_norm([tiny, tiny], MixedNormSpec(4, 3)) == pytest.approx(want, rel=1e-12)
+
+
+def test_norms_of_zero_field(grid):
+    zero = SampledField(grid, np.zeros(grid.shape, dtype=complex))
+    assert lp_norm(zero, 2) == 0.0
+    assert lp_norm(zero, 3) == 0.0
+    assert mixed_norm([zero, zero], MixedNormSpec(2, np.inf)) == 0.0

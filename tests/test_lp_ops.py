@@ -238,6 +238,11 @@ def test_fefferman_stein_band_guard(grid):
         fefferman_stein_ratio([f], [0], 2.0, 2, 2, band_factor=0.5)
 
 
+def test_fefferman_stein_empty_bank():
+    with pytest.raises(ValueError, match="empty bank"):
+        fefferman_stein_ratio([], [], 2.0, 2, 2)
+
+
 def test_fefferman_stein_zero_bank(grid):
     z = SampledField(grid, np.zeros(grid.shape, dtype=complex), band=(0.0, 0.0))
     with pytest.raises(ZeroDivisionError):

@@ -80,6 +80,19 @@ def test_d_lambda_rejects_negative(grid, kernel2):
         d_lambda(kernel2, -0.5, grid)
 
 
+def test_d_lambda_rejects_unknown_method(grid, kernel2):
+    for kernel in (kernel2, transpose_kernel(kernel2, 1)):
+        with pytest.raises(ValueError, match="unknown method"):
+            d_lambda(kernel, 0.0, grid, method="exakt")
+
+
+def test_d_lambda_exact_path_checks_grid(kernel2):
+    flat = GridSpec(2, 32, 8.0)
+    for kernel in (kernel2, transpose_kernel(kernel2, 2)):
+        with pytest.raises(ValueError, match="d = 1"):
+            d_lambda(kernel, 0.0, flat, method="exact")
+
+
 def test_apply_t_single_term_single_scale(grid, kernel2, profiles):
     _, beta_hat = profiles
     beta = SpectralFactor(beta_hat).field_on(grid)
