@@ -5,9 +5,19 @@ and on their certified regions: the smooth bridge between plateau and support
 edge is the classical exp(-1/t) mollifier ramp, whose branches are evaluated
 piecewise so that the zeros are hard zeros, not small numbers.
 
+The plateau guarantee is exact too: at every radius on the closed plateau the
+ramp argument is at least 1 in floating point (rounding is monotone and the
+plateau edge maps to exactly 1), so the profile returns exactly ``1.0``, and
+dividing a grid radius by ``2**l`` is exact.  :func:`field.piece_class` relies
+on this to sort each (field band, scale) pair into one of three classes: zero
+(the dilated support misses the band), plateau (the band lies inside the
+dilated closed plateau, so the piece is the input translated) and partial.
+
 The low-pass/annular pair is telescoped: ``psi_hat(xi) = phi_hat(xi) -
 phi_hat(2 xi)`` makes the dyadic partition of unity an algebraic identity on
-the covered octaves rather than a numerical approximation.
+the covered octaves rather than a numerical approximation.  The telescoped
+annulus is 1 only on the sphere ``|xi| = 1`` and declares no plateau, so its
+pieces are never plateau.
 """
 
 from __future__ import annotations

@@ -430,7 +430,7 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
         closed = closed * profile_to_field(beta_hat, grid).values ** (cfg.n - 2)
     closed_norm = math.sqrt(float(np.sum(np.abs(closed) ** 2)) * grid.cell_volume)
     if closed_norm == 0.0:
-        raise ZeroDivisionError("closed form vanishes; the grid underresolves the profiles")
+        raise ValueError("closed form vanishes; the grid underresolves the profiles")
     err = math.sqrt(float(np.sum(np.abs(output.values - closed) ** 2)) * grid.cell_volume)
     identity_error = err / closed_norm
 

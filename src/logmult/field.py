@@ -43,6 +43,11 @@ __all__ = [
     "multiplier_symbol",
     "apply_multiplier",
     "piece_band",
+    "piece_class",
+    "ZERO",
+    "PLATEAU",
+    "PARTIAL",
+    "dilated_steps",
     "phase_shift",
     "grid_aligned_steps",
     "lp_norm",
@@ -396,6 +401,19 @@ def _dilated_shift(translation: Optional[Sequence[float]], scale: int) -> Option
     return shift if np.any(shift != 0.0) else None
 
 
+def dilated_steps(
+    grid: GridSpec, translation: Optional[Sequence[float]], scale: int
+) -> Optional[Tuple[int, ...]]:
+    """Sample steps realizing ``2**-scale * translation`` exactly, or None when off-grid.
+
+    No translation (or a zero one) is the all-zero step vector.
+    """
+    shift = _dilated_shift(translation, scale)
+    if shift is None:
+        return (0,) * grid.dimension
+    return grid_aligned_steps(shift, grid)
+
+
 def multiplier_symbol(
     grid: GridSpec, profile, scale: int = 0, translation: Optional[Sequence[float]] = None
 ) -> np.ndarray:
@@ -454,6 +472,35 @@ def piece_band(
     inner = max(lo, f.band[0])
     outer = min(hi, f.band[1])
     return None if inner > outer else (inner, outer)
+
+
+ZERO, PLATEAU, PARTIAL = "zero", "plateau", "partial"
+
+
+def piece_class(f: SampledField, profile, scale: int) -> str:
+    """Dispatch class of the scale-``scale`` piece of ``f`` under ``profile``.
+
+    * ``ZERO``: :func:`piece_band` certifies the piece identically zero.
+    * ``PLATEAU``: the band certificate of ``f`` lies inside the profile's
+      dilated closed plateau ``2**scale * profile.plateau``, so the profile is
+      exactly 1.0 on every bin :func:`transform` leaves nonzero (dividing a
+      radius by ``2**scale`` is exact, and the profiles' ramps reach 1 exactly
+      at the plateau edge), and the piece is the input translated by
+      ``2**-scale`` times the shift.
+    * ``PARTIAL``: the profile must be evaluated.
+
+    A profile without a ``plateau`` (the telescoped annulus is 1 only on the
+    sphere ``|xi| = 1``) and a field without a band certificate are never
+    ``PLATEAU``.
+    """
+    if piece_band(f, profile.support, scale) is None:
+        return ZERO
+    plateau = getattr(profile, "plateau", None)
+    if plateau is not None and f.band is not None:
+        dilation = 2.0**scale
+        if plateau[0] * dilation <= f.band[0] and f.band[1] <= plateau[1] * dilation:
+            return PLATEAU
+    return PARTIAL
 
 
 def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:

@@ -5,8 +5,20 @@ a field by frequency multiplication with ``Phi_hat(2**-l xi) *
 exp(-2 pi i (2**-l y, xi))``; equivalently it is the unshifted piece translated
 by ``2**-l y``.  Because fields are band-limited interpolants, the action is
 exact to roundoff for any real shift.  The multiplication is
-:func:`field.apply_multiplier`, and :func:`field.piece_band` decides which
-pieces are certified zero and skipped.
+:func:`field.apply_multiplier`.
+
+Every piece falls into one of the three classes of :func:`field.piece_class`:
+
+* *zero*: the dilated support misses the field's band; the piece is skipped.
+* *plateau*: the field's band lies inside the dilated closed plateau, where
+  the profile is exactly ``1.0`` on every occupied bin, so the piece is the
+  input translated by ``2**-l y`` and the profile is never evaluated.  A
+  grid-aligned translation (the zero one included) is a roll of one
+  untranslated inverse, computed at most once per call; an off-grid one is a
+  phase multiply and an inverse.
+* *partial*: profile times phase, then an inverse.
+
+All three give the same arrays as evaluating the profile at every scale.
 
 Scale sums and suprema run over a pair's declared scale range; experiments are
 expected to certify that their inputs' spectra sit inside the covered octaves
@@ -18,18 +30,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .calibration import LPPair
 from .field import (
+    PLATEAU,
+    ZERO,
     GridSpec,
     MixedNormSpec,
     SampledField,
     apply_multiplier,
+    dilated_steps,
     mixed_norm,
     piece_band,
+    piece_class,
     require_same_grid,
     transform,
 )
@@ -60,15 +76,26 @@ class ShiftedDyadicOp:
 
 def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff)."""
-    band = piece_band(f, op.profile.support, op.scale)
-    if band is None:
+    cls = piece_class(f, op.profile, op.scale)
+    if cls == ZERO:
         return SampledField(f.grid, np.zeros(f.grid.shape, dtype=np.complex128), (0.0, 0.0))
-    values = apply_multiplier(transform(f), op.profile, op.scale, op.shift)
-    return SampledField(f.grid, values, band)
+    profile = None if cls == PLATEAU else op.profile
+    values = apply_multiplier(transform(f), profile, op.scale, op.shift)
+    return SampledField(f.grid, values, piece_band(f, op.profile.support, op.scale))
 
 
 def _zero_shift(grid: GridSpec) -> Tuple[float, ...]:
     return (0.0,) * grid.dimension
+
+
+def _energy(values: np.ndarray) -> np.ndarray:
+    return np.abs(values) ** 2
+
+
+def _rolled(values: np.ndarray, steps: Optional[Tuple[int, ...]]) -> np.ndarray:
+    if steps is None or not any(steps):
+        return values
+    return np.roll(values, steps, axis=tuple(range(values.ndim)))
 
 
 def _pieces(
@@ -76,16 +103,29 @@ def _pieces(
     profile,
     scales: Iterable[int],
     shift: Sequence[float],
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """(scale, values) of the shifted dyadic pieces not certified zero (single forward FFT).
+    lift: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[Tuple[int, Optional[Tuple[int, ...]], np.ndarray]]:
+    """``(scale, steps, lift(values))`` of the pieces not certified zero (one forward FFT).
 
-    Skipping a certified-zero piece is exact: its product of spectrum and
-    profile is zero at every grid frequency.
+    ``steps`` is None when the yielded array is the piece itself.  Otherwise
+    the piece is a grid-aligned plateau piece: ``lift`` of the one untranslated
+    inverse, shared by every such piece, which the caller rolls by ``steps``
+    (``lift`` is pointwise, so lifting commutes with the roll).
     """
     spectrum = transform(f)
+    base = None
     for scale in scales:
-        if piece_band(f, profile.support, scale) is not None:
-            yield scale, apply_multiplier(spectrum, profile, scale, shift)
+        cls = piece_class(f, profile, scale)
+        if cls == ZERO:
+            continue
+        steps = dilated_steps(f.grid, shift, scale) if cls == PLATEAU else None
+        if steps is not None:
+            if base is None:
+                base = lift(apply_multiplier(spectrum))
+            yield scale, steps, base
+        else:
+            piece_profile = None if cls == PLATEAU else profile
+            yield scale, None, lift(apply_multiplier(spectrum, piece_profile, scale, shift))
 
 
 def square_function(
@@ -95,20 +135,29 @@ def square_function(
     if shift is None:
         shift = _zero_shift(f.grid)
     acc = np.zeros(f.grid.shape, dtype=float)
-    for _, piece in _pieces(f, pair.psi_hat, pair.scales, shift):
-        acc += np.abs(piece) ** 2
+    for _, steps, energy in _pieces(f, pair.psi_hat, pair.scales, shift, _energy):
+        acc += _rolled(energy, steps)
     return SampledField(f.grid, np.sqrt(acc))
 
 
 def maximal_function(
     f: SampledField, pair: LPPair, shift: Optional[Sequence[float]] = None
 ) -> SampledField:
-    """Pointwise sup over scales of the shifted low-pass pieces."""
+    """Pointwise sup over scales of the shifted low-pass pieces.
+
+    Aligned plateau pieces that repeat a step vector are skipped: max is
+    idempotent.
+    """
     if shift is None:
         shift = _zero_shift(f.grid)
     acc = np.zeros(f.grid.shape, dtype=float)
-    for _, piece in _pieces(f, pair.phi_hat, pair.scales, shift):
-        np.maximum(acc, np.abs(piece), out=acc)
+    seen = set()
+    for _, steps, modulus in _pieces(f, pair.phi_hat, pair.scales, shift, np.abs):
+        if steps is not None:
+            if steps in seen:
+                continue
+            seen.add(steps)
+        np.maximum(acc, _rolled(modulus, steps), out=acc)
     return SampledField(f.grid, acc)
 
 
@@ -192,8 +241,10 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
             f"no dyadic cube scale tiles period {f.grid.period} on {f.grid.samples_per_axis} points"
         )
     sq_pieces = {
-        scale: np.abs(piece) ** 2
-        for scale, piece in _pieces(f, pair.psi_hat, pair.scales, _zero_shift(f.grid))
+        scale: _rolled(energy, steps)
+        for scale, steps, energy in _pieces(
+            f, pair.psi_hat, pair.scales, _zero_shift(f.grid), _energy
+        )
     }
     # cumulative sums from the top scale down: tail[l] = sum_{j >= l} |psi_j * f|^2
     tail: dict = {}
@@ -308,6 +359,6 @@ def fefferman_stein_ratio(
     spec = MixedNormSpec(p, q)
     denom = mixed_norm(fs, spec)
     if denom == 0.0:
-        raise ZeroDivisionError("zero bank: mixed norm of the inputs vanishes")
+        raise ValueError("zero bank: mixed norm of the inputs vanishes")
     numer = mixed_norm([peetre_max(f, sigma, k) for f, k in zip(fs, scales)], spec)
     return numer / denom

@@ -78,24 +78,16 @@ def random_band_limited(
     grid.check_supports_radius(hi)
     gen = _rng(seed, 1, index)
     kmax = int(math.floor(hi * grid.period))
+    ks = np.arange(-kmax, kmax + 1)
+    draws = gen.standard_normal((ks.size,) * grid.dimension + (2,))
+    mesh = np.meshgrid(*([ks] * grid.dimension), indexing="ij")
+    # sqrt of the exact integer |k|**2: abs(k) in 1-D and math.hypot(k1, k2) in 2-D
+    xi = np.sqrt(sum(k * k for k in mesh).astype(float)) / grid.period
+    inside = (lo <= xi) & (xi <= hi)
+    where = tuple(k[inside] % grid.samples_per_axis for k in mesh)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    if grid.dimension == 1:
-        ks = np.arange(-kmax, kmax + 1)
-        draws = gen.standard_normal((ks.size, 2))
-        for (k, (a, b)) in zip(ks, draws):
-            xi = abs(k) / grid.period
-            if lo <= xi <= hi:
-                coeffs[k % grid.samples_per_axis] = complex(a, b)
-    else:
-        ks = np.arange(-kmax, kmax + 1)
-        draws = gen.standard_normal((ks.size, ks.size, 2))
-        for i, k1 in enumerate(ks):
-            for j, k2 in enumerate(ks):
-                xi = math.hypot(k1, k2) / grid.period
-                if lo <= xi <= hi:
-                    coeffs[k1 % grid.samples_per_axis, k2 % grid.samples_per_axis] = complex(
-                        *draws[i, j]
-                    )
+    coeffs.real[where] = draws[inside, 0]
+    coeffs.imag[where] = draws[inside, 1]
     return inverse(Spectrum(grid, coeffs, support_certificate=band))
 
 
@@ -223,6 +215,42 @@ class GrowthExperiment:
         return bank
 
 
+def _estimator(kind: str):
+    if kind not in (SQUARE, MAXIMAL):
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return square_function if kind == SQUARE else maximal_function
+
+
+def _unshifted_norms(op, p: float, bank: Sequence[SampledField], pair: LPPair) -> List[float]:
+    """L_p norm of the unshifted estimator of every bank input (warns on zeros)."""
+    if len(bank) == 0:
+        raise ValueError("empty bank")
+    norms = [lp_norm(op(f, pair), p) for f in bank]
+    for i, denom in enumerate(norms):
+        if denom == 0.0:
+            warnings.warn(f"bank input {i} has zero unshifted estimator; skipped")
+    return norms
+
+
+def _max_ratio(
+    op,
+    p: float,
+    y: Sequence[float],
+    bank: Sequence[SampledField],
+    pair: LPPair,
+    denoms: Sequence[float],
+) -> float:
+    best = None
+    for f, denom in zip(bank, denoms):
+        if denom == 0.0:
+            continue
+        ratio = lp_norm(op(f, pair, y), p) / denom
+        best = ratio if best is None else max(best, ratio)
+    if best is None:
+        raise ValueError("every bank input had a zero unshifted estimator")
+    return best
+
+
 def operator_norm_proxy(
     kind: str,
     p: float,
@@ -231,23 +259,8 @@ def operator_norm_proxy(
     pair: LPPair,
 ) -> float:
     """Max over the bank of shifted-norm / unshifted-estimator ratios (a lower bound)."""
-    if len(bank) == 0:
-        raise ValueError("empty bank")
-    op = square_function if kind == SQUARE else maximal_function
-    if kind not in (SQUARE, MAXIMAL):
-        raise ValueError(f"unknown operator kind {kind!r}")
-    best = None
-    for i, f in enumerate(bank):
-        denom = lp_norm(op(f, pair), p)
-        if denom == 0.0:
-            warnings.warn(f"bank input {i} has zero unshifted estimator; skipped")
-            continue
-        numer = lp_norm(op(f, pair, y), p)
-        ratio = numer / denom
-        best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise ValueError("every bank input had a zero unshifted estimator")
-    return best
+    op = _estimator(kind)
+    return _max_ratio(op, p, y, bank, pair, _unshifted_norms(op, p, bank, pair))
 
 
 @dataclass(frozen=True)
@@ -293,10 +306,13 @@ def run_growth(experiment: GrowthExperiment) -> ExperimentReport:
     direction = np.zeros(experiment.grid.dimension)
     rows = []
     measured: List[Tuple[float, float]] = []
+    # the unshifted estimators do not depend on the shift: one per bank input
+    op = _estimator(experiment.kind)
+    denoms = _unshifted_norms(op, experiment.p, bank, pair)
     for magnitude in experiment.shifts:
         y = direction.copy()
         y[0] = magnitude
-        ratio = operator_norm_proxy(experiment.kind, experiment.p, y, bank, pair)
+        ratio = _max_ratio(op, experiment.p, y, bank, pair, denoms)
         rows.append({"shift": magnitude, "ratio": ratio})
         measured.append((magnitude, ratio))
     fit = fit_log_exponent(measured)

@@ -205,3 +205,24 @@ def test_peetre_command(tmp_path):
 def test_peetre_empty_bank_is_config_error(tmp_path, bank_size):
     code = run(["peetre", "--peetre.bank_size", bank_size, "--outdir", str(tmp_path)])
     assert code == CONFIG_ERROR
+
+
+def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
+    # period 0.5 puts no grid frequency inside the annular profile's support
+    code = run(
+        [
+            "counterexample",
+            "--counterexample.period",
+            "0.5",
+            "--counterexample.samples",
+            "1024",
+            "--counterexample.packets",
+            "2",
+            "--outdir",
+            str(tmp_path),
+        ]
+    )
+    assert code == CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "closed form vanishes" in err
+    assert "Traceback" not in err

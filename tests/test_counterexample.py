@@ -193,3 +193,9 @@ def test_single_packet_baseline_quantities():
     assert rep.output_norm > 0
     assert all(v > 0 and math.isfinite(v) for v in rep.input_norms)
     assert rep.d_lambda_value > 0 and rep.ratio > 0
+
+
+def test_vanishing_closed_form_is_value_error():
+    cfg = identity_config(n=3, n_packets=2, samples=1024, period=0.5)
+    with pytest.raises(ValueError, match="closed form vanishes"):
+        run_counterexample(cfg)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from logmult import shifted_lab
 from logmult.calibration import make_lp_pair
 from logmult.field import GridSpec, SampledField
 from logmult.shifted_lab import (
@@ -134,6 +135,32 @@ def test_run_growth_small_maximal():
     assert 0.2 <= report.summary["fitted_exponent"] <= 0.8
     ratios = [row["ratio"] for row in report.rows]
     assert all(r >= 1.0 - 1e-9 for r in ratios)
+
+
+def test_run_growth_computes_each_unshifted_estimator_once(monkeypatch):
+    grid = GridSpec(1, 2**14, 2.0**10)
+    exp = GrowthExperiment(
+        kind="shifted-maximal",
+        p=2.0,
+        shifts=(4.0, 8.0, 16.0, 32.0),
+        grid=grid,
+        scale_range=(0, 6),
+        bank=GrowthBankSpec(seed=3, n_random=1, random_band=(0.5, 1.0)),
+    )
+    bank, pair = exp.make_bank(), exp.make_pair()
+    direct = [operator_norm_proxy(exp.kind, exp.p, [y], bank, pair) for y in exp.shifts]
+    shifts = []
+    estimator = shifted_lab.maximal_function
+
+    def counting(f, pair, shift=None):
+        shifts.append(shift)
+        return estimator(f, pair, shift)
+
+    monkeypatch.setattr(shifted_lab, "maximal_function", counting)
+    report = run_growth(exp)
+    assert sum(y is None for y in shifts) == len(bank)
+    assert len(shifts) == len(bank) * (1 + len(exp.shifts))
+    assert [row["ratio"] for row in report.rows] == direct
 
 
 def test_growth_experiment_validates_ladder():

@@ -1,18 +1,28 @@
-"""Differential tests for the spectral-multiplier primitive and the certified-zero skip.
+"""Differential tests for the spectral-multiplier primitive and the piece dispatch.
 
 The primitive's reference spells the operation out (profile x translation
 phase x inverse FFT, never a sample roll).  The aggregate references call the
-primitive at every scale instead of skipping the certified-zero ones.
+primitive with the profile at every scale, so they neither skip certified-zero
+pieces nor serve plateau pieces as translates.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from logmult.calibration import make_counterexample_profiles, make_lp_pair
+from logmult.calibration import (
+    AnnularProfile,
+    LPPair,
+    RadialProfile,
+    make_counterexample_profiles,
+    make_lp_pair,
+)
 from logmult.field import (
+    PARTIAL,
+    PLATEAU,
+    ZERO,
     GridSpec,
     NyquistError,
     SampledField,
@@ -20,11 +30,14 @@ from logmult.field import (
     apply_multiplier,
     multiplier_symbol,
     piece_band,
+    piece_class,
     transform,
 )
 from logmult.lp_ops import (
     DyadicCubeSet,
+    ShiftedDyadicOp,
     bmo_norm,
+    dyadic_piece,
     maximal_function,
     representable_cube_scales,
     square_function,
@@ -118,27 +131,126 @@ def test_piece_band_rule():
         piece_band(unbanded, support, 4)  # dilated support (8, 32) reaches Nyquist 16
 
 
+def test_piece_class_rule():
+    grid = GridSpec(1, 512, 16.0)
+    f = random_band_limited(grid, (2.0, 4.0), 5)
+    phi = PAIR.phi_hat  # plateau [0, 1], support [0, 2]
+    assert piece_class(f, phi, 0) == PARTIAL  # support touches the band at 2
+    assert piece_class(f, phi, -1) == ZERO
+    assert piece_class(f, phi, 1) == PARTIAL  # plateau [0, 2] covers only the edge
+    assert piece_class(f, phi, 2) == PLATEAU  # plateau [0, 4] ends on the band edge
+    assert piece_class(SampledField(grid, f.values), phi, 2) == PARTIAL  # no certificate
+    # the telescoped psi is 1 only at |xi| = 1 and has no plateau to certify
+    unit = random_band_limited(grid, (1.0, 1.0), 5)
+    assert piece_class(unit, PAIR.psi_hat, 0) == PARTIAL
+
+
+@st.composite
+def plateau_cases(draw):
+    grid = draw(st.sampled_from(GRIDS))
+    scale = draw(st.integers(-3, 3))
+    dilation = 2.0**scale
+    # plateau edges on grid radii k / L, so bands can end exactly on them
+    k_in = draw(st.integers(1, 12))
+    k_out = draw(st.integers(k_in, 24))
+    inner, outer = k_in / grid.period / dilation, k_out / grid.period / dilation
+    profile = draw(
+        st.sampled_from(
+            [
+                RadialProfile(outer, 1.5 * outer),
+                AnnularProfile(inner, outer, 0.5 * inner, 1.5 * outer),
+            ]
+        )
+    )
+    return grid, scale, profile
+
+
+@settings(max_examples=80, deadline=None)
+@given(plateau_cases())
+def test_profiles_are_exactly_one_on_the_dilated_plateau(case):
+    # the certificate the plateau dispatch relies on
+    grid, scale, profile = case
+    radii = grid.frequency_radii()
+    lo, hi = profile.plateau
+    on = (lo * 2.0**scale <= radii) & (radii <= hi * 2.0**scale)
+    assert np.any(on)
+    assert np.all(profile(radii[on] * 2.0**-scale) == 1.0)
+
+
 # ---------------------------------------------------------------------------
-# skipping certified-zero scales leaves the aggregates bit-for-bit unchanged
+# the zero/plateau/partial dispatch leaves the aggregates bit-for-bit unchanged
 # ---------------------------------------------------------------------------
 
-def every_scale(f, profile, shift):
+# an annular psi with a plateau, so the square function has plateau pieces too
+ANNULUS = AnnularProfile(0.75, 1.25, 0.5, 1.5)
+SQUARE_PAIR = LPPair(PAIR.phi_hat, ANNULUS, PAIR.scale_min, PAIR.scale_max)
+
+
+def every_scale(f, profile, shift, scales=PAIR.scales):
     spectrum = transform(f)
-    return {scale: apply_multiplier(spectrum, profile, scale, shift) for scale in PAIR.scales}
+    return {scale: apply_multiplier(spectrum, profile, scale, shift) for scale in scales}
 
 
-def full_square(f, shift):
+def full_square(f, shift, pair=PAIR):
     acc = np.zeros(f.grid.shape)
-    for piece in every_scale(f, PAIR.psi_hat, shift).values():
+    for piece in every_scale(f, pair.psi_hat, shift, pair.scales).values():
         acc += np.abs(piece) ** 2
     return np.sqrt(acc)
 
 
-def full_maximal(f, shift):
+def full_maximal(f, shift, pair=PAIR):
     acc = np.zeros(f.grid.shape)
-    for piece in every_scale(f, PAIR.phi_hat, shift).values():
+    for piece in every_scale(f, pair.phi_hat, shift, pair.scales).values():
         np.maximum(acc, np.abs(piece), out=acc)
     return acc
+
+
+@st.composite
+def dispatch_cases(draw):
+    grid = draw(st.sampled_from(GRIDS))
+    profile = draw(st.sampled_from([PAIR.phi_hat, ANNULUS]))
+    scale = draw(st.integers(-2, 3))
+    dilation = 2.0**scale
+    lo, hi = (x * dilation for x in profile.plateau)
+    relation = draw(st.sampled_from(["inside", "edge", "straddle"]))
+    if relation == "edge":
+        band = (lo, hi)
+    elif relation == "inside":
+        a, b = sorted(draw(st.floats(0.05, 0.95)) for _ in range(2))
+        band = (lo + a * (hi - lo), lo + b * (hi - lo))
+    else:
+        band = (lo * draw(st.floats(0.6, 1.0)), hi * draw(st.floats(1.05, 1.4)))
+    assume(band[1] < grid.nyquist)
+    kind = draw(st.sampled_from(["zero", "aligned", "off-grid"]))
+    axes = grid.dimension
+    if kind == "zero":
+        shift = [0.0] * axes
+    elif kind == "aligned":
+        # whole samples at every scale up to `top`, off-grid above it
+        top = draw(st.integers(-2, 8))
+        steps = draw(st.lists(st.integers(-40, 40), min_size=axes, max_size=axes))
+        shift = [k * grid.spacing * 2.0**top for k in steps]
+    else:
+        shift = draw(st.lists(st.floats(-20.0, 20.0), min_size=axes, max_size=axes))
+    f = random_band_limited(grid, band, draw(st.integers(0, 2**32 - 1)))
+    return f, profile, scale, relation, shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(dispatch_cases())
+def test_dispatch_matches_every_scale_reference(case):
+    f, profile, scale, relation, shift = case
+    assert piece_class(f, profile, scale) == (PARTIAL if relation == "straddle" else PLATEAU)
+    piece = dyadic_piece(f, ShiftedDyadicOp(profile, scale, tuple(shift)))
+    want = apply_multiplier(transform(f), profile, scale, shift)
+    assert np.array_equal(piece.values, want)
+    assert piece.band == piece_band(f, profile.support, scale)
+    if profile is ANNULUS:
+        got = square_function(f, SQUARE_PAIR, shift).values
+        assert np.array_equal(got, full_square(f, shift, SQUARE_PAIR))
+    else:
+        assert np.array_equal(maximal_function(f, PAIR, shift).values, full_maximal(f, shift))
+        assert np.array_equal(square_function(f, PAIR, shift).values, full_square(f, shift))
 
 
 def full_bmo(f):
@@ -184,3 +296,24 @@ def test_maximal_function_skip_is_exact():
 def test_bmo_norm_skip_is_exact():
     f, _ = skip_cases()
     assert bmo_norm(f, PAIR) == full_bmo(f)
+
+
+def test_maximal_function_inverse_fft_count(monkeypatch):
+    # partial pieces (scales 0, 1) take one inverse each; the plateau pieces
+    # (scales 2..8) share one untranslated inverse while their dilated shift is
+    # a whole number of samples and take one each when it is not
+    f, shifts = skip_cases()
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    counts = []
+    for shift in shifts:
+        calls.clear()
+        maximal_function(f, PAIR, shift)
+        counts.append(len(calls))
+    assert counts == [3, 5, 9, 3]
