@@ -148,12 +148,19 @@ def resolve_config(
     return config
 
 
+def _numbers(text: str, kind: type) -> list:
+    values = [kind(tok) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError(f"expected at least one number, got {text!r}")
+    return values
+
+
 def _floats(text: str) -> List[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return _numbers(text, float)
 
 
 def _ints(text: str) -> List[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    return _numbers(text, int)
 
 
 def _p_value(text: str) -> float:
@@ -248,6 +255,8 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     section = config["growth"]
     p = _p_value(section["p"])
     band = _floats(section["random_band"])
+    if len(band) != 2:
+        raise ValueError(f"random_band needs exactly two values (inner, outer), got {band}")
     experiment = GrowthExperiment(
         kind=section["kind"],
         p=p,
@@ -257,7 +266,7 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         bank=GrowthBankSpec(
             seed=int(section["seed"]),
             n_random=int(section["n_random"]),
-            random_band=(band[0], band[1]),
+            random_band=tuple(band),
             adversarial=section["adversarial"],
         ),
         tolerance=float(section["tolerance"]),
@@ -527,9 +536,9 @@ def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     orth_tol = float(section["orthogonality_tolerance"])
     rows = []
     passed = True
+    cfgs = [make(n) for n in packets]
     reports = []
-    for n_packets in packets:
-        cfg = make(n_packets)
+    for cfg in cfgs:
         validation = cx.validate_config(cfg)
         if not validation.frequency_ok:
             bad = validation.first_violation()
@@ -549,7 +558,7 @@ def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     if not all(r.validation.separation_ok for r in reports):
         notes = ("bump positions overlap: norm growth tracking is diagnostic only",)
     if len(packets) >= 3:
-        fit = cx.ratio_growth_fit([make(n) for n in packets])
+        fit = cx._fit_reports(cfgs, reports)
         summary["ratio_slope"] = fit.slope
         summary["predicted_slope"] = fit.predicted_slope
         summary["fit_residual"] = fit.residual

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, profile_to_field
 from .exponents import PTuple, lambda_st, sharp_lambda
 from .field import GridSpec, SampledField, lp_norm
-from .multiplier import DyadicRange, SpectralFactor, TensorKernel, apply_t, d_lambda
+from .multiplier import SpectralFactor, TensorKernel, apply_t, d_lambda
 from .shifted_lab import bump_train
 
 __all__ = [
@@ -82,8 +82,8 @@ class CxConfig:
         return PTuple(self.reciprocals)
 
     @property
-    def scale_range(self) -> DyadicRange:
-        return DyadicRange(min(self.zetas), max(self.zetas))
+    def scale_range(self) -> range:
+        return range(min(self.zetas), max(self.zetas) + 1)
 
     @property
     def profiles(self) -> Tuple[RadialProfile, AnnularProfile]:
@@ -326,13 +326,13 @@ def build_inputs(cfg: CxConfig) -> List[SampledField]:
         raise ValueError("building inputs requires a grid")
     _require_valid(cfg)
     grid = cfg.grid
-    _, beta_hat = cfg.profiles
     # packet z sits at -2**(top - z): the annular factor's shift 2**top / 2**z
     # brings every packet to the origin
     top = max(cfg.zetas)
     f_s = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius, conjugate=False)
     f_t = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius, conjugate=True)
-    beta_field = profile_to_field(beta_hat, grid)
+    # only n >= 3 has slots besides s and t
+    beta_field = profile_to_field(cfg.profiles[1], grid) if cfg.n > 2 else None
     fields: List[SampledField] = []
     for slot in range(1, cfg.n + 1):
         if slot == cfg.s:
@@ -477,6 +477,15 @@ def ratio_growth_fit(cfgs: Sequence[CxConfig]) -> RatioGrowthFit:
     The predicted slope is the pairwise exponent of the (s, t) slots minus the
     weight exponent actually used in the denominator.
     """
+    return _fit_reports(cfgs, (run_counterexample(cfg, check_orthogonality=False) for cfg in cfgs))
+
+
+def _fit_reports(cfgs: Sequence[CxConfig], reports: Iterable[CxReport]) -> RatioGrowthFit:
+    """:func:`ratio_growth_fit` from one report per config.
+
+    ``reports`` is consumed only after the configs pass the checks, so a lazy
+    iterable runs nothing for a rejected set.
+    """
     if len(cfgs) < 3:
         raise ValueError("need at least 3 packet counts for a growth fit")
     base = cfgs[0]
@@ -486,7 +495,7 @@ def ratio_growth_fit(cfgs: Sequence[CxConfig]) -> RatioGrowthFit:
     ns = [cfg.n_packets for cfg in cfgs]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("packet counts must strictly increase")
-    reports = [run_counterexample(cfg, check_orthogonality=False) for cfg in cfgs]
+    reports = list(reports)
     x = np.log(np.array(ns, dtype=float))
     z = np.log(np.array([r.ratio for r in reports]))
     slope, intercept = np.polyfit(x, z, 1)

@@ -4,10 +4,9 @@ Kernels are finite sums of rank-1 tensor terms whose per-slot factors are
 *spectrally evaluable*: each factor is a radial frequency profile together
 with an optional physical translation, so the dilated factor transforms
 ``g_hat(2**-l xi)`` needed by the scale sum can be evaluated exactly at any
-frequency.  Every object that must be computed exactly here (the sharpness
-kernel, the shifted-form integrand) has this structure: each slot is one
-:func:`field.apply_multiplier` call, skipped when :func:`field.piece_band`
-certifies it zero.
+frequency.  The operator, its form and the shifted form are one scale loop,
+:func:`apply_t`, over a plain ``range`` of scales; each slot piece is one
+:func:`field.apply_multiplier` call dispatched on :func:`field.piece_class`.
 
 The log-weighted size D_lambda treats a factor's declared translation as a
 position in unbounded space: the weight sees ``log(e + |center + offset|)``
@@ -19,19 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .calibration import LPPair
 from .field import (
+    PLATEAU,
+    ZERO,
     GridSpec,
     SampledField,
     Spectrum,
     apply_multiplier,
     inverse,
     multiplier_symbol,
-    piece_band,
+    piece_class,
     require_same_grid,
     transform,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "SpectralFactor",
     "TensorKernel",
     "TransposedKernel",
-    "DyadicRange",
     "DLambdaResult",
     "d_lambda",
     "apply_t",
@@ -71,26 +71,12 @@ class SpectralFactor:
         return multiplier_symbol(grid, self.profile, dilation_scale, self.translation)
 
     def field_on(self, grid: GridSpec) -> SampledField:
-        inner, outer = self.support
-        return inverse(Spectrum(grid, self.spectrum_on(grid), support_certificate=(inner, outer)))
+        return inverse(Spectrum(grid, self.spectrum_on(grid), support_certificate=self.support))
 
     def center(self, dimension: int) -> np.ndarray:
         if self.translation is None:
             return np.zeros(dimension)
         return np.asarray(self.translation, dtype=float)
-
-
-@dataclass(frozen=True)
-class DyadicRange:
-    low: int
-    high: int
-
-    def __post_init__(self):
-        if self.low > self.high:
-            raise ValueError(f"need low <= high, got [{self.low}, {self.high}]")
-
-    def __iter__(self):
-        return iter(range(self.low, self.high + 1))
 
 
 @dataclass(frozen=True)
@@ -119,8 +105,7 @@ class TensorKernel:
 
     def joint_support(self) -> Tuple[float, float]:
         """Interval-arithmetic bounds on |(xi_1, ..., xi_n)| over the joint spectrum."""
-        lo = 0.0
-        hi = 0.0
+        lo = hi = 0.0
         for _, factors in self.terms:
             t_lo = math.sqrt(sum(f.support[0] ** 2 for f in factors))
             t_hi = math.sqrt(sum(f.support[1] ** 2 for f in factors))
@@ -139,17 +124,13 @@ class TensorKernel:
         return lo, hi
 
     def values_on_rows(self, grid: GridSpec, rows: Sequence[int]) -> np.ndarray:
-        """Pointwise values K on {y_1 in rows} x grid^(n-1), d = 1 and n in {2, 3}."""
+        """Pointwise values on {y_1 in rows} x grid^(n-1), d = 1 and n in {2, 3}."""
         _require_exact_grid(grid, self.n)
-        m = grid.samples_per_axis
-        out = np.zeros((len(rows),) + (m,) * (self.n - 1), dtype=np.complex128)
-        for coeff, factors in self.terms:
-            fields = [factor.field_on(grid).values for factor in factors]
-            if self.n == 2:
-                out += coeff * fields[0][rows][:, None] * fields[1][None, :]
-            else:
-                out += coeff * fields[0][rows][:, None, None] * (fields[1][:, None] * fields[2][None, :])
-        return out
+        return _shear_rows(*self._sampled_terms(grid), np.asarray(rows))
+
+    def _sampled_terms(self, grid: GridSpec) -> Tuple[int, list]:
+        """No swapped slot (0), and every term's coefficient and sampled factors."""
+        return 0, [(coeff, [f.field_on(grid).values for f in factors]) for coeff, factors in self.terms]
 
     def _exact_axes(self, grid: GridSpec) -> list:
         """Per-slot weight coordinates: the lifted slot axes (shared by every term)."""
@@ -165,24 +146,24 @@ class TensorKernel:
         return [_offset_bounds(c, lo, hi, signed) for c, lo, hi in zip(centers, lows, highs)]
 
     def to_manifest(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {
-                    "coefficient": str(coeff),
-                    "factors": [
-                        {**f.profile.to_record(), "translation": f.translation}
-                        for f in factors
-                    ],
-                }
-                for coeff, factors in self.terms
-            ],
-        }
+        terms = [
+            {
+                "coefficient": str(coeff),
+                "factors": [{**f.profile.to_record(), "translation": f.translation} for f in factors],
+            }
+            for coeff, factors in self.terms
+        ]
+        return {"n": self.n, "terms": terms}
 
 
-def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: DyadicRange) -> SampledField:
+def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> SampledField:
     """Diagonal restriction of the dyadic-sum action: per term and scale, the
-    pointwise product of the per-slot convolutions ``g_{k,l} * f_k``."""
+    pointwise product of the per-slot convolutions ``g_{k,l} * f_k``.
+
+    Slot pieces dispatch on :func:`field.piece_class`: a zero slot skips the
+    term at that scale, and a plateau slot leaves the profile out, which is
+    exact because the profile is 1.0 on every occupied bin.
+    """
     if len(fs) != kernel.n:
         raise ValueError(f"kernel is {kernel.n}-linear, got {len(fs)} inputs")
     grid = require_same_grid(*fs)
@@ -190,19 +171,18 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: DyadicRang
     out = np.zeros(grid.shape, dtype=np.complex128)
     for scale in scales:
         for coeff, factors in kernel.terms:
-            bands = [piece_band(f, factor.support, scale) for f, factor in zip(fs, factors)]
-            if None in bands:
-                continue  # certified zero at this scale
+            classes = [piece_class(f, factor.profile, scale) for f, factor in zip(fs, factors)]
+            if ZERO in classes:
+                continue
             prod = np.full(grid.shape, coeff, dtype=np.complex128)
-            for spec, factor in zip(spectra, factors):
-                prod *= apply_multiplier(spec, factor.profile, scale, factor.translation)
+            for spec, factor, cls in zip(spectra, factors, classes):
+                profile = None if cls == PLATEAU else factor.profile
+                prod *= apply_multiplier(spec, profile, scale, factor.translation)
             out += prod
     return SampledField(grid, out)
 
 
-def lambda_form(
-    kernel: TensorKernel, fs: Sequence[SampledField], scales: DyadicRange
-) -> complex:
+def lambda_form(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> complex:
     """Quadrature pairing of the operator output against the last input."""
     if len(fs) != kernel.n + 1:
         raise ValueError(f"form is {kernel.n + 1}-linear, got {len(fs)} inputs")
@@ -231,8 +211,7 @@ def _signed_offsets(grid: GridSpec, center: np.ndarray) -> np.ndarray:
     """Min-image offsets x - center per grid point (d=1: shape (M,), d=2: radii)."""
     if grid.dimension == 1:
         x = grid.axis_coordinates()
-        off = (x - center[0] + grid.period / 2.0) % grid.period - grid.period / 2.0
-        return off
+        return (x - center[0] + grid.period / 2.0) % grid.period - grid.period / 2.0
     mesh = grid.coordinate_mesh()
     comps = [
         (np.asarray(axis) - c + grid.period / 2.0) % grid.period - grid.period / 2.0
@@ -255,12 +234,33 @@ def _require_exact_grid(grid: GridSpec, n: int) -> None:
         raise ValueError("exact kernel evaluation supports d = 1 with n in {2, 3}")
 
 
+def _shear_rows(j: int, terms: List[Tuple[complex, List[np.ndarray]]], rows: np.ndarray) -> np.ndarray:
+    """The shear K^j on {y_1 in rows} x grid^(n-1) from sampled factors (d = 1).
+
+    Slot k reads its factor at y_k - y_j and the swapped slot j at -y_j; j = 0
+    swaps nothing, so every slot reads y_k.  The swapped slot multiplies first.
+    """
+    n, m = len(terms[0][1]), terms[0][1][0].size
+    ys = [rows.reshape((-1,) + (1,) * (n - 1))]
+    ys += [np.arange(m).reshape((1,) * k + (m,) + (1,) * (n - 1 - k)) for k in range(1, n)]
+    jj = j - 1  # -1 when nothing is swapped
+    order = ([jj] if j else []) + [k for k in range(n) if k != jj]
+    y_j = ys[jj] if j else 0
+    out = None
+    for coeff, fields in terms:
+        term = math.prod(np.take(fields[k], (0 if k == jj else ys[k]) - y_j, mode="wrap") for k in order)
+        term *= coeff
+        out = term if out is None else out + term
+    return out
+
+
 def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec) -> float:
     """Direct quadrature over the n-fold product grid (d = 1, n in {2, 3}), in row chunks."""
     n = kernel.n
     _require_exact_grid(grid, n)
     m = grid.samples_per_axis
     axes = kernel._exact_axes(grid)
+    j, terms = kernel._sampled_terms(grid)
     if n == 2:
         rest_sq = axes[1][None, :] ** 2
     else:
@@ -269,7 +269,7 @@ def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float,
     total = 0.0
     for start in range(0, m, chunk):
         rows = np.arange(start, min(start + chunk, m))
-        vals = np.abs(kernel.values_on_rows(grid, rows))
+        vals = np.abs(_shear_rows(j, terms, rows))
         lead_sq = (axes[0][rows] ** 2).reshape((rows.size,) + (1,) * (n - 1))
         total += float(np.sum(vals * _weight(np.sqrt(lead_sq + rest_sq), lam)))
     return total * grid.cell_volume**n
@@ -386,7 +386,8 @@ class TransposedKernel:
     Evaluation at (y_1, ..., y_n) is K(y_1 - y_j, ..., -y_j, ..., y_n - y_j).
     The shear mixes slots, so the result is generally not rank-1; the handle
     supports pointwise row evaluation (the exact D_lambda path) and the
-    bracketed size.
+    bracketed size.  Grid differences stay on the grid, so the shear
+    evaluates exactly from the sampled factor fields.
     """
 
     base: TensorKernel
@@ -400,35 +401,11 @@ class TransposedKernel:
     def n(self) -> int:
         return self.base.n
 
-    def values_on_rows(self, grid: GridSpec, rows: Sequence[int]) -> np.ndarray:
-        """Pointwise values K^j on {y_1 in rows} x grid^(n-1), d = 1 only.
+    values_on_rows = TensorKernel.values_on_rows
 
-        Grid differences stay on the grid, so the shear evaluates exactly from
-        the sampled factor fields.
-        """
-        n = self.base.n
-        _require_exact_grid(grid, n)
-        m = grid.samples_per_axis
-        jj = self.j - 1
-        idx = np.arange(m)
-        out = np.zeros((len(rows),) + (m,) * (n - 1), dtype=np.complex128)
-        for coeff, factors in self.base.terms:
-            fields = [factor.field_on(grid).values for factor in factors]
-            for ri, r in enumerate(rows):
-                if n == 2:
-                    ys = (np.full(m, r), idx)
-                else:
-                    y1 = np.full((m, m), r)
-                    y2 = np.broadcast_to(idx[:, None], (m, m))
-                    y3 = np.broadcast_to(idx[None, :], (m, m))
-                    ys = (y1, y2, y3)
-                yj = ys[jj]
-                vals = fields[jj][(-yj) % m]
-                for k in range(n):
-                    if k != jj:
-                        vals = vals * fields[k][(ys[k] - yj) % m]
-                out[ri] += coeff * vals
-        return out
+    def _sampled_terms(self, grid: GridSpec) -> Tuple[int, list]:
+        """The swapped slot and the base kernel's sampled terms."""
+        return self.j, self.base._sampled_terms(grid)[1]
 
     def _exact_axes(self, grid: GridSpec) -> list:
         """Per-slot weight coordinates: min-image offsets from the origin."""
@@ -462,14 +439,15 @@ def shifted_form(
     psi_slots: Tuple[int, int],
     tau: int,
     shifts: Sequence[Sequence[float]],
-    scales: DyadicRange,
+    scales: range,
     pair: LPPair,
 ) -> complex:
     """The scale-summed integrand with annular pieces on two slots and no shift on tau.
 
     ``psi_slots`` names the (1-based) pair carrying the annular profile; every
     other slot carries the low-pass profile.  Slot ``tau`` is evaluated
-    unshifted regardless of its entry in ``shifts``.
+    unshifted regardless of its entry in ``shifts``.  The value is the
+    quadrature integral of :func:`apply_t` over that rank-1 kernel.
     """
     n1 = len(fs)
     s, t = psi_slots
@@ -480,16 +458,8 @@ def shifted_form(
     grid = require_same_grid(*fs)
     if len(shifts) != n1:
         raise ValueError("one shift per slot required (tau's entry is ignored)")
-    spectra = [transform(f) for f in fs]
     profiles = [pair.psi_hat if k in (s, t) else pair.phi_hat for k in range(1, n1 + 1)]
-    translations = [None if k == tau else shifts[k - 1] for k in range(1, n1 + 1)]
-    total = 0.0 + 0.0j
-    for scale in scales:
-        bands = [piece_band(f, profile.support, scale) for f, profile in zip(fs, profiles)]
-        if None in bands:
-            continue  # certified zero at this scale
-        prod = np.ones(grid.shape, dtype=np.complex128)
-        for spec, profile, translation in zip(spectra, profiles, translations):
-            prod *= apply_multiplier(spec, profile, scale, translation)
-        total += np.sum(prod) * grid.cell_volume
-    return complex(total)
+    kernel = TensorKernel.rank_one(
+        [SpectralFactor(p, None if k == tau else shifts[k - 1]) for k, p in enumerate(profiles, 1)]
+    )
+    return complex(np.sum(apply_t(kernel, fs, scales).values) * grid.cell_volume)

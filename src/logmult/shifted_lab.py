@@ -81,10 +81,11 @@ def random_band_limited(
     ks = np.arange(-kmax, kmax + 1)
     draws = gen.standard_normal((ks.size,) * grid.dimension + (2,))
     mesh = np.meshgrid(*([ks] * grid.dimension), indexing="ij")
-    # sqrt of the exact integer |k|**2: abs(k) in 1-D and math.hypot(k1, k2) in 2-D
-    xi = np.sqrt(sum(k * k for k in mesh).astype(float)) / grid.period
+    bins = tuple(k % grid.samples_per_axis for k in mesh)
+    # the radii the support certificate checks, so band edges round alike
+    xi = grid.frequency_radii()[bins]
     inside = (lo <= xi) & (xi <= hi)
-    where = tuple(k[inside] % grid.samples_per_axis for k in mesh)
+    where = tuple(b[inside] for b in bins)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs.real[where] = draws[inside, 0]
     coeffs.imag[where] = draws[inside, 1]
@@ -416,6 +417,8 @@ def change_of_variables_check(
     if len(ys) != len(gs):
         raise ValueError("one shift per input required")
     scales = range(scale_range[0], scale_range[1] + 1)
+    if not scales:
+        raise ValueError(f"empty scale range {scale_range}")
     dilates = {scale: [dilate_field(g, scale) for g in gs] for scale in scales}
 
     def norm_p(shifts: Sequence[np.ndarray]) -> float:

@@ -226,3 +226,46 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "closed form vanishes" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["changevars", "--changevars.m_values", ","],
+        ["growth", "--growth.random_band", "1"],
+        ["peetre", "--peetre.sigmas", ","],
+        ["changevars", "--changevars.scale_min", "3", "--changevars.scale_max", "1"],
+    ],
+)
+def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
+    assert run(args + ["--outdir", str(tmp_path)]) == CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{args[0]}.report.txt").exists()
+
+
+def test_counterexample_fits_from_the_runs_it_reports(tmp_path, monkeypatch):
+    import logmult.counterexample as cx
+
+    runs = []
+    original = cx.run_counterexample
+
+    def counting(cfg, *args, **kwargs):
+        runs.append(cfg.n_packets)
+        return original(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cx, "run_counterexample", counting)
+    code = run(
+        [
+            "counterexample",
+            "--counterexample.packets", "1 2 3",
+            "--counterexample.samples", "16384",
+            "--counterexample.period", "128",
+            "--outdir", str(tmp_path),
+        ]
+    )
+    assert code == PASS
+    assert runs == [1, 2, 3]
+    report = (tmp_path / "counterexample.report.txt").read_text()
+    assert "ratio_slope" in report and "predicted_slope" in report

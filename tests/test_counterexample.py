@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from logmult import counterexample
 from logmult.counterexample import (
     CxConfig,
     build_inputs,
@@ -199,3 +200,18 @@ def test_vanishing_closed_form_is_value_error():
     cfg = identity_config(n=3, n_packets=2, samples=1024, period=0.5)
     with pytest.raises(ValueError, match="closed form vanishes"):
         run_counterexample(cfg)
+
+
+@pytest.mark.parametrize("n, calls", [(2, 0), (3, 1)])
+def test_build_inputs_synthesizes_beta_only_for_extra_slots(monkeypatch, n, calls):
+    seen = []
+    original = counterexample.profile_to_field
+
+    def counting(profile, grid):
+        seen.append(profile)
+        return original(profile, grid)
+
+    monkeypatch.setattr(counterexample, "profile_to_field", counting)
+    fields = build_inputs(small_identity(n=n, packets=2))
+    assert len(fields) == n
+    assert len(seen) == calls

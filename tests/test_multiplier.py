@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from logmult.calibration import make_counterexample_profiles, make_lp_pair
-from logmult.field import GridSpec, convolve, lp_norm
+from logmult.field import GridSpec, apply_multiplier, convolve, lp_norm, piece_band, transform
 from logmult.multiplier import (
-    DyadicRange,
     SpectralFactor,
     TensorKernel,
     apply_t,
@@ -98,7 +97,7 @@ def test_apply_t_single_term_single_scale(grid, kernel2, profiles):
     beta = SpectralFactor(beta_hat).field_on(grid)
     f1 = random_band_limited(grid, (0.6, 1.2), 7, 0)
     f2 = random_band_limited(grid, (0.6, 1.2), 7, 1)
-    out = apply_t(kernel2, [f1, f2], DyadicRange(0, 0))
+    out = apply_t(kernel2, [f1, f2], range(0, 1))
     direct = convolve(beta, f1).values * convolve(beta, f2).values
     assert np.max(np.abs(out.values - direct)) < 1e-12
 
@@ -106,8 +105,8 @@ def test_apply_t_single_term_single_scale(grid, kernel2, profiles):
 def test_apply_t_multilinear(grid, kernel2):
     f1 = random_band_limited(grid, (0.6, 1.2), 7, 0)
     f2 = random_band_limited(grid, (0.6, 1.2), 7, 1)
-    base = apply_t(kernel2, [f1, f2], DyadicRange(0, 2))
-    scaled = apply_t(kernel2, [(2.0 + 1.0j) * f1, f2], DyadicRange(0, 2))
+    base = apply_t(kernel2, [f1, f2], range(0, 3))
+    scaled = apply_t(kernel2, [(2.0 + 1.0j) * f1, f2], range(0, 3))
     assert np.max(np.abs(scaled.values - (2.0 + 1.0j) * base.values)) < 1e-12
 
 
@@ -115,9 +114,9 @@ def test_apply_t_two_point_slot_linearity(grid, kernel2):
     f1a = random_band_limited(grid, (0.6, 1.2), 8, 0)
     f1b = random_band_limited(grid, (0.6, 1.2), 8, 1)
     f2 = random_band_limited(grid, (0.6, 1.2), 8, 2)
-    lhs = apply_t(kernel2, [f1a + f1b, f2], DyadicRange(0, 2))
-    rhs = apply_t(kernel2, [f1a, f2], DyadicRange(0, 2)) + apply_t(
-        kernel2, [f1b, f2], DyadicRange(0, 2)
+    lhs = apply_t(kernel2, [f1a + f1b, f2], range(0, 3))
+    rhs = apply_t(kernel2, [f1a, f2], range(0, 3)) + apply_t(
+        kernel2, [f1b, f2], range(0, 3)
     )
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
@@ -126,8 +125,8 @@ def test_apply_t_single_contributing_scale(grid, kernel2):
     # inputs confined to one octave: only the matching scale contributes
     f1 = random_band_limited(grid, (1.8, 2.2), 9, 0)
     f2 = random_band_limited(grid, (1.8, 2.2), 9, 1)
-    wide = apply_t(kernel2, [f1, f2], DyadicRange(-2, 4))
-    single = apply_t(kernel2, [f1, f2], DyadicRange(1, 1))
+    wide = apply_t(kernel2, [f1, f2], range(-2, 5))
+    single = apply_t(kernel2, [f1, f2], range(1, 2))
     assert np.max(np.abs(wide.values - single.values)) < 1e-10
 
 
@@ -135,10 +134,10 @@ def test_lambda_form_examples(grid, kernel2):
     f1 = random_band_limited(grid, (0.6, 1.2), 10, 0)
     f2 = random_band_limited(grid, (0.6, 1.2), 10, 1)
     zero = 0.0 * f1
-    assert lambda_form(kernel2, [f1, f2, zero], DyadicRange(0, 1)) == 0.0
+    assert lambda_form(kernel2, [f1, f2, zero], range(0, 2)) == 0.0
     f3 = random_band_limited(grid, (0.6, 1.2), 10, 2)
-    val = lambda_form(kernel2, [f1, f2, f3], DyadicRange(0, 1))
-    out = apply_t(kernel2, [f1, f2], DyadicRange(0, 1))
+    val = lambda_form(kernel2, [f1, f2, f3], range(0, 2))
+    out = apply_t(kernel2, [f1, f2], range(0, 2))
     direct = complex(np.sum(out.values * f3.values) * grid.cell_volume)
     assert abs(val - direct) < 1e-12 * max(1.0, abs(val))
 
@@ -146,7 +145,7 @@ def test_lambda_form_examples(grid, kernel2):
 def test_lambda_form_real_for_real_integrand(grid, kernel2, profiles):
     _, beta_hat = profiles
     beta = SpectralFactor(beta_hat).field_on(grid)
-    val = lambda_form(kernel2, [beta, beta, beta], DyadicRange(-1, 2))
+    val = lambda_form(kernel2, [beta, beta, beta], range(-1, 3))
     assert abs(val.imag) < 1e-10 * max(1.0, abs(val.real))
 
 
@@ -187,17 +186,17 @@ def test_shifted_form_disjoint_spectra_vanish(grid):
     ]
     # at scales where the low-pass slot passes anything, the annular slot 1
     # profile has left the first field's octave: every scale product vanishes
-    val = shifted_form(fs, (1, 2), 3, [[0.0]] * 3, DyadicRange(-2, 4), pair)
+    val = shifted_form(fs, (1, 2), 3, [[0.0]] * 3, range(-2, 5), pair)
     assert abs(val) < 1e-12
 
 
 def test_shifted_form_single_scale_direct(grid):
     pair = make_lp_pair((-2, 4))
     fs = [random_band_limited(grid, (1.8, 2.2), 12, i) for i in range(3)]
-    full = shifted_form(fs, (1, 2), 3, [[0.3], [1.7], [0.0]], DyadicRange(-2, 4), pair)
+    full = shifted_form(fs, (1, 2), 3, [[0.3], [1.7], [0.0]], range(-2, 5), pair)
     # packets live one octave up: scales {0, 1, 2} can contribute; compare to
     # the same evaluation restricted to those scales
-    narrow = shifted_form(fs, (1, 2), 3, [[0.3], [1.7], [0.0]], DyadicRange(0, 2), pair)
+    narrow = shifted_form(fs, (1, 2), 3, [[0.3], [1.7], [0.0]], range(0, 3), pair)
     assert abs(full - narrow) < 1e-10 * max(1.0, abs(full))
 
 
@@ -220,7 +219,7 @@ def test_shifted_form_growth_tracks_pairwise_exponent():
         f_t = bump_train(grid, y, scales, conjugate=True)
         val = abs(
             shifted_form(
-                [f_s, f_t, f_tau], (1, 2), 3, [[y], [y], [0.0]], DyadicRange(0, n_scales + 1), pair
+                [f_s, f_t, f_tau], (1, 2), 3, [[y], [y], [0.0]], range(0, n_scales + 2), pair
             )
         )
         denom = lp_norm(f_s, 4) * lp_norm(f_t, 4) * lp_norm(f_tau, 2)
@@ -249,7 +248,7 @@ def test_lambda_form_transpose_consistency():
     f2 = random_band_limited(grid, (0.6, 1.2), 41, 1)
     # the output spectrum sits in the band-sum; the dual slot must meet it
     f3 = random_band_limited(grid, (1.3, 2.3), 41, 2)
-    form = lambda_form(kernel, [f1, f2, f3], DyadicRange(0, 0))
+    form = lambda_form(kernel, [f1, f2, f3], range(0, 1))
     assert abs(form) > 1e-6  # nondegenerate pairing
 
     t1 = transpose_kernel(kernel, 1)
@@ -267,3 +266,66 @@ def test_kernel_manifest_serialization(kernel2):
     assert len(factors) == 2
     assert factors[0]["kind"] == "annular"
     assert "translation" in factors[0]
+
+
+def per_scale_shifted_form(fs, psi_slots, tau, shifts, scales, pair):
+    """The shifted form as its own loop: one integral per scale, summed."""
+    s, t = psi_slots
+    grid = fs[0].grid
+    spectra = [transform(f) for f in fs]
+    profiles = [pair.psi_hat if k in (s, t) else pair.phi_hat for k in range(1, len(fs) + 1)]
+    translations = [None if k == tau else shifts[k - 1] for k in range(1, len(fs) + 1)]
+    total = 0.0 + 0.0j
+    for scale in scales:
+        if any(piece_band(f, p.support, scale) is None for f, p in zip(fs, profiles)):
+            continue
+        prod = np.ones(grid.shape, dtype=np.complex128)
+        for spec, profile, translation in zip(spectra, profiles, translations):
+            prod *= apply_multiplier(spec, profile, scale, translation)
+        total += np.sum(prod) * grid.cell_volume
+    return complex(total)
+
+
+@pytest.mark.parametrize("y", [0.0, 16.0, 37.5])
+@pytest.mark.parametrize("tau", [1, 3])
+def test_shifted_form_matches_per_scale_loop(y, tau):
+    grid = GridSpec(1, 2**14, 2.0**8)
+    pair = make_lp_pair((-1, 6))
+    scales = range(1, 5)
+    fs = [
+        bump_train(grid, y, scales),
+        bump_train(grid, y, scales, conjugate=True),
+        modulated_bump(grid, 0.75, 0.25),
+    ]
+    shifts = [[y], [y], [0.5 * y]]
+    got = shifted_form(fs, (1, 2), tau, shifts, range(0, 6), pair)
+    want = per_scale_shifted_form(fs, (1, 2), tau, shifts, range(0, 6), pair)
+    assert abs(want) > 0
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("j", [None, 1, 2, 3])
+def test_rows_match_pointwise_evaluation_n3(j):
+    grid = GridSpec(1, 64, 16.0)
+    eta_hat, beta_hat = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
+    slots = [SpectralFactor(beta_hat, (1.5,)), SpectralFactor(beta_hat), SpectralFactor(eta_hat, (-0.75,))]
+    kernel = TensorKernel(
+        3, ((1.0 + 0.0j, tuple(slots)), (0.5 - 1.0j, (slots[1], slots[2], SpectralFactor(eta_hat))))
+    )
+    handle = kernel if j is None else transpose_kernel(kernel, j)
+    m = grid.samples_per_axis
+    rows = [0, 5, 31, 63]
+    vals = handle.values_on_rows(grid, rows)
+    assert vals.shape == (len(rows), m, m)
+    terms = [(c, [f.field_on(grid).values for f in fs]) for c, fs in kernel.terms]
+    rng = np.random.default_rng(3)
+    for ri, r in enumerate(rows):
+        for y2, y3 in rng.integers(0, m, size=(20, 2)):
+            y = (r, int(y2), int(y3))
+            if j is None:
+                idx = y
+            else:
+                # K^j(y) = K(y_1 - y_j, ..., -y_j, ..., y_n - y_j)
+                idx = tuple(((0 if k == j - 1 else y[k]) - y[j - 1]) % m for k in range(3))
+            direct = sum(c * f[0][idx[0]] * f[1][idx[1]] * f[2][idx[2]] for c, f in terms)
+            assert abs(vals[ri, y[1], y[2]] - direct) <= 1e-12 * np.max(np.abs(vals))

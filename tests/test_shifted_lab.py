@@ -5,7 +5,7 @@ import pytest
 
 from logmult import shifted_lab
 from logmult.calibration import make_lp_pair
-from logmult.field import GridSpec, SampledField
+from logmult.field import GridSpec, SampledField, transform
 from logmult.shifted_lab import (
     GrowthBankSpec,
     GrowthExperiment,
@@ -231,3 +231,30 @@ def test_bump_train_band_certificate(grid):
     f = bump_train(grid, 4.0, [1, 2, 3])
     assert f.band is not None
     assert f.band[0] > 0
+
+
+def test_change_of_variables_rejects_empty_scale_range(grid):
+    gs = offset_bank(grid, 2, 31)
+    with pytest.raises(ValueError, match="empty scale range"):
+        change_of_variables_check(gs, [[0.5], [1.5]], 0, (3, 1))
+
+
+def test_random_band_limited_certificate_holds_at_band_edges():
+    # period 10 is not a power of two: the band edge 12.7 and the radii of
+    # some integer frequencies round differently under hypot(k1, k2) / L
+    grid = GridSpec(2, 256, 10.0)
+    f = random_band_limited(grid, (1.0, 12.7), 0, 1)
+    assert f.band == (1.0, 12.7)
+    assert np.any(f.values != 0)
+
+
+def test_random_band_limited_is_resolution_independent():
+    # the same integer frequencies, with the same draws, at 128 and 256 points
+    coarse, fine = (
+        transform(random_band_limited(GridSpec(2, m, 10.0), (0.3, 6.0), 9, 0)) for m in (128, 256)
+    )
+    k = np.fft.fftfreq(128, 1 / 128).astype(int) % 256
+    assert np.allclose(fine.coefficients[np.ix_(k, k)], coarse.coefficients, rtol=0, atol=1e-12)
+    assert np.count_nonzero(np.abs(fine.coefficients) > 1e-12) == np.count_nonzero(
+        np.abs(coarse.coefficients) > 1e-12
+    )

@@ -1,9 +1,10 @@
 """Differential tests for the spectral-multiplier primitive and the piece dispatch.
 
 The primitive's reference spells the operation out (profile x translation
-phase x inverse FFT, never a sample roll).  The aggregate references call the
-primitive with the profile at every scale, so they neither skip certified-zero
-pieces nor serve plateau pieces as translates.
+phase x inverse FFT, never a sample roll).  The aggregate references (the
+square and maximal functions, apply_t) call the primitive with the profile at
+every scale and slot, so they neither skip certified-zero pieces nor serve
+plateau pieces as translates.
 """
 
 import math
@@ -19,6 +20,7 @@ from logmult.calibration import (
     make_counterexample_profiles,
     make_lp_pair,
 )
+from logmult.counterexample import build_inputs, build_kernel, identity_config
 from logmult.field import (
     PARTIAL,
     PLATEAU,
@@ -42,6 +44,7 @@ from logmult.lp_ops import (
     representable_cube_scales,
     square_function,
 )
+from logmult.multiplier import SpectralFactor, TensorKernel, apply_t
 from logmult.shifted_lab import random_band_limited
 
 PAIR = make_lp_pair((-2, 8))
@@ -317,3 +320,43 @@ def test_maximal_function_inverse_fft_count(monkeypatch):
         maximal_function(f, PAIR, shift)
         counts.append(len(calls))
     assert counts == [3, 5, 9, 3]
+
+
+# ---------------------------------------------------------------------------
+# apply_t: slot pieces dispatched on piece_class, bit-for-bit
+# ---------------------------------------------------------------------------
+
+def every_slot_apply_t(kernel, fs, scales):
+    """apply_t with the profile evaluated on every slot and scale, nothing skipped."""
+    spectra = [transform(f) for f in fs]
+    out = np.zeros(fs[0].grid.shape, dtype=np.complex128)
+    for scale in scales:
+        for coeff, factors in kernel.terms:
+            prod = np.full(fs[0].grid.shape, coeff, dtype=np.complex128)
+            for spec, factor in zip(spectra, factors):
+                prod *= apply_multiplier(spec, factor.profile, scale, factor.translation)
+            out += prod
+    return out
+
+
+def test_apply_t_identity_plateau_slot_is_exact():
+    cfg = identity_config(n=3, n_packets=4, samples=2**15, period=2.0**7)
+    kernel, fs = build_kernel(cfg), build_inputs(cfg)
+    eta = kernel.terms[0][1][2]
+    # the low-pass eta slot is plateau at every scale of the construction
+    assert [piece_class(fs[2], eta.profile, s) for s in cfg.scale_range] == [PLATEAU] * 4
+    got = apply_t(kernel, fs, cfg.scale_range).values
+    assert np.array_equal(got, every_slot_apply_t(kernel, fs, cfg.scale_range))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dispatch_cases())
+def test_apply_t_dispatch_matches_every_slot_reference(case):
+    # bands inside, on and straddling the dilated plateau of the first slot;
+    # the second slot's beta is zero or partial depending on the scale
+    f, profile, scale, relation, shift = case
+    kernel = TensorKernel.rank_one([SpectralFactor(profile, tuple(shift)), SpectralFactor(BETA)])
+    fs = [f, random_band_limited(f.grid, (0.0, f.band[1]), 3, 1)]
+    scales = range(scale - 1, scale + 2)
+    got = apply_t(kernel, fs, scales).values
+    assert np.array_equal(got, every_slot_apply_t(kernel, fs, scales))
