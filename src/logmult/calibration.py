@@ -27,7 +27,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .field import GridSpec, SampledField, Spectrum, inverse
+from .field import GridSpec, SampledField, Spectrum, frozen, inverse, multiplier_symbol
 
 __all__ = [
     "RadialProfile",
@@ -245,6 +245,5 @@ def profile_to_field(profile, grid: GridSpec) -> SampledField:
     """
     inner, outer = profile.support
     grid.check_supports_radius(outer)
-    coeffs = profile(grid.frequency_radii()).astype(np.complex128)
-    spectrum = Spectrum(grid, coeffs, support_certificate=(inner, outer))
+    spectrum = Spectrum(grid, frozen(multiplier_symbol(grid, profile)), support_certificate=(inner, outer))
     return inverse(spectrum)

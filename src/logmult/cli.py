@@ -295,6 +295,9 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     n_configs = int(section["configs"])
     m_values = _ints(section["m_values"])
     scale_range = (int(section["scale_min"]), int(section["scale_max"]))
+    if scale_range[1] < scale_range[0]:
+        # rejected before any input is synthesised
+        raise ValueError(f"empty scale range {scale_range}")
     band_max = float(section["band_max"])
     seed = int(section["seed"])
     shift_scale = float(section["shift_scale"])

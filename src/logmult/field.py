@@ -17,15 +17,25 @@ Conventions:
   integrands make these spectrally accurate.
 
 Fields and spectra are immutable after construction; every operation here is a
-pure function.
+pure function.  A constructor copies an array its caller may still write to
+and adopts, without a copy, an array handed over through :func:`frozen`.
+
+The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
+is evaluated only on the bins its certificates allow: the spectrum's support
+certificate intersected with the profile's dilated closed support, widened by
+one bin.  This is exact, not an approximation: profiles are hard 0 off their
+closed support and certified spectra are exactly 0 off their band, so every
+skipped product was a signed zero.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +49,9 @@ __all__ = [
     "transform",
     "inverse",
     "convolve",
+    "frozen",
+    "bin_blocks",
+    "block_frequencies",
     "translation_phase",
     "multiplier_symbol",
     "apply_multiplier",
@@ -55,6 +68,7 @@ __all__ = [
 ]
 
 Exponent = Union[int, float, Fraction]
+Block = Tuple[slice, ...]
 
 
 class GridMismatchError(ValueError):
@@ -193,9 +207,23 @@ def _torus_distances(m: int, period: float, dim: int) -> np.ndarray:
     return d
 
 
+def frozen(values: np.ndarray) -> np.ndarray:
+    """Hand a freshly built array to :class:`SampledField`/:class:`Spectrum` without a copy.
+
+    The array becomes read-only; the caller must hold no writable view of it.
+    """
+    values.flags.writeable = False
+    return values
+
+
 def _freeze(values: np.ndarray) -> np.ndarray:
+    """Read-only complex128 array the caller cannot change.
+
+    A conversion builds a fresh array and a read-only array that owns its data
+    (see :func:`frozen`) is adopted as is; anything else is copied.
+    """
     out = np.asarray(values, dtype=np.complex128)
-    if out.base is not None or out is values:
+    if out.base is not None or (out is values and out.flags.writeable):
         out = out.copy()
     out.flags.writeable = False
     return out
@@ -240,7 +268,7 @@ class SampledField:
         band = None
         if self.band is not None and other.band is not None:
             band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
-        return SampledField(self.grid, self.values + other.values, band)
+        return SampledField(self.grid, frozen(self.values + other.values), band)
 
     def __sub__(self, other: "SampledField") -> "SampledField":
         if not isinstance(other, SampledField):
@@ -250,7 +278,7 @@ class SampledField:
     def __mul__(self, scalar: complex) -> "SampledField":
         if isinstance(scalar, SampledField):
             return NotImplemented
-        return SampledField(self.grid, self.values * complex(scalar), self.band)
+        return SampledField(self.grid, frozen(self.values * complex(scalar)), self.band)
 
     __rmul__ = __mul__
 
@@ -262,7 +290,7 @@ class SampledField:
             outer = self.band[1] + other.band[1]
             if outer < self.grid.nyquist:
                 band = (0.0, outer)
-        return SampledField(self.grid, self.values * other.values, band)
+        return SampledField(self.grid, frozen(self.values * other.values), band)
 
 
 @dataclass(frozen=True)
@@ -340,12 +368,12 @@ def transform(f: SampledField) -> Spectrum:
                     f"{dust} vs in-band scale {scale}"
                 )
             coeffs[off] = 0.0
-    return Spectrum(f.grid, coeffs, support_certificate=f.band)
+    return Spectrum(f.grid, frozen(coeffs), support_certificate=f.band)
 
 
 def inverse(s: Spectrum) -> SampledField:
     """Inverse transform; round-trips with :func:`transform` to roundoff."""
-    return SampledField(s.grid, apply_multiplier(s), band=s.support_certificate)
+    return SampledField(s.grid, frozen(apply_multiplier(s)), band=s.support_certificate)
 
 
 def convolve(f: SampledField, g: SampledField) -> SampledField:
@@ -363,7 +391,7 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
             coeffs = np.zeros_like(coeffs)
         else:
             cert = (inner, outer)
-    return inverse(Spectrum(f.grid, coeffs, support_certificate=cert))
+    return inverse(Spectrum(f.grid, frozen(coeffs), support_certificate=cert))
 
 
 def grid_aligned_steps(shift: Sequence[float], grid: GridSpec) -> Optional[Tuple[int, ...]]:
@@ -387,9 +415,66 @@ def grid_aligned_steps(shift: Sequence[float], grid: GridSpec) -> Optional[Tuple
 # the spectral multiplier: profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))
 # ---------------------------------------------------------------------------
 
-def translation_phase(grid: GridSpec, shift: Sequence[float]) -> np.ndarray:
-    """``exp(-2 pi i (shift, xi))`` on the grid frequencies: translation by ``shift``."""
-    phase_arg = sum(a * axis for a, axis in zip(shift, grid.frequency_mesh()))
+def _axis_slices(m: int, lo: int, hi: int) -> List[slice]:
+    """FFT-order index slices holding the integer frequencies ``lo..hi`` of an ``m``-point axis."""
+    lo, hi = max(lo, -(m // 2)), min(hi, m // 2 - 1)
+    out = []
+    if lo <= min(hi, -1):
+        out.append(slice(m + lo, m + min(hi, -1) + 1))
+    if max(lo, 0) <= hi:
+        out.append(slice(max(lo, 0), hi + 1))
+    return out
+
+
+def bin_blocks(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]]) -> List[Block]:
+    """Blocks of grid bins, as index slices, covering every frequency in the per-axis windows.
+
+    ``windows[i]`` lists closed intervals of axis-``i`` frequencies; a block is
+    one interval (or its two wrapped halves) per axis.  Each edge is widened by
+    one bin, so roundoff in ``k / L`` never drops a bin.
+    """
+    per_axis = []
+    for intervals in windows:
+        ks = sorted(
+            (math.ceil(a * grid.period) - 1, math.floor(b * grid.period) + 1) for a, b in intervals
+        )
+        merged: List[List[int]] = []
+        for lo, hi in ks:
+            if lo > hi:
+                continue
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        per_axis.append([s for lo, hi in merged for s in _axis_slices(grid.samples_per_axis, lo, hi)])
+    return list(itertools.product(*per_axis))
+
+
+def _band_blocks(grid: GridSpec, band: Optional[Tuple[float, float]]) -> List[Block]:
+    """Blocks holding every bin with ``inner <= |xi| <= outer``; the whole grid for None.
+
+    1-D: the positive and the mirrored negative interval.  2-D: the box
+    ``|xi_i| <= outer``, four corner blocks.
+    """
+    if band is None:
+        return [(slice(None),) * grid.dimension]
+    inner, outer = band
+    if grid.dimension == 1:
+        return bin_blocks(grid, [[(-outer, -inner), (inner, outer)]])
+    return bin_blocks(grid, [[(-outer, outer)]] * grid.dimension)
+
+
+def block_frequencies(grid: GridSpec, block: Optional[Block] = None) -> Tuple[np.ndarray, ...]:
+    """Axis frequencies on ``block`` (default: the whole grid), broadcastable over it."""
+    axis = grid.axis_frequencies()
+    d = grid.dimension
+    block = block or (slice(None),) * d
+    return tuple(axis[s].reshape((1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, s in enumerate(block))
+
+
+def translation_phase(grid: GridSpec, shift: Sequence[float], block: Optional[Block] = None) -> np.ndarray:
+    """``exp(-2 pi i (shift, xi))`` on the grid frequencies (or on ``block`` of them)."""
+    phase_arg = sum(a * axis for a, axis in zip(shift, block_frequencies(grid, block)))
     return np.exp(-2j * np.pi * phase_arg)
 
 
@@ -414,15 +499,60 @@ def dilated_steps(
     return grid_aligned_steps(shift, grid)
 
 
+def _symbol_band(
+    certificate: Optional[Tuple[float, float]], profile, scale: int
+) -> Optional[Tuple[float, float]]:
+    """Closed band outside which ``coefficients * profile(2**-scale |xi|)`` vanishes.
+
+    The certificate intersected with the dilated profile support; either one
+    alone when the other is absent; None (the whole grid) when neither is.
+    """
+    if profile is None:
+        return certificate
+    lo, hi = profile.support[0] * 2.0**scale, profile.support[1] * 2.0**scale
+    if certificate is None:
+        return (lo, hi)
+    return (max(lo, certificate[0]), min(hi, certificate[1]))
+
+
+def _on_band(
+    grid: GridSpec,
+    coefficients: Optional[np.ndarray],
+    band: Optional[Tuple[float, float]],
+    profile,
+    scale: int,
+    shift: Optional[np.ndarray],
+) -> np.ndarray:
+    """``coefficients * profile(2**-scale |xi|) * phase`` on the bins of ``band``, 0 elsewhere.
+
+    ``coefficients=None`` is 1, ``profile=None`` is 1 and ``shift=None`` is no
+    phase.  The phase is the left operand of the last product, as when numpy
+    evaluates a large whole-grid ``coefficients * phase`` in the phase's
+    temporary buffer: with fused multiply-adds, a complex product depends on
+    the operand order.
+    """
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for block in _band_blocks(grid, band):
+        values = 1.0 if coefficients is None else coefficients[block]
+        if profile is not None:
+            values = values * profile(grid.frequency_radii()[block] * 2.0**-scale)
+        if shift is not None:
+            phase = translation_phase(grid, shift, block)
+            phase *= values
+            values = phase
+        out[block] = values
+    return out
+
+
 def multiplier_symbol(
     grid: GridSpec, profile, scale: int = 0, translation: Optional[Sequence[float]] = None
 ) -> np.ndarray:
-    """The symbol ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))`` on the grid frequencies."""
-    values = profile(grid.frequency_radii() * 2.0**-scale).astype(np.complex128)
+    """The symbol ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))`` on the grid frequencies.
+
+    Evaluated only on the bins of the profile's dilated support; 0 elsewhere.
+    """
     shift = _dilated_shift(translation, scale)
-    if shift is not None:
-        values *= translation_phase(grid, shift)
-    return values
+    return _on_band(grid, None, _symbol_band(None, profile, scale), profile, scale, shift)
 
 
 def apply_multiplier(
@@ -435,16 +565,22 @@ def apply_multiplier(
 
     ``profile=None`` is the constant 1.  A grid-aligned dilated translation
     rolls the untranslated samples (an exact permutation); any other one
-    multiplies by :func:`translation_phase`.
+    multiplies by :func:`translation_phase`.  Profile and phase are evaluated
+    only on the bins where the spectrum's support certificate meets the
+    profile's dilated closed support (either one alone when the other is
+    absent).  Every other product is a signed zero, because profiles are hard
+    0 off their support and certified coefficients are exactly 0 off their
+    band, so the result equals the whole-grid evaluation.
     """
     grid = spectrum.grid
-    coeffs = spectrum.coefficients
-    if profile is not None:
-        coeffs = coeffs * profile(grid.frequency_radii() * 2.0**-scale)
     shift = _dilated_shift(translation, scale)
     steps = None if shift is None else grid_aligned_steps(shift, grid)
-    if shift is not None and steps is None:
-        coeffs = coeffs * translation_phase(grid, shift)
+    phase = shift if steps is None else None
+    if profile is None and phase is None:
+        coeffs = spectrum.coefficients
+    else:
+        band = _symbol_band(spectrum.support_certificate, profile, scale)
+        coeffs = _on_band(grid, spectrum.coefficients, band, profile, scale, phase)
     values = np.fft.ifftn(coeffs)
     values /= grid.cell_volume
     if steps is not None:
@@ -517,7 +653,7 @@ def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
         values = np.roll(f.values, steps, axis=tuple(range(f.grid.dimension)))
     else:
         values = apply_multiplier(transform(f), translation=shift)
-    return SampledField(f.grid, values, band=f.band)
+    return SampledField(f.grid, frozen(values), band=f.band)
 
 
 def _as_float_exponent(p: Exponent) -> float:

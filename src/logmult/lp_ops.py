@@ -43,6 +43,7 @@ from .field import (
     SampledField,
     apply_multiplier,
     dilated_steps,
+    frozen,
     mixed_norm,
     piece_band,
     piece_class,
@@ -78,10 +79,10 @@ def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff)."""
     cls = piece_class(f, op.profile, op.scale)
     if cls == ZERO:
-        return SampledField(f.grid, np.zeros(f.grid.shape, dtype=np.complex128), (0.0, 0.0))
+        return SampledField(f.grid, frozen(np.zeros(f.grid.shape, dtype=np.complex128)), (0.0, 0.0))
     profile = None if cls == PLATEAU else op.profile
     values = apply_multiplier(transform(f), profile, op.scale, op.shift)
-    return SampledField(f.grid, values, piece_band(f, op.profile.support, op.scale))
+    return SampledField(f.grid, frozen(values), piece_band(f, op.profile.support, op.scale))
 
 
 def _zero_shift(grid: GridSpec) -> Tuple[float, ...]:

@@ -30,6 +30,7 @@ from .field import (
     SampledField,
     Spectrum,
     apply_multiplier,
+    frozen,
     inverse,
     multiplier_symbol,
     piece_class,
@@ -71,7 +72,7 @@ class SpectralFactor:
         return multiplier_symbol(grid, self.profile, dilation_scale, self.translation)
 
     def field_on(self, grid: GridSpec) -> SampledField:
-        return inverse(Spectrum(grid, self.spectrum_on(grid), support_certificate=self.support))
+        return inverse(Spectrum(grid, frozen(self.spectrum_on(grid)), support_certificate=self.support))
 
     def center(self, dimension: int) -> np.ndarray:
         if self.translation is None:
@@ -105,12 +106,8 @@ class TensorKernel:
 
     def joint_support(self) -> Tuple[float, float]:
         """Interval-arithmetic bounds on |(xi_1, ..., xi_n)| over the joint spectrum."""
-        lo = hi = 0.0
-        for _, factors in self.terms:
-            t_lo = math.sqrt(sum(f.support[0] ** 2 for f in factors))
-            t_hi = math.sqrt(sum(f.support[1] ** 2 for f in factors))
-            lo = t_lo if lo == 0.0 else min(lo, t_lo)
-            hi = max(hi, t_hi)
+        lo = min(math.sqrt(sum(f.support[0] ** 2 for f in factors)) for _, factors in self.terms)
+        hi = max(math.sqrt(sum(f.support[1] ** 2 for f in factors)) for _, factors in self.terms)
         return lo, hi
 
     def annulus_certificate(self, normalization_scale: float = 1.0) -> Tuple[float, float]:
@@ -179,7 +176,7 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> 
                 profile = None if cls == PLATEAU else factor.profile
                 prod *= apply_multiplier(spec, profile, scale, factor.translation)
             out += prod
-    return SampledField(grid, out)
+    return SampledField(grid, frozen(out))
 
 
 def lambda_form(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> complex:
@@ -331,8 +328,12 @@ def _bracket_d_lambda(
     flat = [g.ravel() for g in np.meshgrid(*[np.arange(s)] * n, indexing="ij")]
     mass = np.ones(flat[0].size)
     lows, highs = [], []
+    shell = {}  # equal factors (the s and t slots in separation mode) share one sampling
     for k, factor in enumerate(factors):
-        m_k, lo_k, hi_k = _shell_data(factor, grid, s)
+        key = (factor.profile, tuple(factor.center(grid.dimension)))
+        if key not in shell:
+            shell[key] = _shell_data(factor, grid, s)
+        m_k, lo_k, hi_k = shell[key]
         mass *= m_k[flat[k]]
         lows.append(lo_k[flat[k]])
         highs.append(hi_k[flat[k]])

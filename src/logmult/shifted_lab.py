@@ -26,6 +26,9 @@ from .field import (
     NyquistError,
     SampledField,
     Spectrum,
+    bin_blocks,
+    block_frequencies,
+    frozen,
     inverse,
     lp_norm,
     phase_shift,
@@ -89,7 +92,22 @@ def random_band_limited(
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs.real[where] = draws[inside, 0]
     coeffs.imag[where] = draws[inside, 1]
-    return inverse(Spectrum(grid, coeffs, support_certificate=band))
+    return inverse(Spectrum(grid, frozen(coeffs), support_certificate=band))
+
+
+def _packet(grid: GridSpec, profile: RadialProfile, kappa: float):
+    """``(block, xi_1 - kappa, profile(|xi - kappa e_1|))`` on the bins of a packet at ``kappa e_1``.
+
+    The blocks cover the box ``|xi - kappa e_1|_i <= profile.support[1]``, so
+    the profile, hard 0 off its support, is exactly 0 on every other bin.
+    """
+    radius = profile.support[1]
+    windows = [[(kappa - radius, kappa + radius)]] + [[(-radius, radius)]] * (grid.dimension - 1)
+    for block in bin_blocks(grid, windows):
+        freqs = block_frequencies(grid, block)
+        centered = freqs[0] - kappa
+        rest_sq = sum(f**2 for f in freqs[1:])
+        yield block, centered, profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
 
 
 def modulated_bump(
@@ -105,17 +123,14 @@ def modulated_bump(
     spaced positions 2**-l y: the witness for logarithmic maximal growth.
     """
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
-    mesh = grid.frequency_mesh()
-    centered = [axis.copy() for axis in np.broadcast_arrays(*mesh)] if grid.dimension > 1 else [
-        np.asarray(mesh[0]).copy()
-    ]
-    centered[0] = centered[0] - center_frequency
-    radii = np.sqrt(sum(a**2 for a in centered))
-    coeffs = profile(radii).astype(np.complex128)
-    if position is not None:
-        coeffs = coeffs * translation_phase(grid, np.atleast_1d(position))
+    shift = None if position is None else np.atleast_1d(position)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for block, _, packet in _packet(grid, profile, center_frequency):
+        if shift is not None:
+            packet = packet * translation_phase(grid, shift, block)
+        coeffs[block] = packet
     band = (max(0.0, center_frequency - envelope_radius), center_frequency + envelope_radius)
-    return inverse(Spectrum(grid, coeffs, support_certificate=band))
+    return inverse(Spectrum(grid, frozen(coeffs), support_certificate=band))
 
 
 def bump_train(
@@ -132,12 +147,6 @@ def bump_train(
     input's own L_p norm only grows like (#scales)**(1/p) as long as the
     positions stay separated.
     """
-    axis0 = np.asarray(grid.frequency_mesh()[0], dtype=float)
-    rest_sq = (
-        sum(np.asarray(a, dtype=float) ** 2 for a in grid.frequency_mesh()[1:])
-        if grid.dimension > 1
-        else 0.0
-    )
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     sign = -1.0 if conjugate else 1.0
@@ -145,17 +154,15 @@ def bump_train(
     hi = 0.0
     for scale in scales:
         kappa = sign * 2.0**scale
-        centered = axis0 - kappa
-        packet = profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
         position = -(2.0**-scale) * shift_magnitude
-        # f(x) = eta(x - position) exp(2 pi i kappa x): translation phase in
-        # the centered frequency variable
-        packet = packet * np.exp(-2j * np.pi * position * centered)
-        coeffs += packet
+        for block, centered, packet in _packet(grid, profile, kappa):
+            # f(x) = eta(x - position) exp(2 pi i kappa x): translation phase in
+            # the centered frequency variable
+            coeffs[block] += packet * np.exp(-2j * np.pi * position * centered)
         lo = min(lo, abs(kappa) - envelope_radius)
         hi = max(hi, abs(kappa) + envelope_radius)
     grid.check_supports_radius(hi)
-    return inverse(Spectrum(grid, coeffs, support_certificate=(max(lo, 0.0), hi)))
+    return inverse(Spectrum(grid, frozen(coeffs), support_certificate=(max(lo, 0.0), hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +392,7 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
         out[np.ix_(idx, idx)] = sub
     out *= float(step) ** grid.dimension
     band = None if g.band is None else (g.band[0] * step, g.band[1] * step)
-    return inverse(Spectrum(grid, out, support_certificate=band))
+    return inverse(Spectrum(grid, frozen(out), support_certificate=band))
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,23 @@ def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
     assert not (tmp_path / f"{args[0]}.report.txt").exists()
 
 
+def test_changevars_empty_scale_range_synthesises_nothing(tmp_path, capsys, monkeypatch):
+    import logmult.cli as cli
+
+    calls = []
+    original = cli.random_band_limited
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "random_band_limited", counting)
+    args = ["changevars", "--changevars.scale_min", "3", "--changevars.scale_max", "1"]
+    assert run(args + ["--outdir", str(tmp_path)]) == CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("error: empty scale range")
+    assert calls == []
+
+
 def test_counterexample_fits_from_the_runs_it_reports(tmp_path, monkeypatch):
     import logmult.counterexample as cx
 

@@ -8,6 +8,7 @@ from logmult.field import (
     SampledField,
     Spectrum,
     convolve,
+    frozen,
     inverse,
     lp_norm,
     mixed_norm,
@@ -273,3 +274,23 @@ def test_norms_of_zero_field(grid):
     assert lp_norm(zero, 2) == 0.0
     assert lp_norm(zero, 3) == 0.0
     assert mixed_norm([zero, zero], MixedNormSpec(2, np.inf)) == 0.0
+
+
+def test_constructors_copy_arrays_the_caller_can_still_write(grid):
+    vals = np.ones(grid.shape, dtype=np.complex128)
+    view = vals[:]
+    view.flags.writeable = False  # read-only, but its base is not
+    f = SampledField(grid, vals)
+    g = SampledField(grid, view)
+    s = Spectrum(grid, vals)
+    vals[:] = 2.0
+    assert np.all(f.values == 1.0) and np.all(g.values == 1.0) and np.all(s.coefficients == 1.0)
+    assert not f.values.flags.writeable and not s.coefficients.flags.writeable
+
+
+def test_constructors_adopt_handed_over_arrays(grid):
+    vals = frozen(np.ones(grid.shape, dtype=np.complex128))
+    assert SampledField(grid, vals).values is vals
+    assert Spectrum(grid, vals).coefficients is vals
+    f = random_field(grid)
+    assert SampledField(grid, f.values).values is f.values  # already immutable: shared

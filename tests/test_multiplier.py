@@ -44,6 +44,48 @@ def test_joint_annulus_certificate(kernel2, profiles):
     assert 0.5 <= lo3 <= hi3 <= 2.0
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_joint_support_does_not_depend_on_term_order(profiles, reverse):
+    eta_hat, beta_hat = profiles
+    terms = [
+        (1.0, (SpectralFactor(eta_hat), SpectralFactor(eta_hat))),
+        (1.0, (SpectralFactor(beta_hat), SpectralFactor(beta_hat))),
+    ]
+    kernel = TensorKernel(2, tuple(reversed(terms)) if reverse else tuple(terms))
+    lo, hi = kernel.joint_support()
+    assert lo == 0.0  # the eta term reaches the origin
+    assert hi == pytest.approx(1.768, abs=1e-3)  # sqrt(2) * 1.25
+    with pytest.raises(ValueError, match="unit annulus"):
+        kernel.annulus_certificate()
+
+
+def test_bracket_samples_each_distinct_factor_once(monkeypatch, profiles):
+    import logmult.multiplier as multiplier
+
+    eta_hat, beta_hat = profiles
+    grid = GridSpec(1, 4096, 64.0)
+    calls = []
+    original = multiplier._shell_data
+
+    def counting(factor, *args):
+        calls.append(factor)
+        return original(factor, *args)
+
+    monkeypatch.setattr(multiplier, "_shell_data", counting)
+    # the separation kernel: equal translated annular factors on both slots
+    pair = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat, (16.0,))])
+    d_lambda(pair, 0.5, grid, method="bracket")
+    assert len(calls) == 1
+    # its shear reads the same base factors
+    calls.clear()
+    d_lambda(transpose_kernel(pair, 1), 0.5, grid, method="bracket")
+    assert len(calls) == 1
+    calls.clear()
+    mixed = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat)])
+    d_lambda(mixed, 0.5, grid, method="bracket")
+    assert len(calls) == 2
+
+
 def test_d_lambda_zero_is_l1(grid, kernel2, profiles):
     _, beta_hat = profiles
     beta = SpectralFactor(beta_hat).field_on(grid)

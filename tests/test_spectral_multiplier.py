@@ -1,7 +1,9 @@
 """Differential tests for the spectral-multiplier primitive and the piece dispatch.
 
 The primitive's reference spells the operation out (profile x translation
-phase x inverse FFT, never a sample roll).  The aggregate references (the
+phase x inverse FFT, never a sample roll).  The primitive evaluates its symbol
+only on the bins its certificates allow; the whole-grid evaluation it replaced
+is kept here as the oracle, and the results must be bit-for-bit equal.  The aggregate references (the
 square and maximal functions, apply_t) call the primitive with the profile at
 every scale and slot, so they neither skip certified-zero pieces nor serve
 plateau pieces as translates.
@@ -30,10 +32,13 @@ from logmult.field import (
     SampledField,
     Spectrum,
     apply_multiplier,
+    bin_blocks,
+    grid_aligned_steps,
     multiplier_symbol,
     piece_band,
     piece_class,
     transform,
+    translation_phase,
 )
 from logmult.lp_ops import (
     DyadicCubeSet,
@@ -45,11 +50,11 @@ from logmult.lp_ops import (
     square_function,
 )
 from logmult.multiplier import SpectralFactor, TensorKernel, apply_t
-from logmult.shifted_lab import random_band_limited
+from logmult.shifted_lab import bump_train, modulated_bump, random_band_limited
 
 PAIR = make_lp_pair((-2, 8))
-_, BETA = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
-PROFILES = {"phi": PAIR.phi_hat, "psi": PAIR.psi_hat, "beta": BETA}
+ETA, BETA = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
+PROFILES = {"phi": PAIR.phi_hat, "psi": PAIR.psi_hat, "beta": BETA, "eta": ETA}
 GRIDS = (GridSpec(1, 512, 16.0), GridSpec(2, 32, 8.0))
 
 
@@ -65,60 +70,168 @@ def reference_values(spectrum, profile, scale, translation):
     return np.fft.ifftn(spectrum.coefficients * symbol) / spectrum.grid.cell_volume
 
 
+def draw_translation(draw, grid, scale):
+    kind = draw(st.sampled_from(["zero", "aligned", "off-grid"]))
+    if kind == "zero":
+        return [0.0] * grid.dimension
+    if kind == "aligned":
+        # a whole number of samples at this scale
+        steps = draw(st.lists(st.integers(-40, 40), min_size=grid.dimension, max_size=grid.dimension))
+        return [k * grid.spacing * 2.0**scale for k in steps]
+    return draw(
+        st.lists(
+            st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False),
+            min_size=grid.dimension,
+            max_size=grid.dimension,
+        )
+    )
+
+
 @st.composite
 def multiplier_cases(draw):
     grid = draw(st.sampled_from(GRIDS))
     profile = PROFILES[draw(st.sampled_from(sorted(PROFILES)))]
-    scale = draw(st.integers(-2, 4))
+    scale = draw(st.integers(-3, 4))
+    band = None
     if draw(st.booleans()):
-        # grid-aligned after dilation: a whole number of samples at this scale
-        steps = draw(st.lists(st.integers(-40, 40), min_size=grid.dimension, max_size=grid.dimension))
-        translation = [k * grid.spacing * 2.0**scale for k in steps]
-    else:
-        translation = draw(
-            st.lists(
-                st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False),
-                min_size=grid.dimension,
-                max_size=grid.dimension,
-            )
-        )
-    seed = draw(st.integers(0, 2**32 - 1))
-    return grid, profile, scale, translation, seed
+        # edges on grid radii k / L; the top one may be the last bin below Nyquist
+        top = grid.samples_per_axis // 2 - 1
+        k_out = top if draw(st.booleans()) else draw(st.integers(0, top))
+        k_in = draw(st.integers(0, k_out))
+        band = (k_in / grid.period, k_out / grid.period)
+    translation = draw_translation(draw, grid, scale)
+    return grid, profile, scale, band, translation, draw(st.integers(0, 2**32 - 1))
 
 
-def random_spectrum(grid, seed):
+def random_spectrum(grid, seed, band=None):
     rng = np.random.default_rng(seed)
-    return Spectrum(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    if band is not None:
+        r = grid.frequency_radii()
+        coeffs[(r < band[0]) | (r > band[1])] = 0.0
+    return Spectrum(grid, coeffs, support_certificate=band)
 
 
 def assert_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
-@settings(max_examples=120, deadline=None)
+def dense_symbol(grid, profile, scale, translation):
+    """The whole-grid symbol: profile at every bin, times the phase at every bin."""
+    values = profile(grid.frequency_radii() * 2.0**-scale).astype(np.complex128)
+    shift = np.asarray(translation, dtype=float) * 2.0**-scale
+    if np.any(shift != 0.0):
+        values *= translation_phase(grid, shift)
+    return values
+
+
+def dense_apply(spectrum, profile, scale, translation):
+    """The whole-grid multiplier: every bin multiplied, then inverted (and rolled when aligned)."""
+    grid = spectrum.grid
+    coeffs = spectrum.coefficients
+    if profile is not None:
+        coeffs = coeffs * profile(grid.frequency_radii() * 2.0**-scale)
+    shift = np.asarray(translation, dtype=float) * 2.0**-scale
+    steps = grid_aligned_steps(shift, grid)
+    if steps is None:
+        phase = translation_phase(grid, shift)
+        phase *= coeffs  # the primitive's operand order
+        coeffs = phase
+    values = np.fft.ifftn(coeffs) / grid.cell_volume
+    return np.roll(values, steps, axis=tuple(range(grid.dimension))) if steps else values
+
+
+@settings(max_examples=200, deadline=None)
 @given(multiplier_cases())
 def test_apply_multiplier_matches_reference(case):
-    grid, profile, scale, translation, seed = case
-    spectrum = random_spectrum(grid, seed)
+    grid, profile, scale, band, translation, seed = case
+    spectrum = random_spectrum(grid, seed, band)
     got = apply_multiplier(spectrum, profile, scale, translation)
+    assert np.array_equal(got, dense_apply(spectrum, profile, scale, translation))
     assert_close(got, reference_values(spectrum, profile, scale, translation))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multiplier_cases())
+def test_multiplier_symbol_matches_reference(case):
+    grid, profile, scale, _, translation, _ = case
+    got = multiplier_symbol(grid, profile, scale, translation)
+    assert np.array_equal(got, dense_symbol(grid, profile, scale, translation))
+    assert_close(got, reference_symbol(grid, profile, scale, translation))
 
 
 @settings(max_examples=60, deadline=None)
 @given(multiplier_cases())
-def test_multiplier_symbol_matches_reference(case):
-    grid, profile, scale, translation, _ = case
-    got = multiplier_symbol(grid, profile, scale, translation)
-    assert_close(got, reference_symbol(grid, profile, scale, translation))
-
-
-@settings(max_examples=40, deadline=None)
-@given(multiplier_cases())
 def test_apply_multiplier_without_profile_is_translation(case):
-    grid, _, scale, translation, seed = case
-    spectrum = random_spectrum(grid, seed)
+    grid, _, scale, band, translation, seed = case
+    spectrum = random_spectrum(grid, seed, band)
     got = apply_multiplier(spectrum, translation=translation, scale=scale)
+    assert np.array_equal(got, dense_apply(spectrum, None, scale, translation))
     assert_close(got, reference_values(spectrum, lambda r: np.ones_like(r), scale, translation))
+
+
+@st.composite
+def window_cases(draw):
+    grid = draw(st.sampled_from(GRIDS))
+    edge = st.floats(-1.2 * grid.nyquist, 1.2 * grid.nyquist)
+    windows = [
+        [tuple(sorted((draw(edge), draw(edge)))) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(grid.dimension)
+    ]
+    return grid, windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+def test_bin_blocks_cover_each_window_bin_once(case):
+    grid, windows = case
+    hits = np.zeros(grid.shape, dtype=int)
+    for block in bin_blocks(grid, windows):
+        hits[block] += 1
+    assert hits.max(initial=0) <= 1
+    inside = np.ones(grid.shape, dtype=bool)
+    for axis, intervals in zip(np.ix_(*[grid.axis_frequencies()] * grid.dimension), windows):
+        inside = inside & np.any([(a <= axis) & (axis <= b) for a, b in intervals], axis=0)
+    assert np.all(hits[inside] == 1)
+
+
+class CountedProfile:
+    """A profile that records how many radii each call evaluates."""
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.sizes = []
+
+    @property
+    def support(self):
+        return self.profile.support
+
+    def __call__(self, r):
+        self.sizes.append(np.size(r))
+        return self.profile(r)
+
+
+def box_bins(grid, band):
+    """Bins of the per-axis box (1-D: the two mirrored intervals) around ``band``, one bin wider."""
+    lo, hi = band
+    k_hi = math.floor(hi * grid.period) + 1
+    if grid.dimension == 1:
+        k_lo = max(math.ceil(lo * grid.period) - 1, 0)
+        return 2 * (k_hi - k_lo + 1)
+    return (2 * k_hi + 1) ** 2
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 4096, 16.0), GridSpec(2, 128, 16.0)])
+def test_profile_sees_only_the_certified_bins(grid):
+    psi = CountedProfile(PAIR.psi_hat)  # support (1/2, 2), dilated to (1, 4) at scale 1
+    spectrum = transform(random_band_limited(grid, (2.0, 3.0), 7))
+    apply_multiplier(spectrum, psi, 1, [0.3] * grid.dimension)
+    assert sum(psi.sizes) <= box_bins(grid, (2.0, 3.0))
+    psi.sizes.clear()
+    # an unbanded spectrum: the profile's dilated support alone bounds the bins
+    apply_multiplier(Spectrum(grid, spectrum.coefficients), psi, 1)
+    multiplier_symbol(grid, psi, 1)
+    assert max(psi.sizes) <= box_bins(grid, (1.0, 4.0))
 
 
 def test_piece_band_rule():
@@ -360,3 +473,53 @@ def test_apply_t_dispatch_matches_every_slot_reference(case):
     scales = range(scale - 1, scale + 2)
     got = apply_t(kernel, fs, scales).values
     assert np.array_equal(got, every_slot_apply_t(kernel, fs, scales))
+
+
+# ---------------------------------------------------------------------------
+# packet synthesis on packet windows: bit-for-bit the whole-grid evaluation
+# ---------------------------------------------------------------------------
+
+def dense_bump_train(grid, shift_magnitude, scales, envelope_radius, conjugate):
+    """Packet-train coefficients evaluated on the whole grid, packet by packet."""
+    axis0 = np.asarray(grid.frequency_mesh()[0], dtype=float)
+    rest_sq = sum(np.asarray(a, dtype=float) ** 2 for a in grid.frequency_mesh()[1:]) if grid.dimension > 1 else 0.0
+    profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    sign = -1.0 if conjugate else 1.0
+    for scale in scales:
+        kappa = sign * 2.0**scale
+        centered = axis0 - kappa
+        packet = profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
+        position = -(2.0**-scale) * shift_magnitude
+        coeffs += packet * np.exp(-2j * np.pi * position * centered)
+    return coeffs
+
+
+def dense_modulated_bump(grid, center_frequency, envelope_radius, position):
+    profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
+    centered = [np.array(a, dtype=float) for a in np.broadcast_arrays(*grid.frequency_mesh())]
+    centered[0] = centered[0] - center_frequency
+    coeffs = profile(np.sqrt(sum(a**2 for a in centered))).astype(np.complex128)
+    if position is not None:
+        coeffs = coeffs * translation_phase(grid, np.atleast_1d(position))
+    return coeffs
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 256, 16.0)])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_bump_train_equals_whole_grid_evaluation(grid, conjugate):
+    # packets at 1/2 .. 2 overlap the origin's window and each other's
+    for scales, radius in (([-1, 0, 1], 0.4), ([0, 1, 2], 1.5), ([1], 0.05)):
+        got = bump_train(grid, 3.7, scales, radius, conjugate).values
+        want = np.fft.ifftn(dense_bump_train(grid, 3.7, scales, radius, conjugate)) / grid.cell_volume
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 256, 16.0)])
+@pytest.mark.parametrize("position", [None, 1.3, -0.71])
+def test_modulated_bump_equals_whole_grid_evaluation(grid, position):
+    pos = None if position is None else [position] * grid.dimension
+    for center, radius in ((0.75, 0.25), (0.1, 0.25), (3.0, 1.0)):
+        got = modulated_bump(grid, center, radius, pos).values
+        want = np.fft.ifftn(dense_modulated_bump(grid, center, radius, pos)) / grid.cell_volume
+        assert np.array_equal(got, want)
