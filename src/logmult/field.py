@@ -20,12 +20,22 @@ Fields and spectra are immutable after construction; every operation here is a
 pure function.  A constructor copies an array its caller may still write to
 and adopts, without a copy, an array handed over through :func:`frozen`.
 
+Support certificates are :class:`Shells`: unions of closed shells
+``{xi : inner <= |xi - center| <= outer}``.  A radial band ``(inner, outer)``
+is the single shell centred at the origin, and a packet is a ball around its
+carrier frequency, so a train of separated packets is certified packet by
+packet.  ``SampledField.band`` and ``Spectrum.support_certificate`` read as
+the union's radial hull.  Certificates are checked and enforced on the bin
+blocks that can hold certified bins, never on a whole-grid mask.
+
 The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
 is evaluated only on the bins its certificates allow: the spectrum's support
-certificate intersected with the profile's dilated closed support, widened by
-one bin.  This is exact, not an approximation: profiles are hard 0 off their
-closed support and certified spectra are exactly 0 off their band, so every
-skipped product was a signed zero.
+certificate met with the profile's dilated closed support, widened by one
+bin.  This is exact, not an approximation: profiles are hard 0 off their
+closed support and certified spectra are exactly 0 off their shells, so every
+skipped product was a signed zero.  Products of such pieces are formed
+band-locally (:func:`add_box_product`): each piece's certified bin box is
+multiplied on the smallest power-of-two grid its product cannot wrap on.
 """
 
 from __future__ import annotations
@@ -35,12 +45,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
+    "Shell",
+    "Shells",
     "SampledField",
     "Spectrum",
     "MixedNormSpec",
@@ -55,8 +67,12 @@ __all__ = [
     "translation_phase",
     "multiplier_symbol",
     "apply_multiplier",
+    "box_piece",
+    "add_box_product",
+    "piece_shells",
     "piece_band",
     "piece_class",
+    "piece_plan",
     "ZERO",
     "PLATEAU",
     "PARTIAL",
@@ -229,18 +245,144 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
+class Shell(NamedTuple):
+    """The closed shell ``{xi : inner <= |xi - center| <= outer}``; a ball when ``inner`` is 0."""
+
+    center: Tuple[float, ...]
+    inner: float
+    outer: float
+
+
+# Off-centre range tests compare distances from different centres, which round
+# apart by a few ulps; widening such ranges by this relative slack keeps every
+# decision sound.  Ranges about a shell's own centre are exact and unwidened.
+_OFF_CENTRE_SLACK = 1e-12
+
+
+def _distance_range(shell: Shell, point: Sequence[float], slack: bool = False) -> Tuple[float, float]:
+    """Closed range of ``|xi - point|`` over ``shell``: exact about its centre, a hull elsewhere."""
+    delta = math.dist(shell.center, point)
+    if delta == 0.0:
+        return shell.inner, shell.outer
+    lo, hi = max(0.0, delta - shell.outer, shell.inner - delta), delta + shell.outer
+    pad = _OFF_CENTRE_SLACK * hi if slack else 0.0
+    return lo - pad, hi + pad
+
+
+@dataclass(frozen=True)
+class Shells:
+    """A spectral support certificate: the union of closed shells ``parts``.
+
+    The spectrum is certified to vanish at every frequency outside the union.
+    ``Shells.radial(inner, outer, d)`` is the classical annulus; an empty union
+    certifies zero.  Parts are kept sorted and without repeats.
+    """
+
+    parts: Tuple[Shell, ...]
+
+    def __post_init__(self):
+        parts = []
+        for center, inner, outer in self.parts:
+            if not (0 <= inner <= outer < math.inf):
+                raise ValueError(f"invalid support certificate shell {(center, inner, outer)}")
+            parts.append(Shell(tuple(float(c) for c in center), float(inner), float(outer)))
+        object.__setattr__(self, "parts", tuple(sorted(set(parts))))
+
+    @classmethod
+    def radial(cls, inner: float, outer: float, dimension: int) -> "Shells":
+        return cls((Shell((0.0,) * dimension, inner, outer),))
+
+    @property
+    def hull(self) -> Tuple[float, float]:
+        """The radial band ``(inner, outer)`` containing the union; ``(0, 0)`` when empty."""
+        if not self.parts:
+            return (0.0, 0.0)
+        ranges = [_distance_range(s, (0.0,) * len(s.center)) for s in self.parts]
+        return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+
+    def __or__(self, other: "Shells") -> "Shells":
+        return Shells(self.parts + other.parts)
+
+    def __add__(self, other: "Shells") -> "Shells":
+        """Minkowski sum: the support of a product of fields certified by the two unions."""
+        return Shells(tuple(
+            Shell(
+                tuple(a + b for a, b in zip(s.center, t.center)),
+                max(0.0, s.inner - t.outer, t.inner - s.outer),
+                s.outer + t.outer,
+            )
+            for s in self.parts
+            for t in other.parts
+        ))
+
+    def meet(self, other: "Shells") -> "Shells":
+        """A union containing the intersection, built from this union's shells.
+
+        Concentric shells intersect exactly; a shell whose range of distances
+        from another centre misses that shell is dropped; any other shell is
+        kept whole.
+        """
+        out = []
+        for s in self.parts:
+            for t in other.parts:
+                if s.center == t.center:
+                    inner, outer = max(s.inner, t.inner), min(s.outer, t.outer)
+                    if inner <= outer:
+                        out.append(Shell(s.center, inner, outer))
+                    continue
+                lo, hi = _distance_range(s, t.center, slack=True)
+                if hi >= t.inner and lo <= t.outer:
+                    out.append(s)
+        return Shells(tuple(out))
+
+    def within(self, inner: float, outer: float) -> bool:
+        """Whether the union lies in the closed annulus ``inner <= |xi| <= outer``."""
+        for s in self.parts:
+            lo, hi = _distance_range(s, (0.0,) * len(s.center), slack=True)
+            if lo < inner or hi > outer:
+                return False
+        return True
+
+    def windows(self, dimension: int) -> List[List[Tuple[float, float]]]:
+        """Per-axis frequency intervals whose product blocks cover the union (see :func:`bin_blocks`).
+
+        1-D: the two intervals of each shell.  2-D: each shell's bounding box.
+        """
+        if dimension == 1:
+            return [[iv for (c,), a, b in self.parts for iv in ((c - b, c - a), (c + a, c + b))]]
+        return [
+            [(s.center[i] - s.outer, s.center[i] + s.outer) for s in self.parts] for i in range(dimension)
+        ]
+
+    def contains(self, grid: GridSpec, block: "Block") -> np.ndarray:
+        """Boolean mask of the bins of ``block`` that lie in the union.
+
+        About the origin the distance is bit for bit the radius
+        :meth:`GridSpec.frequency_radii` computes, so a radial certificate
+        admits exactly the bins it always has.
+        """
+        freqs = block_frequencies(grid, block)
+        inside = np.zeros(np.broadcast_shapes(*(f.shape for f in freqs)), dtype=bool)
+        for center, inner, outer in self.parts:
+            dist = np.sqrt(sum((f - c) ** 2 for f, c in zip(freqs, center)))
+            inside |= (inner <= dist) & (dist <= outer)
+        return inside
+
+
 @dataclass(frozen=True)
 class SampledField:
     """Complex samples of a periodic function, row-major over the grid.
 
-    ``band`` is an optional certificate ``(inner, outer)`` in physical
-    frequency units: the field's spectrum is guaranteed (and, where asserted,
-    verified) to vanish outside the annulus ``inner <= |xi| <= outer``.
+    ``shells`` is an optional support certificate: the field's spectrum is
+    guaranteed (and, where asserted, verified) to vanish off the union.
+    ``band`` is its radial hull ``(inner, outer)`` in physical frequency
+    units; a field given only a ``band`` is certified by that annulus.
     """
 
     grid: GridSpec
     values: np.ndarray
     band: Optional[Tuple[float, float]] = None
+    shells: Optional[Shells] = None
 
     def __post_init__(self):
         vals = _freeze(self.values)
@@ -254,21 +396,19 @@ class SampledField:
         if not np.all(np.isfinite(vals.view(np.float64))):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
-        if self.band is not None:
-            inner, outer = self.band
-            if not (0 <= inner <= outer):
-                raise ValueError(f"invalid band certificate {self.band}")
-            self.grid.check_supports_radius(outer)
+        band, shells = _certificate(self.grid, self.band, self.shells)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "shells", shells)
 
     # Small arithmetic surface used for bank construction and linearity tests.
     def __add__(self, other: "SampledField") -> "SampledField":
         if not isinstance(other, SampledField):
             return NotImplemented
         require_same_grid(self, other)
-        band = None
-        if self.band is not None and other.band is not None:
-            band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
-        return SampledField(self.grid, frozen(self.values + other.values), band)
+        shells = None
+        if self.shells is not None and other.shells is not None:
+            shells = self.shells | other.shells
+        return SampledField(self.grid, frozen(self.values + other.values), shells=shells)
 
     def __sub__(self, other: "SampledField") -> "SampledField":
         if not isinstance(other, SampledField):
@@ -278,28 +418,75 @@ class SampledField:
     def __mul__(self, scalar: complex) -> "SampledField":
         if isinstance(scalar, SampledField):
             return NotImplemented
-        return SampledField(self.grid, frozen(self.values * complex(scalar)), self.band)
+        return SampledField(self.grid, frozen(self.values * complex(scalar)), shells=self.shells)
 
     __rmul__ = __mul__
 
     def pointwise(self, other: "SampledField") -> "SampledField":
-        """Pointwise product; band certificates add (supports convolve in frequency)."""
+        """Pointwise product, certified by the Minkowski sum of the two certificates.
+
+        A sum reaching Nyquist would alias on the grid: :class:`NyquistError`.
+        """
         require_same_grid(self, other)
-        band = None
-        if self.band is not None and other.band is not None:
-            outer = self.band[1] + other.band[1]
-            if outer < self.grid.nyquist:
-                band = (0.0, outer)
-        return SampledField(self.grid, frozen(self.values * other.values), band)
+        shells = None
+        if self.shells is not None and other.shells is not None:
+            shells = self.shells + other.shells
+        return SampledField(self.grid, frozen(self.values * other.values), shells=shells)
+
+
+def _certificate(
+    grid: GridSpec, band: Optional[Tuple[float, float]], shells: Optional[Shells]
+) -> Tuple[Optional[Tuple[float, float]], Optional[Shells]]:
+    """``(radial hull, union)`` from a band or a union; the union must fit below Nyquist."""
+    if shells is None:
+        if band is None:
+            return None, None
+        inner, outer = band
+        if not (0 <= inner <= outer):
+            raise ValueError(f"invalid band certificate {band}")
+        shells = Shells.radial(inner, outer, grid.dimension)
+    elif band is not None and tuple(band) != shells.hull:
+        raise ValueError(f"band {band} is not the radial hull {shells.hull} of the certificate")
+    if any(len(s.center) != grid.dimension for s in shells.parts):
+        raise ValueError(f"certificate shells do not live in dimension {grid.dimension}")
+    hull = shells.hull
+    grid.check_supports_radius(hull[1])
+    return hull, shells
+
+
+@lru_cache(maxsize=32)
+def _certified_bins(grid: GridSpec, shells: Shells) -> Tuple[Tuple[Block, np.ndarray], ...]:
+    """Disjoint blocks holding every bin of ``shells``, each with its (read-only) mask of certified bins.
+
+    Cached like the grid's frequency arrays: the same certificate is checked
+    by every transform and spectrum that carries it.
+    """
+    out = []
+    for block in _band_blocks(grid, shells):
+        inside = shells.contains(grid, block)
+        inside.flags.writeable = False
+        out.append((block, inside))
+    return tuple(out)
+
+
+def _max_modulus(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Discrete Fourier coefficients with an optional certified support annulus."""
+    """Discrete Fourier coefficients with an optional support certificate.
+
+    As for :class:`SampledField`, ``shells`` is the certificate and
+    ``support_certificate`` its radial hull (or the annulus it was given).
+    Coefficients off the certificate must be exactly zero; the check counts
+    the nonzero coefficients on the certified bins against the whole array's.
+    """
 
     grid: GridSpec
     coefficients: np.ndarray
     support_certificate: Optional[Tuple[float, float]] = None
+    shells: Optional[Shells] = None
 
     def __post_init__(self):
         coeffs = _freeze(self.coefficients)
@@ -311,19 +498,21 @@ class Spectrum:
                     f"coefficients shape {coeffs.shape} incompatible with grid {self.grid.shape}"
                 )
         object.__setattr__(self, "coefficients", coeffs)
-        if self.support_certificate is not None:
-            inner, outer = self.support_certificate
-            if not (0 <= inner <= outer):
-                raise ValueError(f"invalid support certificate {self.support_certificate}")
-            self.grid.check_supports_radius(outer)
-            r = self.grid.frequency_radii()
-            off = (r < inner) | (r > outer)
-            if np.any(coeffs[off] != 0):
-                bad = np.max(np.abs(coeffs[off]))
-                raise ValueError(
-                    f"support certificate {self.support_certificate} violated: "
-                    f"max |coefficient| outside annulus is {bad}"
-                )
+        hull, shells = _certificate(self.grid, self.support_certificate, self.shells)
+        object.__setattr__(self, "support_certificate", hull)
+        object.__setattr__(self, "shells", shells)
+        if shells is None:
+            return
+        bins = _certified_bins(self.grid, shells)
+        certified = sum(np.count_nonzero(coeffs[block][inside]) for block, inside in bins)
+        if certified != np.count_nonzero(coeffs):
+            off = coeffs.copy()
+            for block, inside in bins:
+                off[block][inside] = 0.0
+            raise ValueError(
+                f"support certificate {hull} violated: "
+                f"max |coefficient| off the certificate is {_max_modulus(off)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -350,30 +539,34 @@ def require_same_grid(*objs) -> GridSpec:
 def transform(f: SampledField) -> Spectrum:
     """Forward transform: quadrature-weighted FFT, f_hat(k/L) per grid frequency.
 
-    A band certificate asserts the out-of-band coefficients are mathematically
+    A certificate asserts the coefficients off its shells are mathematically
     zero; FFT roundoff dust there is zeroed to keep the certificate exact.
-    Content that is genuinely out of band (beyond roundoff) is an error.
+    Content that is genuinely off the certificate (beyond roundoff) is an
+    error.  The certified bins are set aside block by block, the rest of the
+    array is measured and cleared, and the certified bins are put back.
     """
     coeffs = np.fft.fftn(f.values) * f.grid.cell_volume
-    if f.band is not None:
-        inner, outer = f.band
-        r = f.grid.frequency_radii()
-        off = (r < inner) | (r > outer)
-        if np.any(off):
-            dust = float(np.max(np.abs(coeffs[off]))) if coeffs[off].size else 0.0
-            scale = float(np.max(np.abs(coeffs)))
-            if scale > 0 and dust > 1e-10 * scale:
-                raise ValueError(
-                    f"band certificate {f.band} violated: out-of-band content "
-                    f"{dust} vs in-band scale {scale}"
-                )
-            coeffs[off] = 0.0
-    return Spectrum(f.grid, frozen(coeffs), support_certificate=f.band)
+    if f.shells is not None:
+        scale = _max_modulus(coeffs)
+        bins = _certified_bins(f.grid, f.shells)
+        kept = [coeffs[block][inside] for block, inside in bins]
+        for block, inside in bins:
+            coeffs[block][inside] = 0.0
+        dust = _max_modulus(coeffs)
+        if scale > 0 and dust > 1e-10 * scale:
+            raise ValueError(
+                f"band certificate {f.band} violated: out-of-band content "
+                f"{dust} vs in-band scale {scale}"
+            )
+        coeffs[...] = 0.0
+        for (block, inside), values in zip(bins, kept):
+            coeffs[block][inside] = values
+    return Spectrum(f.grid, frozen(coeffs), shells=f.shells)
 
 
 def inverse(s: Spectrum) -> SampledField:
     """Inverse transform; round-trips with :func:`transform` to roundoff."""
-    return SampledField(s.grid, frozen(apply_multiplier(s)), band=s.support_certificate)
+    return SampledField(s.grid, frozen(apply_multiplier(s)), shells=s.shells)
 
 
 def convolve(f: SampledField, g: SampledField) -> SampledField:
@@ -382,16 +575,13 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     sf = transform(f)
     sg = transform(g)
     coeffs = sf.coefficients * sg.coefficients
-    cert = None
-    if f.band is not None and g.band is not None:
-        inner = max(f.band[0], g.band[0])
-        outer = min(f.band[1], g.band[1])
-        if inner > outer:
-            cert = (0.0, 0.0)
+    shells = None
+    if f.shells is not None and g.shells is not None:
+        shells = f.shells.meet(g.shells)
+        if not shells.parts:
+            shells = Shells.radial(0.0, 0.0, f.grid.dimension)
             coeffs = np.zeros_like(coeffs)
-        else:
-            cert = (inner, outer)
-    return inverse(Spectrum(f.grid, frozen(coeffs), support_certificate=cert))
+    return inverse(Spectrum(f.grid, frozen(coeffs), shells=shells))
 
 
 def grid_aligned_steps(shift: Sequence[float], grid: GridSpec) -> Optional[Tuple[int, ...]]:
@@ -426,6 +616,11 @@ def _axis_slices(m: int, lo: int, hi: int) -> List[slice]:
     return out
 
 
+def _widened_bins(a: float, b: float, period: float) -> Tuple[int, int]:
+    """Signed bins holding every frequency in ``[a, b]``, widened by one bin each side."""
+    return math.ceil(a * period) - 1, math.floor(b * period) + 1
+
+
 def bin_blocks(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]]) -> List[Block]:
     """Blocks of grid bins, as index slices, covering every frequency in the per-axis windows.
 
@@ -435,9 +630,7 @@ def bin_blocks(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]])
     """
     per_axis = []
     for intervals in windows:
-        ks = sorted(
-            (math.ceil(a * grid.period) - 1, math.floor(b * grid.period) + 1) for a, b in intervals
-        )
+        ks = sorted(_widened_bins(a, b, grid.period) for a, b in intervals)
         merged: List[List[int]] = []
         for lo, hi in ks:
             if lo > hi:
@@ -450,18 +643,15 @@ def bin_blocks(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]])
     return list(itertools.product(*per_axis))
 
 
-def _band_blocks(grid: GridSpec, band: Optional[Tuple[float, float]]) -> List[Block]:
-    """Blocks holding every bin with ``inner <= |xi| <= outer``; the whole grid for None.
+def _band_blocks(grid: GridSpec, shells: Optional[Shells]) -> List[Block]:
+    """Disjoint blocks holding every bin of ``shells``; the whole grid for None.
 
-    1-D: the positive and the mirrored negative interval.  2-D: the box
-    ``|xi_i| <= outer``, four corner blocks.
+    A radial shell gives, in 1-D, the positive and the mirrored negative
+    interval and, in 2-D, the box ``|xi_i| <= outer``: four corner blocks.
     """
-    if band is None:
+    if shells is None:
         return [(slice(None),) * grid.dimension]
-    inner, outer = band
-    if grid.dimension == 1:
-        return bin_blocks(grid, [[(-outer, -inner), (inner, outer)]])
-    return bin_blocks(grid, [[(-outer, outer)]] * grid.dimension)
+    return bin_blocks(grid, shells.windows(grid.dimension))
 
 
 def block_frequencies(grid: GridSpec, block: Optional[Block] = None) -> Tuple[np.ndarray, ...]:
@@ -499,48 +689,52 @@ def dilated_steps(
     return grid_aligned_steps(shift, grid)
 
 
-def _symbol_band(
-    certificate: Optional[Tuple[float, float]], profile, scale: int
-) -> Optional[Tuple[float, float]]:
-    """Closed band outside which ``coefficients * profile(2**-scale |xi|)`` vanishes.
+def _dilated_support(support: Tuple[float, float], scale: int, dimension: int) -> Shells:
+    return Shells.radial(support[0] * 2.0**scale, support[1] * 2.0**scale, dimension)
 
-    The certificate intersected with the dilated profile support; either one
-    alone when the other is absent; None (the whole grid) when neither is.
+
+def _symbol_shells(shells: Optional[Shells], profile, scale: int, dimension: int) -> Optional[Shells]:
+    """Certificate off which ``coefficients * profile(2**-scale |xi|)`` vanishes.
+
+    The spectrum's certificate met with the dilated profile support; either
+    one alone when the other is absent; None (the whole grid) when neither is.
     """
     if profile is None:
-        return certificate
-    lo, hi = profile.support[0] * 2.0**scale, profile.support[1] * 2.0**scale
-    if certificate is None:
-        return (lo, hi)
-    return (max(lo, certificate[0]), min(hi, certificate[1]))
+        return shells
+    support = _dilated_support(profile.support, scale, dimension)
+    return support if shells is None else shells.meet(support)
+
+
+def _symbol_times(grid: GridSpec, values, block: Block, profile, scale: int, shift: Optional[np.ndarray]):
+    """``values * profile(2**-scale |xi|) * phase`` on the bins of ``block``.
+
+    ``profile=None`` is 1 and ``shift=None`` is no phase.  The phase is the
+    left operand of the last product, as when numpy evaluates a large
+    whole-grid ``coefficients * phase`` in the phase's temporary buffer: with
+    fused multiply-adds, a complex product depends on the operand order.
+    """
+    if profile is not None:
+        values = values * profile(grid.frequency_radii()[block] * 2.0**-scale)
+    if shift is not None:
+        phase = translation_phase(grid, shift, block)
+        phase *= values
+        values = phase
+    return values
 
 
 def _on_band(
     grid: GridSpec,
     coefficients: Optional[np.ndarray],
-    band: Optional[Tuple[float, float]],
+    shells: Optional[Shells],
     profile,
     scale: int,
     shift: Optional[np.ndarray],
 ) -> np.ndarray:
-    """``coefficients * profile(2**-scale |xi|) * phase`` on the bins of ``band``, 0 elsewhere.
-
-    ``coefficients=None`` is 1, ``profile=None`` is 1 and ``shift=None`` is no
-    phase.  The phase is the left operand of the last product, as when numpy
-    evaluates a large whole-grid ``coefficients * phase`` in the phase's
-    temporary buffer: with fused multiply-adds, a complex product depends on
-    the operand order.
-    """
+    """:func:`_symbol_times` on the bins of ``shells`` (``coefficients=None`` is 1), 0 elsewhere."""
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for block in _band_blocks(grid, band):
+    for block in _band_blocks(grid, shells):
         values = 1.0 if coefficients is None else coefficients[block]
-        if profile is not None:
-            values = values * profile(grid.frequency_radii()[block] * 2.0**-scale)
-        if shift is not None:
-            phase = translation_phase(grid, shift, block)
-            phase *= values
-            values = phase
-        out[block] = values
+        out[block] = _symbol_times(grid, values, block, profile, scale, shift)
     return out
 
 
@@ -552,7 +746,8 @@ def multiplier_symbol(
     Evaluated only on the bins of the profile's dilated support; 0 elsewhere.
     """
     shift = _dilated_shift(translation, scale)
-    return _on_band(grid, None, _symbol_band(None, profile, scale), profile, scale, shift)
+    shells = _symbol_shells(None, profile, scale, grid.dimension)
+    return _on_band(grid, None, shells, profile, scale, shift)
 
 
 def apply_multiplier(
@@ -570,7 +765,7 @@ def apply_multiplier(
     profile's dilated closed support (either one alone when the other is
     absent).  Every other product is a signed zero, because profiles are hard
     0 off their support and certified coefficients are exactly 0 off their
-    band, so the result equals the whole-grid evaluation.
+    shells, so the result equals the whole-grid evaluation.
     """
     grid = spectrum.grid
     shift = _dilated_shift(translation, scale)
@@ -579,8 +774,8 @@ def apply_multiplier(
     if profile is None and phase is None:
         coeffs = spectrum.coefficients
     else:
-        band = _symbol_band(spectrum.support_certificate, profile, scale)
-        coeffs = _on_band(grid, spectrum.coefficients, band, profile, scale, phase)
+        shells = _symbol_shells(spectrum.shells, profile, scale, grid.dimension)
+        coeffs = _on_band(grid, spectrum.coefficients, shells, profile, scale, phase)
     values = np.fft.ifftn(coeffs)
     values /= grid.cell_volume
     if steps is not None:
@@ -588,55 +783,164 @@ def apply_multiplier(
     return values
 
 
-def piece_band(
-    f: SampledField, support: Tuple[float, float], scale: int
-) -> Optional[Tuple[float, float]]:
-    """Certified band of the scale-``scale`` piece of ``f`` under a profile supported on ``support``.
+# ---------------------------------------------------------------------------
+# band-local products of multiplier pieces
+# ---------------------------------------------------------------------------
 
-    Intervals are closed; None certifies that the piece is identically zero.
-    A field without a band certificate is only accepted while the dilated
-    support stays below Nyquist, where the piece is exactly representable.
+BoxPiece = Tuple[Tuple[int, ...], np.ndarray]
+
+
+def _box(grid: GridSpec, shells: Shells) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """First signed bin and width, per axis, of a box holding every bin of ``shells``.
+
+    Edges are widened as in :func:`bin_blocks`; a box as wide as the grid is
+    the whole axis.
     """
-    lo, hi = support[0] * 2.0**scale, support[1] * 2.0**scale
-    if f.band is None:
+    m = grid.samples_per_axis
+    first, widths = [], []
+    for intervals in shells.windows(grid.dimension):
+        ks = [_widened_bins(a, b, grid.period) for a, b in intervals]
+        lo, hi = min(k for k, _ in ks), max(k for _, k in ks)
+        width = hi - lo + 1
+        first.append(lo if width < m else -(m // 2))
+        widths.append(min(width, m))
+    return tuple(first), tuple(widths)
+
+
+def box_piece(
+    spectrum: Spectrum,
+    shells: Shells,
+    profile=None,
+    scale: int = 0,
+    translation: Optional[Sequence[float]] = None,
+) -> BoxPiece:
+    """``(first, values)``: one multiplier piece on the certified bin box of ``shells``.
+
+    ``values`` holds ``coefficients * profile(2**-scale |xi|) *
+    exp(-2 pi i (2**-scale t, xi))`` at the signed bins ``first + [0, w)`` per
+    axis: the coefficients :func:`apply_multiplier` inverts, on the box (a
+    grid-aligned translation, which it applies as a roll, is the roll's phase).
+    ``shells`` must hold every bin where the product can be nonzero, as the
+    certificate :func:`piece_plan` returns does.
+    """
+    grid = spectrum.grid
+    m = grid.samples_per_axis
+    first, widths = _box(grid, shells)
+    box = np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, widths)))
+    shift = _dilated_shift(translation, scale)
+    steps = None if shift is None else grid_aligned_steps(shift, grid)
+    values = _symbol_times(
+        grid, spectrum.coefficients[box], box, profile, scale, shift if steps is None else None
+    )
+    if steps is not None:
+        # the roll by `steps` samples as a phase, its argument reduced modulo M in
+        # integers, so it stays as exact as the roll for any size of shift
+        phase = np.exp(-2j * np.pi * (sum(s * k for s, k in zip(steps, box)) % m) / m)
+        phase *= values
+        values = phase
+    return first, values
+
+
+def add_box_product(
+    out: np.ndarray, grid: GridSpec, coefficient: complex, pieces: Sequence[BoxPiece]
+) -> None:
+    """Add the transform of ``coefficient * prod_k inverse(piece_k)`` to ``out``, band-locally.
+
+    Every piece is moved to start at bin 0 and inverted on ``P = min(M, next
+    power of two >= summed box widths)`` points per axis.  The product of the
+    moved pieces then occupies bins ``0 .. sum(w_k - 1)``, which do not wrap,
+    so its forward transform on that grid holds the full-grid product's
+    coefficients at bins ``sum(first_k) + q``.  The rescale between the two
+    grids is a power of two, hence exact; at ``P = M`` this is the full-grid
+    product itself (cyclic, so an aliasing product aliases as it would there).
+    """
+    m = grid.samples_per_axis
+    axes = range(grid.dimension)
+    widths = [[values.shape[i] for _, values in pieces] for i in axes]
+    sizes = tuple(min(m, 1 << (sum(w) - 1).bit_length()) for w in widths)
+    prod = np.full(sizes, coefficient, dtype=np.complex128)
+    for _, values in pieces:
+        padded = np.zeros(sizes, dtype=np.complex128)
+        padded[tuple(slice(0, w) for w in values.shape)] = values
+        piece = np.fft.ifftn(padded)
+        piece /= grid.cell_volume
+        prod *= piece
+    spectrum = np.fft.fftn(prod)
+    spectrum *= grid.cell_volume * math.prod(p / m for p in sizes) ** (len(pieces) - 1)
+    counts = [min(p, sum(w) - len(w) + 1) for p, w in zip(sizes, widths)]
+    starts = [sum(first[i] for first, _ in pieces) for i in axes]
+    dest = np.ix_(*((k + np.arange(c)) % m for k, c in zip(starts, counts)))
+    out[dest] += spectrum[tuple(slice(0, c) for c in counts)]
+
+
+# ---------------------------------------------------------------------------
+# the one band rule: certificates and dispatch classes of dyadic pieces
+# ---------------------------------------------------------------------------
+
+def piece_shells(f: SampledField, support: Tuple[float, float], scale: int) -> Optional[Shells]:
+    """Certificate of the scale-``scale`` piece of ``f`` under a profile supported on ``support``.
+
+    ``f``'s certificate met with the dilated closed support; None certifies
+    that the piece is identically zero.  A field without a certificate is
+    only accepted while the dilated support stays below Nyquist, where the
+    piece is exactly representable.
+    """
+    dilated = _dilated_support(support, scale, f.grid.dimension)
+    if f.shells is None:
+        hi = dilated.hull[1]
         if hi >= f.grid.nyquist:
             raise NyquistError(
                 f"dilated support reaches {hi} at scale {scale}, not below the Nyquist "
                 f"frequency {f.grid.nyquist}, and the field carries no band certificate"
             )
-        return (lo, hi)
-    inner = max(lo, f.band[0])
-    outer = min(hi, f.band[1])
-    return None if inner > outer else (inner, outer)
+        return dilated
+    met = f.shells.meet(dilated)
+    return met if met.parts else None
+
+
+def piece_band(
+    f: SampledField, support: Tuple[float, float], scale: int
+) -> Optional[Tuple[float, float]]:
+    """Radial hull of :func:`piece_shells`; None when the piece is certified zero."""
+    shells = piece_shells(f, support, scale)
+    return None if shells is None else shells.hull
 
 
 ZERO, PLATEAU, PARTIAL = "zero", "plateau", "partial"
 
 
-def piece_class(f: SampledField, profile, scale: int) -> str:
-    """Dispatch class of the scale-``scale`` piece of ``f`` under ``profile``.
+def piece_plan(f: SampledField, profile, scale: int) -> Tuple[str, Optional[Shells], object]:
+    """``(class, certificate, profile to evaluate)`` of the scale-``scale`` piece of ``f``.
 
-    * ``ZERO``: :func:`piece_band` certifies the piece identically zero.
-    * ``PLATEAU``: the band certificate of ``f`` lies inside the profile's
-      dilated closed plateau ``2**scale * profile.plateau``, so the profile is
-      exactly 1.0 on every bin :func:`transform` leaves nonzero (dividing a
-      radius by ``2**scale`` is exact, and the profiles' ramps reach 1 exactly
-      at the plateau edge), and the piece is the input translated by
-      ``2**-scale`` times the shift.
+    * ``ZERO``: :func:`piece_shells` certifies the piece identically zero.
+    * ``PLATEAU``: the piece's certificate lies inside the profile's dilated
+      closed plateau ``2**scale * profile.plateau``.  The profile is then
+      exactly 1.0 on every bin of it that :func:`transform` leaves nonzero
+      (dividing a radius by ``2**scale`` is exact, and the profiles' ramps
+      reach 1 exactly at the plateau edge) and exactly 0 on the shells of
+      ``f`` the support misses.  When the certificate keeps every shell of
+      ``f``, the piece is ``f`` translated by ``2**-scale`` times the shift and
+      the profile to evaluate is None; otherwise the profile is evaluated.
     * ``PARTIAL``: the profile must be evaluated.
 
     A profile without a ``plateau`` (the telescoped annulus is 1 only on the
-    sphere ``|xi| = 1``) and a field without a band certificate are never
+    sphere ``|xi| = 1``) and a field without a certificate are never
     ``PLATEAU``.
     """
-    if piece_band(f, profile.support, scale) is None:
-        return ZERO
+    shells = piece_shells(f, profile.support, scale)
+    if shells is None:
+        return ZERO, None, profile
     plateau = getattr(profile, "plateau", None)
-    if plateau is not None and f.band is not None:
+    if plateau is not None and f.shells is not None:
         dilation = 2.0**scale
-        if plateau[0] * dilation <= f.band[0] and f.band[1] <= plateau[1] * dilation:
-            return PLATEAU
-    return PARTIAL
+        if shells.within(plateau[0] * dilation, plateau[1] * dilation):
+            return PLATEAU, shells, None if shells == f.shells else profile
+    return PARTIAL, shells, profile
+
+
+def piece_class(f: SampledField, profile, scale: int) -> str:
+    """Dispatch class of the scale-``scale`` piece of ``f`` under ``profile`` (see :func:`piece_plan`)."""
+    return piece_plan(f, profile, scale)[0]
 
 
 def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
@@ -653,7 +957,7 @@ def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
         values = np.roll(f.values, steps, axis=tuple(range(f.grid.dimension)))
     else:
         values = apply_multiplier(transform(f), translation=shift)
-    return SampledField(f.grid, frozen(values), band=f.band)
+    return SampledField(f.grid, frozen(values), shells=f.shells)
 
 
 def _as_float_exponent(p: Exponent) -> float:

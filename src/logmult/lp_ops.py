@@ -7,15 +7,17 @@ by ``2**-l y``.  Because fields are band-limited interpolants, the action is
 exact to roundoff for any real shift.  The multiplication is
 :func:`field.apply_multiplier`.
 
-Every piece falls into one of the three classes of :func:`field.piece_class`:
+Every piece falls into one of the three classes of :func:`field.piece_plan`:
 
-* *zero*: the dilated support misses the field's band; the piece is skipped.
-* *plateau*: the field's band lies inside the dilated closed plateau, where
-  the profile is exactly ``1.0`` on every occupied bin, so the piece is the
-  input translated by ``2**-l y`` and the profile is never evaluated.  A
-  grid-aligned translation (the zero one included) is a roll of one
-  untranslated inverse, computed at most once per call; an off-grid one is a
-  phase multiply and an inverse.
+* *zero*: the dilated support misses the field's certificate; the piece is
+  skipped.
+* *plateau*: the certificate the support meets lies inside the dilated closed
+  plateau, where the profile is exactly ``1.0`` on every occupied bin.  When
+  the support meets every shell of the field's certificate (always, for a
+  radial band), the piece is the input translated by ``2**-l y`` and the
+  profile is never evaluated.  A grid-aligned translation (the zero one
+  included) is a roll of one untranslated inverse, computed at most once per
+  call; an off-grid one is a phase multiply and an inverse.
 * *partial*: profile times phase, then an inverse.
 
 All three give the same arrays as evaluating the profile at every scale.
@@ -36,7 +38,6 @@ import numpy as np
 
 from .calibration import LPPair
 from .field import (
-    PLATEAU,
     ZERO,
     GridSpec,
     MixedNormSpec,
@@ -45,8 +46,7 @@ from .field import (
     dilated_steps,
     frozen,
     mixed_norm,
-    piece_band,
-    piece_class,
+    piece_plan,
     require_same_grid,
     transform,
 )
@@ -77,12 +77,11 @@ class ShiftedDyadicOp:
 
 def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff)."""
-    cls = piece_class(f, op.profile, op.scale)
+    cls, shells, profile = piece_plan(f, op.profile, op.scale)
     if cls == ZERO:
         return SampledField(f.grid, frozen(np.zeros(f.grid.shape, dtype=np.complex128)), (0.0, 0.0))
-    profile = None if cls == PLATEAU else op.profile
     values = apply_multiplier(transform(f), profile, op.scale, op.shift)
-    return SampledField(f.grid, frozen(values), piece_band(f, op.profile.support, op.scale))
+    return SampledField(f.grid, frozen(values), shells=shells)
 
 
 def _zero_shift(grid: GridSpec) -> Tuple[float, ...]:
@@ -116,16 +115,15 @@ def _pieces(
     spectrum = transform(f)
     base = None
     for scale in scales:
-        cls = piece_class(f, profile, scale)
+        cls, _, piece_profile = piece_plan(f, profile, scale)
         if cls == ZERO:
             continue
-        steps = dilated_steps(f.grid, shift, scale) if cls == PLATEAU else None
+        steps = dilated_steps(f.grid, shift, scale) if piece_profile is None else None
         if steps is not None:
             if base is None:
                 base = lift(apply_multiplier(spectrum))
             yield scale, steps, base
         else:
-            piece_profile = None if cls == PLATEAU else profile
             yield scale, None, lift(apply_multiplier(spectrum, piece_profile, scale, shift))
 
 

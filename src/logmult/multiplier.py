@@ -5,8 +5,11 @@ Kernels are finite sums of rank-1 tensor terms whose per-slot factors are
 with an optional physical translation, so the dilated factor transforms
 ``g_hat(2**-l xi)`` needed by the scale sum can be evaluated exactly at any
 frequency.  The operator, its form and the shifted form are one scale loop,
-:func:`apply_t`, over a plain ``range`` of scales; each slot piece is one
-:func:`field.apply_multiplier` call dispatched on :func:`field.piece_class`.
+:func:`apply_t`, over a plain ``range`` of scales.  Each slot piece is
+dispatched on :func:`field.piece_plan` and cut to its certified bin box
+(:func:`field.box_piece`); each product of pieces is formed band-locally
+(:func:`field.add_box_product`) into one output spectrum, and one full-size
+inverse transform ends the loop.
 
 The log-weighted size D_lambda treats a factor's declared translation as a
 position in unbounded space: the weight sees ``log(e + |center + offset|)``
@@ -17,23 +20,27 @@ would cap the weight and mask the very growth the functional measures.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .calibration import LPPair
 from .field import (
-    PLATEAU,
     ZERO,
     GridSpec,
     SampledField,
+    Shells,
     Spectrum,
+    add_box_product,
     apply_multiplier,
+    box_piece,
     frozen,
     inverse,
     multiplier_symbol,
-    piece_class,
+    piece_plan,
     require_same_grid,
     transform,
 )
@@ -157,26 +164,37 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> 
     """Diagonal restriction of the dyadic-sum action: per term and scale, the
     pointwise product of the per-slot convolutions ``g_{k,l} * f_k``.
 
-    Slot pieces dispatch on :func:`field.piece_class`: a zero slot skips the
-    term at that scale, and a plateau slot leaves the profile out, which is
-    exact because the profile is 1.0 on every occupied bin.
+    Slot pieces dispatch on :func:`field.piece_plan`: a zero slot skips the
+    term at that scale, and a plateau slot that keeps every shell of its input
+    leaves the profile out, which is exact because the profile is 1.0 on every
+    occupied bin.  Each product is formed on its pieces' certified bin boxes
+    (:func:`field.add_box_product`) and added to one output spectrum, which is
+    inverted once.  The output is certified by the union of the products'
+    Minkowski sums while every sum stays below Nyquist; a product reaching
+    Nyquist aliases on the grid, as the sampled product does, and the output
+    then carries no certificate.
     """
     if len(fs) != kernel.n:
         raise ValueError(f"kernel is {kernel.n}-linear, got {len(fs)} inputs")
     grid = require_same_grid(*fs)
     spectra = [transform(f) for f in fs]
     out = np.zeros(grid.shape, dtype=np.complex128)
+    certificate: Optional[Shells] = Shells(())
     for scale in scales:
         for coeff, factors in kernel.terms:
-            classes = [piece_class(f, factor.profile, scale) for f, factor in zip(fs, factors)]
-            if ZERO in classes:
+            plans = [piece_plan(f, factor.profile, scale) for f, factor in zip(fs, factors)]
+            if any(cls == ZERO for cls, _, _ in plans):
                 continue
-            prod = np.full(grid.shape, coeff, dtype=np.complex128)
-            for spec, factor, cls in zip(spectra, factors, classes):
-                profile = None if cls == PLATEAU else factor.profile
-                prod *= apply_multiplier(spec, profile, scale, factor.translation)
-            out += prod
-    return SampledField(grid, frozen(out))
+            pieces = [
+                box_piece(spec, shells, profile, scale, factor.translation)
+                for spec, factor, (_, shells, profile) in zip(spectra, factors, plans)
+            ]
+            add_box_product(out, grid, coeff, pieces)
+            if certificate is not None:
+                product = reduce(operator.add, (shells for _, shells, _ in plans))
+                certificate = certificate | product if product.hull[1] < grid.nyquist else None
+    values = apply_multiplier(Spectrum(grid, frozen(out)))
+    return SampledField(grid, frozen(values), shells=certificate)
 
 
 def lambda_form(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> complex:

@@ -25,6 +25,8 @@ from .field import (
     GridSpec,
     NyquistError,
     SampledField,
+    Shell,
+    Shells,
     Spectrum,
     bin_blocks,
     block_frequencies,
@@ -95,7 +97,7 @@ def random_band_limited(
     return inverse(Spectrum(grid, frozen(coeffs), support_certificate=band))
 
 
-def _packet(grid: GridSpec, profile: RadialProfile, kappa: float):
+def packet_bins(grid: GridSpec, profile: RadialProfile, kappa: float):
     """``(block, xi_1 - kappa, profile(|xi - kappa e_1|))`` on the bins of a packet at ``kappa e_1``.
 
     The blocks cover the box ``|xi - kappa e_1|_i <= profile.support[1]``, so
@@ -125,7 +127,7 @@ def modulated_bump(
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
     shift = None if position is None else np.atleast_1d(position)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for block, _, packet in _packet(grid, profile, center_frequency):
+    for block, _, packet in packet_bins(grid, profile, center_frequency):
         if shift is not None:
             packet = packet * translation_phase(grid, shift, block)
         coeffs[block] = packet
@@ -145,24 +147,22 @@ def bump_train(
     After applying the shifted annular pieces at shift y e_1, every packet
     lands at the origin, which stacks the aggregate to ~#scales while the
     input's own L_p norm only grows like (#scales)**(1/p) as long as the
-    positions stay separated.
+    positions stay separated.  The certificate is one ball per packet, of
+    radius ``envelope_radius`` about its carrier frequency.
     """
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     sign = -1.0 if conjugate else 1.0
-    lo = math.inf
-    hi = 0.0
+    balls = []
     for scale in scales:
         kappa = sign * 2.0**scale
         position = -(2.0**-scale) * shift_magnitude
-        for block, centered, packet in _packet(grid, profile, kappa):
+        for block, centered, packet in packet_bins(grid, profile, kappa):
             # f(x) = eta(x - position) exp(2 pi i kappa x): translation phase in
             # the centered frequency variable
             coeffs[block] += packet * np.exp(-2j * np.pi * position * centered)
-        lo = min(lo, abs(kappa) - envelope_radius)
-        hi = max(hi, abs(kappa) + envelope_radius)
-    grid.check_supports_radius(hi)
-    return inverse(Spectrum(grid, frozen(coeffs), support_certificate=(max(lo, 0.0), hi)))
+        balls.append(Shell((kappa,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius))
+    return inverse(Spectrum(grid, frozen(coeffs), shells=Shells(tuple(balls))))
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,43 @@ def test_build_inputs_synthesizes_beta_only_for_extra_slots(monkeypatch, n, call
     fields = build_inputs(small_identity(n=n, packets=2))
     assert len(fields) == n
     assert len(seen) == calls
+
+
+def whole_grid_orthogonality(cfg):
+    """The frequency sweep over every grid bin, for every scale and packet."""
+    grid = cfg.grid
+    eta_hat, beta_hat = cfg.profiles
+    mesh = grid.frequency_mesh()
+    rest_sq = sum(np.asarray(a, dtype=float) ** 2 for a in mesh[1:]) if grid.dimension > 1 else 0.0
+    worst = 0.0
+    for ell in cfg.scale_range:
+        dilated = beta_hat(grid.frequency_radii() * 2.0**-ell)
+        for z in cfg.zetas:
+            ball = eta_hat(np.sqrt((np.asarray(mesh[0], dtype=float) - 2.0**z) ** 2 + rest_sq))
+            expected = ball if ell == z else 0.0
+            worst = max(worst, float(np.max(np.abs(dilated * ball - expected))))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        small_identity(packets=3),
+        separation_config(n_packets=3, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8),
+        replace(identity_config(n=3, n_packets=2), grid=GridSpec(2, 256, 4.0)),
+    ],
+    ids=["identity", "separation", "identity-2d"],
+)
+@pytest.mark.parametrize("skew", [0.0, 1e-3])
+def test_orthogonality_on_packet_blocks_equals_whole_grid_sweep(cfg, skew, monkeypatch):
+    # a skewed annular profile is no longer exactly 1 on its plateau, so the
+    # two sweeps have a nonzero maximum to agree on
+    eta_hat, beta_hat = cfg.profiles
+
+    def skewed(r):
+        return beta_hat(r) * (1.0 - skew * np.asarray(r))
+
+    monkeypatch.setattr(CxConfig, "profiles", property(lambda self: (eta_hat, skewed)))
+    want = whole_grid_orthogonality(cfg)
+    assert (want > 0) == (skew > 0)
+    assert orthogonality_check(cfg) == want

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logmult.field import (
     GridMismatchError,
     GridSpec,
     MixedNormSpec,
+    NyquistError,
     SampledField,
+    Shell,
+    Shells,
     Spectrum,
+    bin_blocks,
     convolve,
     frozen,
     inverse,
@@ -15,6 +20,7 @@ from logmult.field import (
     phase_shift,
     transform,
 )
+from logmult.shifted_lab import bump_train
 
 
 def random_field(grid, seed=0):
@@ -294,3 +300,127 @@ def test_constructors_adopt_handed_over_arrays(grid):
     assert Spectrum(grid, vals).coefficients is vals
     f = random_field(grid)
     assert SampledField(grid, f.values).values is f.values  # already immutable: shared
+
+
+# ---------------------------------------------------------------------------
+# shell-union certificates against brute-force bin supports
+# ---------------------------------------------------------------------------
+
+SHELL_GRIDS = (GridSpec(1, 64, 8.0), GridSpec(2, 16, 4.0))
+
+
+@st.composite
+def shell_cases(draw):
+    """A small grid and two unions: centres and radii on half-bins, origin-centred shells often."""
+    grid = draw(st.sampled_from(SHELL_GRIDS))
+    m, half_bin = grid.samples_per_axis, 0.5 / grid.period
+    coordinate = st.integers(-m // 2, m // 2).map(lambda k: k * half_bin)
+    radius = st.integers(0, m // 4).map(lambda k: k * half_bin)
+
+    def union():
+        parts = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                center = (0.0,) * grid.dimension
+            else:
+                center = tuple(draw(coordinate) for _ in range(grid.dimension))
+            inner, outer = sorted((draw(radius), draw(radius)))
+            parts.append(Shell(center, inner, outer))
+        return Shells(tuple(parts))
+
+    return grid, union(), union()
+
+
+def brute_bins(grid, shells):
+    """Every bin of the grid tested against every shell: the definition of membership."""
+    mesh = np.meshgrid(*[grid.axis_frequencies()] * grid.dimension, indexing="ij")
+    inside = np.zeros(grid.shape, dtype=bool)
+    for center, inner, outer in shells.parts:
+        dist = np.sqrt(sum((axis - c) ** 2 for axis, c in zip(mesh, center)))
+        inside |= (inner <= dist) & (dist <= outer)
+    return inside
+
+
+def bin_points(grid, mask):
+    mesh = np.meshgrid(*[grid.axis_frequencies()] * grid.dimension, indexing="ij")
+    return np.stack([axis[mask] for axis in mesh], axis=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shell_cases())
+def test_shell_unions_match_brute_force_bins(case):
+    grid, u, v = case
+    bins_u, bins_v = brute_bins(grid, u), brute_bins(grid, v)
+    # membership on the disjoint certificate blocks is the whole-grid membership
+    hits = np.zeros(grid.shape, dtype=int)
+    member = np.zeros(grid.shape, dtype=bool)
+    for block in bin_blocks(grid, u.windows(grid.dimension)):
+        hits[block] += 1
+        member[block] = u.contains(grid, block)
+    assert hits.max(initial=0) <= 1
+    assert np.array_equal(member, bins_u)
+    # the radial hull holds every bin
+    radii = grid.frequency_radii()
+    lo, hi = u.hull
+    assert np.all((lo - 1e-12 <= radii[bins_u]) & (radii[bins_u] <= hi + 1e-12))
+    # meet: every bin of both unions; concentric shells exactly
+    met = u.meet(v)
+    assert not np.any(bins_u & bins_v & ~brute_bins(grid, met))
+    if all(not any(s.center) for s in u.parts + v.parts):
+        assert np.array_equal(brute_bins(grid, met), bins_u & bins_v)
+    # plateau rule: a union inside an annulus puts every bin in it
+    for inner, outer in ((0.0, hi), (lo, hi), (0.25 * hi, 0.75 * hi)):
+        if u.within(inner, outer):
+            assert np.all((inner <= radii[bins_u]) & (radii[bins_u] <= outer))
+    # Minkowski sum: every sum of a bin of u and a bin of v lies in u + v
+    total = u + v
+    sums = bin_points(grid, bins_u)[:, None, :] + bin_points(grid, bins_v)[None, :, :]
+    covered = np.zeros(sums.shape[:2], dtype=bool)
+    for center, inner, outer in total.parts:
+        dist = np.sqrt(np.sum((sums - np.asarray(center)) ** 2, axis=-1))
+        covered |= (inner - 1e-9 <= dist) & (dist <= outer + 1e-9)
+    assert np.all(covered)
+
+
+def test_pointwise_certifies_the_minkowski_sum(grid):
+    # packets at +2 and -2 (radius 0.5) multiply to a ball of radius 1 about 0
+    f = bump_train(grid, 1.0, [1], 0.5)
+    g = bump_train(grid, 1.0, [1], 0.5, conjugate=True)
+    prod = f.pointwise(g)
+    assert prod.shells == Shells((Shell((0.0,), 0.0, 1.0),))
+    assert prod.band == (0.0, 1.0)
+    transform(prod)  # the summed certificate verifies
+
+
+def test_pointwise_product_reaching_nyquist_is_refused(grid):
+    # packets at 4 (radius 0.5) square to a ball about 8, the Nyquist frequency
+    f = bump_train(grid, 1.0, [2], 0.5)
+    with pytest.raises(NyquistError):
+        f.pointwise(f)
+
+
+@pytest.mark.parametrize(
+    "grid, band", [(GridSpec(1, 256, 16.0), (1.0, 3.0)), (GridSpec(2, 64, 10.0), (0.5, 2.7))]
+)
+def test_transform_zeroes_exactly_the_bins_off_a_radial_band(grid, band):
+    rng = np.random.default_rng(4)
+    radii = grid.frequency_radii()
+    off = (radii < band[0]) | (radii > band[1])
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    coeffs[off] *= 1e-13  # roundoff-sized dust off the band
+    values = np.fft.ifftn(coeffs) / grid.cell_volume
+    got = transform(SampledField(grid, values, band)).coefficients
+    want = np.fft.fftn(values) * grid.cell_volume
+    want[off] = 0.0
+    assert np.array_equal(got, want)
+
+
+def test_spectrum_checks_a_ball_union(grid):
+    balls = Shells((Shell((2.0,), 0.0, 0.5), Shell((-3.0,), 0.0, 0.25)))
+    inside = brute_bins(grid, balls)
+    coeffs = np.where(inside, 1.0 + 0.5j, 0.0)
+    spectrum = Spectrum(grid, coeffs, shells=balls)
+    assert spectrum.support_certificate == (1.5, 3.25)
+    coeffs[np.flatnonzero(~inside)[40]] = 1e-300
+    with pytest.raises(ValueError, match="violated"):
+        Spectrum(grid, coeffs, shells=balls)

@@ -10,6 +10,7 @@ plateau pieces as translates.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from logmult.calibration import (
     make_counterexample_profiles,
     make_lp_pair,
 )
-from logmult.counterexample import build_inputs, build_kernel, identity_config
+from logmult.counterexample import build_inputs, build_kernel, identity_config, separation_config
 from logmult.field import (
     PARTIAL,
     PLATEAU,
@@ -31,6 +32,7 @@ from logmult.field import (
     NyquistError,
     SampledField,
     Spectrum,
+    add_box_product,
     apply_multiplier,
     bin_blocks,
     grid_aligned_steps,
@@ -436,7 +438,8 @@ def test_maximal_function_inverse_fft_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# apply_t: slot pieces dispatched on piece_class, bit-for-bit
+# apply_t: slot pieces dispatched on piece_class, products formed band-locally
+# in the spectrum, so equal to the sample-domain product to roundoff
 # ---------------------------------------------------------------------------
 
 def every_slot_apply_t(kernel, fs, scales):
@@ -459,7 +462,7 @@ def test_apply_t_identity_plateau_slot_is_exact():
     # the low-pass eta slot is plateau at every scale of the construction
     assert [piece_class(fs[2], eta.profile, s) for s in cfg.scale_range] == [PLATEAU] * 4
     got = apply_t(kernel, fs, cfg.scale_range).values
-    assert np.array_equal(got, every_slot_apply_t(kernel, fs, cfg.scale_range))
+    assert_close(got, every_slot_apply_t(kernel, fs, cfg.scale_range))
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,7 +475,91 @@ def test_apply_t_dispatch_matches_every_slot_reference(case):
     fs = [f, random_band_limited(f.grid, (0.0, f.band[1]), 3, 1)]
     scales = range(scale - 1, scale + 2)
     got = apply_t(kernel, fs, scales).values
-    assert np.array_equal(got, every_slot_apply_t(kernel, fs, scales))
+    assert_close(got, every_slot_apply_t(kernel, fs, scales))
+
+
+def test_separation_apply_t_takes_one_full_size_inverse(monkeypatch):
+    # each packet meets the annular factor only at its own scale, where it is
+    # inside the plateau: 3 live scales of 5, every other slot piece certified zero
+    cfg = separation_config(n_packets=3, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8)
+    kernel, fs = build_kernel(cfg), build_inputs(cfg)
+    factors = kernel.terms[0][1]
+    classes = Counter(
+        piece_class(f, factor.profile, s) for s in cfg.scale_range for f, factor in zip(fs, factors)
+    )
+    assert classes == {PLATEAU: 6, ZERO: 4}
+    sizes = []
+    ifftn = np.fft.ifftn
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    out = apply_t(kernel, fs, cfg.scale_range)
+    monkeypatch.undo()
+    assert sizes.count(cfg.grid.size) == 1
+    # the packet pairs multiply to balls about the origin, far below Nyquist
+    assert out.band == (0.0, 2 * cfg.eta_radius)
+    assert_close(out.values, every_slot_apply_t(kernel, fs, cfg.scale_range))
+
+
+PRODUCT_GRIDS = (GridSpec(1, 64, 8.0), GridSpec(1, 256, 5.0), GridSpec(2, 16, 4.0), GridSpec(2, 32, 3.0))
+
+
+@st.composite
+def box_product_cases(draw):
+    """Boxes of random coefficients whose summed widths reach up to P (sometimes exactly P).
+
+    At P = M the widths may sum past M: the product wraps, as on the full grid.
+    """
+    grid = draw(st.sampled_from(PRODUCT_GRIDS))
+    m = grid.samples_per_axis
+    n = draw(st.integers(2, 3))
+    budget = 2 ** draw(st.integers(1, int(math.log2(m))))  # P
+    top = budget if budget < m else 2 * m
+    widths = [[1] * grid.dimension for _ in range(n)]
+    for axis in range(grid.dimension):
+        total = budget if draw(st.booleans()) else draw(st.integers(n, max(n, top)))
+        for _ in range(max(0, total - n)):
+            k = draw(st.integers(0, n - 1))
+            widths[k][axis] = min(m, widths[k][axis] + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = []
+    for w in widths:
+        first = []
+        for width in w:
+            # anywhere, or against the wrap: ending on the last bin, starting on
+            # the Nyquist bin, or straddling the two
+            place = draw(st.sampled_from(["any", "end", "nyquist", "straddle"]))
+            if place == "any":
+                first.append(draw(st.integers(-m // 2, m // 2 - 1)))
+            else:
+                first.append({"end": m // 2 - width, "nyquist": -m // 2, "straddle": m // 2 - width // 2 - 1}[place])
+        values = rng.standard_normal(w) + 1j * rng.standard_normal(w)
+        pieces.append((tuple(first), values))
+    coefficient = complex(*rng.standard_normal(2))
+    return grid, coefficient, pieces
+
+
+def full_grid_product(grid, coefficient, pieces):
+    """The oracle: every piece placed on the whole grid, ``ifftn . ifftn -> fftn``."""
+    m = grid.samples_per_axis
+    prod = np.full(grid.shape, coefficient, dtype=np.complex128)
+    for first, values in pieces:
+        full = np.zeros(grid.shape, dtype=np.complex128)
+        full[np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, values.shape)))] = values
+        prod *= np.fft.ifftn(full) / grid.cell_volume
+    return np.fft.fftn(prod) * grid.cell_volume
+
+
+@settings(max_examples=150, deadline=None)
+@given(box_product_cases())
+def test_band_local_product_matches_full_grid(case):
+    grid, coefficient, pieces = case
+    got = np.zeros(grid.shape, dtype=np.complex128)
+    add_box_product(got, grid, coefficient, pieces)
+    assert_close(got, full_grid_product(grid, coefficient, pieces))
 
 
 # ---------------------------------------------------------------------------
