@@ -644,7 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = handler(config)
             seed = int(config.get(args.command, {}).get("seed", 0))
             grid_params = dict(config.get("grid", {}))
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:  # overflow: a value out of range
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     elapsed = time.perf_counter() - start

@@ -25,7 +25,7 @@ import numpy as np
 
 from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, profile_to_field
 from .exponents import PTuple, lambda_st, sharp_lambda
-from .field import GridSpec, SampledField, lp_norm
+from .field import GridSpec, SampledField, add_box_product, conjugate, lp_norm, symbol_box, transform
 from .multiplier import SpectralFactor, TensorKernel, apply_t, d_lambda
 from .shifted_lab import bump_train, packet_bins
 
@@ -329,8 +329,9 @@ def build_inputs(cfg: CxConfig) -> List[SampledField]:
     # packet z sits at -2**(top - z): the annular factor's shift 2**top / 2**z
     # brings every packet to the origin
     top = max(cfg.zetas)
-    f_s = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius, conjugate=False)
-    f_t = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius, conjugate=True)
+    f_s = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius)
+    # the packet envelope is real, so the mirrored train is exactly the conjugate
+    f_t = conjugate(f_s)
     # only n >= 3 has slots besides s and t
     beta_field = profile_to_field(cfg.profiles[1], grid) if cfg.n > 2 else None
     fields: List[SampledField] = []
@@ -423,16 +424,16 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
     ortho = orthogonality_check(cfg) if check_orthogonality else float("nan")
 
     output = apply_t(kernel, fields, cfg.scale_range)
+    # closed form N eta**2 beta**(n-2) from the symbols, vs the kept output spectrum (Parseval)
     eta_hat, beta_hat = cfg.profiles
-    eta_field = profile_to_field(eta_hat, grid)
-    closed = cfg.n_packets * eta_field.values**2
-    if cfg.n > 2:
-        closed = closed * profile_to_field(beta_hat, grid).values ** (cfg.n - 2)
-    closed_norm = math.sqrt(float(np.sum(np.abs(closed) ** 2)) * grid.cell_volume)
+    closed = np.zeros(grid.shape, dtype=np.complex128)
+    symbols = [symbol_box(grid, eta_hat)] * 2 + [symbol_box(grid, beta_hat)] * (cfg.n - 2)
+    add_box_product(closed, grid, cfg.n_packets, symbols)
+    closed_norm = math.sqrt(np.vdot(closed, closed).real)
     if closed_norm == 0.0:
         raise ValueError("closed form vanishes; the grid underresolves the profiles")
-    err = math.sqrt(float(np.sum(np.abs(output.values - closed) ** 2)) * grid.cell_volume)
-    identity_error = err / closed_norm
+    closed -= transform(output).coefficients
+    identity_error = math.sqrt(np.vdot(closed, closed).real) / closed_norm
 
     pt = cfg.ptuple
     input_norms = []

@@ -28,6 +28,10 @@ packet.  ``SampledField.band`` and ``Spectrum.support_certificate`` read as
 the union's radial hull.  Certificates are checked and enforced on the bin
 blocks that can hold certified bins, never on a whole-grid mask.
 
+A field made by :func:`inverse` from a certified spectrum keeps its coefficients on
+the certificate's bin blocks (``kept``), which :func:`transform` scatters back instead
+of running an FFT; :func:`conjugate` reflects and ``*`` scales them; nothing else keeps any.
+
 The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
 is evaluated only on the bins its certificates allow: the spectrum's support
 certificate met with the profile's dilated closed support, widened by one
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -60,6 +64,8 @@ __all__ = [
     "NyquistError",
     "transform",
     "inverse",
+    "certify",
+    "conjugate",
     "convolve",
     "frozen",
     "bin_blocks",
@@ -68,6 +74,7 @@ __all__ = [
     "multiplier_symbol",
     "apply_multiplier",
     "box_piece",
+    "symbol_box",
     "add_box_product",
     "piece_shells",
     "piece_band",
@@ -113,8 +120,8 @@ class GridSpec:
         m = self.samples_per_axis
         if m < 8 or (m & (m - 1)) != 0:
             raise ValueError(f"samples_per_axis must be a power of two >= 8, got {m}")
-        if not (self.period > 0):
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not (0 < self.period < math.inf):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
 
     @property
     def spacing(self) -> float:
@@ -300,6 +307,11 @@ class Shells:
         ranges = [_distance_range(s, (0.0,) * len(s.center)) for s in self.parts]
         return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
 
+    def scaled(self, factor: float) -> "Shells":
+        """The image under ``xi -> factor xi``: centres times ``factor``, radii times ``|factor|``."""
+        a = abs(factor)
+        return Shells(tuple(Shell(tuple(factor * x for x in c), a * lo, a * hi) for c, lo, hi in self.parts))
+
     def __or__(self, other: "Shells") -> "Shells":
         return Shells(self.parts + other.parts)
 
@@ -377,12 +389,14 @@ class SampledField:
     guaranteed (and, where asserted, verified) to vanish off the union.
     ``band`` is its radial hull ``(inner, outer)`` in physical frequency
     units; a field given only a ``band`` is certified by that annulus.
+    ``kept`` is set by :func:`inverse` and scaled by ``*``, so ``f`` and ``c * f`` transform alike.
     """
 
     grid: GridSpec
     values: np.ndarray
     band: Optional[Tuple[float, float]] = None
     shells: Optional[Shells] = None
+    kept: Optional[Tuple[np.ndarray, ...]] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vals = _freeze(self.values)
@@ -418,7 +432,8 @@ class SampledField:
     def __mul__(self, scalar: complex) -> "SampledField":
         if isinstance(scalar, SampledField):
             return NotImplemented
-        return SampledField(self.grid, frozen(self.values * complex(scalar)), shells=self.shells)
+        out = SampledField(self.grid, frozen(self.values * complex(scalar)), shells=self.shells)
+        return _keep(out, None if self.kept is None else [c * complex(scalar) for c in self.kept])
 
     __rmul__ = __mul__
 
@@ -536,37 +551,62 @@ def require_same_grid(*objs) -> GridSpec:
     return grid
 
 
-def transform(f: SampledField) -> Spectrum:
-    """Forward transform: quadrature-weighted FFT, f_hat(k/L) per grid frequency.
+def certify(grid: GridSpec, coefficients: np.ndarray, shells: Optional[Shells]) -> Spectrum:
+    """Spectrum of fresh ``coefficients``, roundoff dust off ``shells`` zeroed in place (more is an error).
 
-    A certificate asserts the coefficients off its shells are mathematically
-    zero; FFT roundoff dust there is zeroed to keep the certificate exact.
-    Content that is genuinely off the certificate (beyond roundoff) is an
-    error.  The certified bins are set aside block by block, the rest of the
-    array is measured and cleared, and the certified bins are put back.
+    The certified bins are set aside block by block, the rest cleared, and the certified bins put back.
     """
-    coeffs = np.fft.fftn(f.values) * f.grid.cell_volume
-    if f.shells is not None:
-        scale = _max_modulus(coeffs)
-        bins = _certified_bins(f.grid, f.shells)
-        kept = [coeffs[block][inside] for block, inside in bins]
+    if shells is not None:
+        scale = _max_modulus(coefficients)
+        bins = _certified_bins(grid, shells)
+        certified = [coefficients[block][inside] for block, inside in bins]
         for block, inside in bins:
-            coeffs[block][inside] = 0.0
-        dust = _max_modulus(coeffs)
+            coefficients[block][inside] = 0.0
+        dust = _max_modulus(coefficients)
         if scale > 0 and dust > 1e-10 * scale:
-            raise ValueError(
-                f"band certificate {f.band} violated: out-of-band content "
-                f"{dust} vs in-band scale {scale}"
-            )
-        coeffs[...] = 0.0
-        for (block, inside), values in zip(bins, kept):
-            coeffs[block][inside] = values
+            raise ValueError(f"band certificate {shells.hull} violated: "
+                             f"out-of-band content {dust} vs in-band scale {scale}")
+        coefficients[...] = 0.0
+        for (block, inside), values in zip(bins, certified):
+            coefficients[block][inside] = values
+    return Spectrum(grid, frozen(coefficients), shells=shells)
+
+
+def transform(f: SampledField) -> Spectrum:
+    """Forward transform, f_hat(k/L) per grid frequency: ``kept`` coefficients
+    scattered into zeros, else a quadrature-weighted FFT, :func:`certify`-ed."""
+    if f.kept is None:
+        coeffs = np.fft.fftn(f.values)
+        coeffs *= f.grid.cell_volume
+        return certify(f.grid, coeffs, f.shells)
+    coeffs = np.zeros(f.grid.shape, dtype=np.complex128)
+    for (block, _), values in zip(_certified_bins(f.grid, f.shells), f.kept):
+        coeffs[block] = values
     return Spectrum(f.grid, frozen(coeffs), shells=f.shells)
 
 
+def _keep(f: SampledField, blocks: Optional[List[np.ndarray]]) -> SampledField:
+    """``f`` adopting fresh ``blocks`` (made read-only), its spectrum on its certificate's bin blocks."""
+    if blocks is not None:
+        object.__setattr__(f, "kept", tuple(frozen(b) for b in blocks))
+    return f
+
+
 def inverse(s: Spectrum) -> SampledField:
-    """Inverse transform; round-trips with :func:`transform` to roundoff."""
-    return SampledField(s.grid, frozen(apply_multiplier(s)), shells=s.shells)
+    """Inverse transform; round-trips with :func:`transform` (exactly, for a certified ``s``)."""
+    blocks = None if s.shells is None else [s.coefficients[b].copy() for b, _ in _certified_bins(s.grid, s.shells)]
+    return _keep(SampledField(s.grid, frozen(apply_multiplier(s)), shells=s.shells), blocks)
+
+
+def conjugate(f: SampledField) -> SampledField:
+    """``conj(f(x))``, with spectrum ``conj(f_hat(-xi))``: shells and kept coefficients reflect, no FFT runs."""
+    shells = None if f.shells is None else f.shells.scaled(-1.0)
+    out = SampledField(f.grid, frozen(np.conj(f.values)), shells=shells)
+    if f.kept is None:
+        return out
+    m = f.grid.samples_per_axis
+    reflected = transform(f).coefficients[np.ix_(*[-np.arange(m) % m] * f.grid.dimension)]
+    return _keep(out, [np.conj(reflected[b]) for b, _ in _certified_bins(f.grid, shells)])
 
 
 def convolve(f: SampledField, g: SampledField) -> SampledField:
@@ -772,11 +812,11 @@ def apply_multiplier(
     steps = None if shift is None else grid_aligned_steps(shift, grid)
     phase = shift if steps is None else None
     if profile is None and phase is None:
-        coeffs = spectrum.coefficients
+        values = np.fft.ifftn(spectrum.coefficients)
     else:
         shells = _symbol_shells(spectrum.shells, profile, scale, grid.dimension)
         coeffs = _on_band(grid, spectrum.coefficients, shells, profile, scale, phase)
-    values = np.fft.ifftn(coeffs)
+        values = np.fft.ifftn(coeffs, out=coeffs)  # the product is ours: no second full-size array
     values /= grid.cell_volume
     if steps is not None:
         values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
@@ -790,8 +830,8 @@ def apply_multiplier(
 BoxPiece = Tuple[Tuple[int, ...], np.ndarray]
 
 
-def _box(grid: GridSpec, shells: Shells) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """First signed bin and width, per axis, of a box holding every bin of ``shells``.
+def _box(grid: GridSpec, shells: Shells) -> Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]:
+    """First signed bin, per axis, and the open-mesh index of a box holding every bin of ``shells``.
 
     Edges are widened as in :func:`bin_blocks`; a box as wide as the grid is
     the whole axis.
@@ -804,7 +844,7 @@ def _box(grid: GridSpec, shells: Shells) -> Tuple[Tuple[int, ...], Tuple[int, ..
         width = hi - lo + 1
         first.append(lo if width < m else -(m // 2))
         widths.append(min(width, m))
-    return tuple(first), tuple(widths)
+    return tuple(first), np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, widths)))
 
 
 def box_piece(
@@ -825,8 +865,7 @@ def box_piece(
     """
     grid = spectrum.grid
     m = grid.samples_per_axis
-    first, widths = _box(grid, shells)
-    box = np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, widths)))
+    first, box = _box(grid, shells)
     shift = _dilated_shift(translation, scale)
     steps = None if shift is None else grid_aligned_steps(shift, grid)
     values = _symbol_times(
@@ -839,6 +878,12 @@ def box_piece(
         phase *= values
         values = phase
     return first, values
+
+
+def symbol_box(grid: GridSpec, profile) -> BoxPiece:
+    """``(first, profile(|xi|))`` on the bin box of the profile's closed support: a symbol as a piece."""
+    first, box = _box(grid, _dilated_support(profile.support, 0, grid.dimension))
+    return first, profile(grid.frequency_radii()[box])
 
 
 def add_box_product(

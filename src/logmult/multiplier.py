@@ -9,7 +9,7 @@ frequency.  The operator, its form and the shifted form are one scale loop,
 dispatched on :func:`field.piece_plan` and cut to its certified bin box
 (:func:`field.box_piece`); each product of pieces is formed band-locally
 (:func:`field.add_box_product`) into one output spectrum, and one full-size
-inverse transform ends the loop.
+inverse transform ends the loop; the output keeps its spectrum.
 
 The log-weighted size D_lambda treats a factor's declared translation as a
 position in unbounded space: the weight sees ``log(e + |center + offset|)``
@@ -35,8 +35,8 @@ from .field import (
     Shells,
     Spectrum,
     add_box_product,
-    apply_multiplier,
     box_piece,
+    certify,
     frozen,
     inverse,
     multiplier_symbol,
@@ -170,9 +170,9 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> 
     occupied bin.  Each product is formed on its pieces' certified bin boxes
     (:func:`field.add_box_product`) and added to one output spectrum, which is
     inverted once.  The output is certified by the union of the products'
-    Minkowski sums while every sum stays below Nyquist; a product reaching
-    Nyquist aliases on the grid, as the sampled product does, and the output
-    then carries no certificate.
+    Minkowski sums while every sum stays below Nyquist (scatter dust off it is
+    zeroed, :func:`field.certify`); a product reaching Nyquist aliases on the
+    grid, as the sampled product does, and the output then carries no certificate.
     """
     if len(fs) != kernel.n:
         raise ValueError(f"kernel is {kernel.n}-linear, got {len(fs)} inputs")
@@ -193,8 +193,7 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> 
             if certificate is not None:
                 product = reduce(operator.add, (shells for _, shells, _ in plans))
                 certificate = certificate | product if product.hull[1] < grid.nyquist else None
-    values = apply_multiplier(Spectrum(grid, frozen(out)))
-    return SampledField(grid, frozen(values), shells=certificate)
+    return inverse(certify(grid, out, certificate))
 
 
 def lambda_form(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> complex:

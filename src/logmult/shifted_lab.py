@@ -23,11 +23,11 @@ import numpy as np
 from .calibration import LPPair, RadialProfile, make_lp_pair
 from .field import (
     GridSpec,
-    NyquistError,
     SampledField,
     Shell,
     Shells,
     Spectrum,
+    apply_multiplier,
     bin_blocks,
     block_frequencies,
     frozen,
@@ -360,39 +360,26 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
 
     Spectral index map: the coefficient at integer frequency k moves to
     2**l k (scaled by 2**(l d)); compressions (l < 0) do not stay periodic on
-    the fixed torus and are rejected.
+    the fixed torus and are rejected.  Each shell dilates; the union must stay below Nyquist.
     """
     if scale < 0:
         raise ValueError("dilation scales must be nonnegative on a fixed period")
     if scale == 0:
         return g
     grid = g.grid
-    if g.band is not None:
-        top = g.band[1] * 2.0**scale
-    else:
-        top = grid.nyquist * 2.0**scale
-    if top >= grid.nyquist:
-        raise NyquistError(
-            f"dilating by 2**{scale} pushes the certified band to {top}, past the "
-            f"Nyquist frequency {grid.nyquist}"
-        )
+    step = 2**scale
+    shells = None if g.shells is None else g.shells.scaled(step)
+    grid.check_supports_radius(grid.nyquist * step if shells is None else shells.hull[1])
     m = grid.samples_per_axis
     coeffs = transform(g).coefficients
     out = np.zeros_like(coeffs)
-    step = 2**scale
-    if grid.dimension == 1:
-        k = np.fft.fftfreq(m, d=1.0 / m).astype(int)  # signed integer frequencies
-        src = np.abs(k) * step <= m // 2
-        out[(k[src] * step) % m] = coeffs[src]
-    else:
-        k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-        keep = np.abs(k) * step <= m // 2
-        idx = (k[keep] * step) % m
-        sub = coeffs[np.ix_(keep, keep)]
-        out[np.ix_(idx, idx)] = sub
+    k = np.fft.fftfreq(m, d=1.0 / m).astype(int)  # signed integer frequencies
+    keep = np.abs(k) * step <= m // 2
+    idx = (k[keep] * step) % m
+    out[np.ix_(*[idx] * grid.dimension)] = coeffs[np.ix_(*[keep] * grid.dimension)]
     out *= float(step) ** grid.dimension
-    band = None if g.band is None else (g.band[0] * step, g.band[1] * step)
-    return inverse(Spectrum(grid, frozen(out), support_certificate=band))
+    # built for its samples, like a phase_shift output: no kept coefficients
+    return SampledField(grid, frozen(apply_multiplier(Spectrum(grid, frozen(out), shells=shells))), shells=shells)
 
 
 @dataclass(frozen=True)

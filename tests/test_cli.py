@@ -1,10 +1,15 @@
+import contextlib
 import filecmp
+import io
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logmult.cli import (
     CONFIG_ERROR,
+    DEFAULTS,
     PASS,
     cmd_lambda,
     cmd_plan,
@@ -235,6 +240,11 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         ["growth", "--growth.random_band", "1"],
         ["peetre", "--peetre.sigmas", ","],
         ["changevars", "--changevars.scale_min", "3", "--changevars.scale_max", "1"],
+        # values out of range: a negative seed, a non-finite shift scale or period
+        ["changevars", "--changevars.seed", "-1"],
+        ["peetre", "--peetre.seed", "-1"],
+        ["changevars", "--changevars.shift_scale", "nan"],
+        ["growth", "--grid.period", "1e400"],
     ],
 )
 def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
@@ -286,3 +296,52 @@ def test_counterexample_fits_from_the_runs_it_reports(tmp_path, monkeypatch):
     assert runs == [1, 2, 3]
     report = (tmp_path / "counterexample.report.txt").read_text()
     assert "ratio_slope" in report and "predicted_slope" in report
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every leaf key malformed or default, exit code always 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+# none of these parses to a grid, bank or sweep larger than the default: the
+# integer keys reject "1e400", and a float period of 1e400 is not finite
+MALFORMED = ("", "abc", "nan", "-1", "0", "1e400")
+
+# valid values drawn in place of the defaults that size a run, so that no
+# example runs a default-size experiment (growth at 2^20 points takes ~10 s)
+SMALL = {
+    "growth": {
+        "grid": {"samples": "16384", "period": "4096"},
+        "growth": {"ladder": "16 64 256 1024", "scale_max": "10", "n_random": "1"},
+    },
+    "changevars": {"changevars": {"configs": "6"}},
+    "counterexample": {"counterexample": {"packets": "1 2", "samples": "16384", "period": "128"}},
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with each leaf key drawn from the malformed strings and one valid value.
+
+    The valid value is the default, or a small one where the default sizes the
+    run; it comes last, so the simplest example is all-malformed.
+    """
+    command = draw(st.sampled_from(sorted(DEFAULTS) + ["lambda", "plan"]))
+    if command in ("lambda", "plan"):
+        return [command] + draw(st.lists(st.sampled_from(MALFORMED + ("3", "4")), min_size=1, max_size=4))
+    argv = [command]
+    for section, keys in DEFAULTS[command].items():
+        small = SMALL.get(command, {}).get(section, {})
+        for key, default in keys.items():
+            argv += [f"--{section}.{key}", draw(st.sampled_from(MALFORMED + (small.get(key, default),)))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_argvs())
+def test_cli_exit_code_contract_holds_for_malformed_values(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--outdir", outdir])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -73,6 +73,28 @@ def test_build_inputs_conjugate_mirror():
     assert np.max(np.abs(f_t.values - np.conj(f_s.values))) < 1e-12 * np.max(np.abs(f_s.values))
 
 
+def test_separation_run_takes_three_full_size_ffts(monkeypatch):
+    # the s-train synthesis, the apply_t inverse and the bracket's sampled factor;
+    # the t-train is its conjugate, and every transform of a synthesised field,
+    # the closed form and the identity error stay in the spectrum
+    cfg = separation_config(n_packets=3, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8)
+    sizes = []
+    for name in ("fftn", "ifftn"):
+        fft = getattr(np.fft, name)
+
+        def counting(a, *args, _fft=fft, **kwargs):
+            sizes.append(np.size(a))
+            return _fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    report = run_counterexample(cfg)
+    monkeypatch.undo()
+    assert sizes.count(cfg.grid.size) == 3
+    # the ratio recorded when the run took 7 full-size FFTs
+    assert abs(report.ratio - 0.1735847898266246) <= 1e-12 * 0.1735847898266246
+    assert report.identity_error < 1e-12
+
+
 def test_input_norms_match_for_every_p():
     cfg = small_identity(packets=3)
     fields = build_inputs(cfg)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from logmult.field import (
     Shells,
     Spectrum,
     bin_blocks,
+    conjugate,
     convolve,
     frozen,
     inverse,
@@ -20,7 +23,7 @@ from logmult.field import (
     phase_shift,
     transform,
 )
-from logmult.shifted_lab import bump_train
+from logmult.shifted_lab import bump_train, dilate_field
 
 
 def random_field(grid, seed=0):
@@ -424,3 +427,88 @@ def test_spectrum_checks_a_ball_union(grid):
     coeffs[np.flatnonzero(~inside)[40]] = 1e-300
     with pytest.raises(ValueError, match="violated"):
         Spectrum(grid, coeffs, shells=balls)
+
+
+# ---------------------------------------------------------------------------
+# kept spectra: a field made by inverse transforms back without an FFT
+# ---------------------------------------------------------------------------
+
+KEPT_GRIDS = (GridSpec(1, 128, 8.0), GridSpec(1, 256, 5.0), GridSpec(2, 32, 4.0), GridSpec(2, 16, 3.0))
+
+
+@st.composite
+def certified_spectra(draw):
+    """A random spectrum on a radial band or a union of balls, within a quarter of Nyquist.
+
+    The quarter leaves room for the dyadic dilate by 2 the test also takes.
+    """
+    grid = draw(st.sampled_from(KEPT_GRIDS))
+    reach = grid.nyquist / 4
+    fraction = st.integers(0, 16).map(lambda k: k / 16)
+    if draw(st.booleans()):
+        inner, outer = sorted((draw(fraction) * reach, draw(fraction) * reach))
+        shells = Shells.radial(inner, outer, grid.dimension)
+    else:
+        balls = []
+        for _ in range(draw(st.integers(1, 3))):
+            radius = draw(fraction) * reach / 2
+            center = tuple(draw(st.integers(-8, 8)) / 8 * (reach - radius) / grid.dimension for _ in range(grid.dimension))
+            balls.append(Shell(center, 0.0, radius))
+        shells = Shells(tuple(balls))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    coeffs[~brute_bins(grid, shells)] = 0.0
+    return Spectrum(grid, coeffs, shells=shells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_spectra())
+def test_kept_spectrum_round_trips_exactly(s):
+    grid = s.grid
+    f = inverse(s)
+    assert f.kept is not None
+    assert np.array_equal(transform(f).coefficients, s.coefficients)
+    # the FFT path on a values-only copy agrees to roundoff
+    fft_path = transform(SampledField(grid, f.values, shells=f.shells)).coefficients
+    assert np.max(np.abs(fft_path - s.coefficients), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(s.coefficients)))
+    # a scalar multiple scales them, so f and 2 f transform alike (exact homogeneity)
+    for c in (2.0, 0.5 - 1.5j):
+        assert np.array_equal(transform(c * f).coefficients, s.coefficients * c)
+    # no other constructor keeps coefficients
+    pedestal = SampledField(grid, np.ones(grid.shape), band=(0.0, 0.0))
+    shift = np.full(grid.dimension, 0.3 * grid.spacing)
+    others = [f + f, f - f, f.pointwise(pedestal), phase_shift(f, shift), dilate_field(f, 1)]
+    others += [SampledField(grid, f.values, shells=f.shells), dataclasses.replace(f, values=2.0 * f.values)]
+    assert all(g.kept is None for g in others)
+    # conjugation conjugates the samples exactly and keeps the reflected spectrum
+    c = conjugate(f)
+    assert np.array_equal(c.values, np.conj(f.values))
+    reflected = np.conj(s.coefficients[np.ix_(*[-np.arange(grid.samples_per_axis) % grid.samples_per_axis] * grid.dimension)])
+    assert np.array_equal(transform(c).coefficients, reflected)
+
+
+def test_values_path_has_no_kept_coefficients(grid):
+    assert random_field(grid).kept is None
+    assert SampledField(grid, np.ones(grid.shape), band=(0.0, 1.0)).kept is None
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 128, 8.0)])
+def test_conjugate_matches_the_mirrored_bump_train(grid):
+    f = bump_train(grid, 3.7, [0, 1, 2], 0.4)
+    g = conjugate(f)
+    h = bump_train(grid, 3.7, [0, 1, 2], 0.4, conjugate=True)
+    assert np.array_equal(g.values, np.conj(f.values))
+    assert g.shells == h.shells
+    peak = np.max(np.abs(h.values))
+    assert np.max(np.abs(g.values - h.values)) <= 1e-12 * peak
+    want = transform(h).coefficients
+    assert np.max(np.abs(transform(g).coefficients - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conjugate_of_a_values_field_reflects_its_certificate(grid):
+    f = SampledField(grid, bump_train(grid, 1.0, [1], 0.5).values, shells=Shells((Shell((2.0,), 0.0, 0.5),)))
+    g = conjugate(f)
+    assert g.kept is None
+    assert g.shells == Shells((Shell((-2.0,), 0.0, 0.5),))
+    assert np.array_equal(g.values, np.conj(f.values))
+    transform(g)  # the reflected certificate verifies

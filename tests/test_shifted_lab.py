@@ -5,7 +5,7 @@ import pytest
 
 from logmult import shifted_lab
 from logmult.calibration import make_lp_pair
-from logmult.field import GridSpec, SampledField, transform
+from logmult.field import GridSpec, NyquistError, SampledField, Shell, Shells, transform
 from logmult.shifted_lab import (
     GrowthBankSpec,
     GrowthExperiment,
@@ -193,6 +193,20 @@ def test_dilate_field_moves_tone(grid):
     assert np.max(np.abs(g.values - expected)) < 1e-10
     with pytest.raises(ValueError):
         dilate_field(f, -1)
+
+
+def test_dilate_field_scales_each_shell(grid):
+    # packets at 2 and 8 (radius 0.25) dilate to balls about 4 and 16 (radius 0.5),
+    # not to the annulus (3.5, 16.5) around them
+    f = bump_train(grid, 1.0, [1, 3], 0.25)
+    g = dilate_field(f, 1)
+    assert g.shells == Shells((Shell((4.0,), 0.0, 0.5), Shell((16.0,), 0.0, 0.5)))
+    assert g.kept is None
+    transform(g)  # the dilated certificate verifies
+    # the union's hull must stay below Nyquist (128 here): 8 * 2**4 + 0.25 * 2**4 reaches it
+    dilate_field(f, 3)
+    with pytest.raises(NyquistError):
+        dilate_field(f, 4)
 
 
 def test_change_of_variables_zero_shifts(grid):
