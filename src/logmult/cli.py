@@ -500,6 +500,8 @@ def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     packets = _ints(section["packets"])
     lam_text = section["lam"].strip().lower()
     lam = None if lam_text == "sharp" else float(lam_text)
+    if lam is not None and not 0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"lam must be 'sharp' or finite and nonnegative, got {section['lam']!r}")
 
     def make(n_packets: int) -> cx.CxConfig:
         if mode == "identity":

@@ -435,6 +435,7 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
     closed -= transform(output).coefficients
     identity_error = math.sqrt(np.vdot(closed, closed).real) / closed_norm
 
+    # the trains and the output keep their spectra: lp_norm reads L^2 and L^4 from them, unsampled
     pt = cfg.ptuple
     input_norms = []
     for f, r in zip(fields, pt.reciprocals):

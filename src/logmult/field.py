@@ -29,8 +29,9 @@ the union's radial hull.  Certificates are checked and enforced on the bin
 blocks that can hold certified bins, never on a whole-grid mask.
 
 A field made by :func:`inverse` from a certified spectrum keeps its coefficients on
-the certificate's bin blocks (``kept``), which :func:`transform` scatters back instead
-of running an FFT; :func:`conjugate` reflects and ``*`` scales them; nothing else keeps any.
+the certificate's bin blocks (``kept``) and is *deferred*: its samples are computed
+when ``values`` is first read.  :func:`transform` scatters the kept
+coefficients back and :func:`lp_norm` reads L_2 and L_4 from them, without an FFT.
 
 The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
 is evaluated only on the bins its certificates allow: the spectrum's support
@@ -92,6 +93,8 @@ __all__ = [
 
 Exponent = Union[int, float, Fraction]
 Block = Tuple[slice, ...]
+# ``(first, values)``: coefficients at the signed bins ``first + [0, w)`` per axis
+BoxPiece = Tuple[Tuple[int, ...], np.ndarray]
 
 
 class GridMismatchError(ValueError):
@@ -347,10 +350,15 @@ class Shells:
                     out.append(s)
         return Shells(tuple(out))
 
-    def within(self, inner: float, outer: float) -> bool:
-        """Whether the union lies in the closed annulus ``inner <= |xi| <= outer``."""
+    def within(self, grid: GridSpec, inner: float, outer: float) -> bool:
+        """Whether every bin of the union on ``grid`` lies in the closed annulus ``inner <= |xi| <= outer``.
+
+        A shell about the origin is tested by its own radii.  An off-centre
+        shell is tested by the radii of its bins, as :meth:`GridSpec.frequency_radii`
+        gives them (the radii profiles are evaluated at), so it needs no slack.
+        """
         for s in self.parts:
-            lo, hi = _distance_range(s, (0.0,) * len(s.center), slack=True)
+            lo, hi = _bin_radii(grid, Shells((s,))) if any(s.center) else (s.inner, s.outer)
             if lo < inner or hi > outer:
                 return False
         return True
@@ -389,14 +397,19 @@ class SampledField:
     guaranteed (and, where asserted, verified) to vanish off the union.
     ``band`` is its radial hull ``(inner, outer)`` in physical frequency
     units; a field given only a ``band`` is certified by that annulus.
-    ``kept`` is set by :func:`inverse` and scaled by ``*``, so ``f`` and ``c * f`` transform alike.
+
+    ``kept``, when set, holds the exact spectrum as :data:`BoxPiece` boxes.
+    :func:`inverse` of a certified spectrum, :func:`conjugate` and ``*`` set
+    it and build *deferred* fields, whose ``values`` are computed on first
+    read and cached, bit for bit what an eager construction stores.  Every
+    other constructor samples at once and keeps nothing.
     """
 
     grid: GridSpec
     values: np.ndarray
     band: Optional[Tuple[float, float]] = None
     shells: Optional[Shells] = None
-    kept: Optional[Tuple[np.ndarray, ...]] = field(default=None, init=False, compare=False, repr=False)
+    kept: Optional[Tuple[BoxPiece, ...]] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vals = _freeze(self.values)
@@ -407,12 +420,22 @@ class SampledField:
                 raise ValueError(
                     f"values shape {vals.shape} incompatible with grid {self.grid.shape}"
                 )
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise ValueError("field values must be finite")
+        _require_finite(vals, "field values")
         object.__setattr__(self, "values", vals)
         band, shells = _certificate(self.grid, self.band, self.shells)
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "shells", shells)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance does not hold: the samples of a deferred field
+        sampler = self.__dict__.get("_sampler") if name == "values" else None
+        if sampler is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = frozen(sampler(self))
+        _require_finite(values, "field values")
+        object.__setattr__(self, "values", values)
+        del self.__dict__["_sampler"]
+        return values
 
     # Small arithmetic surface used for bank construction and linearity tests.
     def __add__(self, other: "SampledField") -> "SampledField":
@@ -432,8 +455,11 @@ class SampledField:
     def __mul__(self, scalar: complex) -> "SampledField":
         if isinstance(scalar, SampledField):
             return NotImplemented
-        out = SampledField(self.grid, frozen(self.values * complex(scalar)), shells=self.shells)
-        return _keep(out, None if self.kept is None else [c * complex(scalar) for c in self.kept])
+        c = complex(scalar)
+        if self.kept is None:
+            return SampledField(self.grid, frozen(self.values * c), shells=self.shells)
+        kept = tuple((first, frozen(values * c)) for first, values in self.kept)
+        return _deferred(self.grid, self.shells, kept, lambda _: self.values * c)
 
     __rmul__ = __mul__
 
@@ -469,6 +495,21 @@ def _certificate(
     return hull, shells
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values.view(np.float64))):
+        raise ValueError(f"{what} must be finite")
+
+
+def _deferred(grid: GridSpec, shells: Shells, kept: Tuple[BoxPiece, ...], sampler) -> SampledField:
+    """A field certified by ``shells`` with (finite) spectrum ``kept``, whose samples ``sampler(field)`` computes when first read."""
+    for _, values in kept:
+        _require_finite(values, "field coefficients")
+    f = object.__new__(SampledField)
+    for name, value in (("grid", grid), ("band", shells.hull), ("shells", shells), ("kept", kept), ("_sampler", sampler)):
+        object.__setattr__(f, name, value)
+    return f
+
+
 @lru_cache(maxsize=32)
 def _certified_bins(grid: GridSpec, shells: Shells) -> Tuple[Tuple[Block, np.ndarray], ...]:
     """Disjoint blocks holding every bin of ``shells``, each with its (read-only) mask of certified bins.
@@ -482,6 +523,13 @@ def _certified_bins(grid: GridSpec, shells: Shells) -> Tuple[Tuple[Block, np.nda
         inside.flags.writeable = False
         out.append((block, inside))
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _bin_radii(grid: GridSpec, shells: Shells) -> Tuple[float, float]:
+    """Least and greatest :meth:`GridSpec.frequency_radii` over the bins of ``shells``; ``(inf, -inf)`` for none."""
+    radii = np.concatenate([grid.frequency_radii()[b][inside] for b, inside in _certified_bins(grid, shells)] + [[]])
+    return float(np.min(radii, initial=math.inf)), float(np.max(radii, initial=-math.inf))
 
 
 def _max_modulus(values: np.ndarray) -> float:
@@ -579,34 +627,54 @@ def transform(f: SampledField) -> Spectrum:
         coeffs = np.fft.fftn(f.values)
         coeffs *= f.grid.cell_volume
         return certify(f.grid, coeffs, f.shells)
+    return Spectrum(f.grid, frozen(_scattered(f)), shells=f.shells)
+
+
+def _scattered(f: SampledField) -> np.ndarray:
+    """A fresh full-size array of ``f``'s kept coefficients, zero elsewhere."""
     coeffs = np.zeros(f.grid.shape, dtype=np.complex128)
-    for (block, _), values in zip(_certified_bins(f.grid, f.shells), f.kept):
-        coeffs[block] = values
-    return Spectrum(f.grid, frozen(coeffs), shells=f.shells)
+    for first, values in f.kept:
+        coeffs[_box_index(f.grid, first, values.shape)] = values
+    return coeffs
 
 
-def _keep(f: SampledField, blocks: Optional[List[np.ndarray]]) -> SampledField:
-    """``f`` adopting fresh ``blocks`` (made read-only), its spectrum on its certificate's bin blocks."""
-    if blocks is not None:
-        object.__setattr__(f, "kept", tuple(frozen(b) for b in blocks))
-    return f
+def _kept_samples(f: SampledField) -> np.ndarray:
+    """Samples of ``f`` from its kept spectrum: the inverse FFT :func:`apply_multiplier` takes, run in place."""
+    coeffs = _scattered(f)
+    np.fft.ifftn(coeffs, out=coeffs)
+    coeffs /= f.grid.cell_volume
+    return coeffs
 
 
 def inverse(s: Spectrum) -> SampledField:
-    """Inverse transform; round-trips with :func:`transform` (exactly, for a certified ``s``)."""
-    blocks = None if s.shells is None else [s.coefficients[b].copy() for b, _ in _certified_bins(s.grid, s.shells)]
-    return _keep(SampledField(s.grid, frozen(apply_multiplier(s)), shells=s.shells), blocks)
+    """Inverse transform; round-trips with :func:`transform` (exactly, for a certified ``s``).
+
+    A certified ``s`` gives a deferred field keeping its (finite) coefficients
+    on the certificate's bin blocks; an uncertified one is inverted at once.
+    """
+    if s.shells is None:
+        return SampledField(s.grid, frozen(apply_multiplier(s)))
+    m = s.grid.samples_per_axis
+    kept = tuple(
+        (tuple(b.start - m if b.start >= m // 2 else b.start for b in block), frozen(s.coefficients[block].copy()))
+        for block, _ in _certified_bins(s.grid, s.shells)
+    )
+    return _deferred(s.grid, s.shells, kept, _kept_samples)
+
+
+def _reflected(piece: BoxPiece) -> BoxPiece:
+    """The box of ``conj(f_hat(-xi))`` from a box of ``f_hat``: bins negated, values flipped and conjugated."""
+    first, values = piece
+    return tuple(-(k + w - 1) for k, w in zip(first, values.shape)), np.conj(np.flip(values))
 
 
 def conjugate(f: SampledField) -> SampledField:
-    """``conj(f(x))``, with spectrum ``conj(f_hat(-xi))``: shells and kept coefficients reflect, no FFT runs."""
+    """``conj(f(x))``, with spectrum ``conj(f_hat(-xi))``: shells and kept boxes reflect, no FFT runs."""
     shells = None if f.shells is None else f.shells.scaled(-1.0)
-    out = SampledField(f.grid, frozen(np.conj(f.values)), shells=shells)
     if f.kept is None:
-        return out
-    m = f.grid.samples_per_axis
-    reflected = transform(f).coefficients[np.ix_(*[-np.arange(m) % m] * f.grid.dimension)]
-    return _keep(out, [np.conj(reflected[b]) for b, _ in _certified_bins(f.grid, shells)])
+        return SampledField(f.grid, frozen(np.conj(f.values)), shells=shells)
+    kept = tuple((first, frozen(values)) for first, values in map(_reflected, f.kept))
+    return _deferred(f.grid, shells, kept, lambda _: np.conj(f.values))
 
 
 def convolve(f: SampledField, g: SampledField) -> SampledField:
@@ -681,6 +749,12 @@ def bin_blocks(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]])
                 merged.append([lo, hi])
         per_axis.append([s for lo, hi in merged for s in _axis_slices(grid.samples_per_axis, lo, hi)])
     return list(itertools.product(*per_axis))
+
+
+def _box_index(grid: GridSpec, first: Sequence[int], shape: Sequence[int]) -> Tuple[np.ndarray, ...]:
+    """Open-mesh index of the signed bins ``first + [0, w)`` per axis, wrapped onto the grid."""
+    m = grid.samples_per_axis
+    return np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, shape)))
 
 
 def _band_blocks(grid: GridSpec, shells: Optional[Shells]) -> List[Block]:
@@ -827,9 +901,6 @@ def apply_multiplier(
 # band-local products of multiplier pieces
 # ---------------------------------------------------------------------------
 
-BoxPiece = Tuple[Tuple[int, ...], np.ndarray]
-
-
 def _box(grid: GridSpec, shells: Shells) -> Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]:
     """First signed bin, per axis, and the open-mesh index of a box holding every bin of ``shells``.
 
@@ -844,7 +915,7 @@ def _box(grid: GridSpec, shells: Shells) -> Tuple[Tuple[int, ...], Tuple[np.ndar
         width = hi - lo + 1
         first.append(lo if width < m else -(m // 2))
         widths.append(min(width, m))
-    return tuple(first), np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, widths)))
+    return tuple(first), _box_index(grid, first, widths)
 
 
 def box_piece(
@@ -902,7 +973,7 @@ def add_box_product(
     m = grid.samples_per_axis
     axes = range(grid.dimension)
     widths = [[values.shape[i] for _, values in pieces] for i in axes]
-    sizes = tuple(min(m, 1 << (sum(w) - 1).bit_length()) for w in widths)
+    sizes = _product_sizes(grid, pieces)
     prod = np.full(sizes, coefficient, dtype=np.complex128)
     for _, values in pieces:
         padded = np.zeros(sizes, dtype=np.complex128)
@@ -914,8 +985,15 @@ def add_box_product(
     spectrum *= grid.cell_volume * math.prod(p / m for p in sizes) ** (len(pieces) - 1)
     counts = [min(p, sum(w) - len(w) + 1) for p, w in zip(sizes, widths)]
     starts = [sum(first[i] for first, _ in pieces) for i in axes]
-    dest = np.ix_(*((k + np.arange(c)) % m for k, c in zip(starts, counts)))
-    out[dest] += spectrum[tuple(slice(0, c) for c in counts)]
+    out[_box_index(grid, starts, counts)] += spectrum[tuple(slice(0, c) for c in counts)]
+
+
+def _product_sizes(grid: GridSpec, pieces: Sequence[BoxPiece]) -> Tuple[int, ...]:
+    """The grid :func:`add_box_product` multiplies ``pieces`` on: ``min(M, next power of two >= summed widths)`` per axis."""
+    m = grid.samples_per_axis
+    return tuple(
+        min(m, 1 << (sum(values.shape[i] for _, values in pieces) - 1).bit_length()) for i in range(grid.dimension)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +1036,9 @@ def piece_plan(f: SampledField, profile, scale: int) -> Tuple[str, Optional[Shel
     """``(class, certificate, profile to evaluate)`` of the scale-``scale`` piece of ``f``.
 
     * ``ZERO``: :func:`piece_shells` certifies the piece identically zero.
-    * ``PLATEAU``: the piece's certificate lies inside the profile's dilated
-      closed plateau ``2**scale * profile.plateau``.  The profile is then
+    * ``PLATEAU``: every bin of the piece's certificate lies inside the
+      profile's dilated closed plateau ``2**scale * profile.plateau``
+      (:meth:`Shells.within`).  The profile is then
       exactly 1.0 on every bin of it that :func:`transform` leaves nonzero
       (dividing a radius by ``2**scale`` is exact, and the profiles' ramps
       reach 1 exactly at the plateau edge) and exactly 0 on the shells of
@@ -978,7 +1057,7 @@ def piece_plan(f: SampledField, profile, scale: int) -> Tuple[str, Optional[Shel
     plateau = getattr(profile, "plateau", None)
     if plateau is not None and f.shells is not None:
         dilation = 2.0**scale
-        if shells.within(plateau[0] * dilation, plateau[1] * dilation):
+        if shells.within(f.grid, plateau[0] * dilation, plateau[1] * dilation):
             return PLATEAU, shells, None if shells == f.shells else profile
     return PARTIAL, shells, profile
 
@@ -1006,25 +1085,69 @@ def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
 
 
 def _as_float_exponent(p: Exponent) -> float:
-    if p == np.inf:
-        return np.inf
-    return float(p)
+    q = np.inf if p == np.inf else float(p)
+    if not (q == np.inf or q >= 1):  # NaN fails both
+        raise ValueError(f"p must be >= 1 or infinity, got {p}")
+    return q
 
 
-def _peak_exponent(mags: np.ndarray) -> Optional[int]:
+def _peak_exponent(*mags: np.ndarray) -> Optional[int]:
     """Binary exponent e with max(mags) < 2**e, or None when every entry is zero.
 
     Dividing by 2**e is exact and keeps every power of the quotient finite.
     """
-    peak = float(np.max(mags))
+    peak = max((float(np.max(m, initial=0.0)) for m in mags), default=0.0)
     return int(np.frexp(peak)[1]) if peak > 0.0 else None
 
 
+def _ldexp(values: np.ndarray, e: int) -> np.ndarray:
+    """``values * 2**e`` for complex ``values``, each part scaled by :func:`np.ldexp`."""
+    return np.ldexp(np.ascontiguousarray(values).view(np.float64), e).view(np.complex128)
+
+
+def _kept_norm(f: SampledField, q: float) -> Optional[float]:
+    """The L_2 or L_4 quadrature norm of ``f`` from its kept spectrum; None where L_4 would cost more than an FFT.
+
+    Discrete Parseval: ``sum_x |f|**2 h**d = sum_k |f_hat(k)|**2 / L**d``.  The
+    L_4 norm is the L_2 norm of ``|f|**2``, whose spectrum is the sum over box
+    pairs of the band-local products ``f_a * conj(f_b)``: the mod-M scatter of
+    :func:`add_box_product` makes it the cyclic spectrum of the sampled
+    ``|f|**2``, so this is the sampled quadrature to roundoff.  It is taken
+    while the pairs' small grids hold no more points than the full grid.
+    """
+    grid = f.grid
+    if q == 4.0 and sum(math.prod(_product_sizes(grid, (a, b))) for a in f.kept for b in f.kept) > grid.size:
+        return None
+    e = _peak_exponent(*(np.abs(values) for _, values in f.kept))
+    if e is None:
+        return 0.0
+    pieces = [(first, _ldexp(values, -e)) for first, values in f.kept]
+    if q == 2.0:
+        total = sum(np.vdot(values, values).real for _, values in pieces)
+    else:
+        mirrored = [_reflected(piece) for piece in pieces]
+        square = np.zeros(grid.shape, dtype=np.complex128)
+        for a in pieces:
+            for b in mirrored:
+                add_box_product(square, grid, 1.0, (a, b))
+        total = np.vdot(square, square).real
+    return float(np.ldexp((total / grid.period**grid.dimension) ** (1.0 / q), e))
+
+
 def lp_norm(f: SampledField, p: Exponent) -> float:
-    """Riemann-sum L_p quadrature norm; max modulus when p is infinity."""
+    """Riemann-sum L_p quadrature norm; max modulus when p is infinity.
+
+    A field with kept coefficients has its p = 2 norm, and its p = 4 norm
+    while that is cheaper than an inverse FFT, read from the spectrum
+    (:func:`_kept_norm`), so a deferred field's samples are not computed;
+    every other case reads the samples.  Both routes divide by the power of
+    two of :func:`_peak_exponent` first, so no amplitude overflows or underflows.
+    """
     q = _as_float_exponent(p)
-    if q != np.inf and q < 1:
-        raise ValueError(f"p must be >= 1 or infinity, got {p}")
+    if f.kept is not None and q in (2.0, 4.0):
+        norm = _kept_norm(f, q)
+        if norm is not None:
+            return norm
     mags = np.abs(f.values)
     if q == np.inf:
         return float(np.max(mags))

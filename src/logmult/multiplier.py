@@ -377,8 +377,8 @@ def d_lambda(
     The bracket is certified (quadrature value lies between the bounds); a
     bracket wider than 10% of the value is refused with advice.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     if method == "auto":
         exact_ok = grid.dimension == 1 and kernel.n <= 3 and grid.size**kernel.n <= budget
         method = "exact" if exact_ok else "bracket"

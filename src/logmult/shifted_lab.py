@@ -27,7 +27,6 @@ from .field import (
     Shell,
     Shells,
     Spectrum,
-    apply_multiplier,
     bin_blocks,
     block_frequencies,
     frozen,
@@ -118,7 +117,7 @@ def modulated_bump(
     envelope_radius: float = 0.25,
     position: Optional[Sequence[float]] = None,
 ) -> SampledField:
-    """Smooth packet at a single base frequency; band certificate is exact.
+    """Smooth packet at a single base frequency, certified by the one ball it occupies.
 
     Its low-pass dyadic pieces at every scale l >= 0 are the packet itself, so
     under a shift y the maximal field develops copies at the geometrically
@@ -131,8 +130,8 @@ def modulated_bump(
         if shift is not None:
             packet = packet * translation_phase(grid, shift, block)
         coeffs[block] = packet
-    band = (max(0.0, center_frequency - envelope_radius), center_frequency + envelope_radius)
-    return inverse(Spectrum(grid, frozen(coeffs), support_certificate=band))
+    ball = Shell((center_frequency,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius)
+    return inverse(Spectrum(grid, frozen(coeffs), shells=Shells((ball,))))
 
 
 def bump_train(
@@ -196,6 +195,8 @@ class GrowthExperiment:
     def __post_init__(self):
         if self.kind not in (SQUARE, MAXIMAL):
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        if not (self.p == math.inf or self.p >= 1):  # NaN fails both
+            raise ValueError(f"p must be >= 1 or infinity, got {self.p}")
         if any(b <= a for a, b in zip(self.shifts, self.shifts[1:])):
             raise ValueError("shift ladder must be strictly increasing")
         if self.allow_wrapped_positions:
@@ -361,6 +362,7 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
     Spectral index map: the coefficient at integer frequency k moves to
     2**l k (scaled by 2**(l d)); compressions (l < 0) do not stay periodic on
     the fixed torus and are rejected.  Each shell dilates; the union must stay below Nyquist.
+    A certified dilate keeps its spectrum (see :func:`field.inverse`).
     """
     if scale < 0:
         raise ValueError("dilation scales must be nonnegative on a fixed period")
@@ -378,8 +380,7 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
     idx = (k[keep] * step) % m
     out[np.ix_(*[idx] * grid.dimension)] = coeffs[np.ix_(*[keep] * grid.dimension)]
     out *= float(step) ** grid.dimension
-    # built for its samples, like a phase_shift output: no kept coefficients
-    return SampledField(grid, frozen(apply_multiplier(Spectrum(grid, frozen(out), shells=shells))), shells=shells)
+    return inverse(Spectrum(grid, frozen(out), shells=shells))
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,9 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         ["peetre", "--peetre.seed", "-1"],
         ["changevars", "--changevars.shift_scale", "nan"],
         ["growth", "--grid.period", "1e400"],
+        # NaN exponents
+        ["growth", "--growth.p", "nan"],
+        ["counterexample", "--counterexample.lam", "nan"],
     ],
 )
 def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):

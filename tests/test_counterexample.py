@@ -73,10 +73,10 @@ def test_build_inputs_conjugate_mirror():
     assert np.max(np.abs(f_t.values - np.conj(f_s.values))) < 1e-12 * np.max(np.abs(f_s.values))
 
 
-def test_separation_run_takes_three_full_size_ffts(monkeypatch):
-    # the s-train synthesis, the apply_t inverse and the bracket's sampled factor;
-    # the t-train is its conjugate, and every transform of a synthesised field,
-    # the closed form and the identity error stay in the spectrum
+def test_separation_run_takes_one_full_size_fft(monkeypatch):
+    # the bracket's sampled factor: the packet trains and the apply_t output are
+    # deferred fields whose samples nothing reads, since their transforms, the
+    # closed form, the identity error and the L^4/L^2 norms all stay in the spectrum
     cfg = separation_config(n_packets=3, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8)
     sizes = []
     for name in ("fftn", "ifftn"):
@@ -89,7 +89,7 @@ def test_separation_run_takes_three_full_size_ffts(monkeypatch):
         monkeypatch.setattr(np.fft, name, counting)
     report = run_counterexample(cfg)
     monkeypatch.undo()
-    assert sizes.count(cfg.grid.size) == 3
+    assert sizes.count(cfg.grid.size) == 1
     # the ratio recorded when the run took 7 full-size FFTs
     assert abs(report.ratio - 0.1735847898266246) <= 1e-12 * 0.1735847898266246
     assert report.identity_error < 1e-12

@@ -13,6 +13,7 @@ from logmult.field import (
     Shell,
     Shells,
     Spectrum,
+    apply_multiplier,
     bin_blocks,
     conjugate,
     convolve,
@@ -179,6 +180,13 @@ def test_lp_norm_constant(grid):
 def test_lp_norm_rejects_small_p(grid):
     with pytest.raises(ValueError):
         lp_norm(random_field(grid), 0.5)
+
+
+def test_lp_norm_rejects_a_nan_exponent(grid):
+    # a sampled field and a synthesised one, whose L^2 and L^4 norms come from its spectrum
+    for f in (random_field(grid), bump_train(grid, 1.0, [1], 0.5)):
+        with pytest.raises(ValueError, match="p must be"):
+            lp_norm(f, float("nan"))
 
 
 def test_plancherel(grid):
@@ -373,7 +381,7 @@ def test_shell_unions_match_brute_force_bins(case):
         assert np.array_equal(brute_bins(grid, met), bins_u & bins_v)
     # plateau rule: a union inside an annulus puts every bin in it
     for inner, outer in ((0.0, hi), (lo, hi), (0.25 * hi, 0.75 * hi)):
-        if u.within(inner, outer):
+        if u.within(grid, inner, outer):
             assert np.all((inner <= radii[bins_u]) & (radii[bins_u] <= outer))
     # Minkowski sum: every sum of a bin of u and a bin of v lies in u + v
     total = u + v
@@ -477,9 +485,15 @@ def test_kept_spectrum_round_trips_exactly(s):
     # no other constructor keeps coefficients
     pedestal = SampledField(grid, np.ones(grid.shape), band=(0.0, 0.0))
     shift = np.full(grid.dimension, 0.3 * grid.spacing)
-    others = [f + f, f - f, f.pointwise(pedestal), phase_shift(f, shift), dilate_field(f, 1)]
+    others = [f + f, f - f, f.pointwise(pedestal), phase_shift(f, shift)]
     others += [SampledField(grid, f.values, shells=f.shells), dataclasses.replace(f, values=2.0 * f.values)]
     assert all(g.kept is None for g in others)
+    # a dilate is built through inverse and keeps its spectrum, which its samples' FFT reproduces
+    d = dilate_field(f, 1)
+    assert d.kept is not None
+    kept = transform(d).coefficients
+    fft_path = transform(SampledField(grid, d.values, shells=d.shells)).coefficients
+    assert np.max(np.abs(fft_path - kept), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(kept)))
     # conjugation conjugates the samples exactly and keeps the reflected spectrum
     c = conjugate(f)
     assert np.array_equal(c.values, np.conj(f.values))
@@ -512,3 +526,61 @@ def test_conjugate_of_a_values_field_reflects_its_certificate(grid):
     assert g.shells == Shells((Shell((-2.0,), 0.0, 0.5),))
     assert np.array_equal(g.values, np.conj(f.values))
     transform(g)  # the reflected certificate verifies
+
+
+# ---------------------------------------------------------------------------
+# deferred samples and norms read from the kept spectrum
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(certified_spectra())
+def test_deferred_samples_equal_the_eager_ones(s):
+    eager = apply_multiplier(s)  # what inverse stored when it sampled at once
+    f = inverse(s)
+    c, g = conjugate(f), (0.5 - 1.5j) * f
+    assert all("values" not in vars(h) for h in (f, c, g))
+    # a derived field read first reads its parent through
+    assert np.array_equal(c.values, np.conj(eager))
+    assert np.array_equal(f.values, eager)
+    assert np.array_equal(g.values, eager * (0.5 - 1.5j))
+    assert f.values is f.values
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_spectra(), st.sampled_from([-900, 0, 900]), st.sampled_from([2, 4]))
+def test_kept_norms_match_sampled_norms(s, exponent, p):
+    # L^2 by Parseval and L^4 from the spectrum of |f|^2, against the samples of a values-only copy
+    f = inverse(Spectrum(s.grid, s.coefficients * 2.0**exponent, shells=s.shells))
+    kept = lp_norm(f, p)
+    if p == 2:
+        assert "values" not in vars(f)
+    sampled = lp_norm(SampledField(s.grid, f.values, shells=f.shells), p)
+    assert abs(kept - sampled) <= 1e-12 * sampled
+
+
+def test_l4_norm_of_a_packet_train_reads_no_samples():
+    grid = GridSpec(1, 2**14, 64.0)
+    f = bump_train(grid, 3.7, [2, 4, 6], 0.4)
+    fields = (f, conjugate(f), 2.0 * f)
+    norms = [lp_norm(h, 4) for h in fields]
+    assert all("values" not in vars(h) for h in fields)
+    assert norms[0] == norms[1] and norms[2] == 2.0 * norms[0]
+    assert abs(norms[0] - lp_norm(SampledField(grid, f.values), 4)) <= 1e-12 * norms[0]
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+def test_deferred_fields_check_coefficients_and_samples():
+    grid = GridSpec(1, 256, 0.25)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    coeffs[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        inverse(Spectrum(grid, coeffs, support_certificate=(0.0, 20.0)))
+    coeffs[3] = 1.0
+    with pytest.raises(ValueError, match="finite"):
+        inverse(Spectrum(grid, coeffs, support_certificate=(0.0, 20.0))) * np.inf
+    # finite coefficients whose samples overflow: caught when the samples are first read
+    coeffs[:5] = 1e308
+    f = inverse(Spectrum(grid, coeffs, support_certificate=(0.0, 20.0)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finite"):
+            f.values

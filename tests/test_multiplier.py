@@ -121,6 +121,12 @@ def test_d_lambda_rejects_negative(grid, kernel2):
         d_lambda(kernel2, -0.5, grid)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), math.inf])
+def test_d_lambda_rejects_non_finite_lambda(grid, kernel2, lam):
+    with pytest.raises(ValueError, match="finite"):
+        d_lambda(kernel2, lam, grid)
+
+
 def test_d_lambda_rejects_unknown_method(grid, kernel2):
     for kernel in (kernel2, transpose_kernel(kernel2, 1)):
         with pytest.raises(ValueError, match="unknown method"):

@@ -1,11 +1,26 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from logmult import shifted_lab
 from logmult.calibration import make_lp_pair
-from logmult.field import GridSpec, NyquistError, SampledField, Shell, Shells, transform
+from logmult.field import (
+    PARTIAL,
+    PLATEAU,
+    ZERO,
+    GridSpec,
+    NyquistError,
+    SampledField,
+    Shell,
+    Shells,
+    Spectrum,
+    inverse,
+    phase_shift,
+    piece_class,
+    transform,
+)
 from logmult.shifted_lab import (
     GrowthBankSpec,
     GrowthExperiment,
@@ -112,6 +127,27 @@ def test_proxy_rejects_degenerate_bank(grid):
             operator_norm_proxy("shifted-square", 2.0, [1.0], [zero], pair)
 
 
+def test_operator_norm_proxy_never_samples_the_bank():
+    # the estimators read the bank's kept spectra, so no synthesis runs its inverse FFT
+    grid = GridSpec(1, 2**14, 2.0**10)
+    for kind in ("shifted-square", "shifted-maximal"):
+        exp = GrowthExperiment(
+            kind=kind, p=2.0, shifts=(4.0, 8.0, 16.0, 32.0), grid=grid, scale_range=(0, 6),
+            bank=GrowthBankSpec(seed=3, n_random=2, random_band=(0.5, 1.0)),
+        )
+        bank = exp.make_bank()
+        operator_norm_proxy(kind, exp.p, [16.0], bank, exp.make_pair())
+        assert [f.kept is not None and "values" not in vars(f) for f in bank] == [True] * 3
+
+
+def test_growth_experiment_rejects_a_nan_exponent():
+    with pytest.raises(ValueError, match="p must be"):
+        GrowthExperiment(
+            kind="shifted-maximal", p=float("nan"), shifts=(16.0, 64.0), grid=GridSpec(1, 1024, 64.0),
+            scale_range=(0, 1),
+        )
+
+
 def test_predicted_exponents():
     assert predicted_growth_exponent("shifted-square", 2.0) == 0.0
     assert predicted_growth_exponent("shifted-maximal", 2.0) == 0.5
@@ -201,12 +237,44 @@ def test_dilate_field_scales_each_shell(grid):
     f = bump_train(grid, 1.0, [1, 3], 0.25)
     g = dilate_field(f, 1)
     assert g.shells == Shells((Shell((4.0,), 0.0, 0.5), Shell((16.0,), 0.0, 0.5)))
-    assert g.kept is None
+    assert g.kept is not None
     transform(g)  # the dilated certificate verifies
     # the union's hull must stay below Nyquist (128 here): 8 * 2**4 + 0.25 * 2**4 reaches it
     dilate_field(f, 3)
     with pytest.raises(NyquistError):
         dilate_field(f, 4)
+
+
+def test_phase_shift_of_a_dilate_runs_no_forward_fft(grid, monkeypatch):
+    d = dilate_field(random_band_limited(grid, (0.5, 3.0), 5), 1)
+    sizes = []
+    fftn = np.fft.fftn
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return fftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting)
+    shifted = phase_shift(d, [0.3 * grid.spacing])
+    monkeypatch.undo()
+    assert sizes == []
+    # the kept spectrum shifts as the FFT of the samples does, to roundoff
+    want = phase_shift(SampledField(grid, d.values, shells=d.shells), [0.3 * grid.spacing]).values
+    assert np.max(np.abs(shifted.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_modulated_bump_certifies_one_ball():
+    grid = GridSpec(1, 2**20, 2.0**16)
+    f = modulated_bump(grid, 0.75, 0.25)
+    assert f.shells == Shells((Shell((0.75,), 0.0, 0.25),))
+    assert modulated_bump(GridSpec(2, 64, 16.0)).shells == Shells((Shell((0.75, 0.0), 0.0, 0.25),))
+    # the two-sided annulus it replaces keeps twice the bins, half of them zero
+    annulus = inverse(Spectrum(grid, transform(f).coefficients, support_certificate=(0.5, 1.0)))
+    assert 2 * sum(v.size for _, v in f.kept) == sum(v.size for _, v in annulus.kept)
+    # on the growth grid and pair the ball keeps the annulus's dispatch
+    pair = make_lp_pair((-1, 14))
+    assert Counter(piece_class(f, pair.phi_hat, s) for s in pair.scales) == {PLATEAU: 15, PARTIAL: 1}
+    assert Counter(piece_class(f, pair.psi_hat, s) for s in pair.scales) == {ZERO: 13, PARTIAL: 3}
 
 
 def test_change_of_variables_zero_shifts(grid):

@@ -497,6 +497,9 @@ def test_separation_apply_t_takes_one_full_size_inverse(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifftn", counting)
     out = apply_t(kernel, fs, cfg.scale_range)
+    # the output is deferred: its one full-size inverse runs when its samples are first read
+    assert sizes.count(cfg.grid.size) == 0
+    out.values
     monkeypatch.undo()
     assert sizes.count(cfg.grid.size) == 1
     # the packet pairs multiply to balls about the origin, far below Nyquist
