@@ -366,8 +366,8 @@ def orthogonality_check(cfg: CxConfig) -> float:
     The product of the dilated annular profile with a shifted ball profile must
     be exactly the ball profile at the matching scale and exactly zero at every
     other scale; hard-zero profiles make this a roundoff-free statement.  Off
-    a ball's bin blocks the ball profile is exactly 0, and so is the mismatch,
-    so each packet is swept on its own blocks only.
+    a ball's boxes the ball profile is exactly 0, and so is the mismatch, so
+    each packet is swept on its own boxes only.
     """
     if cfg.grid is None:
         raise ValueError("the frequency sweep requires a grid")
@@ -377,10 +377,10 @@ def orthogonality_check(cfg: CxConfig) -> float:
     radii = grid.frequency_radii()
     worst = 0.0
     for z in cfg.zetas:
-        for block, _, ball in packet_bins(grid, eta_hat, 2.0**z):
+        for index, _, ball in packet_bins(grid, eta_hat, 2.0**z):
             ball = ball.real
             for ell in cfg.scale_range:
-                dilated = beta_hat(radii[block] * 2.0**-ell)
+                dilated = beta_hat(radii[index] * 2.0**-ell)
                 expected = ball if ell == z else 0.0
                 worst = max(worst, float(np.max(np.abs(dilated * ball - expected))))
     return worst

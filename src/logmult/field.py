@@ -25,22 +25,23 @@ Support certificates are :class:`Shells`: unions of closed shells
 is the single shell centred at the origin, and a packet is a ball around its
 carrier frequency, so a train of separated packets is certified packet by
 packet.  ``SampledField.band`` and ``Spectrum.support_certificate`` read as
-the union's radial hull.  Certificates are checked and enforced on the bin
-blocks that can hold certified bins, never on a whole-grid mask.
+the union's radial hull.
 
-A field made by :func:`inverse` from a certified spectrum keeps its coefficients on
-the certificate's bin blocks (``kept``) and is *deferred*: its samples are computed
-when ``values`` is first read.  :func:`transform` scatters the kept
-coefficients back and :func:`lp_norm` reads L_2 and L_4 from them, without an FFT.
+A set of certified bins has one layout, the boxes of :func:`bin_boxes`: one
+merged interval of signed bins per axis.  Certificates are checked and
+enforced on them, never on a whole-grid mask.  A field made by
+:func:`inverse` from a certified spectrum keeps its coefficients on them
+(``kept``) and is *deferred*: its samples are computed when ``values`` is
+first read; :func:`transform` and :func:`lp_norm` (L_2, L_4) read them without an FFT.
 
 The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
-is evaluated only on the bins its certificates allow: the spectrum's support
-certificate met with the profile's dilated closed support, widened by one
-bin.  This is exact, not an approximation: profiles are hard 0 off their
-closed support and certified spectra are exactly 0 off their shells, so every
+has one core, which evaluates it only on the boxes its certificates allow:
+the spectrum's certificate met with the profile's dilated closed support.
+This is exact, not an approximation: profiles are hard 0 off their closed
+support and certified spectra are exactly 0 off their shells, so every
 skipped product was a signed zero.  Products of such pieces are formed
-band-locally (:func:`add_box_product`): each piece's certified bin box is
-multiplied on the smallest power-of-two grid its product cannot wrap on.
+band-locally (:func:`add_box_product`), one choice of box per piece at a
+time, on the smallest power-of-two grid the product cannot wrap on.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ __all__ = [
     "conjugate",
     "convolve",
     "frozen",
-    "bin_blocks",
-    "block_frequencies",
+    "bin_boxes",
+    "box_frequencies",
     "translation_phase",
     "multiplier_symbol",
     "apply_multiplier",
@@ -78,7 +79,6 @@ __all__ = [
     "symbol_box",
     "add_box_product",
     "piece_shells",
-    "piece_band",
     "piece_class",
     "piece_plan",
     "ZERO",
@@ -92,7 +92,8 @@ __all__ = [
 ]
 
 Exponent = Union[int, float, Fraction]
-Block = Tuple[slice, ...]
+# ``(first, index)``: the signed bins ``first + [0, w)`` per axis and their open-mesh grid index
+Box = Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]
 # ``(first, values)``: coefficients at the signed bins ``first + [0, w)`` per axis
 BoxPiece = Tuple[Tuple[int, ...], np.ndarray]
 
@@ -364,7 +365,7 @@ class Shells:
         return True
 
     def windows(self, dimension: int) -> List[List[Tuple[float, float]]]:
-        """Per-axis frequency intervals whose product blocks cover the union (see :func:`bin_blocks`).
+        """Per-axis frequency intervals whose product boxes cover the union (see :func:`bin_boxes`).
 
         1-D: the two intervals of each shell.  2-D: each shell's bounding box.
         """
@@ -374,14 +375,14 @@ class Shells:
             [(s.center[i] - s.outer, s.center[i] + s.outer) for s in self.parts] for i in range(dimension)
         ]
 
-    def contains(self, grid: GridSpec, block: "Block") -> np.ndarray:
-        """Boolean mask of the bins of ``block`` that lie in the union.
+    def contains(self, grid: GridSpec, index) -> np.ndarray:
+        """Boolean mask of the bins of ``index`` (see :func:`box_frequencies`) that lie in the union.
 
         About the origin the distance is bit for bit the radius
         :meth:`GridSpec.frequency_radii` computes, so a radial certificate
         admits exactly the bins it always has.
         """
-        freqs = block_frequencies(grid, block)
+        freqs = box_frequencies(grid, index)
         inside = np.zeros(np.broadcast_shapes(*(f.shape for f in freqs)), dtype=bool)
         for center, inner, outer in self.parts:
             dist = np.sqrt(sum((f - c) ** 2 for f, c in zip(freqs, center)))
@@ -511,24 +512,24 @@ def _deferred(grid: GridSpec, shells: Shells, kept: Tuple[BoxPiece, ...], sample
 
 
 @lru_cache(maxsize=32)
-def _certified_bins(grid: GridSpec, shells: Shells) -> Tuple[Tuple[Block, np.ndarray], ...]:
-    """Disjoint blocks holding every bin of ``shells``, each with its (read-only) mask of certified bins.
+def _certified_bins(grid: GridSpec, shells: Shells) -> Tuple[Tuple[Tuple[int, ...], Tuple[np.ndarray, ...], np.ndarray], ...]:
+    """``(first, index, mask)`` per box of ``shells``: each box with its (read-only) mask of certified bins.
 
     Cached like the grid's frequency arrays: the same certificate is checked
     by every transform and spectrum that carries it.
     """
     out = []
-    for block in _band_blocks(grid, shells):
-        inside = shells.contains(grid, block)
+    for first, index in _boxes(grid, shells):
+        inside = shells.contains(grid, index)
         inside.flags.writeable = False
-        out.append((block, inside))
+        out.append((first, index, inside))
     return tuple(out)
 
 
 @lru_cache(maxsize=64)
 def _bin_radii(grid: GridSpec, shells: Shells) -> Tuple[float, float]:
     """Least and greatest :meth:`GridSpec.frequency_radii` over the bins of ``shells``; ``(inf, -inf)`` for none."""
-    radii = np.concatenate([grid.frequency_radii()[b][inside] for b, inside in _certified_bins(grid, shells)] + [[]])
+    radii = np.concatenate([grid.frequency_radii()[index][inside] for _, index, inside in _certified_bins(grid, shells)] + [[]])
     return float(np.min(radii, initial=math.inf)), float(np.max(radii, initial=-math.inf))
 
 
@@ -567,11 +568,11 @@ class Spectrum:
         if shells is None:
             return
         bins = _certified_bins(self.grid, shells)
-        certified = sum(np.count_nonzero(coeffs[block][inside]) for block, inside in bins)
+        certified = sum(np.count_nonzero(coeffs[index][inside]) for _, index, inside in bins)
         if certified != np.count_nonzero(coeffs):
             off = coeffs.copy()
-            for block, inside in bins:
-                off[block][inside] = 0.0
+            for _, index, inside in bins:
+                off[index] = np.where(inside, 0.0, off[index])
             raise ValueError(
                 f"support certificate {hull} violated: "
                 f"max |coefficient| off the certificate is {_max_modulus(off)}"
@@ -602,21 +603,22 @@ def require_same_grid(*objs) -> GridSpec:
 def certify(grid: GridSpec, coefficients: np.ndarray, shells: Optional[Shells]) -> Spectrum:
     """Spectrum of fresh ``coefficients``, roundoff dust off ``shells`` zeroed in place (more is an error).
 
-    The certified bins are set aside block by block, the rest cleared, and the certified bins put back.
+    The certified boxes are set aside, the certified bins cleared, the rest
+    measured and cleared, and the certified bins put back.
     """
     if shells is not None:
         scale = _max_modulus(coefficients)
         bins = _certified_bins(grid, shells)
-        certified = [coefficients[block][inside] for block, inside in bins]
-        for block, inside in bins:
-            coefficients[block][inside] = 0.0
+        certified = [coefficients[index] for _, index, _ in bins]
+        for _, index, inside in bins:
+            coefficients[index] = np.where(inside, 0.0, coefficients[index])
         dust = _max_modulus(coefficients)
         if scale > 0 and dust > 1e-10 * scale:
             raise ValueError(f"band certificate {shells.hull} violated: "
                              f"out-of-band content {dust} vs in-band scale {scale}")
         coefficients[...] = 0.0
-        for (block, inside), values in zip(bins, certified):
-            coefficients[block][inside] = values
+        for (_, index, inside), values in zip(bins, certified):
+            coefficients[index] = np.where(inside, values, 0.0)
     return Spectrum(grid, frozen(coefficients), shells=shells)
 
 
@@ -627,22 +629,22 @@ def transform(f: SampledField) -> Spectrum:
         coeffs = np.fft.fftn(f.values)
         coeffs *= f.grid.cell_volume
         return certify(f.grid, coeffs, f.shells)
-    return Spectrum(f.grid, frozen(_scattered(f)), shells=f.shells)
+    return Spectrum(f.grid, frozen(_scattered(f.grid, f.kept)), shells=f.shells)
 
 
-def _scattered(f: SampledField) -> np.ndarray:
-    """A fresh full-size array of ``f``'s kept coefficients, zero elsewhere."""
-    coeffs = np.zeros(f.grid.shape, dtype=np.complex128)
-    for first, values in f.kept:
-        coeffs[_box_index(f.grid, first, values.shape)] = values
+def _scattered(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
+    """A fresh full-size array of the (disjoint) boxes ``pieces``, zero elsewhere."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for first, values in pieces:
+        coeffs[_box_index(grid, first, values.shape)] = values
     return coeffs
 
 
-def _kept_samples(f: SampledField) -> np.ndarray:
-    """Samples of ``f`` from its kept spectrum: the inverse FFT :func:`apply_multiplier` takes, run in place."""
-    coeffs = _scattered(f)
+def _inverted(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
+    """Samples of the spectrum ``pieces``: the one full-size inverse FFT, run in place on :func:`_scattered`."""
+    coeffs = _scattered(grid, pieces)
     np.fft.ifftn(coeffs, out=coeffs)
-    coeffs /= f.grid.cell_volume
+    coeffs /= grid.cell_volume
     return coeffs
 
 
@@ -650,16 +652,12 @@ def inverse(s: Spectrum) -> SampledField:
     """Inverse transform; round-trips with :func:`transform` (exactly, for a certified ``s``).
 
     A certified ``s`` gives a deferred field keeping its (finite) coefficients
-    on the certificate's bin blocks; an uncertified one is inverted at once.
+    on the certificate's boxes; an uncertified one is inverted at once.
     """
     if s.shells is None:
         return SampledField(s.grid, frozen(apply_multiplier(s)))
-    m = s.grid.samples_per_axis
-    kept = tuple(
-        (tuple(b.start - m if b.start >= m // 2 else b.start for b in block), frozen(s.coefficients[block].copy()))
-        for block, _ in _certified_bins(s.grid, s.shells)
-    )
-    return _deferred(s.grid, s.shells, kept, _kept_samples)
+    kept = tuple((first, frozen(s.coefficients[index])) for first, index, _ in _certified_bins(s.grid, s.shells))
+    return _deferred(s.grid, s.shells, kept, lambda f: _inverted(f.grid, f.kept))
 
 
 def _reflected(piece: BoxPiece) -> BoxPiece:
@@ -713,42 +711,9 @@ def grid_aligned_steps(shift: Sequence[float], grid: GridSpec) -> Optional[Tuple
 # the spectral multiplier: profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))
 # ---------------------------------------------------------------------------
 
-def _axis_slices(m: int, lo: int, hi: int) -> List[slice]:
-    """FFT-order index slices holding the integer frequencies ``lo..hi`` of an ``m``-point axis."""
-    lo, hi = max(lo, -(m // 2)), min(hi, m // 2 - 1)
-    out = []
-    if lo <= min(hi, -1):
-        out.append(slice(m + lo, m + min(hi, -1) + 1))
-    if max(lo, 0) <= hi:
-        out.append(slice(max(lo, 0), hi + 1))
-    return out
-
-
 def _widened_bins(a: float, b: float, period: float) -> Tuple[int, int]:
     """Signed bins holding every frequency in ``[a, b]``, widened by one bin each side."""
     return math.ceil(a * period) - 1, math.floor(b * period) + 1
-
-
-def bin_blocks(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]]) -> List[Block]:
-    """Blocks of grid bins, as index slices, covering every frequency in the per-axis windows.
-
-    ``windows[i]`` lists closed intervals of axis-``i`` frequencies; a block is
-    one interval (or its two wrapped halves) per axis.  Each edge is widened by
-    one bin, so roundoff in ``k / L`` never drops a bin.
-    """
-    per_axis = []
-    for intervals in windows:
-        ks = sorted(_widened_bins(a, b, grid.period) for a, b in intervals)
-        merged: List[List[int]] = []
-        for lo, hi in ks:
-            if lo > hi:
-                continue
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        per_axis.append([s for lo, hi in merged for s in _axis_slices(grid.samples_per_axis, lo, hi)])
-    return list(itertools.product(*per_axis))
 
 
 def _box_index(grid: GridSpec, first: Sequence[int], shape: Sequence[int]) -> Tuple[np.ndarray, ...]:
@@ -757,28 +722,52 @@ def _box_index(grid: GridSpec, first: Sequence[int], shape: Sequence[int]) -> Tu
     return np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, shape)))
 
 
-def _band_blocks(grid: GridSpec, shells: Optional[Shells]) -> List[Block]:
-    """Disjoint blocks holding every bin of ``shells``; the whole grid for None.
+def bin_boxes(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]]) -> List[Box]:
+    """Disjoint boxes of grid bins covering every frequency in the per-axis windows.
 
-    A radial shell gives, in 1-D, the positive and the mirrored negative
-    interval and, in 2-D, the box ``|xi_i| <= outer``: four corner blocks.
+    ``windows[i]`` lists closed intervals of axis-``i`` frequencies.  Each edge
+    is widened by one bin, so roundoff in ``k / L`` never drops a bin; per
+    axis the widened intervals are clipped to the signed bins ``-M/2 .. M/2-1``
+    and merged, so an interval straddling 0 is one box.  A box is one merged
+    interval per axis, as ``(first signed bin, open-mesh index)``.
     """
+    m = grid.samples_per_axis
+    per_axis = []
+    for intervals in windows:
+        merged: List[List[int]] = []
+        for lo, hi in sorted(_widened_bins(a, b, grid.period) for a, b in intervals):
+            lo, hi = max(lo, -(m // 2)), min(hi, m // 2 - 1)
+            if lo > hi:
+                continue
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        per_axis.append(merged)
+    return [
+        (tuple(lo for lo, _ in box), _box_index(grid, [lo for lo, _ in box], [hi - lo + 1 for lo, hi in box]))
+        for box in itertools.product(*per_axis)
+    ]
+
+
+def _boxes(grid: GridSpec, shells: Optional[Shells]) -> List[Box]:
+    """The :func:`bin_boxes` holding every bin of ``shells``; one whole-grid box for None."""
     if shells is None:
-        return [(slice(None),) * grid.dimension]
-    return bin_blocks(grid, shells.windows(grid.dimension))
+        return bin_boxes(grid, [[(-grid.nyquist, grid.nyquist)]] * grid.dimension)
+    return bin_boxes(grid, shells.windows(grid.dimension))
 
 
-def block_frequencies(grid: GridSpec, block: Optional[Block] = None) -> Tuple[np.ndarray, ...]:
-    """Axis frequencies on ``block`` (default: the whole grid), broadcastable over it."""
+def box_frequencies(grid: GridSpec, index=None) -> Tuple[np.ndarray, ...]:
+    """Axis frequencies on the bins of ``index`` (a box's, or slices; default the whole grid), broadcastable over them."""
     axis = grid.axis_frequencies()
     d = grid.dimension
-    block = block or (slice(None),) * d
-    return tuple(axis[s].reshape((1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, s in enumerate(block))
+    index = index or (slice(None),) * d
+    return tuple(axis[s].reshape((1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, s in enumerate(index))
 
 
-def translation_phase(grid: GridSpec, shift: Sequence[float], block: Optional[Block] = None) -> np.ndarray:
-    """``exp(-2 pi i (shift, xi))`` on the grid frequencies (or on ``block`` of them)."""
-    phase_arg = sum(a * axis for a, axis in zip(shift, block_frequencies(grid, block)))
+def translation_phase(grid: GridSpec, shift: Sequence[float], index=None) -> np.ndarray:
+    """``exp(-2 pi i (shift, xi))`` on the grid frequencies (or on the bins of ``index``)."""
+    phase_arg = sum(a * axis for a, axis in zip(shift, box_frequencies(grid, index)))
     return np.exp(-2j * np.pi * phase_arg)
 
 
@@ -790,6 +779,15 @@ def _dilated_shift(translation: Optional[Sequence[float]], scale: int) -> Option
     return shift if np.any(shift != 0.0) else None
 
 
+def _shift_or_steps(
+    grid: GridSpec, translation: Optional[Sequence[float]], scale: int
+) -> Tuple[Optional[np.ndarray], Optional[Tuple[int, ...]]]:
+    """``(shift, steps)``: the dilated translation off the grid, or in whole samples; at most one is set."""
+    shift = _dilated_shift(translation, scale)
+    steps = None if shift is None else grid_aligned_steps(shift, grid)
+    return (shift if steps is None else None), steps
+
+
 def dilated_steps(
     grid: GridSpec, translation: Optional[Sequence[float]], scale: int
 ) -> Optional[Tuple[int, ...]]:
@@ -797,10 +795,8 @@ def dilated_steps(
 
     No translation (or a zero one) is the all-zero step vector.
     """
-    shift = _dilated_shift(translation, scale)
-    if shift is None:
-        return (0,) * grid.dimension
-    return grid_aligned_steps(shift, grid)
+    shift, steps = _shift_or_steps(grid, translation, scale)
+    return (0,) * grid.dimension if shift is None and steps is None else steps
 
 
 def _dilated_support(support: Tuple[float, float], scale: int, dimension: int) -> Shells:
@@ -819,37 +815,42 @@ def _symbol_shells(shells: Optional[Shells], profile, scale: int, dimension: int
     return support if shells is None else shells.meet(support)
 
 
-def _symbol_times(grid: GridSpec, values, block: Block, profile, scale: int, shift: Optional[np.ndarray]):
-    """``values * profile(2**-scale |xi|) * phase`` on the bins of ``block``.
-
-    ``profile=None`` is 1 and ``shift=None`` is no phase.  The phase is the
-    left operand of the last product, as when numpy evaluates a large
-    whole-grid ``coefficients * phase`` in the phase's temporary buffer: with
-    fused multiply-adds, a complex product depends on the operand order.
-    """
-    if profile is not None:
-        values = values * profile(grid.frequency_radii()[block] * 2.0**-scale)
-    if shift is not None:
-        phase = translation_phase(grid, shift, block)
-        phase *= values
-        values = phase
-    return values
-
-
-def _on_band(
+def _symbol_times(
     grid: GridSpec,
     coefficients: Optional[np.ndarray],
     shells: Optional[Shells],
-    profile,
-    scale: int,
-    shift: Optional[np.ndarray],
-) -> np.ndarray:
-    """:func:`_symbol_times` on the bins of ``shells`` (``coefficients=None`` is 1), 0 elsewhere."""
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for block in _band_blocks(grid, shells):
-        values = 1.0 if coefficients is None else coefficients[block]
-        out[block] = _symbol_times(grid, values, block, profile, scale, shift)
-    return out
+    profile=None,
+    scale: int = 0,
+    shift: Optional[np.ndarray] = None,
+    steps: Optional[Tuple[int, ...]] = None,
+) -> Tuple[BoxPiece, ...]:
+    """``coefficients * profile(2**-scale |xi|) * phase`` on each box of ``shells``: the one multiplier core.
+
+    ``coefficients=None`` and ``profile=None`` are 1; ``shells=None`` is the
+    whole grid.  The phase is :func:`translation_phase` of ``shift``, or the
+    roll by ``steps`` samples with its argument reduced modulo M in integers
+    (as exact as the roll for any size of shift), or 1.  It is the left
+    operand of the last product, as when numpy evaluates a large whole-grid
+    ``coefficients * phase`` in the phase's temporary buffer: with fused
+    multiply-adds, a complex product depends on the operand order.
+    """
+    m = grid.samples_per_axis
+    pieces = []
+    for first, index in _boxes(grid, shells):
+        shape = np.broadcast_shapes(*(i.shape for i in index))
+        values = np.ones(shape) if coefficients is None else coefficients[index]
+        if profile is not None:
+            values = values * profile(grid.frequency_radii()[index] * 2.0**-scale)
+        phase = None
+        if shift is not None:
+            phase = translation_phase(grid, shift, index)
+        elif steps is not None:
+            phase = np.exp(-2j * np.pi * (sum(s * k for s, k in zip(steps, index)) % m) / m)
+        if phase is not None:
+            phase *= values
+            values = phase
+        pieces.append((first, values))
+    return tuple(pieces)
 
 
 def multiplier_symbol(
@@ -859,9 +860,8 @@ def multiplier_symbol(
 
     Evaluated only on the bins of the profile's dilated support; 0 elsewhere.
     """
-    shift = _dilated_shift(translation, scale)
     shells = _symbol_shells(None, profile, scale, grid.dimension)
-    return _on_band(grid, None, shells, profile, scale, shift)
+    return _scattered(grid, _symbol_times(grid, None, shells, profile, scale, _dilated_shift(translation, scale)))
 
 
 def apply_multiplier(
@@ -882,16 +882,9 @@ def apply_multiplier(
     shells, so the result equals the whole-grid evaluation.
     """
     grid = spectrum.grid
-    shift = _dilated_shift(translation, scale)
-    steps = None if shift is None else grid_aligned_steps(shift, grid)
-    phase = shift if steps is None else None
-    if profile is None and phase is None:
-        values = np.fft.ifftn(spectrum.coefficients)
-    else:
-        shells = _symbol_shells(spectrum.shells, profile, scale, grid.dimension)
-        coeffs = _on_band(grid, spectrum.coefficients, shells, profile, scale, phase)
-        values = np.fft.ifftn(coeffs, out=coeffs)  # the product is ours: no second full-size array
-    values /= grid.cell_volume
+    shift, steps = _shift_or_steps(grid, translation, scale)
+    shells = _symbol_shells(spectrum.shells, profile, scale, grid.dimension)
+    values = _inverted(grid, _symbol_times(grid, spectrum.coefficients, shells, profile, scale, shift))
     if steps is not None:
         values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
     return values
@@ -901,70 +894,41 @@ def apply_multiplier(
 # band-local products of multiplier pieces
 # ---------------------------------------------------------------------------
 
-def _box(grid: GridSpec, shells: Shells) -> Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]:
-    """First signed bin, per axis, and the open-mesh index of a box holding every bin of ``shells``.
-
-    Edges are widened as in :func:`bin_blocks`; a box as wide as the grid is
-    the whole axis.
-    """
-    m = grid.samples_per_axis
-    first, widths = [], []
-    for intervals in shells.windows(grid.dimension):
-        ks = [_widened_bins(a, b, grid.period) for a, b in intervals]
-        lo, hi = min(k for k, _ in ks), max(k for _, k in ks)
-        width = hi - lo + 1
-        first.append(lo if width < m else -(m // 2))
-        widths.append(min(width, m))
-    return tuple(first), _box_index(grid, first, widths)
-
-
 def box_piece(
     spectrum: Spectrum,
     shells: Shells,
     profile=None,
     scale: int = 0,
     translation: Optional[Sequence[float]] = None,
-) -> BoxPiece:
-    """``(first, values)``: one multiplier piece on the certified bin box of ``shells``.
+) -> Tuple[BoxPiece, ...]:
+    """One multiplier piece on the certified boxes of ``shells``, as :data:`BoxPiece` boxes.
 
-    ``values`` holds ``coefficients * profile(2**-scale |xi|) *
-    exp(-2 pi i (2**-scale t, xi))`` at the signed bins ``first + [0, w)`` per
-    axis: the coefficients :func:`apply_multiplier` inverts, on the box (a
-    grid-aligned translation, which it applies as a roll, is the roll's phase).
-    ``shells`` must hold every bin where the product can be nonzero, as the
-    certificate :func:`piece_plan` returns does.
+    Each box holds ``coefficients * profile(2**-scale |xi|) *
+    exp(-2 pi i (2**-scale t, xi))``: the coefficients :func:`apply_multiplier`
+    inverts (a grid-aligned translation, which it applies as a roll, is the
+    roll's phase).  ``shells`` must hold every bin where the product can be
+    nonzero, as the certificate :func:`piece_plan` returns does.
     """
     grid = spectrum.grid
-    m = grid.samples_per_axis
-    first, box = _box(grid, shells)
-    shift = _dilated_shift(translation, scale)
-    steps = None if shift is None else grid_aligned_steps(shift, grid)
-    values = _symbol_times(
-        grid, spectrum.coefficients[box], box, profile, scale, shift if steps is None else None
-    )
-    if steps is not None:
-        # the roll by `steps` samples as a phase, its argument reduced modulo M in
-        # integers, so it stays as exact as the roll for any size of shift
-        phase = np.exp(-2j * np.pi * (sum(s * k for s, k in zip(steps, box)) % m) / m)
-        phase *= values
-        values = phase
-    return first, values
+    shift, steps = _shift_or_steps(grid, translation, scale)
+    return _symbol_times(grid, spectrum.coefficients, shells, profile, scale, shift, steps)
 
 
-def symbol_box(grid: GridSpec, profile) -> BoxPiece:
-    """``(first, profile(|xi|))`` on the bin box of the profile's closed support: a symbol as a piece."""
-    first, box = _box(grid, _dilated_support(profile.support, 0, grid.dimension))
-    return first, profile(grid.frequency_radii()[box])
+def symbol_box(grid: GridSpec, profile) -> Tuple[BoxPiece, ...]:
+    """``profile(|xi|)`` on the boxes of the profile's closed support: a symbol as a piece."""
+    return _symbol_times(grid, None, _dilated_support(profile.support, 0, grid.dimension), profile)
 
 
 def add_box_product(
-    out: np.ndarray, grid: GridSpec, coefficient: complex, pieces: Sequence[BoxPiece]
+    out: np.ndarray, grid: GridSpec, coefficient: complex, slots: Sequence[Sequence[BoxPiece]]
 ) -> None:
-    """Add the transform of ``coefficient * prod_k inverse(piece_k)`` to ``out``, band-locally.
+    """Add the transform of ``coefficient * prod_k inverse(slot_k)`` to ``out``, band-locally.
 
-    Every piece is moved to start at bin 0 and inverted on ``P = min(M, next
+    A slot is a piece as a tuple of boxes; the product is the sum, over every
+    choice of one box per slot, of the product of the chosen boxes.  Every
+    chosen box is moved to start at bin 0 and inverted on ``P = min(M, next
     power of two >= summed box widths)`` points per axis.  The product of the
-    moved pieces then occupies bins ``0 .. sum(w_k - 1)``, which do not wrap,
+    moved boxes then occupies bins ``0 .. sum(w_k - 1)``, which do not wrap,
     so its forward transform on that grid holds the full-grid product's
     coefficients at bins ``sum(first_k) + q``.  The rescale between the two
     grids is a power of two, hence exact; at ``P = M`` this is the full-grid
@@ -972,20 +936,21 @@ def add_box_product(
     """
     m = grid.samples_per_axis
     axes = range(grid.dimension)
-    widths = [[values.shape[i] for _, values in pieces] for i in axes]
-    sizes = _product_sizes(grid, pieces)
-    prod = np.full(sizes, coefficient, dtype=np.complex128)
-    for _, values in pieces:
-        padded = np.zeros(sizes, dtype=np.complex128)
-        padded[tuple(slice(0, w) for w in values.shape)] = values
-        piece = np.fft.ifftn(padded)
-        piece /= grid.cell_volume
-        prod *= piece
-    spectrum = np.fft.fftn(prod)
-    spectrum *= grid.cell_volume * math.prod(p / m for p in sizes) ** (len(pieces) - 1)
-    counts = [min(p, sum(w) - len(w) + 1) for p, w in zip(sizes, widths)]
-    starts = [sum(first[i] for first, _ in pieces) for i in axes]
-    out[_box_index(grid, starts, counts)] += spectrum[tuple(slice(0, c) for c in counts)]
+    for pieces in itertools.product(*slots):
+        widths = [[values.shape[i] for _, values in pieces] for i in axes]
+        sizes = _product_sizes(grid, pieces)
+        prod = np.full(sizes, coefficient, dtype=np.complex128)
+        for _, values in pieces:
+            padded = np.zeros(sizes, dtype=np.complex128)
+            padded[tuple(slice(0, w) for w in values.shape)] = values
+            piece = np.fft.ifftn(padded)
+            piece /= grid.cell_volume
+            prod *= piece
+        spectrum = np.fft.fftn(prod)
+        spectrum *= grid.cell_volume * math.prod(p / m for p in sizes) ** (len(pieces) - 1)
+        counts = [min(p, sum(w) - len(w) + 1) for p, w in zip(sizes, widths)]
+        starts = [sum(first[i] for first, _ in pieces) for i in axes]
+        out[_box_index(grid, starts, counts)] += spectrum[tuple(slice(0, c) for c in counts)]
 
 
 def _product_sizes(grid: GridSpec, pieces: Sequence[BoxPiece]) -> Tuple[int, ...]:
@@ -1019,14 +984,6 @@ def piece_shells(f: SampledField, support: Tuple[float, float], scale: int) -> O
         return dilated
     met = f.shells.meet(dilated)
     return met if met.parts else None
-
-
-def piece_band(
-    f: SampledField, support: Tuple[float, float], scale: int
-) -> Optional[Tuple[float, float]]:
-    """Radial hull of :func:`piece_shells`; None when the piece is certified zero."""
-    shells = piece_shells(f, support, scale)
-    return None if shells is None else shells.hull
 
 
 ZERO, PLATEAU, PARTIAL = "zero", "plateau", "partial"
@@ -1125,11 +1082,8 @@ def _kept_norm(f: SampledField, q: float) -> Optional[float]:
     if q == 2.0:
         total = sum(np.vdot(values, values).real for _, values in pieces)
     else:
-        mirrored = [_reflected(piece) for piece in pieces]
         square = np.zeros(grid.shape, dtype=np.complex128)
-        for a in pieces:
-            for b in mirrored:
-                add_box_product(square, grid, 1.0, (a, b))
+        add_box_product(square, grid, 1.0, (pieces, [_reflected(piece) for piece in pieces]))
         total = np.vdot(square, square).real
     return float(np.ldexp((total / grid.period**grid.dimension) ** (1.0 / q), e))
 

@@ -5,7 +5,7 @@ a field by frequency multiplication with ``Phi_hat(2**-l xi) *
 exp(-2 pi i (2**-l y, xi))``; equivalently it is the unshifted piece translated
 by ``2**-l y``.  Because fields are band-limited interpolants, the action is
 exact to roundoff for any real shift.  The multiplication is
-:func:`field.apply_multiplier`.
+:func:`field.apply_multiplier`, evaluated on the piece's certified boxes.
 
 Every piece falls into one of the three classes of :func:`field.piece_plan`:
 
@@ -18,7 +18,7 @@ Every piece falls into one of the three classes of :func:`field.piece_plan`:
   profile is never evaluated.  A grid-aligned translation (the zero one
   included) is a roll of one untranslated inverse, computed at most once per
   call; an off-grid one is a phase multiply and an inverse.
-* *partial*: profile times phase, then an inverse.
+* *partial*: profile times phase on the certified boxes, then an inverse.
 
 All three give the same arrays as evaluating the profile at every scale.
 

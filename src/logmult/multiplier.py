@@ -6,10 +6,11 @@ with an optional physical translation, so the dilated factor transforms
 ``g_hat(2**-l xi)`` needed by the scale sum can be evaluated exactly at any
 frequency.  The operator, its form and the shifted form are one scale loop,
 :func:`apply_t`, over a plain ``range`` of scales.  Each slot piece is
-dispatched on :func:`field.piece_plan` and cut to its certified bin box
-(:func:`field.box_piece`); each product of pieces is formed band-locally
-(:func:`field.add_box_product`) into one output spectrum, and one full-size
-inverse transform ends the loop; the output keeps its spectrum.
+dispatched on :func:`field.piece_plan` and cut to its certified boxes
+(:func:`field.box_piece`); each product of pieces is formed band-locally, one
+choice of box per slot at a time (:func:`field.add_box_product`), into one
+output spectrum, which the output keeps: its samples take one full-size
+inverse transform, when first read.
 
 The log-weighted size D_lambda treats a factor's declared translation as a
 position in unbounded space: the weight sees ``log(e + |center + offset|)``
@@ -167,7 +168,7 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> 
     Slot pieces dispatch on :func:`field.piece_plan`: a zero slot skips the
     term at that scale, and a plateau slot that keeps every shell of its input
     leaves the profile out, which is exact because the profile is 1.0 on every
-    occupied bin.  Each product is formed on its pieces' certified bin boxes
+    occupied bin.  Each product is formed on its pieces' certified boxes
     (:func:`field.add_box_product`) and added to one output spectrum, which is
     inverted once.  The output is certified by the union of the products'
     Minkowski sums while every sum stays below Nyquist (scatter dust off it is

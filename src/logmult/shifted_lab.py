@@ -27,8 +27,8 @@ from .field import (
     Shell,
     Shells,
     Spectrum,
-    bin_blocks,
-    block_frequencies,
+    bin_boxes,
+    box_frequencies,
     frozen,
     inverse,
     lp_norm,
@@ -97,18 +97,19 @@ def random_band_limited(
 
 
 def packet_bins(grid: GridSpec, profile: RadialProfile, kappa: float):
-    """``(block, xi_1 - kappa, profile(|xi - kappa e_1|))`` on the bins of a packet at ``kappa e_1``.
+    """``(index, xi_1 - kappa, profile(|xi - kappa e_1|))`` per box of a packet at ``kappa e_1``.
 
-    The blocks cover the box ``|xi - kappa e_1|_i <= profile.support[1]``, so
-    the profile, hard 0 off its support, is exactly 0 on every other bin.
+    The boxes (:func:`field.bin_boxes`, ``index`` their open-mesh grid index)
+    cover ``|xi - kappa e_1|_i <= profile.support[1]``, so the profile, hard 0
+    off its support, is exactly 0 on every other bin.
     """
     radius = profile.support[1]
     windows = [[(kappa - radius, kappa + radius)]] + [[(-radius, radius)]] * (grid.dimension - 1)
-    for block in bin_blocks(grid, windows):
-        freqs = block_frequencies(grid, block)
+    for _, index in bin_boxes(grid, windows):
+        freqs = box_frequencies(grid, index)
         centered = freqs[0] - kappa
         rest_sq = sum(f**2 for f in freqs[1:])
-        yield block, centered, profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
+        yield index, centered, profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
 
 
 def modulated_bump(
@@ -126,10 +127,10 @@ def modulated_bump(
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
     shift = None if position is None else np.atleast_1d(position)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for block, _, packet in packet_bins(grid, profile, center_frequency):
+    for index, _, packet in packet_bins(grid, profile, center_frequency):
         if shift is not None:
-            packet = packet * translation_phase(grid, shift, block)
-        coeffs[block] = packet
+            packet = packet * translation_phase(grid, shift, index)
+        coeffs[index] = packet
     ball = Shell((center_frequency,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius)
     return inverse(Spectrum(grid, frozen(coeffs), shells=Shells((ball,))))
 
@@ -156,10 +157,10 @@ def bump_train(
     for scale in scales:
         kappa = sign * 2.0**scale
         position = -(2.0**-scale) * shift_magnitude
-        for block, centered, packet in packet_bins(grid, profile, kappa):
+        for index, centered, packet in packet_bins(grid, profile, kappa):
             # f(x) = eta(x - position) exp(2 pi i kappa x): translation phase in
             # the centered frequency variable
-            coeffs[block] += packet * np.exp(-2j * np.pi * position * centered)
+            coeffs[index] += packet * np.exp(-2j * np.pi * position * centered)
         balls.append(Shell((kappa,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius))
     return inverse(Spectrum(grid, frozen(coeffs), shells=Shells(tuple(balls))))
 

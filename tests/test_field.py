@@ -14,7 +14,7 @@ from logmult.field import (
     Shells,
     Spectrum,
     apply_multiplier,
-    bin_blocks,
+    bin_boxes,
     conjugate,
     convolve,
     frozen,
@@ -362,12 +362,12 @@ def bin_points(grid, mask):
 def test_shell_unions_match_brute_force_bins(case):
     grid, u, v = case
     bins_u, bins_v = brute_bins(grid, u), brute_bins(grid, v)
-    # membership on the disjoint certificate blocks is the whole-grid membership
+    # membership on the disjoint certificate boxes is the whole-grid membership
     hits = np.zeros(grid.shape, dtype=int)
     member = np.zeros(grid.shape, dtype=bool)
-    for block in bin_blocks(grid, u.windows(grid.dimension)):
-        hits[block] += 1
-        member[block] = u.contains(grid, block)
+    for _, index in bin_boxes(grid, u.windows(grid.dimension)):
+        hits[index] += 1
+        member[index] = u.contains(grid, index)
     assert hits.max(initial=0) <= 1
     assert np.array_equal(member, bins_u)
     # the radial hull holds every bin

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logmult.calibration import make_counterexample_profiles, make_lp_pair
-from logmult.field import GridSpec, apply_multiplier, convolve, lp_norm, piece_band, transform
+from logmult.field import GridSpec, apply_multiplier, convolve, lp_norm, piece_shells, transform
 from logmult.multiplier import (
     SpectralFactor,
     TensorKernel,
@@ -325,7 +325,7 @@ def per_scale_shifted_form(fs, psi_slots, tau, shifts, scales, pair):
     translations = [None if k == tau else shifts[k - 1] for k in range(1, len(fs) + 1)]
     total = 0.0 + 0.0j
     for scale in scales:
-        if any(piece_band(f, p.support, scale) is None for f, p in zip(fs, profiles)):
+        if any(piece_shells(f, p.support, scale) is None for f, p in zip(fs, profiles)):
             continue
         prod = np.ones(grid.shape, dtype=np.complex128)
         for spec, profile, translation in zip(spectra, profiles, translations):

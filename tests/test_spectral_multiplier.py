@@ -31,13 +31,14 @@ from logmult.field import (
     GridSpec,
     NyquistError,
     SampledField,
+    Shells,
     Spectrum,
     add_box_product,
     apply_multiplier,
-    bin_blocks,
+    bin_boxes,
     grid_aligned_steps,
     multiplier_symbol,
-    piece_band,
+    piece_shells,
     piece_class,
     transform,
     translation_phase,
@@ -185,16 +186,34 @@ def window_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(window_cases())
-def test_bin_blocks_cover_each_window_bin_once(case):
+def test_bin_boxes_cover_each_window_bin_once(case):
     grid, windows = case
+    m = grid.samples_per_axis
+    boxes = bin_boxes(grid, windows)
     hits = np.zeros(grid.shape, dtype=int)
-    for block in bin_blocks(grid, windows):
-        hits[block] += 1
+    spans = [set() for _ in range(grid.dimension)]
+    for first, index in boxes:
+        hits[index] += 1
+        # one interval of signed bins per axis, inside -M/2 .. M/2-1
+        for axis, (k, bins) in enumerate(zip(first, index)):
+            w = bins.size
+            assert -(m // 2) <= k and k + w - 1 <= m // 2 - 1
+            assert np.array_equal(bins.ravel(), (k + np.arange(w)) % m)
+            spans[axis].add((k, k + w - 1))
     assert hits.max(initial=0) <= 1
     inside = np.ones(grid.shape, dtype=bool)
     for axis, intervals in zip(np.ix_(*[grid.axis_frequencies()] * grid.dimension), windows):
         inside = inside & np.any([(a <= axis) & (axis <= b) for a, b in intervals], axis=0)
     assert np.all(hits[inside] == 1)
+    # per axis the intervals are merged: disjoint and not even adjacent
+    for axis_spans in spans:
+        ordered = sorted(axis_spans)
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
+    # a radial certificate keeps one box (a 2-D one is not four corners), and
+    # so does a 1-D shell about the origin; a 1-D annulus keeps two
+    d, reach = grid.dimension, grid.nyquist / 4
+    assert len(bin_boxes(grid, Shells.radial(0.0, reach, d).windows(d))) == 1
+    assert len(bin_boxes(grid, Shells.radial(0.5 * reach, reach, d).windows(d))) == (2 if d == 1 else 1)
 
 
 class CountedProfile:
@@ -240,13 +259,13 @@ def test_piece_band_rule():
     grid = GridSpec(1, 512, 16.0)
     banded = random_band_limited(grid, (0.5, 4.0), 5)
     support = PAIR.psi_hat.support  # (0.5, 2.0)
-    assert piece_band(banded, support, 1) == (1.0, 4.0)
-    assert piece_band(banded, support, 3) == (4.0, 4.0)  # closed: touching is not zero
-    assert piece_band(banded, support, 4) is None
+    assert piece_shells(banded, support, 1).hull == (1.0, 4.0)
+    assert piece_shells(banded, support, 3).hull == (4.0, 4.0)  # closed: touching is not zero
+    assert piece_shells(banded, support, 4) is None
     unbanded = SampledField(grid, banded.values)
-    assert piece_band(unbanded, support, 2) == (2.0, 8.0)
+    assert piece_shells(unbanded, support, 2).hull == (2.0, 8.0)
     with pytest.raises(NyquistError):
-        piece_band(unbanded, support, 4)  # dilated support (8, 32) reaches Nyquist 16
+        piece_shells(unbanded, support, 4)  # dilated support (8, 32) reaches Nyquist 16
 
 
 def test_piece_class_rule():
@@ -362,7 +381,7 @@ def test_dispatch_matches_every_scale_reference(case):
     piece = dyadic_piece(f, ShiftedDyadicOp(profile, scale, tuple(shift)))
     want = apply_multiplier(transform(f), profile, scale, shift)
     assert np.array_equal(piece.values, want)
-    assert piece.band == piece_band(f, profile.support, scale)
+    assert piece.band == piece_shells(f, profile.support, scale).hull
     if profile is ANNULUS:
         got = square_function(f, SQUARE_PAIR, shift).values
         assert np.array_equal(got, full_square(f, shift, SQUARE_PAIR))
@@ -392,7 +411,7 @@ def skip_cases():
     # the band (2, 4) leaves psi certified zero at scales -2, -1 and 4..8 and
     # phi at -2 and -1; scales 0 and 3 touch the band and are kept
     zero = {
-        name: [s for s in PAIR.scales if piece_band(f, profile.support, s) is None]
+        name: [s for s in PAIR.scales if piece_shells(f, profile.support, s) is None]
         for name, profile in (("psi", PAIR.psi_hat), ("phi", PAIR.phi_hat))
     }
     assert zero == {"psi": [-2, -1, 4, 5, 6, 7, 8], "phi": [-2, -1]}
@@ -525,11 +544,18 @@ def test_separation_apply_t_output_keeps_a_clean_spectrum():
 PRODUCT_GRIDS = (GridSpec(1, 64, 8.0), GridSpec(1, 256, 5.0), GridSpec(2, 16, 4.0), GridSpec(2, 32, 3.0))
 
 
+def box_bins_index(grid, first, shape):
+    m = grid.samples_per_axis
+    return np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, shape)))
+
+
 @st.composite
 def box_product_cases(draw):
-    """Boxes of random coefficients whose summed widths reach up to P (sometimes exactly P).
+    """Slots of 1-3 disjoint boxes of random coefficients.
 
-    At P = M the widths may sum past M: the product wraps, as on the full grid.
+    The first boxes' widths sum to up to P (sometimes exactly P); the other
+    boxes are no wider.  At P = M the widths may sum past M: the product
+    wraps, as on the full grid.
     """
     grid = draw(st.sampled_from(PRODUCT_GRIDS))
     m = grid.samples_per_axis
@@ -543,8 +569,8 @@ def box_product_cases(draw):
             k = draw(st.integers(0, n - 1))
             widths[k][axis] = min(m, widths[k][axis] + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pieces = []
-    for w in widths:
+
+    def box(w):
         first = []
         for width in w:
             # anywhere, or against the wrap: ending on the last bin, starting on
@@ -554,19 +580,30 @@ def box_product_cases(draw):
                 first.append(draw(st.integers(-m // 2, m // 2 - 1)))
             else:
                 first.append({"end": m // 2 - width, "nyquist": -m // 2, "straddle": m // 2 - width // 2 - 1}[place])
-        values = rng.standard_normal(w) + 1j * rng.standard_normal(w)
-        pieces.append((tuple(first), values))
+        return tuple(first), rng.standard_normal(w) + 1j * rng.standard_normal(w)
+
+    slots = []
+    for w in widths:
+        drawn = [box(w)] + [box([draw(st.integers(1, width)) for width in w]) for _ in range(draw(st.integers(0, 2)))]
+        boxes, taken = [], np.zeros(grid.shape, dtype=bool)
+        for first, values in drawn:  # keep the boxes that miss the slot's earlier ones
+            bins = np.zeros(grid.shape, dtype=bool)
+            bins[box_bins_index(grid, first, values.shape)] = True
+            if not np.any(taken & bins):
+                boxes.append((first, values))
+                taken |= bins
+        slots.append(tuple(boxes))
     coefficient = complex(*rng.standard_normal(2))
-    return grid, coefficient, pieces
+    return grid, coefficient, slots
 
 
-def full_grid_product(grid, coefficient, pieces):
-    """The oracle: every piece placed on the whole grid, ``ifftn . ifftn -> fftn``."""
-    m = grid.samples_per_axis
+def full_grid_product(grid, coefficient, slots):
+    """The oracle: every box of a slot placed on the whole grid, ``ifftn . ifftn -> fftn``."""
     prod = np.full(grid.shape, coefficient, dtype=np.complex128)
-    for first, values in pieces:
+    for boxes in slots:
         full = np.zeros(grid.shape, dtype=np.complex128)
-        full[np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, values.shape)))] = values
+        for first, values in boxes:
+            full[box_bins_index(grid, first, values.shape)] = values
         prod *= np.fft.ifftn(full) / grid.cell_volume
     return np.fft.fftn(prod) * grid.cell_volume
 
@@ -574,10 +611,10 @@ def full_grid_product(grid, coefficient, pieces):
 @settings(max_examples=150, deadline=None)
 @given(box_product_cases())
 def test_band_local_product_matches_full_grid(case):
-    grid, coefficient, pieces = case
+    grid, coefficient, slots = case
     got = np.zeros(grid.shape, dtype=np.complex128)
-    add_box_product(got, grid, coefficient, pieces)
-    assert_close(got, full_grid_product(grid, coefficient, pieces))
+    add_box_product(got, grid, coefficient, slots)
+    assert_close(got, full_grid_product(grid, coefficient, slots))
 
 
 # ---------------------------------------------------------------------------
