@@ -427,7 +427,9 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
     # closed form N eta**2 beta**(n-2) from the symbols, vs the kept output spectrum (Parseval)
     eta_hat, beta_hat = cfg.profiles
     closed = np.zeros(grid.shape, dtype=np.complex128)
-    symbols = [symbol_box(grid, eta_hat)] * 2 + [symbol_box(grid, beta_hat)] * (cfg.n - 2)
+    symbols = [symbol_box(grid, eta_hat)] * 2
+    if cfg.n > 2:
+        symbols += [symbol_box(grid, beta_hat)] * (cfg.n - 2)
     add_box_product(closed, grid, cfg.n_packets, symbols)
     closed_norm = math.sqrt(np.vdot(closed, closed).real)
     if closed_norm == 0.0:

@@ -41,7 +41,9 @@ This is exact, not an approximation: profiles are hard 0 off their closed
 support and certified spectra are exactly 0 off their shells, so every
 skipped product was a signed zero.  Products of such pieces are formed
 band-locally (:func:`add_box_product`), one choice of box per piece at a
-time, on the smallest power-of-two grid the product cannot wrap on.
+time, on the smallest power-of-two grid the product cannot wrap on; the
+modulus of a narrow spectrum's samples takes short transforms on that grid
+too (:func:`box_modulus`).
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ __all__ = [
     "box_piece",
     "symbol_box",
     "add_box_product",
+    "box_modulus",
     "piece_shells",
     "piece_class",
     "piece_plan",
@@ -914,9 +917,13 @@ def box_piece(
     return _symbol_times(grid, spectrum.coefficients, shells, profile, scale, shift, steps)
 
 
-def symbol_box(grid: GridSpec, profile) -> Tuple[BoxPiece, ...]:
-    """``profile(|xi|)`` on the boxes of the profile's closed support: a symbol as a piece."""
-    return _symbol_times(grid, None, _dilated_support(profile.support, 0, grid.dimension), profile)
+def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] = None) -> Tuple[BoxPiece, ...]:
+    """``profile(|xi|) * exp(-2 pi i (t, xi))`` on the boxes of the profile's closed support: a symbol as a piece.
+
+    The boxes hold :func:`multiplier_symbol` at scale 0 on their bins.
+    """
+    support = _dilated_support(profile.support, 0, grid.dimension)
+    return _symbol_times(grid, None, support, profile, 0, _dilated_shift(translation, 0))
 
 
 def add_box_product(
@@ -933,19 +940,25 @@ def add_box_product(
     coefficients at bins ``sum(first_k) + q``.  The rescale between the two
     grids is a power of two, hence exact; at ``P = M`` this is the full-grid
     product itself (cyclic, so an aliasing product aliases as it would there).
+    Each box is inverted once per product grid it enters.
     """
     m = grid.samples_per_axis
     axes = range(grid.dimension)
-    for pieces in itertools.product(*slots):
+    inverted = {}  # (slot, box, product grid) -> the moved box's samples on that grid
+    for choice in itertools.product(*(range(len(slot)) for slot in slots)):
+        pieces = [slot[b] for slot, b in zip(slots, choice)]
         widths = [[values.shape[i] for _, values in pieces] for i in axes]
         sizes = _product_sizes(grid, pieces)
         prod = np.full(sizes, coefficient, dtype=np.complex128)
-        for _, values in pieces:
-            padded = np.zeros(sizes, dtype=np.complex128)
-            padded[tuple(slice(0, w) for w in values.shape)] = values
-            piece = np.fft.ifftn(padded)
-            piece /= grid.cell_volume
-            prod *= piece
+        for slot, (b, (_, values)) in enumerate(zip(choice, pieces)):
+            key = (slot, b, sizes)
+            if key not in inverted:
+                padded = np.zeros(sizes, dtype=np.complex128)
+                padded[tuple(slice(0, w) for w in values.shape)] = values
+                piece = np.fft.ifftn(padded)
+                piece /= grid.cell_volume
+                inverted[key] = piece
+            prod *= inverted[key]
         spectrum = np.fft.fftn(prod)
         spectrum *= grid.cell_volume * math.prod(p / m for p in sizes) ** (len(pieces) - 1)
         counts = [min(p, sum(w) - len(w) + 1) for p, w in zip(sizes, widths)]
@@ -953,12 +966,50 @@ def add_box_product(
         out[_box_index(grid, starts, counts)] += spectrum[tuple(slice(0, c) for c in counts)]
 
 
+def _fold_size(m: int, span: int) -> int:
+    """``min(M, next power of two >= span)``: the smallest grid a band ``span`` bins wide does not wrap on."""
+    return min(m, 1 << (span - 1).bit_length())
+
+
 def _product_sizes(grid: GridSpec, pieces: Sequence[BoxPiece]) -> Tuple[int, ...]:
-    """The grid :func:`add_box_product` multiplies ``pieces`` on: ``min(M, next power of two >= summed widths)`` per axis."""
+    """The grid :func:`add_box_product` multiplies ``pieces`` on: :func:`_fold_size` of the summed widths per axis."""
     m = grid.samples_per_axis
-    return tuple(
-        min(m, 1 << (sum(values.shape[i] for _, values in pieces) - 1).bit_length()) for i in range(grid.dimension)
+    return tuple(_fold_size(m, sum(values.shape[i] for _, values in pieces)) for i in range(grid.dimension))
+
+
+def box_modulus(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
+    """``|samples|`` of the spectrum held as the (disjoint) boxes ``pieces``, in natural sample order.
+
+    The four-step split of the inverse transform (Bailey, J. Supercomputing 4,
+    1990), for a spectrum narrower than the grid.  Per axis, with ``P =``
+    :func:`_fold_size` of the boxes' signed-bin span and ``Q = M / P``, sample
+    ``j = p Q + r`` is ``1/Q`` times the ``P``-point inverse transform, over
+    ``p``, of the coefficients ``c_k exp(2 pi i r k / M)`` folded onto bin
+    ``k mod P``; the span fits in ``P`` bins, so no two coefficients share a
+    bin.  One batched transform of ``Q`` rows of ``P`` points serves every
+    ``r``, and the modulus is transposed to natural order.  At ``P = M`` this
+    is the full-size inverse of :func:`_inverted`.
+    """
+    m, d = grid.samples_per_axis, grid.dimension
+    sizes = tuple(
+        _fold_size(m, max(f[i] + v.shape[i] for f, v in pieces) - min(f[i] for f, _ in pieces)) for i in range(d)
     )
+    folds = tuple(m // p for p in sizes)
+    batch = np.zeros(folds + sizes, dtype=np.complex128)
+    for first, values in pieces:
+        block = values.reshape((1,) * d + values.shape)
+        for i, (k, w) in enumerate(zip(first, values.shape)):
+            turns = (np.arange(folds[i])[:, None] * (k + np.arange(w))[None, :]) % m  # (r k) mod M, in integers
+            shape = [1] * (2 * d)
+            shape[i], shape[d + i] = folds[i], w
+            block = np.exp(2j * np.pi * turns / m).reshape(shape) * block
+        batch[(Ellipsis,) + np.ix_(*((k + np.arange(w)) % p for k, w, p in zip(first, values.shape, sizes)))] = block
+    np.fft.ifftn(batch, axes=tuple(range(d, 2 * d)), out=batch)
+    # the modulus is written straight into natural order: axes (p_1, r_1, p_2, r_2, ...)
+    natural = batch.transpose([a for i in range(d) for a in (d + i, i)])
+    mags = np.abs(natural, out=np.empty(natural.shape))
+    mags /= math.prod(folds) * grid.cell_volume
+    return mags.reshape(grid.shape)
 
 
 # ---------------------------------------------------------------------------

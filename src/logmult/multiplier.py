@@ -15,7 +15,10 @@ inverse transform, when first read.
 The log-weighted size D_lambda treats a factor's declared translation as a
 position in unbounded space: the weight sees ``log(e + |center + offset|)``
 with the offset folded to the torus min-image.  Without the lift, the period
-would cap the weight and mask the very growth the functional measures.
+would cap the weight and mask the very growth the functional measures.  The
+certified bracket buckets each factor's sampled modulus by offset; the
+modulus comes from the factor's symbol boxes (:func:`field.box_modulus`),
+so the bracket runs no full-size transform.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -36,6 +39,7 @@ from .field import (
     Shells,
     Spectrum,
     add_box_product,
+    box_modulus,
     box_piece,
     certify,
     frozen,
@@ -43,6 +47,7 @@ from .field import (
     multiplier_symbol,
     piece_plan,
     require_same_grid,
+    symbol_box,
     transform,
 )
 
@@ -222,10 +227,14 @@ class DLambdaResult:
         return self.upper - self.lower
 
 
-def _signed_offsets(grid: GridSpec, center: np.ndarray) -> np.ndarray:
-    """Min-image offsets x - center per grid point (d=1: shape (M,), d=2: radii)."""
+def _signed_offsets(grid: GridSpec, center: np.ndarray, index: Optional[np.ndarray] = None) -> np.ndarray:
+    """Min-image offsets x - center per grid point (d=1: shape (M,), d=2: radii).
+
+    d = 1 takes the sample numbers ``index`` instead of every sample when
+    given; the offset of each is the one the full array holds.
+    """
     if grid.dimension == 1:
-        x = grid.axis_coordinates()
+        x = grid.axis_coordinates() if index is None else index * grid.spacing
         return (x - center[0] + grid.period / 2.0) % grid.period - grid.period / 2.0
     mesh = grid.coordinate_mesh()
     comps = [
@@ -293,28 +302,75 @@ def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float,
 _DEFAULT_SHELLS = {2: 256, 3: 128, 4: 48, 5: 24}
 
 
+def _bucket(off: np.ndarray, base: float, width: float, shells: int) -> np.ndarray:
+    """Shell number of each offset: ``shells`` shells of ``width`` from ``base``, the last one closed."""
+    return np.minimum(((off - base) / width).astype(int), shells - 1)
+
+
 def _shell_data(
     factor: SpectralFactor, grid: GridSpec, shells: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-shell (mass, offset low, offset high) for one factor.
 
-    d = 1 buckets the *signed* min-image offset, which keeps interval
-    arithmetic on differences tight; d = 2 buckets the radial offset.
+    A shell's mass is the quadrature of ``|g|`` over the samples whose offset
+    falls in it; ``|g|`` is :func:`field.box_modulus` of the factor's symbol
+    boxes, so no full-size transform runs.  d = 1 buckets the *signed*
+    min-image offset, which keeps interval arithmetic on differences tight
+    (:func:`_signed_mass`); d = 2 buckets the radial offset.
     """
+    grid.check_supports_radius(factor.support[1])
     center = factor.center(grid.dimension)
-    off = _signed_offsets(grid, center)
-    signed = grid.dimension == 1
-    if not signed:
-        off = np.abs(off)
-    base = float(off.min()) if signed else 0.0
-    reach = float(off.max()) - base
-    width = reach / shells if reach > 0 else 1.0
-    idx = np.minimum(((off - base) / width).astype(int), shells - 1)
-    mags = np.abs(factor.field_on(grid).values)
-    mass = np.bincount(idx.ravel(), weights=mags.ravel(), minlength=shells) * grid.cell_volume
+    mags = box_modulus(grid, symbol_box(grid, factor.profile, factor.translation))
+    if grid.dimension == 1:
+        mass, base, width = _signed_mass(grid, center, mags, shells)
+    else:
+        off = _signed_offsets(grid, center)
+        base, reach = 0.0, float(off.max())
+        width = reach / shells if reach > 0 else 1.0
+        mass = np.bincount(_bucket(off, base, width, shells).ravel(), weights=mags.ravel(), minlength=shells)
     lo = base + np.arange(shells) * width
-    hi = lo + width
-    return mass, lo, hi
+    return mass * grid.cell_volume, lo, lo + width
+
+
+def _signed_mass(grid: GridSpec, center: np.ndarray, mags: np.ndarray, shells: int) -> Tuple[np.ndarray, float, float]:
+    """d = 1: ``(sum of mags per shell, base, width)`` of the signed-offset shells, summed over runs.
+
+    The signed offset rises with the sample number along at most two wrap
+    segments, so each shell is at most two runs of consecutive samples.  The
+    wrap and the first sample of each shell in each segment are found by
+    bisection on :func:`_signed_offsets` of single samples, and the extremes
+    are segment end samples: every sample lands in the shell it would by the
+    whole offset array, without building it.
+    """
+    m = grid.samples_per_axis
+    offsets = partial(_signed_offsets, grid, center)
+    wrap = int(_first_true(lambda j: offsets(j) < offsets(0), 1, m))
+    segments = [(0, wrap), (wrap, m)] if wrap < m else [(0, m)]
+    base = float(offsets(np.array([a for a, _ in segments])).min())
+    reach = float(offsets(np.array([b - 1 for _, b in segments])).max()) - base
+    width = reach / shells if reach > 0 else 1.0
+    mass = np.zeros(shells)
+    ranks = np.arange(shells)
+    for a, b in segments:
+        firsts = _first_true(
+            lambda j: _bucket(offsets(j), base, width, shells) >= ranks, np.full(shells, a), np.full(shells, b)
+        )
+        live = firsts < np.append(firsts[1:], b)  # shell s holds samples firsts[s] .. firsts[s + 1] - 1
+        mass[live] += np.add.reduceat(mags[a:b], firsts[live] - a)
+    return mass, base, width
+
+
+def _first_true(pred, lo, hi) -> np.ndarray:
+    """Per entry, the least ``j`` in ``[lo, hi)`` with ``pred(j)`` (``hi`` when none), by vectorised bisection.
+
+    ``pred`` is elementwise and, on each range, false up to some ``j`` and true from there on.
+    """
+    lo, hi = np.array(lo), np.array(hi)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        ok, live = pred(mid), lo < hi
+        lo, hi = np.where(live & ~ok, mid + 1, lo), np.where(live & ok, mid, hi)
+    return lo
 
 
 def _offset_bounds(

@@ -376,7 +376,7 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
     m = grid.samples_per_axis
     coeffs = transform(g).coefficients
     out = np.zeros_like(coeffs)
-    k = np.fft.fftfreq(m, d=1.0 / m).astype(int)  # signed integer frequencies
+    k = (np.arange(m) + m // 2) % m - m // 2  # signed integer frequencies, in FFT order
     keep = np.abs(k) * step <= m // 2
     idx = (k[keep] * step) % m
     out[np.ix_(*[idx] * grid.dimension)] = coeffs[np.ix_(*[keep] * grid.dimension)]

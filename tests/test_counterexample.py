@@ -19,7 +19,7 @@ from logmult.counterexample import (
     validate_config,
 )
 from logmult.field import GridSpec, lp_norm, transform
-from logmult.multiplier import apply_t
+from logmult.multiplier import apply_t, d_lambda
 
 
 def small_identity(n=3, packets=2):
@@ -73,26 +73,78 @@ def test_build_inputs_conjugate_mirror():
     assert np.max(np.abs(f_t.values - np.conj(f_s.values))) < 1e-12 * np.max(np.abs(f_s.values))
 
 
-def test_separation_run_takes_one_full_size_fft(monkeypatch):
-    # the bracket's sampled factor: the packet trains and the apply_t output are
-    # deferred fields whose samples nothing reads, since their transforms, the
-    # closed form, the identity error and the L^4/L^2 norms all stay in the spectrum
+def _transform_lengths(a, s=None, axes=None, *args, **kwargs):
+    """Points per transform of an ``np.fft.fftn``/``ifftn`` call: the product of the transformed axes' lengths."""
+    shape = np.shape(a)
+    return math.prod(shape[ax] for ax in (range(len(shape)) if axes is None else axes))
+
+
+def test_separation_run_takes_no_full_size_fft(monkeypatch):
+    # the packet trains and the apply_t output are deferred fields whose samples
+    # nothing reads, since their transforms, the closed form, the identity error
+    # and the L^4/L^2 norms all stay in the spectrum; the bracket's sampled factor
+    # is a batch of short transforms (field.box_modulus)
     cfg = separation_config(n_packets=3, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8)
-    sizes = []
+    lengths = []
     for name in ("fftn", "ifftn"):
         fft = getattr(np.fft, name)
 
         def counting(a, *args, _fft=fft, **kwargs):
-            sizes.append(np.size(a))
+            lengths.append(_transform_lengths(a, *args, **kwargs))
             return _fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counting)
     report = run_counterexample(cfg)
     monkeypatch.undo()
-    assert sizes.count(cfg.grid.size) == 1
+    assert lengths and lengths.count(cfg.grid.size) == 0
     # the ratio recorded when the run took 7 full-size FFTs
     assert abs(report.ratio - 0.1735847898266246) <= 1e-12 * 0.1735847898266246
     assert report.identity_error < 1e-12
+
+
+def test_separation_run_builds_no_beta_symbol(monkeypatch):
+    # the closed form N eta**2 beta**(n-2) takes no beta symbol when n = 2
+    cfg = separation_config(n_packets=2, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8)
+    _, beta_hat = cfg.profiles
+    profiles = []
+    original = counterexample.symbol_box
+
+    def counting(grid, profile, *args):
+        profiles.append(profile)
+        return original(grid, profile, *args)
+
+    monkeypatch.setattr(counterexample, "symbol_box", counting)
+    run_counterexample(cfg)
+    assert profiles and beta_hat not in profiles
+
+
+# bracket bounds of separation_config(N) at 2**22 points, recorded when the
+# bracket's factor was sampled by a full-size inverse FFT
+FULL_SIZE_BOUNDS = {
+    (1, "sharp"): (7.794309399038736, 7.874398526359669),
+    (2, "sharp"): (10.500646437982489, 10.504960870661794),
+    (3, "sharp"): (12.728710529994636, 12.728934580314906),
+    (1, "lowered"): (5.803551547435648, 5.8336383076117215),
+    (2, "lowered"): (6.738480890802842, 6.7398651458480625),
+    (3, "lowered"): (7.419020560282887, 7.4190858546748615),
+}
+
+
+@pytest.mark.parametrize("n_packets", [1, 2, 3])
+def test_separation_bracket_bounds_at_full_size(n_packets):
+    cfg = separation_config(n_packets=n_packets)
+    kernel = build_kernel(cfg)
+    for kind, lam in (("sharp", cfg.lam_value), ("lowered", cfg.lam_value - 0.25)):
+        res = d_lambda(kernel, lam, cfg.grid)
+        assert res.method == "bracket"
+        for got, want in zip((res.lower, res.upper), FULL_SIZE_BOUNDS[n_packets, kind]):
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_separation_sharp_slope_at_full_size():
+    # criterion 15's sharp fit, recorded as for FULL_SIZE_BOUNDS
+    fit = ratio_growth_fit([separation_config(n_packets=n) for n in (1, 2, 3)])
+    assert abs(fit.slope - 0.06024448114885299) <= 1e-12 * 0.06024448114885299
 
 
 def test_input_norms_match_for_every_p():

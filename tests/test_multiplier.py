@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logmult.calibration import make_counterexample_profiles, make_lp_pair
+from logmult import multiplier
+from logmult.calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, make_lp_pair
 from logmult.field import GridSpec, apply_multiplier, convolve, lp_norm, piece_shells, transform
 from logmult.multiplier import (
     SpectralFactor,
@@ -60,8 +62,6 @@ def test_joint_support_does_not_depend_on_term_order(profiles, reverse):
 
 
 def test_bracket_samples_each_distinct_factor_once(monkeypatch, profiles):
-    import logmult.multiplier as multiplier
-
     eta_hat, beta_hat = profiles
     grid = GridSpec(1, 4096, 64.0)
     calls = []
@@ -84,6 +84,76 @@ def test_bracket_samples_each_distinct_factor_once(monkeypatch, profiles):
     mixed = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat)])
     d_lambda(mixed, 0.5, grid, method="bracket")
     assert len(calls) == 2
+
+
+def sampled_shell_data(factor, grid, shells, mags=None):
+    """The oracle: the factor sampled by a full-size inverse FFT, every offset bucketed by ``bincount``."""
+    center = factor.center(grid.dimension)
+    off = multiplier._signed_offsets(grid, center)
+    signed = grid.dimension == 1
+    if not signed:
+        off = np.abs(off)
+    base = float(off.min()) if signed else 0.0
+    reach = float(off.max()) - base
+    width = reach / shells if reach > 0 else 1.0
+    idx = np.minimum(((off - base) / width).astype(int), shells - 1)
+    if mags is None:
+        mags = np.abs(factor.field_on(grid).values)
+    mass = np.bincount(idx.ravel(), weights=mags.ravel(), minlength=shells) * grid.cell_volume
+    lo = base + np.arange(shells) * width
+    return mass, lo, lo + width
+
+
+@st.composite
+def shell_cases(draw):
+    """A translated radial factor, its grid and a shell count.
+
+    1-D grids of 8 .. 2**14 points and 2-D grids of 8 .. 128 per axis, with
+    periods 320, 10 and 2**16; the profile's support fits below Nyquist.  The
+    centre sits on the grid, off it, at +-L/2, at a multiple of L, or far out
+    (4096, the separation kernel's shift at N = 3).
+    """
+    dim = draw(st.sampled_from([1, 1, 2]))
+    m = 2 ** draw(st.integers(3, 14 if dim == 1 else 7))
+    period = draw(st.sampled_from([320.0, 10.0, 2.0**16]))
+    grid = GridSpec(dim, m, period)
+    outer = draw(st.floats(0.2, 0.95)) * grid.nyquist
+    inner = draw(st.floats(0.0, 0.8)) * outer
+    if inner < 0.05 * outer:
+        profile = RadialProfile(outer / 2.0, outer)
+    else:
+        profile = AnnularProfile(inner + (outer - inner) / 3.0, outer - (outer - inner) / 3.0, inner, outer)
+
+    def coordinate():
+        kind = draw(st.sampled_from(["on-grid", "off-grid", "half", "multiple", "far"]))
+        if kind == "on-grid":
+            return draw(st.integers(-2 * m, 2 * m)) * grid.spacing
+        if kind == "off-grid":
+            return draw(st.floats(-2.0 * period, 2.0 * period))
+        if kind == "half":
+            return draw(st.sampled_from([-0.5, 0.5])) * period
+        if kind == "multiple":
+            return draw(st.integers(-2, 3)) * period
+        return 4096.0
+
+    factor = SpectralFactor(profile, tuple(coordinate() for _ in range(dim)))
+    return factor, grid, draw(st.sampled_from([1, 3, 16, 128, 256]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(shell_cases())
+def test_shell_data_matches_sampled_factor(case):
+    factor, grid, shells = case
+    mass, lo, hi = multiplier._shell_data(factor, grid, shells)
+    want_mass, want_lo, want_hi = sampled_shell_data(factor, grid, shells)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert np.max(np.abs(mass - want_mass)) <= 1e-12 * want_mass.sum()
+    # unit moduli: each shell's mass is its sample count times the cell volume, exactly
+    ones = np.ones(grid.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiplier, "box_modulus", lambda grid, pieces: ones)
+        counts = multiplier._shell_data(factor, grid, shells)[0]
+    assert np.array_equal(counts, sampled_shell_data(factor, grid, shells, ones)[0])
 
 
 def test_d_lambda_zero_is_l1(grid, kernel2, profiles):

@@ -9,6 +9,7 @@ every scale and slot, so they neither skip certified-zero pieces nor serve
 plateau pieces as translates.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -24,6 +25,7 @@ from logmult.calibration import (
     make_lp_pair,
 )
 from logmult.counterexample import build_inputs, build_kernel, identity_config, separation_config
+from logmult import field
 from logmult.field import (
     PARTIAL,
     PLATEAU,
@@ -35,8 +37,10 @@ from logmult.field import (
     Spectrum,
     add_box_product,
     apply_multiplier,
+    box_modulus,
     bin_boxes,
     grid_aligned_steps,
+    lp_norm,
     multiplier_symbol,
     piece_shells,
     piece_class,
@@ -615,6 +619,119 @@ def test_band_local_product_matches_full_grid(case):
     got = np.zeros(grid.shape, dtype=np.complex128)
     add_box_product(got, grid, coefficient, slots)
     assert_close(got, full_grid_product(grid, coefficient, slots))
+
+
+def pairwise_box_product(out, grid, coefficient, slots):
+    """The oracle: :func:`add_box_product` inverting every chosen box again for each choice."""
+    m = grid.samples_per_axis
+    for pieces in itertools.product(*slots):
+        sizes = field._product_sizes(grid, pieces)
+        prod = np.full(sizes, coefficient, dtype=np.complex128)
+        for _, values in pieces:
+            padded = np.zeros(sizes, dtype=np.complex128)
+            padded[tuple(slice(0, w) for w in values.shape)] = values
+            piece = np.fft.ifftn(padded)
+            piece /= grid.cell_volume
+            prod *= piece
+        spectrum = np.fft.fftn(prod)
+        spectrum *= grid.cell_volume * math.prod(p / m for p in sizes) ** (len(pieces) - 1)
+        counts = [min(p, sum(v.shape[i] for _, v in pieces) - len(pieces) + 1) for i, p in enumerate(sizes)]
+        starts = [sum(first[i] for first, _ in pieces) for i in range(grid.dimension)]
+        out[box_bins_index(grid, starts, counts)] += spectrum[tuple(slice(0, c) for c in counts)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_product_cases())
+def test_band_local_product_inverts_each_box_once_with_the_same_arithmetic(case):
+    grid, coefficient, slots = case
+    got, want = np.zeros(grid.shape, dtype=np.complex128), np.zeros(grid.shape, dtype=np.complex128)
+    add_box_product(got, grid, coefficient, slots)
+    pairwise_box_product(want, grid, coefficient, slots)
+    assert np.array_equal(got, want)
+
+
+def test_l4_norm_of_a_packet_train_inverts_each_box_once(monkeypatch):
+    # three equal packets: every box pair of |f|**2 = f * conj(f) shares one small grid
+    grid = GridSpec(1, 2**14, 64.0)
+    f = bump_train(grid, 3.0, [1, 2, 3], 0.25)
+    assert len(f.kept) == 3 and len({values.shape for _, values in f.kept}) == 1
+    sizes = []
+    original = np.fft.ifftn
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    norm = lp_norm(f, 4)
+    monkeypatch.undo()
+    assert len(sizes) == 2 * 3 and max(sizes) < grid.size
+    assert abs(norm - lp_norm(SampledField(grid, f.values), 4)) <= 1e-12 * norm
+
+
+@st.composite
+def narrow_spectra(draw):
+    """Disjoint boxes of random coefficients whose signed-bin span is drawn per axis.
+
+    The span is often a power of two (exactly P), sometimes past M/2 (P = M);
+    it sits anywhere, across 0, against the Nyquist bin at either end, or
+    across it.  Each axis splits the span into one or two intervals, and the
+    boxes are their products.
+    """
+    dim = draw(st.sampled_from([1, 1, 2]))
+    m = 2 ** draw(st.integers(3, 12 if dim == 1 else 6))
+    grid = GridSpec(dim, m, draw(st.sampled_from([1.0, 10.0, 320.0])))
+    per_axis = []
+    for _ in range(dim):
+        if draw(st.booleans()):
+            span = 2 ** draw(st.integers(0, int(math.log2(m))))
+        else:
+            span = draw(st.integers(1, m))
+        place = draw(st.sampled_from(["any", "zero", "low-nyquist", "high-nyquist", "across-nyquist"]))
+        if place == "any":
+            lo = draw(st.integers(-(m // 2), m // 2 - span))
+        else:
+            lo = {"zero": -(span // 2), "low-nyquist": -(m // 2), "high-nyquist": m // 2 - span,
+                  "across-nyquist": m // 2 - span // 2 - 1}[place]
+        intervals = [(lo, span)]
+        if span >= 3 and draw(st.booleans()):
+            cut = draw(st.integers(1, span - 2))
+            gap = draw(st.integers(0, span - 1 - cut - 1))
+            intervals = [(lo, cut), (lo + cut + gap, span - cut - gap)]
+        per_axis.append(intervals)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = []
+    for box in itertools.product(*per_axis):
+        shape = tuple(w for _, w in box)
+        pieces.append((tuple(k for k, _ in box), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    return grid, pieces
+
+
+@settings(max_examples=150, deadline=None)
+@given(narrow_spectra())
+def test_box_modulus_matches_full_size_inverse(case):
+    grid, pieces = case
+    want = np.abs(np.fft.ifftn(field._scattered(grid, pieces)) / grid.cell_volume)
+    got = box_modulus(grid, pieces)
+    assert got.shape == grid.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def test_box_modulus_transforms_the_folded_length(monkeypatch):
+    # a band of 64 bins on 2**14 points: 256 rows of 64-point transforms
+    grid = GridSpec(1, 2**14, 64.0)
+    rng = np.random.default_rng(3)
+    pieces = [((-40,), rng.standard_normal(30) + 0j), ((5,), rng.standard_normal(19) + 0j)]
+    calls = []
+    original = np.fft.ifftn
+
+    def counting(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("axes")))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    box_modulus(grid, pieces)
+    assert calls == [((256, 64), (1,))]
 
 
 # ---------------------------------------------------------------------------
