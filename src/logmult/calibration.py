@@ -29,7 +29,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .field import GridSpec, SampledField, Spectrum, frozen, inverse, multiplier_symbol
+from .field import GridSpec, SampledField, Spectrum, inverse, symbol_box
 
 __all__ = [
     "RadialProfile",
@@ -245,7 +245,4 @@ def profile_to_field(profile, grid: GridSpec) -> SampledField:
 
     Profiles are radial, hence even, so the result is real up to roundoff.
     """
-    inner, outer = profile.support
-    grid.check_supports_radius(outer)
-    spectrum = Spectrum(grid, frozen(multiplier_symbol(grid, profile)), support_certificate=(inner, outer))
-    return inverse(spectrum)
+    return inverse(Spectrum(grid, symbol_box(grid, profile), support_certificate=profile.support))

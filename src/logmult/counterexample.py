@@ -17,15 +17,18 @@ interval arithmetic on the profile certificates before anything is sampled.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, profile_to_field
 from .exponents import PTuple, lambda_st, sharp_lambda
-from .field import GridSpec, SampledField, add_box_product, conjugate, lp_norm, symbol_box, transform
+from .field import GridSpec, SampledField, Shells, add_box_product, certify, conjugate, inverse, lp_norm, transform
+from .field import spectrum_from_boxes, symbol_box, zero_boxes
 from .multiplier import SpectralFactor, TensorKernel, apply_t, d_lambda
 from .shifted_lab import bump_train, packet_bins
 
@@ -377,7 +380,7 @@ def orthogonality_check(cfg: CxConfig) -> float:
     radii = grid.frequency_radii()
     worst = 0.0
     for z in cfg.zetas:
-        for index, _, ball in packet_bins(grid, eta_hat, 2.0**z):
+        for _, index, _, ball in packet_bins(grid, eta_hat, 2.0**z):
             ball = ball.real
             for ell in cfg.scale_range:
                 dilated = beta_hat(radii[index] * 2.0**-ell)
@@ -424,25 +427,31 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
     ortho = orthogonality_check(cfg) if check_orthogonality else float("nan")
 
     output = apply_t(kernel, fields, cfg.scale_range)
-    # closed form N eta**2 beta**(n-2) from the symbols, vs the kept output spectrum (Parseval)
+    # closed form N eta**2 beta**(n-2) from the symbols, in the boxes of its
+    # certificate (the supports' Minkowski sum), vs the kept output spectrum (Parseval)
     eta_hat, beta_hat = cfg.profiles
-    closed = np.zeros(grid.shape, dtype=np.complex128)
-    symbols = [symbol_box(grid, eta_hat)] * 2
-    if cfg.n > 2:
-        symbols += [symbol_box(grid, beta_hat)] * (cfg.n - 2)
-    add_box_product(closed, grid, cfg.n_packets, symbols)
-    closed_norm = math.sqrt(np.vdot(closed, closed).real)
+    profiles = [eta_hat] * 2 + [beta_hat] * (cfg.n - 2)
+    symbols = {profile: symbol_box(grid, profile) for profile in set(profiles)}
+    shells = reduce(operator.add, (Shells.radial(*profile.support, grid.dimension) for profile in profiles))
+    boxes = zero_boxes(grid, shells)
+    add_box_product(boxes, grid, cfg.n_packets, [symbols[profile] for profile in profiles])
+    closed = certify(grid, boxes, shells)
+    closed_norm = lp_norm(inverse(closed), 2)
     if closed_norm == 0.0:
         raise ValueError("closed form vanishes; the grid underresolves the profiles")
-    closed -= transform(output).coefficients
-    identity_error = math.sqrt(np.vdot(closed, closed).real) / closed_norm
+    got = transform(output)
+    union = None if got.shells is None else shells | got.shells
+    error = spectrum_from_boxes(grid, closed.boxes + tuple((first, -values) for first, values in got.boxes), union)
+    identity_error = lp_norm(inverse(error), 2) / closed_norm
 
-    # the trains and the output keep their spectra: lp_norm reads L^2 and L^4 from them, unsampled
+    # the trains and the output keep their spectra: lp_norm reads L^2 and L^4 from them, unsampled;
+    # |f_t| = |conj f_s| = |f_s|, so the t slot takes the s-train's norm at the same p
     pt = cfg.ptuple
-    input_norms = []
-    for f, r in zip(fields, pt.reciprocals):
-        p = math.inf if r == 0 else float(1 / r)
-        input_norms.append(lp_norm(f, p))
+    norm = lru_cache(maxsize=None)(lambda slot, p: lp_norm(fields[slot - 1], p))
+    input_norms = [
+        norm(cfg.s if slot == cfg.t else slot, math.inf if r == 0 else float(1 / r))
+        for slot, r in enumerate(pt.reciprocals, 1)
+    ]
     r_sum = sum(pt.reciprocals)
     if r_sum == 0:
         raise ValueError("output exponent is infinite; the oscillation norm is out of scope here")

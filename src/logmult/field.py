@@ -28,11 +28,13 @@ packet.  ``SampledField.band`` and ``Spectrum.support_certificate`` read as
 the union's radial hull.
 
 A set of certified bins has one layout, the boxes of :func:`bin_boxes`: one
-merged interval of signed bins per axis.  Certificates are checked and
-enforced on them, never on a whole-grid mask.  A field made by
-:func:`inverse` from a certified spectrum keeps its coefficients on them
-(``kept``) and is *deferred*: its samples are computed when ``values`` is
-first read; :func:`transform` and :func:`lp_norm` (L_2, L_4) read them without an FFT.
+merged interval of signed bins per axis.  A :class:`Spectrum` *is* its
+boxes: a certified one holds its coefficients on its certificate's boxes,
+zero off them, and is checked box by box; its full-size ``coefficients``
+are scattered only when read.  A field made by :func:`inverse` from a
+certified spectrum keeps that spectrum (``kept``) and is *deferred*: its
+samples are computed when ``values`` is first read; :func:`transform` and
+:func:`lp_norm` (L_2, L_4) read the kept spectrum without an FFT.
 
 The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
 has one core, which evaluates it only on the boxes its certificates allow:
@@ -41,9 +43,10 @@ This is exact, not an approximation: profiles are hard 0 off their closed
 support and certified spectra are exactly 0 off their shells, so every
 skipped product was a signed zero.  Products of such pieces are formed
 band-locally (:func:`add_box_product`), one choice of box per piece at a
-time, on the smallest power-of-two grid the product cannot wrap on; the
-modulus of a narrow spectrum's samples takes short transforms on that grid
-too (:func:`box_modulus`).
+time, on the smallest power-of-two grid the product cannot wrap on, and
+added into the boxes of the product's certificate; the modulus of a narrow
+spectrum's samples takes short transforms on that grid too
+(:func:`box_modulus`).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,13 +72,14 @@ __all__ = [
     "transform",
     "inverse",
     "certify",
+    "zero_boxes",
+    "spectrum_from_boxes",
     "conjugate",
     "convolve",
     "frozen",
     "bin_boxes",
     "box_frequencies",
     "translation_phase",
-    "multiplier_symbol",
     "apply_multiplier",
     "box_piece",
     "symbol_box",
@@ -159,14 +163,14 @@ class GridSpec:
 
     def frequency_mesh(self) -> Tuple[np.ndarray, ...]:
         """Frequency coordinate arrays, one per axis, broadcastable to ``shape``."""
-        return _frequency_mesh(self.samples_per_axis, self.period, self.dimension)
+        return _open_mesh(_axis_frequencies, self.samples_per_axis, self.period, self.dimension)
 
     def frequency_radii(self) -> np.ndarray:
         """|xi| on the full frequency grid."""
         return _frequency_radii(self.samples_per_axis, self.period, self.dimension)
 
     def coordinate_mesh(self) -> Tuple[np.ndarray, ...]:
-        return _coordinate_mesh(self.samples_per_axis, self.period, self.dimension)
+        return _open_mesh(_axis_coordinates, self.samples_per_axis, self.period, self.dimension)
 
     def torus_distances(self) -> np.ndarray:
         """Min-image distance |x| from the origin for every grid point."""
@@ -195,32 +199,22 @@ def _axis_frequencies(m: int, period: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _frequency_mesh(m: int, period: float, dim: int) -> Tuple[np.ndarray, ...]:
-    axis = _axis_frequencies(m, period)
+def _open_mesh(axis, m: int, period: float, dim: int) -> Tuple[np.ndarray, ...]:
+    """Read-only open mesh of ``axis(m, period)`` over ``dim`` axes."""
     if dim == 1:
-        return (axis,)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij", sparse=True)
+        return (axis(m, period),)
+    mesh = np.meshgrid(*([axis(m, period)] * dim), indexing="ij", sparse=True)
     for a in mesh:
         a.flags.writeable = False
     return tuple(mesh)
+
 
 @lru_cache(maxsize=64)
 def _frequency_radii(m: int, period: float, dim: int) -> np.ndarray:
-    mesh = _frequency_mesh(m, period, dim)
+    mesh = _open_mesh(_axis_frequencies, m, period, dim)
     r = np.sqrt(sum(a**2 for a in mesh))
     r.flags.writeable = False
     return r
-
-
-@lru_cache(maxsize=64)
-def _coordinate_mesh(m: int, period: float, dim: int) -> Tuple[np.ndarray, ...]:
-    axis = _axis_coordinates(m, period)
-    if dim == 1:
-        return (axis,)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij", sparse=True)
-    for a in mesh:
-        a.flags.writeable = False
-    return tuple(mesh)
 
 
 @lru_cache(maxsize=64)
@@ -246,8 +240,8 @@ def frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    """Read-only complex128 array the caller cannot change.
+def _freeze(values: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Read-only complex128 array of ``shape`` the caller cannot change.
 
     A conversion builds a fresh array and a read-only array that owns its data
     (see :func:`frozen`) is adopted as is; anything else is copied.
@@ -255,6 +249,8 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.asarray(values, dtype=np.complex128)
     if out.base is not None or (out is values and out.flags.writeable):
         out = out.copy()
+    if out.shape != shape:
+        out = out.reshape(shape)
     out.flags.writeable = False
     return out
 
@@ -368,15 +364,13 @@ class Shells:
         return True
 
     def windows(self, dimension: int) -> List[List[Tuple[float, float]]]:
-        """Per-axis frequency intervals whose product boxes cover the union (see :func:`bin_boxes`).
+        """Frequency boxes, one closed interval per axis, that cover the union (see :func:`bin_boxes`).
 
         1-D: the two intervals of each shell.  2-D: each shell's bounding box.
         """
         if dimension == 1:
-            return [[iv for (c,), a, b in self.parts for iv in ((c - b, c - a), (c + a, c + b))]]
-        return [
-            [(s.center[i] - s.outer, s.center[i] + s.outer) for s in self.parts] for i in range(dimension)
-        ]
+            return [[iv] for (c,), a, b in self.parts for iv in ((c - b, c - a), (c + a, c + b))]
+        return [[(c - s.outer, c + s.outer) for c in s.center] for s in self.parts]
 
     def contains(self, grid: GridSpec, index) -> np.ndarray:
         """Boolean mask of the bins of ``index`` (see :func:`box_frequencies`) that lie in the union.
@@ -402,28 +396,22 @@ class SampledField:
     ``band`` is its radial hull ``(inner, outer)`` in physical frequency
     units; a field given only a ``band`` is certified by that annulus.
 
-    ``kept``, when set, holds the exact spectrum as :data:`BoxPiece` boxes.
-    :func:`inverse` of a certified spectrum, :func:`conjugate` and ``*`` set
-    it and build *deferred* fields, whose ``values`` are computed on first
-    read and cached, bit for bit what an eager construction stores.  Every
-    other constructor samples at once and keeps nothing.
+    ``kept``, when set, is the field's exact spectrum, a certified
+    :class:`Spectrum` (its boxes).  :func:`inverse` of a certified spectrum,
+    :func:`conjugate` and ``*`` set it and build *deferred* fields, whose
+    ``values`` are computed on first read and cached, bit for bit what an
+    eager construction stores.  Every other constructor samples at once and
+    keeps nothing.
     """
 
     grid: GridSpec
     values: np.ndarray
     band: Optional[Tuple[float, float]] = None
     shells: Optional[Shells] = None
-    kept: Optional[Tuple[BoxPiece, ...]] = field(default=None, init=False, compare=False, repr=False)
+    kept: Optional["Spectrum"] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        vals = _freeze(self.values)
-        if vals.shape != self.grid.shape:
-            if vals.size == self.grid.size:
-                vals = _freeze(vals.reshape(self.grid.shape))
-            else:
-                raise ValueError(
-                    f"values shape {vals.shape} incompatible with grid {self.grid.shape}"
-                )
+        vals = _freeze(self.values, self.grid.shape)
         _require_finite(vals, "field values")
         object.__setattr__(self, "values", vals)
         band, shells = _certificate(self.grid, self.band, self.shells)
@@ -446,9 +434,7 @@ class SampledField:
         if not isinstance(other, SampledField):
             return NotImplemented
         require_same_grid(self, other)
-        shells = None
-        if self.shells is not None and other.shells is not None:
-            shells = self.shells | other.shells
+        shells = None if self.shells is None or other.shells is None else self.shells | other.shells
         return SampledField(self.grid, frozen(self.values + other.values), shells=shells)
 
     def __sub__(self, other: "SampledField") -> "SampledField":
@@ -462,8 +448,8 @@ class SampledField:
         c = complex(scalar)
         if self.kept is None:
             return SampledField(self.grid, frozen(self.values * c), shells=self.shells)
-        kept = tuple((first, frozen(values * c)) for first, values in self.kept)
-        return _deferred(self.grid, self.shells, kept, lambda _: self.values * c)
+        kept = Spectrum(self.grid, tuple((first, values * c) for first, values in self.kept.boxes), shells=self.shells)
+        return _deferred(kept, lambda _: self.values * c)
 
     __rmul__ = __mul__
 
@@ -473,15 +459,11 @@ class SampledField:
         A sum reaching Nyquist would alias on the grid: :class:`NyquistError`.
         """
         require_same_grid(self, other)
-        shells = None
-        if self.shells is not None and other.shells is not None:
-            shells = self.shells + other.shells
+        shells = None if self.shells is None or other.shells is None else self.shells + other.shells
         return SampledField(self.grid, frozen(self.values * other.values), shells=shells)
 
 
-def _certificate(
-    grid: GridSpec, band: Optional[Tuple[float, float]], shells: Optional[Shells]
-) -> Tuple[Optional[Tuple[float, float]], Optional[Shells]]:
+def _certificate(grid: GridSpec, band: Optional[Tuple[float, float]], shells: Optional[Shells]) -> Tuple[Optional[Tuple[float, float]], Optional[Shells]]:
     """``(radial hull, union)`` from a band or a union; the union must fit below Nyquist."""
     if shells is None:
         if band is None:
@@ -504,29 +486,23 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _deferred(grid: GridSpec, shells: Shells, kept: Tuple[BoxPiece, ...], sampler) -> SampledField:
-    """A field certified by ``shells`` with (finite) spectrum ``kept``, whose samples ``sampler(field)`` computes when first read."""
-    for _, values in kept:
-        _require_finite(values, "field coefficients")
+def _deferred(kept: "Spectrum", sampler) -> SampledField:
+    """A field with the certified spectrum ``kept``, whose samples ``sampler(field)`` computes when first read."""
     f = object.__new__(SampledField)
-    for name, value in (("grid", grid), ("band", shells.hull), ("shells", shells), ("kept", kept), ("_sampler", sampler)):
+    for name, value in (("grid", kept.grid), ("band", kept.support_certificate), ("shells", kept.shells), ("kept", kept), ("_sampler", sampler)):
         object.__setattr__(f, name, value)
     return f
 
 
 @lru_cache(maxsize=32)
-def _certified_bins(grid: GridSpec, shells: Shells) -> Tuple[Tuple[Tuple[int, ...], Tuple[np.ndarray, ...], np.ndarray], ...]:
+def _certified_bins(grid: GridSpec, shells: Optional[Shells]) -> Tuple[Tuple[Tuple[int, ...], Tuple[np.ndarray, ...], Optional[np.ndarray]], ...]:
     """``(first, index, mask)`` per box of ``shells``: each box with its (read-only) mask of certified bins.
 
+    None is the whole grid, one box without a mask (see :func:`_boxes`).
     Cached like the grid's frequency arrays: the same certificate is checked
     by every transform and spectrum that carries it.
     """
-    out = []
-    for first, index in _boxes(grid, shells):
-        inside = shells.contains(grid, index)
-        inside.flags.writeable = False
-        out.append((first, index, inside))
-    return tuple(out)
+    return tuple((first, index, None if shells is None else frozen(shells.contains(grid, index))) for first, index in _boxes(grid, shells))
 
 
 @lru_cache(maxsize=64)
@@ -540,46 +516,50 @@ def _max_modulus(values: np.ndarray) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Discrete Fourier coefficients with an optional support certificate.
+    """Discrete Fourier coefficients, held as boxes, with an optional support certificate.
 
     As for :class:`SampledField`, ``shells`` is the certificate and
     ``support_certificate`` its radial hull (or the annulus it was given).
-    Coefficients off the certificate must be exactly zero; the check counts
-    the nonzero coefficients on the certified bins against the whole array's.
+    ``boxes`` are laid out as :func:`zero_boxes` of ``shells`` and adopted; a
+    full-size array given instead is copied (as samples are) and cut into
+    them.  Coefficients off the certified bins must be exactly zero, checked
+    box by box, and certified ones finite.  ``coefficients`` scatters the
+    boxes on each read.
     """
 
     grid: GridSpec
-    coefficients: np.ndarray
+    boxes: Tuple[BoxPiece, ...]
     support_certificate: Optional[Tuple[float, float]] = None
     shells: Optional[Shells] = None
 
     def __post_init__(self):
-        coeffs = _freeze(self.coefficients)
-        if coeffs.shape != self.grid.shape:
-            if coeffs.size == self.grid.size:
-                coeffs = _freeze(coeffs.reshape(self.grid.shape))
-            else:
-                raise ValueError(
-                    f"coefficients shape {coeffs.shape} incompatible with grid {self.grid.shape}"
-                )
-        object.__setattr__(self, "coefficients", coeffs)
         hull, shells = _certificate(self.grid, self.support_certificate, self.shells)
         object.__setattr__(self, "support_certificate", hull)
         object.__setattr__(self, "shells", shells)
-        if shells is None:
-            return
         bins = _certified_bins(self.grid, shells)
-        certified = sum(np.count_nonzero(coeffs[index][inside]) for _, index, inside in bins)
-        if certified != np.count_nonzero(coeffs):
-            off = coeffs.copy()
-            for _, index, inside in bins:
-                off[index] = np.where(inside, 0.0, off[index])
-            raise ValueError(
-                f"support certificate {hull} violated: "
-                f"max |coefficient| off the certificate is {_max_modulus(off)}"
-            )
+        boxes, off = self.boxes, 0
+        if isinstance(boxes, np.ndarray):
+            coeffs = _freeze(boxes, self.grid.shape)
+            boxes = [(first, coeffs if inside is None else coeffs[index]) for first, index, inside in bins]
+            if shells is not None:
+                off = np.count_nonzero(coeffs) - sum(np.count_nonzero(values) for _, values in boxes)
+        boxes = tuple((first, frozen(np.asarray(values, dtype=np.complex128))) for first, values in boxes)
+        if [(first, values.shape) for first, values in boxes] != [(first, tuple(i.size for i in index)) for first, index, _ in bins]:
+            raise ValueError(f"boxes are not laid out on the certificate {hull}")
+        object.__setattr__(self, "boxes", boxes)
+        if shells is not None:
+            for _, values in boxes:
+                _require_finite(values, "certified coefficients")
+            off += sum(np.count_nonzero(np.where(inside, 0.0, values)) for (_, values), (_, _, inside) in zip(boxes, bins))
+            if off:
+                raise ValueError(f"support certificate {hull} violated: {off} nonzero coefficients off it")
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The full-size (read-only) array of the coefficients."""
+        return self.boxes[0][1] if self.shells is None else frozen(_scattered(self.grid, self.boxes))
 
 
 @dataclass(frozen=True)
@@ -603,44 +583,73 @@ def require_same_grid(*objs) -> GridSpec:
     return grid
 
 
-def certify(grid: GridSpec, coefficients: np.ndarray, shells: Optional[Shells]) -> Spectrum:
-    """Spectrum of fresh ``coefficients``, roundoff dust off ``shells`` zeroed in place (more is an error).
+def zero_boxes(grid: GridSpec, shells: Optional[Shells]) -> List[BoxPiece]:
+    """Fresh zero boxes on the boxes of ``shells`` (the whole grid for None), for :func:`add_box_product` to add into."""
+    return [(first, np.zeros(tuple(i.size for i in index), dtype=np.complex128)) for first, index in _boxes(grid, shells)]
 
-    The certified boxes are set aside, the certified bins cleared, the rest
-    measured and cleared, and the certified bins put back.
+
+def certify(grid: GridSpec, pieces: Sequence[BoxPiece], shells: Optional[Shells], outside: float = 0.0) -> Spectrum:
+    """Spectrum of the fresh boxes ``pieces`` (laid out as :func:`zero_boxes`), roundoff dust off ``shells`` zeroed in place (more is an error).
+
+    ``outside`` is the largest modulus the caller dropped off the boxes; it counts as dust.
     """
     if shells is not None:
-        scale = _max_modulus(coefficients)
         bins = _certified_bins(grid, shells)
-        certified = [coefficients[index] for _, index, _ in bins]
-        for _, index, inside in bins:
-            coefficients[index] = np.where(inside, 0.0, coefficients[index])
-        dust = _max_modulus(coefficients)
+        scale = max([outside] + [_max_modulus(values) for _, values in pieces])
+        dust = max([outside] + [_max_modulus(values[~inside]) for (_, values), (_, _, inside) in zip(pieces, bins)])
         if scale > 0 and dust > 1e-10 * scale:
             raise ValueError(f"band certificate {shells.hull} violated: "
                              f"out-of-band content {dust} vs in-band scale {scale}")
-        coefficients[...] = 0.0
-        for (_, index, inside), values in zip(bins, certified):
-            coefficients[index] = np.where(inside, values, 0.0)
-    return Spectrum(grid, frozen(coefficients), shells=shells)
+        for (_, values), (_, _, inside) in zip(pieces, bins):
+            values[~inside] = 0.0
+    return Spectrum(grid, tuple(pieces), shells=shells)
+
+
+def spectrum_from_boxes(grid: GridSpec, pieces: Iterable[BoxPiece], shells: Optional[Shells]) -> Spectrum:
+    """The sum of the boxes ``pieces``, added in order into :func:`zero_boxes` of ``shells``, off which they must vanish."""
+    out = zero_boxes(grid, shells)
+    for first, values in pieces:
+        _add_into(grid, out, first, values)
+    return Spectrum(grid, tuple(out), shells=shells)
 
 
 def transform(f: SampledField) -> Spectrum:
-    """Forward transform, f_hat(k/L) per grid frequency: ``kept`` coefficients
-    scattered into zeros, else a quadrature-weighted FFT, :func:`certify`-ed."""
-    if f.kept is None:
-        coeffs = np.fft.fftn(f.values)
-        coeffs *= f.grid.cell_volume
-        return certify(f.grid, coeffs, f.shells)
-    return Spectrum(f.grid, frozen(_scattered(f.grid, f.kept)), shells=f.shells)
+    """Forward transform, f_hat(k/L) per grid frequency: the ``kept`` spectrum,
+    else a quadrature-weighted FFT, :func:`certify`-ed on the certificate's boxes."""
+    if f.kept is not None:
+        return f.kept
+    coeffs = np.fft.fftn(f.values)
+    coeffs *= f.grid.cell_volume
+    if f.shells is None:
+        return Spectrum(f.grid, frozen(coeffs))
+    bins = _certified_bins(f.grid, f.shells)
+    pieces = [(first, coeffs[index]) for first, index, _ in bins]
+    for _, index, _ in bins:
+        coeffs[index] = 0.0
+    return certify(f.grid, pieces, f.shells, _max_modulus(coeffs))
+
+
+def _add_into(grid: GridSpec, targets: Sequence[BoxPiece], first: Sequence[int], values: np.ndarray) -> None:
+    """Add the box ``(first, values)`` into the (writable) boxes ``targets`` on every bin they share, mod M."""
+    m = grid.samples_per_axis
+    for k, target in targets:
+        at = [(a + np.arange(w) - b) % m for a, w, b in zip(first, values.shape, k)]  # positions in the target
+        hit = [np.flatnonzero(p < v) for p, v in zip(at, target.shape)]
+        if all(h.size for h in hit):
+            target[np.ix_(*(p[h] for p, h in zip(at, hit)))] += values[np.ix_(*hit)]
+
+
+def _read(grid: GridSpec, pieces: Sequence[BoxPiece], first: Sequence[int], shape: Sequence[int]) -> np.ndarray:
+    """The spectrum held as the (disjoint) boxes ``pieces`` on the signed bins ``first + [0, w)`` per axis, 0 off them."""
+    out = np.zeros(shape, dtype=np.complex128)
+    for k, values in pieces:
+        _add_into(grid, [(first, out)], k, values)
+    return out
 
 
 def _scattered(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
     """A fresh full-size array of the (disjoint) boxes ``pieces``, zero elsewhere."""
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for first, values in pieces:
-        coeffs[_box_index(grid, first, values.shape)] = values
-    return coeffs
+    return _read(grid, pieces, (0,) * grid.dimension, grid.shape)
 
 
 def _inverted(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
@@ -654,13 +663,12 @@ def _inverted(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
 def inverse(s: Spectrum) -> SampledField:
     """Inverse transform; round-trips with :func:`transform` (exactly, for a certified ``s``).
 
-    A certified ``s`` gives a deferred field keeping its (finite) coefficients
-    on the certificate's boxes; an uncertified one is inverted at once.
+    A certified ``s`` gives a deferred field that keeps ``s`` itself; an
+    uncertified one is inverted at once.
     """
     if s.shells is None:
         return SampledField(s.grid, frozen(apply_multiplier(s)))
-    kept = tuple((first, frozen(s.coefficients[index])) for first, index, _ in _certified_bins(s.grid, s.shells))
-    return _deferred(s.grid, s.shells, kept, lambda f: _inverted(f.grid, f.kept))
+    return _deferred(s, lambda f: _inverted(f.grid, f.kept.boxes))
 
 
 def _reflected(piece: BoxPiece) -> BoxPiece:
@@ -674,23 +682,20 @@ def conjugate(f: SampledField) -> SampledField:
     shells = None if f.shells is None else f.shells.scaled(-1.0)
     if f.kept is None:
         return SampledField(f.grid, frozen(np.conj(f.values)), shells=shells)
-    kept = tuple((first, frozen(values)) for first, values in map(_reflected, f.kept))
-    return _deferred(f.grid, shells, kept, lambda _: np.conj(f.values))
+    kept = spectrum_from_boxes(f.grid, map(_reflected, f.kept.boxes), shells)
+    return _deferred(kept, lambda _: np.conj(f.values))
 
 
 def convolve(f: SampledField, g: SampledField) -> SampledField:
-    """Periodic convolution with physical weight: pointwise product of spectra."""
-    require_same_grid(f, g)
-    sf = transform(f)
-    sg = transform(g)
-    coeffs = sf.coefficients * sg.coefficients
-    shells = None
-    if f.shells is not None and g.shells is not None:
-        shells = f.shells.meet(g.shells)
-        if not shells.parts:
-            shells = Shells.radial(0.0, 0.0, f.grid.dimension)
-            coeffs = np.zeros_like(coeffs)
-    return inverse(Spectrum(f.grid, frozen(coeffs), shells=shells))
+    """Periodic convolution with physical weight: pointwise product of spectra, on the boxes of the certificates' meet."""
+    grid = require_same_grid(f, g)
+    sf, sg = transform(f), transform(g)
+    shells = None if f.shells is None or g.shells is None else f.shells.meet(g.shells)
+    boxes = []
+    for first, index in _boxes(grid, shells):
+        shape = tuple(i.size for i in index)
+        boxes.append((first, _read(grid, sf.boxes, first, shape) * _read(grid, sg.boxes, first, shape)))
+    return inverse(Spectrum(grid, boxes, shells=shells))
 
 
 def grid_aligned_steps(shift: Sequence[float], grid: GridSpec) -> Optional[Tuple[int, ...]]:
@@ -726,37 +731,39 @@ def _box_index(grid: GridSpec, first: Sequence[int], shape: Sequence[int]) -> Tu
 
 
 def bin_boxes(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]]) -> List[Box]:
-    """Disjoint boxes of grid bins covering every frequency in the per-axis windows.
+    """Disjoint boxes of grid bins covering every frequency in the window boxes.
 
-    ``windows[i]`` lists closed intervals of axis-``i`` frequencies.  Each edge
-    is widened by one bin, so roundoff in ``k / L`` never drops a bin; per
-    axis the widened intervals are clipped to the signed bins ``-M/2 .. M/2-1``
-    and merged, so an interval straddling 0 is one box.  A box is one merged
-    interval per axis, as ``(first signed bin, open-mesh index)``.
+    A window is a box of frequencies, one closed interval per axis.  Each
+    edge is widened by one bin, so roundoff in ``k / L`` never drops a bin,
+    and clipped to the signed bins ``-M/2 .. M/2-1``.  Boxes that overlap or
+    touch on every axis merge into their bounding box until none do: an
+    interval straddling 0 is one box, and windows far apart keep one box
+    each.  A box is ``(first signed bin, open-mesh index)``; boxes are sorted.
     """
     m = grid.samples_per_axis
-    per_axis = []
-    for intervals in windows:
-        merged: List[List[int]] = []
-        for lo, hi in sorted(_widened_bins(a, b, grid.period) for a, b in intervals):
-            lo, hi = max(lo, -(m // 2)), min(hi, m // 2 - 1)
-            if lo > hi:
-                continue
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        per_axis.append(merged)
+    merged: List[List[Tuple[int, int]]] = []
+    for window in windows:
+        box = [(max(lo, -(m // 2)), min(hi, m // 2 - 1)) for lo, hi in (_widened_bins(a, b, grid.period) for a, b in window)]
+        if any(lo > hi for lo, hi in box):
+            continue
+        while True:
+            touching = [other for other in merged if all(lo <= b + 1 and a <= hi + 1 for (lo, hi), (a, b) in zip(box, other))]
+            if not touching:
+                break
+            merged = [other for other in merged if other not in touching]
+            box = [(min(lo for lo, _ in axis), max(hi for _, hi in axis)) for axis in zip(box, *touching)]
+        merged.append(box)
     return [
         (tuple(lo for lo, _ in box), _box_index(grid, [lo for lo, _ in box], [hi - lo + 1 for lo, hi in box]))
-        for box in itertools.product(*per_axis)
+        for box in sorted(merged)
     ]
 
 
 def _boxes(grid: GridSpec, shells: Optional[Shells]) -> List[Box]:
-    """The :func:`bin_boxes` holding every bin of ``shells``; one whole-grid box for None."""
+    """The :func:`bin_boxes` holding every bin of ``shells``; for None, the whole grid as one box in FFT order."""
     if shells is None:
-        return bin_boxes(grid, [[(-grid.nyquist, grid.nyquist)]] * grid.dimension)
+        first = (0,) * grid.dimension
+        return [(first, _box_index(grid, first, grid.shape))]
     return bin_boxes(grid, shells.windows(grid.dimension))
 
 
@@ -806,32 +813,21 @@ def _dilated_support(support: Tuple[float, float], scale: int, dimension: int) -
     return Shells.radial(support[0] * 2.0**scale, support[1] * 2.0**scale, dimension)
 
 
-def _symbol_shells(shells: Optional[Shells], profile, scale: int, dimension: int) -> Optional[Shells]:
-    """Certificate off which ``coefficients * profile(2**-scale |xi|)`` vanishes.
-
-    The spectrum's certificate met with the dilated profile support; either
-    one alone when the other is absent; None (the whole grid) when neither is.
-    """
-    if profile is None:
-        return shells
-    support = _dilated_support(profile.support, scale, dimension)
-    return support if shells is None else shells.meet(support)
-
-
 def _symbol_times(
     grid: GridSpec,
-    coefficients: Optional[np.ndarray],
+    spectrum: Optional[Spectrum],
     shells: Optional[Shells],
     profile=None,
     scale: int = 0,
     shift: Optional[np.ndarray] = None,
     steps: Optional[Tuple[int, ...]] = None,
 ) -> Tuple[BoxPiece, ...]:
-    """``coefficients * profile(2**-scale |xi|) * phase`` on each box of ``shells``: the one multiplier core.
+    """``spectrum * profile(2**-scale |xi|) * phase`` on each box of ``shells``: the one multiplier core.
 
-    ``coefficients=None`` and ``profile=None`` are 1; ``shells=None`` is the
-    whole grid.  The phase is :func:`translation_phase` of ``shift``, or the
-    roll by ``steps`` samples with its argument reduced modulo M in integers
+    ``spectrum=None`` and ``profile=None`` are 1; ``shells=None`` is the
+    whole grid; the spectrum is read on the boxes of ``shells`` from its own.
+    The phase is :func:`translation_phase` of ``shift``, or the roll by
+    ``steps`` samples with its argument reduced modulo M in integers
     (as exact as the roll for any size of shift), or 1.  It is the left
     operand of the last product, as when numpy evaluates a large whole-grid
     ``coefficients * phase`` in the phase's temporary buffer: with fused
@@ -840,8 +836,8 @@ def _symbol_times(
     m = grid.samples_per_axis
     pieces = []
     for first, index in _boxes(grid, shells):
-        shape = np.broadcast_shapes(*(i.shape for i in index))
-        values = np.ones(shape) if coefficients is None else coefficients[index]
+        shape = tuple(i.size for i in index)
+        values = np.ones(shape) if spectrum is None else _read(grid, spectrum.boxes, first, shape)
         if profile is not None:
             values = values * profile(grid.frequency_radii()[index] * 2.0**-scale)
         phase = None
@@ -856,24 +852,13 @@ def _symbol_times(
     return tuple(pieces)
 
 
-def multiplier_symbol(
-    grid: GridSpec, profile, scale: int = 0, translation: Optional[Sequence[float]] = None
-) -> np.ndarray:
-    """The symbol ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))`` on the grid frequencies.
-
-    Evaluated only on the bins of the profile's dilated support; 0 elsewhere.
-    """
-    shells = _symbol_shells(None, profile, scale, grid.dimension)
-    return _scattered(grid, _symbol_times(grid, None, shells, profile, scale, _dilated_shift(translation, scale)))
-
-
 def apply_multiplier(
     spectrum: Spectrum,
     profile=None,
     scale: int = 0,
     translation: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Samples of the inverse transform of ``spectrum`` times :func:`multiplier_symbol`.
+    """Samples of the inverse transform of ``spectrum`` times ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``.
 
     ``profile=None`` is the constant 1.  A grid-aligned dilated translation
     rolls the untranslated samples (an exact permutation); any other one
@@ -886,8 +871,11 @@ def apply_multiplier(
     """
     grid = spectrum.grid
     shift, steps = _shift_or_steps(grid, translation, scale)
-    shells = _symbol_shells(spectrum.shells, profile, scale, grid.dimension)
-    values = _inverted(grid, _symbol_times(grid, spectrum.coefficients, shells, profile, scale, shift))
+    shells = spectrum.shells
+    if profile is not None:
+        support = _dilated_support(profile.support, scale, grid.dimension)
+        shells = support if shells is None else shells.meet(support)
+    values = _inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale, shift))
     if steps is not None:
         values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
     return values
@@ -906,7 +894,7 @@ def box_piece(
 ) -> Tuple[BoxPiece, ...]:
     """One multiplier piece on the certified boxes of ``shells``, as :data:`BoxPiece` boxes.
 
-    Each box holds ``coefficients * profile(2**-scale |xi|) *
+    Each box holds ``spectrum * profile(2**-scale |xi|) *
     exp(-2 pi i (2**-scale t, xi))``: the coefficients :func:`apply_multiplier`
     inverts (a grid-aligned translation, which it applies as a roll, is the
     roll's phase).  ``shells`` must hold every bin where the product can be
@@ -914,22 +902,22 @@ def box_piece(
     """
     grid = spectrum.grid
     shift, steps = _shift_or_steps(grid, translation, scale)
-    return _symbol_times(grid, spectrum.coefficients, shells, profile, scale, shift, steps)
+    return _symbol_times(grid, spectrum, shells, profile, scale, shift, steps)
 
 
-def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] = None) -> Tuple[BoxPiece, ...]:
-    """``profile(|xi|) * exp(-2 pi i (t, xi))`` on the boxes of the profile's closed support: a symbol as a piece.
+def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] = None, scale: int = 0) -> Tuple[BoxPiece, ...]:
+    """``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))`` on :func:`zero_boxes` of the profile's dilated closed support.
 
-    The boxes hold :func:`multiplier_symbol` at scale 0 on their bins.
+    A symbol as a piece, 0 off those boxes: ``Spectrum(grid, symbol_box(...), shells=support)`` holds it.
     """
-    support = _dilated_support(profile.support, 0, grid.dimension)
-    return _symbol_times(grid, None, support, profile, 0, _dilated_shift(translation, 0))
+    support = _dilated_support(profile.support, scale, grid.dimension)
+    return _symbol_times(grid, None, support, profile, scale, _dilated_shift(translation, scale))
 
 
 def add_box_product(
-    out: np.ndarray, grid: GridSpec, coefficient: complex, slots: Sequence[Sequence[BoxPiece]]
+    out: Sequence[BoxPiece], grid: GridSpec, coefficient: complex, slots: Sequence[Sequence[BoxPiece]]
 ) -> None:
-    """Add the transform of ``coefficient * prod_k inverse(slot_k)`` to ``out``, band-locally.
+    """Add the transform of ``coefficient * prod_k inverse(slot_k)`` into the boxes ``out``, band-locally.
 
     A slot is a piece as a tuple of boxes; the product is the sum, over every
     choice of one box per slot, of the product of the chosen boxes.  Every
@@ -940,7 +928,9 @@ def add_box_product(
     coefficients at bins ``sum(first_k) + q``.  The rescale between the two
     grids is a power of two, hence exact; at ``P = M`` this is the full-grid
     product itself (cyclic, so an aliasing product aliases as it would there).
-    Each box is inverted once per product grid it enters.
+    Each box is inverted once per product grid it enters.  The product is
+    added into the (writable) boxes ``out``, such as :func:`zero_boxes` of
+    its certificate, on every bin they hold; the rest of it is dropped.
     """
     m = grid.samples_per_axis
     axes = range(grid.dimension)
@@ -963,7 +953,7 @@ def add_box_product(
         spectrum *= grid.cell_volume * math.prod(p / m for p in sizes) ** (len(pieces) - 1)
         counts = [min(p, sum(w) - len(w) + 1) for p, w in zip(sizes, widths)]
         starts = [sum(first[i] for first, _ in pieces) for i in axes]
-        out[_box_index(grid, starts, counts)] += spectrum[tuple(slice(0, c) for c in counts)]
+        _add_into(grid, out, starts, spectrum[tuple(slice(0, c) for c in counts)])
 
 
 def _fold_size(m: int, span: int) -> int:
@@ -1114,28 +1104,30 @@ def _ldexp(values: np.ndarray, e: int) -> np.ndarray:
 
 
 def _kept_norm(f: SampledField, q: float) -> Optional[float]:
-    """The L_2 or L_4 quadrature norm of ``f`` from its kept spectrum; None where L_4 would cost more than an FFT.
+    """The L_2 or L_4 quadrature norm of ``f`` from its kept spectrum; None where L_4 is not read from it.
 
     Discrete Parseval: ``sum_x |f|**2 h**d = sum_k |f_hat(k)|**2 / L**d``.  The
     L_4 norm is the L_2 norm of ``|f|**2``, whose spectrum is the sum over box
-    pairs of the band-local products ``f_a * conj(f_b)``: the mod-M scatter of
-    :func:`add_box_product` makes it the cyclic spectrum of the sampled
-    ``|f|**2``, so this is the sampled quadrature to roundoff.  It is taken
-    while the pairs' small grids hold no more points than the full grid.
+    pairs of the band-local products ``f_a * conj(f_b)``, added into the boxes
+    of its certificate: the Minkowski sum of ``f``'s and its reflection.  While
+    that stays below Nyquist ``|f|**2`` does not alias on the grid, so this is
+    the sampled quadrature to roundoff.  It is taken while it does and the
+    pairs' small grids hold no more points than the full grid.
     """
-    grid = f.grid
-    if q == 4.0 and sum(math.prod(_product_sizes(grid, (a, b))) for a in f.kept for b in f.kept) > grid.size:
-        return None
-    e = _peak_exponent(*(np.abs(values) for _, values in f.kept))
+    grid, boxes = f.grid, f.kept.boxes
+    if q == 4.0:
+        shells = f.shells + f.shells.scaled(-1.0)
+        if shells.hull[1] >= grid.nyquist or sum(math.prod(_product_sizes(grid, (a, b))) for a in boxes for b in boxes) > grid.size:
+            return None
+    e = _peak_exponent(*(np.abs(values) for _, values in boxes))
     if e is None:
         return 0.0
-    pieces = [(first, _ldexp(values, -e)) for first, values in f.kept]
-    if q == 2.0:
-        total = sum(np.vdot(values, values).real for _, values in pieces)
-    else:
-        square = np.zeros(grid.shape, dtype=np.complex128)
+    pieces = [(first, _ldexp(values, -e)) for first, values in boxes]
+    if q == 4.0:
+        square = zero_boxes(grid, shells)
         add_box_product(square, grid, 1.0, (pieces, [_reflected(piece) for piece in pieces]))
-        total = np.vdot(square, square).real
+        pieces = square
+    total = sum(np.vdot(values, values).real for _, values in pieces)
     return float(np.ldexp((total / grid.period**grid.dimension) ** (1.0 / q), e))
 
 

@@ -42,13 +42,12 @@ from .field import (
     box_modulus,
     box_piece,
     certify,
-    frozen,
     inverse,
-    multiplier_symbol,
     piece_plan,
     require_same_grid,
     symbol_box,
     transform,
+    zero_boxes,
 )
 
 __all__ = [
@@ -81,11 +80,12 @@ class SpectralFactor:
         return self.profile.support
 
     def spectrum_on(self, grid: GridSpec, dilation_scale: int = 0) -> np.ndarray:
-        """Values of g_hat(2**-l xi) on the grid frequencies."""
-        return multiplier_symbol(grid, self.profile, dilation_scale, self.translation)
+        """Values of g_hat(2**-l xi) on the grid frequencies: the full-size scatter of the symbol's boxes."""
+        dilated = tuple(edge * 2.0**dilation_scale for edge in self.support)
+        return Spectrum(grid, symbol_box(grid, self.profile, self.translation, dilation_scale), dilated).coefficients
 
     def field_on(self, grid: GridSpec) -> SampledField:
-        return inverse(Spectrum(grid, frozen(self.spectrum_on(grid)), support_certificate=self.support))
+        return inverse(Spectrum(grid, symbol_box(grid, self.profile, self.translation), support_certificate=self.support))
 
     def center(self, dimension: int) -> np.ndarray:
         if self.translation is None:
@@ -173,32 +173,32 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> 
     Slot pieces dispatch on :func:`field.piece_plan`: a zero slot skips the
     term at that scale, and a plateau slot that keeps every shell of its input
     leaves the profile out, which is exact because the profile is 1.0 on every
-    occupied bin.  Each product is formed on its pieces' certified boxes
-    (:func:`field.add_box_product`) and added to one output spectrum, which is
-    inverted once.  The output is certified by the union of the products'
-    Minkowski sums while every sum stays below Nyquist (scatter dust off it is
-    zeroed, :func:`field.certify`); a product reaching Nyquist aliases on the
-    grid, as the sampled product does, and the output then carries no certificate.
+    occupied bin.  The output is certified by the union of the products'
+    Minkowski sums while every sum stays below Nyquist; a product reaching
+    Nyquist aliases on the grid, as the sampled product does, and the output
+    then carries no certificate.  With that certificate planned first, each
+    product is formed on its pieces' certified boxes and added into the
+    certificate's (:func:`field.add_box_product`, :func:`field.certify`).
     """
     if len(fs) != kernel.n:
         raise ValueError(f"kernel is {kernel.n}-linear, got {len(fs)} inputs")
     grid = require_same_grid(*fs)
-    spectra = [transform(f) for f in fs]
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    certificate: Optional[Shells] = Shells(())
+    live = []
     for scale in scales:
         for coeff, factors in kernel.terms:
             plans = [piece_plan(f, factor.profile, scale) for f, factor in zip(fs, factors)]
-            if any(cls == ZERO for cls, _, _ in plans):
-                continue
-            pieces = [
-                box_piece(spec, shells, profile, scale, factor.translation)
-                for spec, factor, (_, shells, profile) in zip(spectra, factors, plans)
-            ]
-            add_box_product(out, grid, coeff, pieces)
-            if certificate is not None:
-                product = reduce(operator.add, (shells for _, shells, _ in plans))
-                certificate = certificate | product if product.hull[1] < grid.nyquist else None
+            if all(cls != ZERO for cls, _, _ in plans):
+                live.append((scale, coeff, factors, plans))
+    products = [reduce(operator.add, (shells for _, shells, _ in plans)) for *_, plans in live]
+    certificate = None if any(p.hull[1] >= grid.nyquist for p in products) else reduce(operator.or_, products, Shells(()))
+    spectra = [transform(f) for f in fs]
+    out = zero_boxes(grid, certificate)
+    for scale, coeff, factors, plans in live:
+        pieces = [
+            box_piece(spec, shells, profile, scale, factor.translation)
+            for spec, factor, (_, shells, profile) in zip(spectra, factors, plans)
+        ]
+        add_box_product(out, grid, coeff, pieces)
     return inverse(certify(grid, out, certificate))
 
 

@@ -34,6 +34,7 @@ from .field import (
     lp_norm,
     phase_shift,
     require_same_grid,
+    spectrum_from_boxes,
     transform,
     translation_phase,
 )
@@ -84,32 +85,30 @@ def random_band_limited(
     kmax = int(math.floor(hi * grid.period))
     ks = np.arange(-kmax, kmax + 1)
     draws = gen.standard_normal((ks.size,) * grid.dimension + (2,))
-    mesh = np.meshgrid(*([ks] * grid.dimension), indexing="ij")
-    bins = tuple(k % grid.samples_per_axis for k in mesh)
     # the radii the support certificate checks, so band edges round alike
-    xi = grid.frequency_radii()[bins]
+    xi = grid.frequency_radii()[np.ix_(*[ks % grid.samples_per_axis] * grid.dimension)]
     inside = (lo <= xi) & (xi <= hi)
-    where = tuple(b[inside] for b in bins)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs.real[where] = draws[inside, 0]
-    coeffs.imag[where] = draws[inside, 1]
-    return inverse(Spectrum(grid, frozen(coeffs), support_certificate=band))
+    drawn = np.zeros(inside.shape, dtype=np.complex128)
+    drawn.real[inside] = draws[inside, 0]
+    drawn.imag[inside] = draws[inside, 1]
+    # one box: the integer frequencies -kmax .. kmax per axis
+    return inverse(spectrum_from_boxes(grid, [((-kmax,) * grid.dimension, drawn)], Shells.radial(lo, hi, grid.dimension)))
 
 
 def packet_bins(grid: GridSpec, profile: RadialProfile, kappa: float):
-    """``(index, xi_1 - kappa, profile(|xi - kappa e_1|))`` per box of a packet at ``kappa e_1``.
+    """``(first, index, xi_1 - kappa, profile(|xi - kappa e_1|))`` per box of a packet at ``kappa e_1``.
 
-    The boxes (:func:`field.bin_boxes`, ``index`` their open-mesh grid index)
-    cover ``|xi - kappa e_1|_i <= profile.support[1]``, so the profile, hard 0
-    off its support, is exactly 0 on every other bin.
+    The boxes (:func:`field.bin_boxes`) cover ``|xi - kappa e_1|_i <=
+    profile.support[1]``, so the profile, hard 0 off its support, is exactly
+    0 on every other bin.
     """
     radius = profile.support[1]
-    windows = [[(kappa - radius, kappa + radius)]] + [[(-radius, radius)]] * (grid.dimension - 1)
-    for _, index in bin_boxes(grid, windows):
+    window = [(kappa - radius, kappa + radius)] + [(-radius, radius)] * (grid.dimension - 1)
+    for first, index in bin_boxes(grid, [window]):
         freqs = box_frequencies(grid, index)
         centered = freqs[0] - kappa
         rest_sq = sum(f**2 for f in freqs[1:])
-        yield index, centered, profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
+        yield first, index, centered, profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
 
 
 def modulated_bump(
@@ -126,13 +125,13 @@ def modulated_bump(
     """
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
     shift = None if position is None else np.atleast_1d(position)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for index, _, packet in packet_bins(grid, profile, center_frequency):
+    pieces = []
+    for first, index, _, packet in packet_bins(grid, profile, center_frequency):
         if shift is not None:
             packet = packet * translation_phase(grid, shift, index)
-        coeffs[index] = packet
+        pieces.append((first, packet))
     ball = Shell((center_frequency,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius)
-    return inverse(Spectrum(grid, frozen(coeffs), shells=Shells((ball,))))
+    return inverse(spectrum_from_boxes(grid, pieces, Shells((ball,))))
 
 
 def bump_train(
@@ -151,18 +150,17 @@ def bump_train(
     radius ``envelope_radius`` about its carrier frequency.
     """
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
     sign = -1.0 if conjugate else 1.0
-    balls = []
+    pieces, balls = [], []
     for scale in scales:
         kappa = sign * 2.0**scale
         position = -(2.0**-scale) * shift_magnitude
-        for index, centered, packet in packet_bins(grid, profile, kappa):
+        for first, _, centered, packet in packet_bins(grid, profile, kappa):
             # f(x) = eta(x - position) exp(2 pi i kappa x): translation phase in
             # the centered frequency variable
-            coeffs[index] += packet * np.exp(-2j * np.pi * position * centered)
+            pieces.append((first, packet * np.exp(-2j * np.pi * position * centered)))
         balls.append(Shell((kappa,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius))
-    return inverse(Spectrum(grid, frozen(coeffs), shells=Shells(tuple(balls))))
+    return inverse(spectrum_from_boxes(grid, pieces, Shells(tuple(balls))))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from logmult.counterexample import (
     separation_config,
     validate_config,
 )
-from logmult.field import GridSpec, lp_norm, transform
+from logmult.field import GridSpec, Spectrum, lp_norm, transform
 from logmult.multiplier import apply_t, d_lambda
 
 
@@ -100,6 +100,54 @@ def test_separation_run_takes_no_full_size_fft(monkeypatch):
     # the ratio recorded when the run took 7 full-size FFTs
     assert abs(report.ratio - 0.1735847898266246) <= 1e-12 * 0.1735847898266246
     assert report.identity_error < 1e-12
+
+
+def test_t_train_norm_is_the_s_train_norm(monkeypatch):
+    # |f_t| = |conj f_s| = |f_s|: the t slot takes the s-train's L^4 norm and runs no FFT of its own
+    cfg = separation_config(n_packets=3, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8)
+    ffts = []
+    for name in ("fftn", "ifftn"):
+        fft = getattr(np.fft, name)
+
+        def counting(a, *args, _fft=fft, **kwargs):
+            ffts.append(1)
+            return _fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    calls = []
+    original = counterexample.lp_norm
+
+    def recording(f, p):
+        before = len(ffts)
+        norm = original(f, p)
+        calls.append((f, p, len(ffts) - before))
+        return norm
+
+    monkeypatch.setattr(counterexample, "lp_norm", recording)
+    report = run_counterexample(cfg, check_orthogonality=False)
+    monkeypatch.undo()
+    # the s-train's L^4 norm runs FFTs; the t-train's is never taken
+    trains = build_inputs(cfg)
+    runs = {slot: [n for f, p, n in calls if f.shells == trains[slot - 1].shells] for slot in (cfg.s, cfg.t)}
+    assert len(runs[cfg.s]) == 1 and runs[cfg.s][0] > 0
+    assert runs[cfg.t] == []
+    assert report.input_norms[0] == report.input_norms[1]
+
+
+def test_separation_run_scatters_no_full_spectrum(monkeypatch):
+    # every spectrum of the run stays in its boxes: nothing reads the full-size coefficients
+    reads = []
+    scatter = Spectrum.coefficients
+
+    def counting(s):
+        reads.append(s.grid)
+        return scatter.fget(s)
+
+    monkeypatch.setattr(Spectrum, "coefficients", property(counting))
+    run_counterexample(separation_config(3, 2**13, 40, spacing=2, eta_radius=1 / 8))
+    assert reads == []
+    transform(build_inputs(separation_config(1, 2**13, 40, spacing=2, eta_radius=1 / 8))[0]).coefficients
+    assert len(reads) == 1  # the count sees a read
 
 
 def test_separation_run_builds_no_beta_symbol(monkeypatch):

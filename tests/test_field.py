@@ -15,6 +15,7 @@ from logmult.field import (
     Spectrum,
     apply_multiplier,
     bin_boxes,
+    box_piece,
     conjugate,
     convolve,
     frozen,
@@ -499,6 +500,39 @@ def test_kept_spectrum_round_trips_exactly(s):
     assert np.array_equal(c.values, np.conj(f.values))
     reflected = np.conj(s.coefficients[np.ix_(*[-np.arange(grid.samples_per_axis) % grid.samples_per_axis] * grid.dimension)])
     assert np.array_equal(transform(c).coefficients, reflected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_spectra(), st.data())
+def test_reading_a_spectrum_on_other_boxes_matches_its_full_scatter(s, data):
+    # the boxes of another certificate, and of its meet with the spectrum's, as
+    # _symbol_times reads them: boxes about the origin straddle 0, a ball against
+    # -Nyquist widens onto bin -M/2, and a grown own shell widens past the
+    # spectrum's own boxes
+    grid, d = s.grid, s.grid.dimension
+    m, half_bin = grid.samples_per_axis, 0.5 / grid.period
+    parts = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        radius = data.draw(st.integers(0, m // 4)) * half_bin
+        kind = data.draw(st.sampled_from(["origin", "nyquist", "own", "any"]))
+        if kind == "origin":
+            center = (0.0,) * d
+        elif kind == "nyquist":
+            center = (radius - grid.nyquist,) + (0.0,) * (d - 1)
+        elif kind == "own":
+            center, _, outer = data.draw(st.sampled_from(s.shells.parts))
+            radius = outer + data.draw(st.integers(0, 3)) * half_bin
+        else:
+            center = tuple(data.draw(st.integers(-m // 2, m // 2)) * half_bin for _ in range(d))
+        inner = data.draw(st.sampled_from([0.0, 0.5 * radius]))
+        parts.append(Shell(center, inner, radius))
+    full = s.coefficients
+    for shells in (Shells(tuple(parts)), s.shells.meet(Shells(tuple(parts)))):
+        boxes = bin_boxes(grid, shells.windows(d))
+        pieces = box_piece(s, shells)
+        assert [first for first, _ in pieces] == [first for first, _ in boxes]
+        for (_, values), (_, index) in zip(pieces, boxes):
+            assert np.array_equal(values, full[index])
 
 
 def test_values_path_has_no_kept_coefficients(grid):

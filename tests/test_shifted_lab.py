@@ -270,7 +270,7 @@ def test_modulated_bump_certifies_one_ball():
     assert modulated_bump(GridSpec(2, 64, 16.0)).shells == Shells((Shell((0.75, 0.0), 0.0, 0.25),))
     # the two-sided annulus it replaces keeps twice the bins, half of them zero
     annulus = inverse(Spectrum(grid, transform(f).coefficients, support_certificate=(0.5, 1.0)))
-    assert 2 * sum(v.size for _, v in f.kept) == sum(v.size for _, v in annulus.kept)
+    assert 2 * sum(v.size for _, v in f.kept.boxes) == sum(v.size for _, v in annulus.kept.boxes)
     # on the growth grid and pair the ball keeps the annulus's dispatch
     pair = make_lp_pair((-1, 14))
     assert Counter(piece_class(f, pair.phi_hat, s) for s in pair.scales) == {PLATEAU: 15, PARTIAL: 1}

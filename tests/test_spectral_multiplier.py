@@ -33,6 +33,7 @@ from logmult.field import (
     GridSpec,
     NyquistError,
     SampledField,
+    Shell,
     Shells,
     Spectrum,
     add_box_product,
@@ -41,9 +42,9 @@ from logmult.field import (
     bin_boxes,
     grid_aligned_steps,
     lp_norm,
-    multiplier_symbol,
     piece_shells,
     piece_class,
+    symbol_box,
     transform,
     translation_phase,
 )
@@ -160,9 +161,9 @@ def test_apply_multiplier_matches_reference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(multiplier_cases())
-def test_multiplier_symbol_matches_reference(case):
+def test_symbol_box_scatter_matches_reference(case):
     grid, profile, scale, _, translation, _ = case
-    got = multiplier_symbol(grid, profile, scale, translation)
+    got = field._scattered(grid, symbol_box(grid, profile, translation, scale))
     assert np.array_equal(got, dense_symbol(grid, profile, scale, translation))
     assert_close(got, reference_symbol(grid, profile, scale, translation))
 
@@ -179,11 +180,12 @@ def test_apply_multiplier_without_profile_is_translation(case):
 
 @st.composite
 def window_cases(draw):
+    """1-4 window boxes, one interval per axis each."""
     grid = draw(st.sampled_from(GRIDS))
     edge = st.floats(-1.2 * grid.nyquist, 1.2 * grid.nyquist)
     windows = [
-        [tuple(sorted((draw(edge), draw(edge)))) for _ in range(draw(st.integers(1, 3)))]
-        for _ in range(grid.dimension)
+        [tuple(sorted((draw(edge), draw(edge)))) for _ in range(grid.dimension)]
+        for _ in range(draw(st.integers(1, 4)))
     ]
     return grid, windows
 
@@ -195,29 +197,47 @@ def test_bin_boxes_cover_each_window_bin_once(case):
     m = grid.samples_per_axis
     boxes = bin_boxes(grid, windows)
     hits = np.zeros(grid.shape, dtype=int)
-    spans = [set() for _ in range(grid.dimension)]
+    spans = []
     for first, index in boxes:
         hits[index] += 1
         # one interval of signed bins per axis, inside -M/2 .. M/2-1
-        for axis, (k, bins) in enumerate(zip(first, index)):
+        for k, bins in zip(first, index):
             w = bins.size
             assert -(m // 2) <= k and k + w - 1 <= m // 2 - 1
             assert np.array_equal(bins.ravel(), (k + np.arange(w)) % m)
-            spans[axis].add((k, k + w - 1))
+        spans.append([(k, k + bins.size - 1) for k, bins in zip(first, index)])
     assert hits.max(initial=0) <= 1
-    inside = np.ones(grid.shape, dtype=bool)
-    for axis, intervals in zip(np.ix_(*[grid.axis_frequencies()] * grid.dimension), windows):
-        inside = inside & np.any([(a <= axis) & (axis <= b) for a, b in intervals], axis=0)
+    inside = np.zeros(grid.shape, dtype=bool)
+    for window in windows:
+        box = np.ones(grid.shape, dtype=bool)
+        for axis, (a, b) in zip(np.ix_(*[grid.axis_frequencies()] * grid.dimension), window):
+            box = box & (a <= axis) & (axis <= b)
+        inside |= box
     assert np.all(hits[inside] == 1)
-    # per axis the intervals are merged: disjoint and not even adjacent
-    for axis_spans in spans:
-        ordered = sorted(axis_spans)
-        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
+    # the boxes are merged: any two are apart, not even adjacent, on some axis
+    for i, one in enumerate(spans):
+        for other in spans[i + 1:]:
+            assert any(hi + 1 < a or b + 1 < lo for (lo, hi), (a, b) in zip(one, other))
     # a radial certificate keeps one box (a 2-D one is not four corners), and
     # so does a 1-D shell about the origin; a 1-D annulus keeps two
     d, reach = grid.dimension, grid.nyquist / 4
     assert len(bin_boxes(grid, Shells.radial(0.0, reach, d).windows(d))) == 1
     assert len(bin_boxes(grid, Shells.radial(0.5 * reach, reach, d).windows(d))) == (2 if d == 1 else 1)
+
+
+def test_bin_boxes_keep_one_box_per_far_apart_shell_in_2d():
+    # balls about the corners of a square: one box each, not the k**2 products of their axis intervals
+    grid = GridSpec(2, 64, 8.0)
+    balls = [Shell(center, 0.0, 0.25) for center in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))]
+    for k in (2, 4):
+        boxes = bin_boxes(grid, Shells(tuple(balls[:k])).windows(2))
+        assert len(boxes) == k
+        assert all(np.any(Shells(tuple(balls[:k])).contains(grid, index)) for _, index in boxes)
+    # overlapping balls share one box; 1-D shells keep theirs
+    assert len(bin_boxes(grid, Shells((Shell((1.0, 1.0), 0.0, 0.5), Shell((1.5, 1.0), 0.0, 0.5))).windows(2))) == 1
+    line = GridSpec(1, 64, 8.0)
+    assert len(bin_boxes(line, Shells((Shell((1.0,), 0.0, 0.25), Shell((-1.0,), 0.0, 0.25))).windows(1))) == 2
+    assert len(bin_boxes(line, Shells((Shell((1.0,), 0.5, 0.75),)).windows(1))) == 2
 
 
 class CountedProfile:
@@ -255,7 +275,7 @@ def test_profile_sees_only_the_certified_bins(grid):
     psi.sizes.clear()
     # an unbanded spectrum: the profile's dilated support alone bounds the bins
     apply_multiplier(Spectrum(grid, spectrum.coefficients), psi, 1)
-    multiplier_symbol(grid, psi, 1)
+    symbol_box(grid, psi, None, 1)
     assert max(psi.sizes) <= box_bins(grid, (1.0, 4.0))
 
 
@@ -617,7 +637,7 @@ def full_grid_product(grid, coefficient, slots):
 def test_band_local_product_matches_full_grid(case):
     grid, coefficient, slots = case
     got = np.zeros(grid.shape, dtype=np.complex128)
-    add_box_product(got, grid, coefficient, slots)
+    add_box_product([((0,) * grid.dimension, got)], grid, coefficient, slots)  # the whole grid as one box
     assert_close(got, full_grid_product(grid, coefficient, slots))
 
 
@@ -645,7 +665,7 @@ def pairwise_box_product(out, grid, coefficient, slots):
 def test_band_local_product_inverts_each_box_once_with_the_same_arithmetic(case):
     grid, coefficient, slots = case
     got, want = np.zeros(grid.shape, dtype=np.complex128), np.zeros(grid.shape, dtype=np.complex128)
-    add_box_product(got, grid, coefficient, slots)
+    add_box_product([((0,) * grid.dimension, got)], grid, coefficient, slots)
     pairwise_box_product(want, grid, coefficient, slots)
     assert np.array_equal(got, want)
 
@@ -654,7 +674,7 @@ def test_l4_norm_of_a_packet_train_inverts_each_box_once(monkeypatch):
     # three equal packets: every box pair of |f|**2 = f * conj(f) shares one small grid
     grid = GridSpec(1, 2**14, 64.0)
     f = bump_train(grid, 3.0, [1, 2, 3], 0.25)
-    assert len(f.kept) == 3 and len({values.shape for _, values in f.kept}) == 1
+    assert len(f.kept.boxes) == 3 and len({values.shape for _, values in f.kept.boxes}) == 1
     sizes = []
     original = np.fft.ifftn
 
