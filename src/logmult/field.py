@@ -31,10 +31,13 @@ A set of certified bins has one layout, the boxes of :func:`bin_boxes`: one
 merged interval of signed bins per axis.  A :class:`Spectrum` *is* its
 boxes: a certified one holds its coefficients on its certificate's boxes,
 zero off them, and is checked box by box; its full-size ``coefficients``
-are scattered only when read.  A field made by :func:`inverse` from a
-certified spectrum keeps that spectrum (``kept``) and is *deferred*: its
-samples are computed when ``values`` is first read; :func:`transform` and
-:func:`lp_norm` (L_2, L_4) read the kept spectrum without an FFT.
+are scattered only when read; a read of one of its own boxes is a view.  A
+field made by :func:`inverse` from a certified spectrum keeps that spectrum
+(``kept``) and is *deferred*: its samples are computed when ``values`` is
+first read; :func:`transform` returns the kept spectrum.  A deferred field
+also holds pieces whose squared moduli sum to ``|f|**2`` (its kept spectrum,
+or a square function's dyadic pieces), from which :func:`lp_norm` reads L_2
+and L_4 without an FFT.
 
 The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
 has one core, which evaluates it only on the boxes its certificates allow:
@@ -400,8 +403,9 @@ class SampledField:
     :class:`Spectrum` (its boxes).  :func:`inverse` of a certified spectrum,
     :func:`conjugate` and ``*`` set it and build *deferred* fields, whose
     ``values`` are computed on first read and cached, bit for bit what an
-    eager construction stores.  Every other constructor samples at once and
-    keeps nothing.
+    eager construction stores; :func:`lp_ops.square_function` builds a
+    deferred field without ``kept``.  Every other constructor samples at once
+    and keeps nothing.
     """
 
     grid: GridSpec
@@ -486,10 +490,19 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _deferred(kept: "Spectrum", sampler) -> SampledField:
-    """A field with the certified spectrum ``kept``, whose samples ``sampler(field)`` computes when first read."""
+def _deferred(kept: Optional["Spectrum"], sampler, grid: Optional[GridSpec] = None, moduli=()) -> SampledField:
+    """A field whose samples ``sampler(field)`` computes when first read.
+
+    A field with a certified spectrum ``kept`` is certified by it and has it
+    as its one piece; one without (``kept=None``) lives on ``grid``,
+    uncertified, with the pieces ``moduli``.  Pieces are ``(shells, boxes)``
+    whose squared moduli sum to ``|f|**2``; :func:`lp_norm` reads them.
+    """
     f = object.__new__(SampledField)
-    for name, value in (("grid", kept.grid), ("band", kept.support_certificate), ("shells", kept.shells), ("kept", kept), ("_sampler", sampler)):
+    band = shells = None
+    if kept is not None:
+        grid, band, shells, moduli = kept.grid, kept.support_certificate, kept.shells, ((kept.shells, kept.boxes),)
+    for name, value in (("grid", grid), ("band", band), ("shells", shells), ("kept", kept), ("_sampler", sampler), ("_moduli", tuple(moduli))):
         object.__setattr__(f, name, value)
     return f
 
@@ -629,18 +642,48 @@ def transform(f: SampledField) -> Spectrum:
     return certify(f.grid, pieces, f.shells, _max_modulus(coeffs))
 
 
+def _runs(offset: int, width: int, target: int, m: int) -> List[Tuple[slice, slice]]:
+    """``(source, target)`` slices of the bins ``offset + [0, width)``, taken mod ``m``, that land in ``[0, target)``.
+
+    At most two runs: the bins before the wrap at ``m`` and those after it.
+    """
+    runs = []
+    head = min(width, m - offset, target - offset)
+    if head > 0:
+        runs.append((slice(0, head), slice(offset, offset + head)))
+    if offset > 0:
+        start, stop = m - offset, min(width, target + m - offset)
+        if stop > start:
+            runs.append((slice(start, stop), slice(0, stop - start)))
+    return runs
+
+
 def _add_into(grid: GridSpec, targets: Sequence[BoxPiece], first: Sequence[int], values: np.ndarray) -> None:
     """Add the box ``(first, values)`` into the (writable) boxes ``targets`` on every bin they share, mod M."""
     m = grid.samples_per_axis
     for k, target in targets:
-        at = [(a + np.arange(w) - b) % m for a, w, b in zip(first, values.shape, k)]  # positions in the target
-        hit = [np.flatnonzero(p < v) for p, v in zip(at, target.shape)]
-        if all(h.size for h in hit):
-            target[np.ix_(*(p[h] for p, h in zip(at, hit)))] += values[np.ix_(*hit)]
+        runs = [_runs((a - b) % m, w, t, m) for a, w, b, t in zip(first, values.shape, k, target.shape)]
+        for run in itertools.product(*runs):
+            target[tuple(t for _, t in run)] += values[tuple(s for s, _ in run)]
 
 
 def _read(grid: GridSpec, pieces: Sequence[BoxPiece], first: Sequence[int], shape: Sequence[int]) -> np.ndarray:
-    """The spectrum held as the (disjoint) boxes ``pieces`` on the signed bins ``first + [0, w)`` per axis, 0 off them."""
+    """The spectrum held as the (disjoint) boxes ``pieces`` on the signed bins ``first + [0, w)`` per axis, 0 off them.
+
+    A box inside one of ``pieces`` (one of the spectrum's own boxes, say) is
+    handed back as a read-only view of it, without a copy; otherwise the
+    array is fresh.
+    """
+    m = grid.samples_per_axis
+    for k, values in pieces:
+        at = [(a - b) % m for a, b in zip(first, k)]
+        if all(o + w <= v for o, w, v in zip(at, shape, values.shape)):
+            return values[tuple(slice(o, o + w) for o, w in zip(at, shape))]
+    return _gathered(grid, pieces, first, shape)
+
+
+def _gathered(grid: GridSpec, pieces: Sequence[BoxPiece], first: Sequence[int], shape: Sequence[int]) -> np.ndarray:
+    """:func:`_read` into a fresh array, always."""
     out = np.zeros(shape, dtype=np.complex128)
     for k, values in pieces:
         _add_into(grid, [(first, out)], k, values)
@@ -649,7 +692,7 @@ def _read(grid: GridSpec, pieces: Sequence[BoxPiece], first: Sequence[int], shap
 
 def _scattered(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
     """A fresh full-size array of the (disjoint) boxes ``pieces``, zero elsewhere."""
-    return _read(grid, pieces, (0,) * grid.dimension, grid.shape)
+    return _gathered(grid, pieces, (0,) * grid.dimension, grid.shape)
 
 
 def _inverted(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
@@ -1103,46 +1146,54 @@ def _ldexp(values: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(values).view(np.float64), e).view(np.complex128)
 
 
-def _kept_norm(f: SampledField, q: float) -> Optional[float]:
-    """The L_2 or L_4 quadrature norm of ``f`` from its kept spectrum; None where L_4 is not read from it.
+def _kept_norm(grid: GridSpec, moduli, q: float) -> Optional[float]:
+    """The L_2 or L_4 quadrature norm of a field ``f`` from certified pieces
+    ``(shells, boxes)`` whose squared moduli sum to ``|f|**2``; None where L_4
+    is not read from them.
 
-    Discrete Parseval: ``sum_x |f|**2 h**d = sum_k |f_hat(k)|**2 / L**d``.  The
-    L_4 norm is the L_2 norm of ``|f|**2``, whose spectrum is the sum over box
-    pairs of the band-local products ``f_a * conj(f_b)``, added into the boxes
-    of its certificate: the Minkowski sum of ``f``'s and its reflection.  While
-    that stays below Nyquist ``|f|**2`` does not alias on the grid, so this is
-    the sampled quadrature to roundoff.  It is taken while it does and the
-    pairs' small grids hold no more points than the full grid.
+    A kept field is one piece, its kept spectrum; a square function is its
+    live dyadic pieces.  Discrete Parseval: ``sum_x |g|**2 h**d = sum_k
+    |g_hat(k)|**2 / L**d`` for each piece ``g``.  The L_4 norm is the L_2
+    norm of ``|f|**2 = sum_g g * conj(g)``, whose spectrum is the sum over
+    pieces and box pairs of the band-local products ``g_a * conj(g_b)``, added
+    into the boxes of its certificate: the union of each piece's Minkowski sum
+    with its reflection.  While that stays below Nyquist ``|f|**2`` does not
+    alias on the grid, so this is the sampled quadrature to roundoff.  It is
+    taken while it does and the pairs' small grids hold no more points than
+    the full-size inverses the samples take, one per piece.
     """
-    grid, boxes = f.grid, f.kept.boxes
     if q == 4.0:
-        shells = f.shells + f.shells.scaled(-1.0)
-        if shells.hull[1] >= grid.nyquist or sum(math.prod(_product_sizes(grid, (a, b))) for a in boxes for b in boxes) > grid.size:
+        shells = Shells(tuple(part for s, _ in moduli for part in (s + s.scaled(-1.0)).parts))
+        sizes = sum(math.prod(_product_sizes(grid, (a, b))) for _, boxes in moduli for a in boxes for b in boxes)
+        if shells.hull[1] >= grid.nyquist or sizes > len(moduli) * grid.size:
             return None
-    e = _peak_exponent(*(np.abs(values) for _, values in boxes))
+    e = _peak_exponent(*(np.abs(values) for _, boxes in moduli for _, values in boxes))
     if e is None:
         return 0.0
-    pieces = [(first, _ldexp(values, -e)) for first, values in boxes]
+    pieces = [[(first, _ldexp(values, -e)) for first, values in boxes] for _, boxes in moduli]
     if q == 4.0:
         square = zero_boxes(grid, shells)
-        add_box_product(square, grid, 1.0, (pieces, [_reflected(piece) for piece in pieces]))
-        pieces = square
-    total = sum(np.vdot(values, values).real for _, values in pieces)
+        for piece in pieces:
+            add_box_product(square, grid, 1.0, (piece, [_reflected(box) for box in piece]))
+        pieces = [square]
+    total = sum(np.vdot(values, values).real for piece in pieces for _, values in piece)
     return float(np.ldexp((total / grid.period**grid.dimension) ** (1.0 / q), e))
 
 
 def lp_norm(f: SampledField, p: Exponent) -> float:
     """Riemann-sum L_p quadrature norm; max modulus when p is infinity.
 
-    A field with kept coefficients has its p = 2 norm, and its p = 4 norm
-    while that is cheaper than an inverse FFT, read from the spectrum
-    (:func:`_kept_norm`), so a deferred field's samples are not computed;
-    every other case reads the samples.  Both routes divide by the power of
-    two of :func:`_peak_exponent` first, so no amplitude overflows or underflows.
+    A deferred field (a kept spectrum, or a square function's pieces) has its
+    p = 2 norm, and its p = 4 norm while that is cheaper than its samples,
+    read from its pieces (:func:`_kept_norm`), so its samples are not
+    computed; every other case reads the samples.  Both routes divide by the
+    power of two of :func:`_peak_exponent` first, so no amplitude overflows or
+    underflows.
     """
     q = _as_float_exponent(p)
-    if f.kept is not None and q in (2.0, 4.0):
-        norm = _kept_norm(f, q)
+    moduli = f.__dict__.get("_moduli")
+    if moduli is not None and q in (2.0, 4.0):
+        norm = _kept_norm(f.grid, moduli, q)
         if norm is not None:
             return norm
     mags = np.abs(f.values)

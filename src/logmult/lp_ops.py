@@ -22,6 +22,15 @@ Every piece falls into one of the three classes of :func:`field.piece_plan`:
 
 All three give the same arrays as evaluating the profile at every scale.
 
+The square function is deferred: it keeps each live piece as the boxes
+:func:`field.box_piece` builds (the coefficients the piece's inverse would
+take), and sums the samples above only when its ``values`` are first read.
+At p = 2, ``||S^y f||_2**2 = sum_l ||psi_l f_hat||**2`` by Parseval for every
+shift ``y``, so :func:`field.lp_norm` reads that norm, and the p = 4 norm
+where the spectrum of ``|S^y f|**2`` is cheaper than the samples, from those
+boxes without an FFT.  The maximal function and the oscillation norm take a
+supremum, which has no spectrum, and always sample.
+
 Scale sums and suprema run over a pair's declared scale range; experiments are
 expected to certify that their inputs' spectra sit inside the covered octaves
 so that the truncation is exact rather than approximate.
@@ -42,7 +51,10 @@ from .field import (
     GridSpec,
     MixedNormSpec,
     SampledField,
+    Spectrum,
+    _deferred,
     apply_multiplier,
+    box_piece,
     dilated_steps,
     frozen,
     mixed_norm,
@@ -88,9 +100,10 @@ def _zero_shift(grid: GridSpec) -> Tuple[float, ...]:
     return (0.0,) * grid.dimension
 
 
-def _energy(values: np.ndarray) -> np.ndarray:
-    energy = np.abs(values)
-    energy *= energy  # in place, bit for bit abs(values) ** 2
+def _energy(values: np.ndarray, e: int = 0) -> np.ndarray:
+    """``(2**-e |values|)**2``; the power of two is exact."""
+    energy = np.ldexp(np.abs(values), -e)
+    energy *= energy  # in place, bit for bit abs(values) ** 2 at e = 0
     return energy
 
 
@@ -102,19 +115,19 @@ def _rolled(values: np.ndarray, steps: Optional[Tuple[int, ...]]) -> np.ndarray:
 
 def _pieces(
     f: SampledField,
+    spectrum: Spectrum,
     profile,
     scales: Iterable[int],
     shift: Sequence[float],
     lift: Callable[[np.ndarray], np.ndarray],
 ) -> Iterator[Tuple[int, Optional[Tuple[int, ...]], np.ndarray]]:
-    """``(scale, steps, lift(values))`` of the pieces not certified zero (one forward FFT).
+    """``(scale, steps, lift(values))`` of the pieces not certified zero, from ``f``'s ``spectrum``.
 
     ``steps`` is None when the yielded array is the piece itself.  Otherwise
     the piece is a grid-aligned plateau piece: ``lift`` of the one untranslated
     inverse, shared by every such piece, which the caller rolls by ``steps``
     (``lift`` is pointwise, so lifting commutes with the roll).
     """
-    spectrum = transform(f)
     base = None
     for scale in scales:
         cls, _, piece_profile = piece_plan(f, profile, scale)
@@ -132,13 +145,32 @@ def _pieces(
 def square_function(
     f: SampledField, pair: LPPair, shift: Optional[Sequence[float]] = None
 ) -> SampledField:
-    """Pointwise l2 aggregate of the shifted annular pieces over the pair's scales."""
+    """Pointwise l2 aggregate of the shifted annular pieces over the pair's scales.
+
+    Deferred (see the module docstring): the pieces not certified zero are
+    kept as :func:`field.box_piece` boxes, and the samples summed when
+    ``values`` is first read.
+    """
     if shift is None:
         shift = _zero_shift(f.grid)
-    acc = np.zeros(f.grid.shape, dtype=float)
-    for _, steps, energy in _pieces(f, pair.psi_hat, pair.scales, shift, _energy):
-        acc += _rolled(energy, steps)
-    return SampledField(f.grid, np.sqrt(acc))
+    spectrum = transform(f)
+    moduli = []
+    for scale in pair.scales:
+        cls, shells, profile = piece_plan(f, pair.psi_hat, scale)
+        if cls != ZERO:
+            moduli.append((shells, box_piece(spectrum, shells, profile, scale, shift)))
+
+    def sample(_) -> np.ndarray:
+        # far from amplitude 1 a squared piece would leave the double range:
+        # sum the squares at 2**-e times the pieces and scale back (e = 0 near 1)
+        peak = max((float(np.max(np.abs(v))) for _, piece in moduli for _, v in piece), default=0.0)
+        e = int(np.frexp(peak)[1]) if peak > 2.0**400 or 0.0 < peak < 2.0**-400 else 0
+        acc = np.zeros(f.grid.shape, dtype=float)
+        for _, steps, energy in _pieces(f, spectrum, pair.psi_hat, pair.scales, shift, lambda v: _energy(v, e)):
+            acc += _rolled(energy, steps)
+        return np.ldexp(np.sqrt(acc), e).astype(np.complex128)
+
+    return _deferred(None, sample, f.grid, moduli)
 
 
 def maximal_function(
@@ -153,7 +185,7 @@ def maximal_function(
         shift = _zero_shift(f.grid)
     acc = np.zeros(f.grid.shape, dtype=float)
     seen = set()
-    for _, steps, modulus in _pieces(f, pair.phi_hat, pair.scales, shift, np.abs):
+    for _, steps, modulus in _pieces(f, transform(f), pair.phi_hat, pair.scales, shift, np.abs):
         if steps is not None:
             if steps in seen:
                 continue
@@ -244,7 +276,7 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
     sq_pieces = {
         scale: _rolled(energy, steps)
         for scale, steps, energy in _pieces(
-            f, pair.psi_hat, pair.scales, _zero_shift(f.grid), _energy
+            f, transform(f), pair.psi_hat, pair.scales, _zero_shift(f.grid), _energy
         )
     }
     # cumulative sums from the top scale down: tail[l] = sum_{j >= l} |psi_j * f|^2

@@ -326,6 +326,13 @@ def run_growth(experiment: GrowthExperiment) -> ExperimentReport:
     fit = fit_log_exponent(measured)
     predicted = predicted_growth_exponent(experiment.kind, experiment.p)
     gap = fit.exponent - predicted
+    # growth predicted within the tolerance of none: the fit's verdict cannot tell them apart
+    notes = ()
+    if predicted != 0.0 and abs(predicted) <= experiment.tolerance:
+        notes = (
+            f"the fit's verdict is vacuous: a flat fit (exponent 0) would also pass, since the "
+            f"predicted exponent {predicted!r} is within the tolerance {experiment.tolerance!r}",
+        )
     report = ExperimentReport(
         name=f"growth-{experiment.kind}",
         params={
@@ -347,6 +354,7 @@ def run_growth(experiment: GrowthExperiment) -> ExperimentReport:
             "tolerance": experiment.tolerance,
         },
         passed=abs(gap) <= experiment.tolerance,
+        notes=notes,
     )
     return report
 

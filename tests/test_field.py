@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logmult import field
 from logmult.field import (
     GridMismatchError,
     GridSpec,
@@ -533,6 +534,43 @@ def test_reading_a_spectrum_on_other_boxes_matches_its_full_scatter(s, data):
         assert [first for first, _ in pieces] == [first for first, _ in boxes]
         for (_, values), (_, index) in zip(pieces, boxes):
             assert np.array_equal(values, full[index])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KEPT_GRIDS), st.data())
+def test_box_adds_match_the_mod_m_gather(grid, data):
+    # _add_into adds by at most two slice runs per axis, before and after the
+    # wrap at M; the mod-M fancy index it replaced is the oracle, bit for bit
+    m, d = grid.samples_per_axis, grid.dimension
+    firsts = st.lists(st.integers(-2 * m, 2 * m), min_size=d, max_size=d).map(tuple)
+    shapes = st.lists(st.integers(1, m), min_size=d, max_size=d).map(tuple)
+    (at, target_shape), (first, shape) = [(data.draw(firsts), data.draw(shapes)) for _ in range(2)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    target = rng.standard_normal(target_shape) + 1j * rng.standard_normal(target_shape)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = target.copy()
+    positions = [(a + np.arange(w) - b) % m for a, w, b in zip(first, shape, at)]
+    hit = [np.flatnonzero(q < t) for q, t in zip(positions, target_shape)]
+    if all(h.size for h in hit):
+        want[np.ix_(*(q[h] for q, h in zip(positions, hit)))] += values[np.ix_(*hit)]
+    field._add_into(grid, [(at, target)], first, values)
+    assert np.array_equal(target, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(certified_spectra())
+def test_a_read_of_a_spectrums_own_boxes_is_a_view_of_them(s):
+    # no copy: the piece on the spectrum's own boxes, with nothing to multiply, is its boxes
+    pieces = box_piece(s, s.shells)
+    assert [first for first, _ in pieces] == [first for first, _ in s.boxes]
+    for (_, got), (_, own) in zip(pieces, s.boxes):
+        assert np.shares_memory(got, own) and not got.flags.writeable
+    # the scatter, the one full-size inverse and the band-local products write fresh arrays only
+    before = [(first, values.copy()) for first, values in s.boxes]
+    assert np.array_equal(inverse(s).values, apply_multiplier(s))
+    assert np.array_equal(s.coefficients, field._scattered(s.grid, before))
+    assert lp_norm(inverse(s), 4) >= 0.0
+    assert all(np.array_equal(values, copy) for (_, values), (_, copy) in zip(s.boxes, before))
 
 
 def test_values_path_has_no_kept_coefficients(grid):

@@ -21,6 +21,7 @@ from logmult.field import (
     piece_class,
     transform,
 )
+from logmult.reporting import render_report
 from logmult.shifted_lab import (
     GrowthBankSpec,
     GrowthExperiment,
@@ -171,6 +172,24 @@ def test_run_growth_small_maximal():
     assert 0.2 <= report.summary["fitted_exponent"] <= 0.8
     ratios = [row["ratio"] for row in report.rows]
     assert all(r >= 1.0 - 1e-9 for r in ratios)
+
+
+def test_run_growth_notes_a_vacuous_fit_verdict():
+    # the square family's predicted |1/2 - 1/p| is 0.25 at p = 4, within the default
+    # tolerance 0.3 of a flat fit, and 0.375 at p = 8; the verdicts stay as they are
+    grid = GridSpec(1, 2**12, 2.0**8)
+    reports = {
+        p: run_growth(GrowthExperiment(
+            kind="shifted-square", p=p, shifts=(1.0, 2.0, 4.0, 8.0), grid=grid, scale_range=(0, 3),
+            bank=GrowthBankSpec(seed=3, n_random=1, random_band=(0.5, 1.0)),
+        ))
+        for p in (4.0, 8.0)
+    }
+    flat = reports[4.0]
+    assert len(flat.notes) == 1 and "a flat fit (exponent 0) would also pass" in flat.notes[0]
+    assert f"note: {flat.notes[0]}" in render_report(flat)
+    assert abs(flat.summary["fitted_exponent"]) <= 1e-9 and flat.passed
+    assert reports[8.0].notes == () and not reports[8.0].passed
 
 
 def test_run_growth_computes_each_unshifted_estimator_once(monkeypatch):

@@ -58,7 +58,14 @@ from logmult.lp_ops import (
     square_function,
 )
 from logmult.multiplier import SpectralFactor, TensorKernel, apply_t
-from logmult.shifted_lab import bump_train, modulated_bump, random_band_limited
+from logmult.shifted_lab import (
+    GrowthBankSpec,
+    GrowthExperiment,
+    bump_train,
+    modulated_bump,
+    operator_norm_proxy,
+    random_band_limited,
+)
 
 PAIR = make_lp_pair((-2, 8))
 ETA, BETA = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
@@ -478,6 +485,84 @@ def test_maximal_function_inverse_fft_count(monkeypatch):
         maximal_function(f, PAIR, shift)
         counts.append(len(calls))
     assert counts == [3, 5, 9, 3]
+
+
+def test_square_function_norms_run_no_full_size_fft(monkeypatch):
+    # ||S f||_2 is a Parseval sum over the boxes of the live psi pieces at every
+    # shift, and the square half of a growth unit (the criterion-10 bank and its
+    # proxy at p = 2) runs no transform, full-size or other; ||S f||_4 takes
+    # small products, fewer points than one full-size inverse per piece
+    f, shifts = skip_cases()
+    calls = []
+    for name in ("fftn", "ifftn"):
+        transform_fn = getattr(np.fft, name)
+
+        def counting(*args, _fn=transform_fn, **kwargs):
+            calls.append(np.size(args[0]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    counts = []
+    for shift in shifts:
+        calls.clear()
+        lp_norm(square_function(f, PAIR, shift), 2)
+        counts.append(len(calls))
+    assert counts == [0, 0, 0, 0]
+    bank = GrowthBankSpec(seed=20240801, n_random=2, random_band=(0.5, 1.0), adversarial="bump")
+    experiment = GrowthExperiment(
+        kind="shifted-square", p=2.0, shifts=(16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0),
+        grid=GridSpec(1, 2**20, 2.0**16), scale_range=(-1, 14), bank=bank,
+    )
+    calls.clear()
+    for y in (16.0, 16384.0):
+        ratio = operator_norm_proxy("shifted-square", 2.0, [y], experiment.make_bank(), experiment.make_pair())
+        assert abs(ratio - 1.0) <= 1e-12
+    assert calls == []
+    for g in experiment.make_bank():
+        square = square_function(g, experiment.make_pair(), (16.0,))
+        lp_norm(square, 4)
+        assert "values" not in vars(square)
+    assert calls and experiment.grid.size not in calls
+
+
+@st.composite
+def square_norm_cases(draw):
+    """A random field on a band well below Nyquist or reaching one bin below it, and a shift.
+
+    The shift is none, whole samples at every scale up to a drawn one, or off the grid.
+    """
+    grid = draw(st.sampled_from(GRIDS))
+    near_nyquist = draw(st.booleans())
+    hi = grid.nyquist - 1.0 / grid.period if near_nyquist else draw(st.integers(1, 7)) / 16 * grid.nyquist
+    lo = draw(st.integers(0, 8)) / 8 * hi
+    kind = draw(st.sampled_from(["none", "aligned", "off-grid"]))
+    axes = grid.dimension
+    if kind == "none":
+        shift = None
+    elif kind == "aligned":
+        top = draw(st.integers(-2, 8))
+        steps = draw(st.lists(st.integers(-40, 40), min_size=axes, max_size=axes))
+        shift = [k * grid.spacing * 2.0**top for k in steps]
+    else:
+        shift = draw(st.lists(st.floats(-20.0, 20.0), min_size=axes, max_size=axes))
+    return random_band_limited(grid, (lo, hi), draw(st.integers(0, 2**32 - 1))), shift, near_nyquist
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_norm_cases(), st.sampled_from([-900, 0, 900]), st.sampled_from([2, 4]))
+def test_square_norms_match_sampled_norms(case, exponent, p):
+    # L^2 by Parseval over the pieces and L^4 from the spectrum of |S f|^2, against
+    # the samples of a values-only copy; next to Nyquist |S f|^2 would alias on
+    # the grid, so L^4 reads the samples
+    f, shift, near_nyquist = case
+    square = square_function(2.0**exponent * f, PAIR, shift)
+    got = lp_norm(square, p)
+    if p == 2:
+        assert "values" not in vars(square)
+    elif near_nyquist:
+        assert "values" in vars(square)
+    want = lp_norm(SampledField(f.grid, square.values), p)
+    assert abs(got - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
