@@ -167,6 +167,13 @@ def _p_value(text: str) -> float:
     return math.inf if text.strip().lower() in ("inf", "infinity", "oo") else float(text)
 
 
+def _tolerance(section: Dict[str, str], key: str) -> float:
+    value = float(section[key])
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{key} must be finite and nonnegative, got {section[key]!r}")
+    return value
+
+
 def _grid_from(config: Dict[str, Dict[str, str]]) -> GridSpec:
     g = config["grid"]
     return GridSpec(int(g["dimension"]), int(g["samples"]), float(g["period"]))
@@ -203,7 +210,7 @@ def cmd_partition(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     grid = _grid_from(config)
     section = config["partition"]
     scale_min, scale_max = int(section["scale_min"]), int(section["scale_max"])
-    tolerance = float(section["tolerance"])
+    tolerance = _tolerance(section, "tolerance")
     pair = make_lp_pair((scale_min, scale_max))
     radii = grid.frequency_radii().ravel()
     lo, hi = pair.covered_band
@@ -269,7 +276,7 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
             random_band=tuple(band),
             adversarial=section["adversarial"],
         ),
-        tolerance=float(section["tolerance"]),
+        tolerance=_tolerance(section, "tolerance"),
         allow_wrapped_positions=section["criterion"] == "equality",
     )
     report = run_growth(experiment)
@@ -283,7 +290,7 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     elif criterion == "equality":
         worst = max(abs(r - 1.0) for r in ratios)
         report.summary["max_equality_defect"] = worst
-        report.passed = worst <= float(section["tolerance"])
+        report.passed = worst <= experiment.tolerance
     report.params["criterion"] = criterion
     return report
 
@@ -301,6 +308,7 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     band_max = float(section["band_max"])
     seed = int(section["seed"])
     shift_scale = float(section["shift_scale"])
+    tol2, tol3 = _tolerance(section, "tolerance_l2"), _tolerance(section, "tolerance_l3")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     rows = []
     worst = {2.0: 0.0, 3.0: 0.0}
@@ -321,8 +329,6 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         result = change_of_variables_check(gs, ys, k0, scale_range, p=p)
         worst[p] = max(worst[p], result.discrepancy)
         rows.append({"config": idx, "m": m, "p": p, "k0": k0, "discrepancy": result.discrepancy})
-    tol2 = float(section["tolerance_l2"])
-    tol3 = float(section["tolerance_l3"])
     passed = worst[2.0] < tol2 and worst[3.0] < tol3
     return ExperimentReport(
         name="changevars",
@@ -354,7 +360,7 @@ def cmd_peetre(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     k_min = int(section["bank_scale_min"])
     seed = int(section["seed"])
     p, q = _p_value(section["p"]), _p_value(section["q"])
-    stability = float(section["stability"])
+    stability = _tolerance(section, "stability")
     fine = GridSpec(grid.dimension, grid.samples_per_axis * 2, grid.period)
     rows = []
     passed = True
@@ -537,8 +543,8 @@ def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
             passed=validation.frequency_ok,
         )
 
-    id_tol = float(section["identity_tolerance"])
-    orth_tol = float(section["orthogonality_tolerance"])
+    id_tol = _tolerance(section, "identity_tolerance")
+    orth_tol = _tolerance(section, "orthogonality_tolerance")
     rows = []
     passed = True
     cfgs = [make(n) for n in packets]

@@ -74,6 +74,7 @@ __all__ = [
     "NyquistError",
     "transform",
     "inverse",
+    "keep_spectrum",
     "certify",
     "zero_boxes",
     "spectrum_from_boxes",
@@ -712,6 +713,13 @@ def inverse(s: Spectrum) -> SampledField:
     if s.shells is None:
         return SampledField(s.grid, frozen(apply_multiplier(s)))
     return _deferred(s, lambda f: _inverted(f.grid, f.kept.boxes))
+
+
+def keep_spectrum(f: SampledField) -> SampledField:
+    """``f`` with its certified :func:`transform` kept, taken once: later transforms read it."""
+    if f.kept is not None or f.shells is None:
+        return f
+    return _deferred(transform(f), lambda _: f.values)
 
 
 def _reflected(piece: BoxPiece) -> BoxPiece:

@@ -100,6 +100,11 @@ def _zero_shift(grid: GridSpec) -> Tuple[float, ...]:
     return (0.0,) * grid.dimension
 
 
+def _exponent(peak: float) -> int:
+    """``e`` with ``2**-e peak`` near 1 far from amplitude 1, else 0 (the sums bit for bit)."""
+    return int(np.frexp(peak)[1]) if peak > 2.0**400 or 0.0 < peak < 2.0**-400 else 0
+
+
 def _energy(values: np.ndarray, e: int = 0) -> np.ndarray:
     """``(2**-e |values|)**2``; the power of two is exact."""
     energy = np.ldexp(np.abs(values), -e)
@@ -163,8 +168,7 @@ def square_function(
     def sample(_) -> np.ndarray:
         # far from amplitude 1 a squared piece would leave the double range:
         # sum the squares at 2**-e times the pieces and scale back (e = 0 near 1)
-        peak = max((float(np.max(np.abs(v))) for _, piece in moduli for _, v in piece), default=0.0)
-        e = int(np.frexp(peak)[1]) if peak > 2.0**400 or 0.0 < peak < 2.0**-400 else 0
+        e = _exponent(max((float(np.max(np.abs(v))) for _, piece in moduli for _, v in piece), default=0.0))
         acc = np.zeros(f.grid.shape, dtype=float)
         for _, steps, energy in _pieces(f, spectrum, pair.psi_hat, pair.scales, shift, lambda v: _energy(v, e)):
             acc += _rolled(energy, steps)
@@ -244,21 +248,11 @@ class DyadicCubeSet:
 
     def reduce(self, values: np.ndarray, how: str) -> np.ndarray:
         """Per-cube reduction (mean / max / min) of a grid-shaped real array."""
-        n = self.cubes_per_axis
-        p = self.points_per_cube_axis
-        if self.grid.dimension == 1:
-            blocks = values.reshape(n, p)
-            axes: Tuple[int, ...] = (1,)
-        else:
-            blocks = values.reshape(n, p, n, p)
-            axes = (1, 3)
-        if how == "mean":
-            return blocks.mean(axis=axes)
-        if how == "max":
-            return blocks.max(axis=axes)
-        if how == "min":
-            return blocks.min(axis=axes)
-        raise ValueError(f"unknown reduction {how!r}")
+        if how not in ("mean", "max", "min"):
+            raise ValueError(f"unknown reduction {how!r}")
+        d = self.grid.dimension
+        blocks = values.reshape((self.cubes_per_axis, self.points_per_cube_axis) * d)
+        return getattr(blocks, how)(axis=tuple(range(1, 2 * d, 2)))
 
 
 def bmo_norm(f: SampledField, pair: LPPair) -> float:
@@ -273,10 +267,13 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
         raise ValueError(
             f"no dyadic cube scale tiles period {f.grid.period} on {f.grid.samples_per_axis} points"
         )
+    spectrum = transform(f)
+    # squares at 2**-e times the pieces, as in square_function, scaled back at the end
+    e = _exponent(max((float(np.max(np.abs(v))) for _, v in spectrum.boxes), default=0.0))
     sq_pieces = {
         scale: _rolled(energy, steps)
         for scale, steps, energy in _pieces(
-            f, transform(f), pair.psi_hat, pair.scales, _zero_shift(f.grid), _energy
+            f, spectrum, pair.psi_hat, pair.scales, _zero_shift(f.grid), lambda v: _energy(v, e)
         )
     }
     # cumulative sums from the top scale down: tail[l] = sum_{j >= l} |psi_j * f|^2
@@ -294,7 +291,7 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
         cubes = DyadicCubeSet(f.grid, k)
         means = cubes.reduce(tail[start], "mean")
         best = max(best, float(np.max(means)))
-    return math.sqrt(best)
+    return math.ldexp(math.sqrt(best), e)
 
 
 def _peetre_weights(grid: GridSpec, sigma: float, k: int) -> np.ndarray:
@@ -304,30 +301,59 @@ def _peetre_weights(grid: GridSpec, sigma: float, k: int) -> np.ndarray:
 def peetre_max(f: SampledField, sigma: float, k: int) -> SampledField:
     """Weighted sup ``sup_z |f(x - z)| / (1 + 2**k |z|)**sigma`` over grid offsets.
 
-    |z| is the torus min-image distance.  Offsets are visited in decreasing
-    weight order with an early exit once no remaining weight can improve any
-    point, which makes well-localized fields cheap.
+    |z| is the torus min-image distance.  Targets are cut into square tiles and
+    sources into blocks of B points per axis (B = sqrt(M) rounded down to a
+    power of two, at least 8).  ``out`` starts at ``|f|`` and at each block's
+    argmax source times its weights; then, block offsets taken in decreasing
+    weight, a (tile, block) pair is evaluated only while ``max |f| on the block
+    * max w on the pair's offsets`` exceeds the tile's minimum.  Rounded
+    multiplication is monotone, so a pruned pair cannot raise any value: every
+    value is the largest product ``w[z] * |f[x - z]|`` over all z, bit for bit.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    weights = _peetre_weights(f.grid, sigma, k)
-    absf = np.abs(f.values)
-    peak = float(absf.max())
-    out = absf.copy()  # z = 0 lower bound
+    d, m = f.grid.dimension, f.grid.samples_per_axis
+    b = max(8, 1 << (m.bit_length() - 1) // 2)
+    n, axes, order = m // b, tuple(range(d)), tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+
+    def tiles(a: np.ndarray) -> np.ndarray:  # (n**d tiles, b**d points), a view in 1-D
+        return a.reshape((n, b) * d).transpose(order).reshape(n**d, b**d)
+
+    weights, absf = _peetre_weights(f.grid, sigma, k), np.abs(f.values)
+    blocks, peak = tiles(absf), float(absf.max())
     if peak == 0.0:
-        return SampledField(f.grid, out)
-    flat_order = np.argsort(weights, axis=None)[::-1]
-    dim = f.grid.dimension
-    axes = tuple(range(dim))
-    for flat in flat_order:
-        idx = np.unravel_index(flat, f.grid.shape)
-        w = weights[idx]
-        if w >= 1.0:  # z = 0 already accounted for
-            continue
-        if w * peak <= out.min():
+        return SampledField(f.grid, absf)
+    out, product, wrapped = absf.copy(), np.empty_like(absf), np.tile(weights, (2,) * d)
+    for i, (blk, arg) in enumerate(zip(np.ndindex(*(n,) * d), blocks.argmax(axis=1))):
+        src = (c * b + j for c, j in zip(blk, np.unravel_index(arg, (b,) * d)))
+        view = wrapped[tuple(slice(m - s, 2 * m - s) for s in src)]  # w[x - s] = wrapped[m + x - s]
+        np.maximum(out, np.multiply(view, blocks[i, arg], out=product), out=out)
+    out_t, block_max, bound = tiles(out), blocks.max(axis=1), weights.copy()
+    low, ids = out_t.min(axis=1), np.arange(n**d).reshape((n,) * d)
+    bound[(0,) * d] = 0.0  # z = 0 is in out already
+    w_max = tiles(bound).max(axis=1).reshape((n,) * d)  # a pair's offsets lie in blocks delta - 1 and delta
+    for axis in axes:
+        w_max = np.maximum(w_max, np.roll(w_max, 1, axis=axis))
+    for flat in np.argsort(w_max, axis=None)[::-1]:
+        delta = np.unravel_index(flat, w_max.shape)
+        if w_max[delta] * peak <= low.min():
             break
-        np.maximum(out, w * np.roll(absf, idx, axis=axes), out=out)
-    return SampledField(f.grid, out)
+        sources = np.roll(ids, delta, axis=axes).ravel()  # block t - delta for tile t
+        live = np.flatnonzero(block_max[sources] * w_max[delta] > low)
+        if live.size == 0:
+            continue
+        window = weights[np.ix_(*[(c * b + np.arange(1 - b, b)) % m for c in delta])]
+        # toeplitz[j, i] = w[delta b + i - j]: source j of a block to target i of its tile
+        toeplitz = np.lib.stride_tricks.sliding_window_view(window, (b,) * d)[(slice(None, None, -1),) * d]
+        toeplitz = toeplitz.reshape(b**d, b**d)
+        step = max(1, 2**18 // b ** (2 * d))  # 2 MiB of products at once
+        for lo in range(0, live.size, step):
+            t = live[lo : lo + step]
+            vals = np.max(toeplitz * blocks[sources[t], :, None], axis=1)
+            out_t[t] = np.maximum(out_t[t], vals, out=vals)
+            low[t] = vals.min(axis=1)
+    untiled = out_t.reshape((n,) * d + (b,) * d).transpose(np.argsort(order))
+    return SampledField(f.grid, untiled.reshape(f.grid.shape))
 
 
 @dataclass(frozen=True)

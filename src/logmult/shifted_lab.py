@@ -31,6 +31,7 @@ from .field import (
     box_frequencies,
     frozen,
     inverse,
+    keep_spectrum,
     lp_norm,
     phase_shift,
     require_same_grid,
@@ -421,6 +422,7 @@ def change_of_variables_check(
     scales = range(scale_range[0], scale_range[1] + 1)
     if not scales:
         raise ValueError(f"empty scale range {scale_range}")
+    gs = [keep_spectrum(g) for g in gs]  # one FFT per input: dilates and off-grid shifts read it
     dilates = {scale: [dilate_field(g, scale) for g in gs] for scale in scales}
 
     def norm_p(shifts: Sequence[np.ndarray]) -> float:

@@ -163,6 +163,22 @@ def test_counterexample_invalid_config_exit_code(tmp_path):
     assert code == CONFIG_ERROR
 
 
+def test_changevars_transforms_each_input_once(tmp_path, monkeypatch):
+    import numpy as np
+
+    calls = []
+    original = np.fft.fftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting)
+    assert run(["changevars", "--outdir", str(tmp_path)]) == PASS
+    # 100 configs of m = 2, 3, 4 inputs in turn: 34 * 2 + 33 * 3 + 33 * 4 = 299
+    assert len(calls) == 299
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -256,6 +272,26 @@ def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / f"{args[0]}.report.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("partition", "partition.tolerance"),
+        ("growth", "growth.tolerance"),
+        ("changevars", "changevars.tolerance_l2"),
+        ("changevars", "changevars.tolerance_l3"),
+        ("peetre", "peetre.stability"),
+        ("counterexample", "counterexample.identity_tolerance"),
+        ("counterexample", "counterexample.orthogonality_tolerance"),
+    ],
+)
+def test_malformed_tolerances_are_config_errors(tmp_path, capsys, command, key, value):
+    assert run([command, f"--{key}", value, "--outdir", str(tmp_path)]) == CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key.split(".")[1] in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_changevars_empty_scale_range_synthesises_nothing(tmp_path, capsys, monkeypatch):
