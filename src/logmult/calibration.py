@@ -29,8 +29,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .field import GridSpec, SampledField, Spectrum, inverse, symbol_box
-
 __all__ = [
     "RadialProfile",
     "AnnularProfile",
@@ -38,7 +36,6 @@ __all__ = [
     "make_lowpass",
     "make_lp_pair",
     "make_counterexample_profiles",
-    "profile_to_field",
 ]
 
 
@@ -239,10 +236,3 @@ def make_counterexample_profiles(
     beta_hat = AnnularProfile(pl_lo, pl_hi, su_lo, su_hi)
     return eta_hat, beta_hat
 
-
-def profile_to_field(profile, grid: GridSpec) -> SampledField:
-    """Physical-space function of a frequency profile (inverse of its samples).
-
-    Profiles are radial, hence even, so the result is real up to roundoff.
-    """
-    return inverse(Spectrum(grid, symbol_box(grid, profile), support_certificate=profile.support))

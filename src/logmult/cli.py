@@ -36,7 +36,7 @@ from .exponents import (
     select_split,
     sharp_lambda,
 )
-from .field import GridSpec, SampledField
+from .field import GridSpec, SampledField, Shells
 from .lp_ops import DyadicCubeSet, fefferman_stein_ratio, peetre_cube_ratio
 from .reporting import ExperimentReport, RunManifest, render_report, write_csv
 from .shifted_lab import (
@@ -264,6 +264,10 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     band = _floats(section["random_band"])
     if len(band) != 2:
         raise ValueError(f"random_band needs exactly two values (inner, outer), got {band}")
+    criterion = section["criterion"]
+    if criterion not in ("fit", "bounded", "equality"):
+        raise ValueError(f"unknown growth criterion {criterion!r}; expected fit, bounded or equality")
+    bound_factor = _tolerance(section, "bound_factor")
     experiment = GrowthExperiment(
         kind=section["kind"],
         p=p,
@@ -277,13 +281,12 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
             adversarial=section["adversarial"],
         ),
         tolerance=_tolerance(section, "tolerance"),
-        allow_wrapped_positions=section["criterion"] == "equality",
+        allow_wrapped_positions=criterion == "equality",
     )
     report = run_growth(experiment)
-    criterion = section["criterion"]
     ratios = [row["ratio"] for row in report.rows]
     if criterion == "bounded":
-        bound = float(section["bound_factor"]) * ratios[0]
+        bound = bound_factor * ratios[0]
         report.summary["max_ratio"] = max(ratios)
         report.summary["bound"] = bound
         report.passed = max(ratios) <= bound
@@ -300,6 +303,8 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     grid = _grid_from(config)
     section = config["changevars"]
     n_configs = int(section["configs"])
+    if n_configs < 1:
+        raise ValueError(f"configs must be at least 1, got {n_configs}")
     m_values = _ints(section["m_values"])
     scale_range = (int(section["scale_min"]), int(section["scale_max"]))
     if scale_range[1] < scale_range[0]:
@@ -320,7 +325,7 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
             offset = SampledField(
                 grid,
                 np.full(grid.shape, 1.5 * max(1e-12, float(np.max(np.abs(base.values))))),
-                band=(0.0, 0.0),
+                Shells.radial(0.0, 0.0, grid.dimension),
             )
             gs.append(base + offset)
         ys = gen.uniform(-shift_scale, shift_scale, size=(m, grid.dimension))

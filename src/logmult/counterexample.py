@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, profile_to_field
+from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles
 from .exponents import PTuple, lambda_st, sharp_lambda
 from .field import GridSpec, SampledField, Shells, add_box_product, certify, conjugate, inverse, lp_norm, transform
 from .field import spectrum_from_boxes, symbol_box, zero_boxes
@@ -336,7 +336,7 @@ def build_inputs(cfg: CxConfig) -> List[SampledField]:
     # the packet envelope is real, so the mirrored train is exactly the conjugate
     f_t = conjugate(f_s)
     # only n >= 3 has slots besides s and t
-    beta_field = profile_to_field(cfg.profiles[1], grid) if cfg.n > 2 else None
+    beta_field = SpectralFactor(cfg.profiles[1]).field_on(grid) if cfg.n > 2 else None
     fields: List[SampledField] = []
     for slot in range(1, cfg.n + 1):
         if slot == cfg.s:

@@ -24,8 +24,7 @@ Support certificates are :class:`Shells`: unions of closed shells
 ``{xi : inner <= |xi - center| <= outer}``.  A radial band ``(inner, outer)``
 is the single shell centred at the origin, and a packet is a ball around its
 carrier frequency, so a train of separated packets is certified packet by
-packet.  ``SampledField.band`` and ``Spectrum.support_certificate`` read as
-the union's radial hull.
+packet.  ``SampledField.band`` reads as the union's radial hull.
 
 A set of certified bins has one layout, the boxes of :func:`bin_boxes`: one
 merged interval of signed bins per axis.  A :class:`Spectrum` *is* its
@@ -397,8 +396,8 @@ class SampledField:
 
     ``shells`` is an optional support certificate: the field's spectrum is
     guaranteed (and, where asserted, verified) to vanish off the union.
-    ``band`` is its radial hull ``(inner, outer)`` in physical frequency
-    units; a field given only a ``band`` is certified by that annulus.
+    ``band`` reads as its radial hull ``(inner, outer)`` in physical
+    frequency units, None without a certificate.
 
     ``kept``, when set, is the field's exact spectrum, a certified
     :class:`Spectrum` (its boxes).  :func:`inverse` of a certified spectrum,
@@ -411,7 +410,6 @@ class SampledField:
 
     grid: GridSpec
     values: np.ndarray
-    band: Optional[Tuple[float, float]] = None
     shells: Optional[Shells] = None
     kept: Optional["Spectrum"] = field(default=None, init=False, compare=False, repr=False)
 
@@ -419,9 +417,11 @@ class SampledField:
         vals = _freeze(self.values, self.grid.shape)
         _require_finite(vals, "field values")
         object.__setattr__(self, "values", vals)
-        band, shells = _certificate(self.grid, self.band, self.shells)
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "shells", shells)
+        _check_certificate(self.grid, self.shells)
+
+    @property
+    def band(self) -> Optional[Tuple[float, float]]:
+        return None if self.shells is None else self.shells.hull
 
     def __getattr__(self, name: str):
         # reached only for attributes the instance does not hold: the samples of a deferred field
@@ -468,22 +468,15 @@ class SampledField:
         return SampledField(self.grid, frozen(self.values * other.values), shells=shells)
 
 
-def _certificate(grid: GridSpec, band: Optional[Tuple[float, float]], shells: Optional[Shells]) -> Tuple[Optional[Tuple[float, float]], Optional[Shells]]:
-    """``(radial hull, union)`` from a band or a union; the union must fit below Nyquist."""
+def _check_certificate(grid: GridSpec, shells: Optional[Shells]) -> None:
+    """A certificate is None or a :class:`Shells` in the grid's dimension that fits below Nyquist."""
     if shells is None:
-        if band is None:
-            return None, None
-        inner, outer = band
-        if not (0 <= inner <= outer):
-            raise ValueError(f"invalid band certificate {band}")
-        shells = Shells.radial(inner, outer, grid.dimension)
-    elif band is not None and tuple(band) != shells.hull:
-        raise ValueError(f"band {band} is not the radial hull {shells.hull} of the certificate")
+        return
+    if not isinstance(shells, Shells):
+        raise TypeError(f"a support certificate must be Shells or None, not {type(shells).__name__}")
     if any(len(s.center) != grid.dimension for s in shells.parts):
         raise ValueError(f"certificate shells do not live in dimension {grid.dimension}")
-    hull = shells.hull
-    grid.check_supports_radius(hull[1])
-    return hull, shells
+    grid.check_supports_radius(shells.hull[1])
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -500,10 +493,10 @@ def _deferred(kept: Optional["Spectrum"], sampler, grid: Optional[GridSpec] = No
     whose squared moduli sum to ``|f|**2``; :func:`lp_norm` reads them.
     """
     f = object.__new__(SampledField)
-    band = shells = None
+    shells = None
     if kept is not None:
-        grid, band, shells, moduli = kept.grid, kept.support_certificate, kept.shells, ((kept.shells, kept.boxes),)
-    for name, value in (("grid", grid), ("band", band), ("shells", shells), ("kept", kept), ("_sampler", sampler), ("_moduli", tuple(moduli))):
+        grid, shells, moduli = kept.grid, kept.shells, ((kept.shells, kept.boxes),)
+    for name, value in (("grid", grid), ("shells", shells), ("kept", kept), ("_sampler", sampler), ("_moduli", tuple(moduli))):
         object.__setattr__(f, name, value)
     return f
 
@@ -534,24 +527,21 @@ def _max_modulus(values: np.ndarray) -> float:
 class Spectrum:
     """Discrete Fourier coefficients, held as boxes, with an optional support certificate.
 
-    As for :class:`SampledField`, ``shells`` is the certificate and
-    ``support_certificate`` its radial hull (or the annulus it was given).
-    ``boxes`` are laid out as :func:`zero_boxes` of ``shells`` and adopted; a
-    full-size array given instead is copied (as samples are) and cut into
-    them.  Coefficients off the certified bins must be exactly zero, checked
-    box by box, and certified ones finite.  ``coefficients`` scatters the
-    boxes on each read.
+    As for :class:`SampledField`, ``shells`` is the certificate.  ``boxes``
+    are laid out as :func:`zero_boxes` of ``shells`` and adopted; a full-size
+    array given instead is copied (as samples are) and cut into them.
+    Coefficients off the certified bins must be exactly zero, checked box by
+    box, and certified ones finite.  ``coefficients`` scatters the boxes on
+    each read.
     """
 
     grid: GridSpec
     boxes: Tuple[BoxPiece, ...]
-    support_certificate: Optional[Tuple[float, float]] = None
     shells: Optional[Shells] = None
 
     def __post_init__(self):
-        hull, shells = _certificate(self.grid, self.support_certificate, self.shells)
-        object.__setattr__(self, "support_certificate", hull)
-        object.__setattr__(self, "shells", shells)
+        shells = self.shells
+        _check_certificate(self.grid, shells)
         bins = _certified_bins(self.grid, shells)
         boxes, off = self.boxes, 0
         if isinstance(boxes, np.ndarray):
@@ -561,14 +551,14 @@ class Spectrum:
                 off = np.count_nonzero(coeffs) - sum(np.count_nonzero(values) for _, values in boxes)
         boxes = tuple((first, frozen(np.asarray(values, dtype=np.complex128))) for first, values in boxes)
         if [(first, values.shape) for first, values in boxes] != [(first, tuple(i.size for i in index)) for first, index, _ in bins]:
-            raise ValueError(f"boxes are not laid out on the certificate {hull}")
+            raise ValueError(f"boxes are not laid out on the certificate {shells}")
         object.__setattr__(self, "boxes", boxes)
         if shells is not None:
             for _, values in boxes:
                 _require_finite(values, "certified coefficients")
             off += sum(np.count_nonzero(np.where(inside, 0.0, values)) for (_, values), (_, _, inside) in zip(boxes, bins))
             if off:
-                raise ValueError(f"support certificate {hull} violated: {off} nonzero coefficients off it")
+                raise ValueError(f"support certificate {shells.hull} violated: {off} nonzero coefficients off it")
 
     @property
     def coefficients(self) -> np.ndarray:

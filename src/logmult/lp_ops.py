@@ -51,6 +51,7 @@ from .field import (
     GridSpec,
     MixedNormSpec,
     SampledField,
+    Shells,
     Spectrum,
     _deferred,
     apply_multiplier,
@@ -91,7 +92,8 @@ def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff)."""
     cls, shells, profile = piece_plan(f, op.profile, op.scale)
     if cls == ZERO:
-        return SampledField(f.grid, frozen(np.zeros(f.grid.shape, dtype=np.complex128)), (0.0, 0.0))
+        zero = frozen(np.zeros(f.grid.shape, dtype=np.complex128))
+        return SampledField(f.grid, zero, Shells.radial(0.0, 0.0, f.grid.dimension))
     values = apply_multiplier(transform(f), profile, op.scale, op.shift)
     return SampledField(f.grid, frozen(values), shells=shells)
 

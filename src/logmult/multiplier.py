@@ -81,11 +81,12 @@ class SpectralFactor:
 
     def spectrum_on(self, grid: GridSpec, dilation_scale: int = 0) -> np.ndarray:
         """Values of g_hat(2**-l xi) on the grid frequencies: the full-size scatter of the symbol's boxes."""
-        dilated = tuple(edge * 2.0**dilation_scale for edge in self.support)
+        dilated = Shells.radial(*(edge * 2.0**dilation_scale for edge in self.support), grid.dimension)
         return Spectrum(grid, symbol_box(grid, self.profile, self.translation, dilation_scale), dilated).coefficients
 
     def field_on(self, grid: GridSpec) -> SampledField:
-        return inverse(Spectrum(grid, symbol_box(grid, self.profile, self.translation), support_certificate=self.support))
+        """The physical function ``g``: the inverse transform of its symbol, certified by the profile's support."""
+        return inverse(Spectrum(grid, symbol_box(grid, self.profile, self.translation), Shells.radial(*self.support, grid.dimension)))
 
     def center(self, dimension: int) -> np.ndarray:
         if self.translation is None:
@@ -300,6 +301,7 @@ def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float,
 
 
 _DEFAULT_SHELLS = {2: 256, 3: 128, 4: 48, 5: 24}
+_EXACT_BUDGET = 2**24  # most product-grid points the exact D_lambda path sums
 
 
 def _bucket(off: np.ndarray, base: float, width: float, shells: int) -> np.ndarray:
@@ -390,14 +392,14 @@ def _offset_bounds(
 
 
 def _bracket_d_lambda(
-    kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec, shells: Optional[int]
+    kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec
 ) -> Tuple[float, float]:
     """Certified bounds from per-slot shell masses and the kernel's per-slot shell bounds."""
     base = kernel.base if isinstance(kernel, TransposedKernel) else kernel
     if base.rank != 1:
         raise ValueError("bracket path handles rank-1 kernels")
     n = base.n
-    s = shells or _DEFAULT_SHELLS.get(n, 16)
+    s = _DEFAULT_SHELLS.get(n, 16)
     coeff, factors = base.terms[0]
     flat = [g.ravel() for g in np.meshgrid(*[np.arange(s)] * n, indexing="ij")]
     mass = np.ones(flat[0].size)
@@ -426,8 +428,6 @@ def d_lambda(
     lam: float,
     grid: GridSpec,
     method: str = "auto",
-    shells: Optional[int] = None,
-    budget: int = 2**24,
 ) -> DLambdaResult:
     """The log-weighted kernel size; exact on small product grids, bracketed otherwise.
 
@@ -437,19 +437,19 @@ def d_lambda(
     if not 0 <= lam < math.inf:  # NaN fails too
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
     if method == "auto":
-        exact_ok = grid.dimension == 1 and kernel.n <= 3 and grid.size**kernel.n <= budget
+        exact_ok = grid.dimension == 1 and kernel.n <= 3 and grid.size**kernel.n <= _EXACT_BUDGET
         method = "exact" if exact_ok else "bracket"
     if method == "exact":
         value = _exact_d_lambda(kernel, lam, grid)
         return DLambdaResult(value, value, value, "exact")
     if method != "bracket":
         raise ValueError(f"unknown method {method!r}")
-    lower, upper = _bracket_d_lambda(kernel, lam, grid, shells)
+    lower, upper = _bracket_d_lambda(kernel, lam, grid)
     value = 0.5 * (lower + upper)
     if value > 0 and (upper - lower) > 0.1 * value:
         raise ValueError(
             f"bracket width {upper - lower} exceeds 10% of the value {value}; "
-            "reduce the slot count/dimension or use more shells"
+            "reduce the slot count or dimension"
         )
     return DLambdaResult(value, lower, upper, "bracket")
 

@@ -68,13 +68,10 @@ class ExperimentReport:
     notes: Tuple[str, ...] = ()
     manifest: Optional[RunManifest] = None
 
-    def row_header(self) -> List[str]:
-        header: List[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in header:
-                    header.append(key)
-        return header
+
+def _row_header(rows: Sequence[Mapping[str, object]]) -> List[str]:
+    """Every key of every row, in first-seen order."""
+    return list(dict.fromkeys(key for row in rows for key in row))
 
 
 def render_report(report: ExperimentReport) -> str:
@@ -88,7 +85,7 @@ def render_report(report: ExperimentReport) -> str:
         lines.extend(f"    {k} = {format_value(v)}" for k, v in report.params.items())
     if report.rows:
         lines.append("  measurements")
-        header = report.row_header()
+        header = _row_header(report.rows)
         for row in report.rows:
             rendered = ", ".join(f"{k}={format_value(row.get(k, ''))}" for k in header)
             lines.append(f"    {rendered}")
@@ -102,17 +99,12 @@ def render_report(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, rows: Sequence[Mapping[str, object]], header: Optional[Sequence[str]] = None) -> None:
+def write_csv(path, rows: Sequence[Mapping[str, object]]) -> None:
     """RFC-4180 CSV emission with deterministic formatting."""
-    if header is None:
-        header = []
-        for row in rows:
-            for key in row:
-                if key not in header:
-                    header.append(key)
+    header = _row_header(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(list(header))
+    writer.writerow(header)
     for row in rows:
         writer.writerow([format_value(row.get(k, "")) for k in header])
     with open(path, "w", newline="") as fh:

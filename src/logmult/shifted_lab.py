@@ -179,6 +179,16 @@ class GrowthBankSpec:
     bump_center: float = 0.75
     bump_radius: float = 0.25
 
+    def __post_init__(self):
+        if self.n_random < 0:
+            raise ValueError(f"n_random must be nonnegative, got {self.n_random}")
+        if self.adversarial not in ("bump", "none"):
+            raise ValueError(f"unknown adversarial input {self.adversarial!r}; expected bump or none")
+
+
+# spatial width assumed of a bank input, for the margin kept beyond the largest shifted position
+_BUMP_WIDTH_HINT = 16.0
+
 
 @dataclass(frozen=True)
 class GrowthExperiment:
@@ -189,7 +199,6 @@ class GrowthExperiment:
     scale_range: Tuple[int, int]
     bank: GrowthBankSpec = GrowthBankSpec()
     tolerance: float = 0.3
-    bump_width_hint: float = 16.0
     allow_wrapped_positions: bool = False
 
     def __post_init__(self):
@@ -203,7 +212,7 @@ class GrowthExperiment:
             # norm-equality experiments do not rely on separated hump positions
             return
         reach = max(self.shifts) * 2.0 ** -self.scale_range[0]
-        margin = 4.0 * self.bump_width_hint
+        margin = 4.0 * _BUMP_WIDTH_HINT
         if reach + margin > self.grid.period:
             raise ValueError(
                 f"largest shifted position {reach} plus margin {margin} exceeds the "

@@ -31,7 +31,7 @@ from logmult.exponents import (
     select_split,
     sharp_lambda,
 )
-from logmult.field import GridSpec, SampledField, lp_norm, phase_shift
+from logmult.field import GridSpec, SampledField, Shells, lp_norm, phase_shift
 from logmult.lp_ops import (
     DyadicCubeSet,
     ShiftedDyadicOp,
@@ -92,7 +92,7 @@ def test_criterion_02_change_of_variables():
             pedestal = SampledField(
                 grid,
                 np.full(grid.shape, 1.5 * float(np.max(np.abs(base.values)))),
-                band=(0.0, 0.0),
+                shells=Shells.radial(0.0, 0.0, grid.dimension),
             )
             gs.append(base + pedestal)
         ys = gen.uniform(-4.0, 4.0, size=(m, 1))

@@ -5,9 +5,9 @@ from logmult.calibration import (
     make_counterexample_profiles,
     make_lowpass,
     make_lp_pair,
-    profile_to_field,
 )
 from logmult.field import GridSpec, NyquistError, transform
+from logmult.multiplier import SpectralFactor
 
 
 def test_lowpass_plateau_and_support():
@@ -82,24 +82,24 @@ def test_counterexample_profiles_name_violation():
 def test_profile_field_integral_matches_zero_frequency():
     grid = GridSpec(1, 512, 32.0)
     eta_hat, beta_hat = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
-    eta = profile_to_field(eta_hat, grid)
+    eta = SpectralFactor(eta_hat).field_on(grid)
     total = np.sum(eta.values) * grid.cell_volume
     assert abs(total - 1.0) < 1e-12
-    beta = profile_to_field(beta_hat, grid)
+    beta = SpectralFactor(beta_hat).field_on(grid)
     assert abs(np.sum(beta.values) * grid.cell_volume) < 1e-12
 
 
 def test_profile_field_is_real():
     grid = GridSpec(1, 512, 32.0)
     _, beta_hat = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
-    beta = profile_to_field(beta_hat, grid)
+    beta = SpectralFactor(beta_hat).field_on(grid)
     assert np.max(np.abs(beta.values.imag)) < 1e-12 * np.max(np.abs(beta.values.real))
 
 
 def test_profile_field_spectrum_matches_samples():
     grid = GridSpec(1, 512, 32.0)
     prof = make_lowpass(1.0, 2.0)
-    f = profile_to_field(prof, grid)
+    f = SpectralFactor(prof).field_on(grid)
     s = transform(f)
     expected = prof(grid.frequency_radii())
     assert np.max(np.abs(s.coefficients - expected)) < 1e-12
@@ -109,8 +109,8 @@ def test_profile_field_two_resolutions_agree():
     coarse = GridSpec(1, 256, 32.0)
     fine = GridSpec(1, 512, 32.0)
     prof = make_lowpass(1.0, 2.0)
-    f_c = profile_to_field(prof, coarse)
-    f_f = profile_to_field(prof, fine)
+    f_c = SpectralFactor(prof).field_on(coarse)
+    f_f = SpectralFactor(prof).field_on(fine)
     # fine grid contains the coarse grid points at even indices
     assert np.max(np.abs(f_f.values[::2] - f_c.values)) < 1e-10
 
@@ -119,7 +119,7 @@ def test_profile_field_nyquist_guard():
     grid = GridSpec(1, 64, 32.0)  # Nyquist = 1
     prof = make_lowpass(1.0, 2.0)
     with pytest.raises(NyquistError):
-        profile_to_field(prof, grid)
+        SpectralFactor(prof).field_on(grid)
 
 
 def test_profile_records_round_trip_text():

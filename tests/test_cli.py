@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from logmult.cli import (
     CONFIG_ERROR,
     DEFAULTS,
+    FAIL,
     PASS,
     cmd_lambda,
     cmd_plan,
@@ -197,23 +198,65 @@ def test_determinism_byte_identical(tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+SMALL_GROWTH = [
+    "growth",
+    "--grid.samples", "65536",
+    "--grid.period", "4096",
+    "--growth.ladder", "16 64 256 1024",
+    "--growth.scale_max", "10",
+    "--growth.tolerance", "0.4",
+    "--growth.n_random", "1",
+]
+
+
 def test_growth_command_small(tmp_path):
-    code = run(
-        [
-            "growth",
-            "--grid.samples", "65536",
-            "--grid.period", "4096",
-            "--growth.ladder", "16 64 256 1024",
-            "--growth.scale_max", "10",
-            "--growth.tolerance", "0.4",
-            "--growth.n_random", "1",
-            "--outdir", str(tmp_path),
-        ]
-    )
-    assert code == PASS
+    assert run(SMALL_GROWTH + ["--outdir", str(tmp_path)]) == PASS
     report = (tmp_path / "growth-shifted-maximal.report.txt").read_text()
     assert "predicted_exponent = 0.5" in report
     assert "fitted_exponent" in report
+
+
+@pytest.mark.parametrize(
+    "args, summary_key",
+    [
+        (["--growth.kind", "shifted-square", "--growth.criterion", "bounded"], "bound"),
+        (
+            [
+                "--grid.period", "64",
+                "--growth.scale_max", "4",
+                "--growth.kind", "shifted-square",
+                "--growth.p", "inf",
+                "--growth.criterion", "equality",
+                "--growth.random_band", "1 8",
+            ],
+            "max_equality_defect",
+        ),
+    ],
+)
+def test_growth_bounded_and_equality_criteria(tmp_path, args, summary_key):
+    assert run(SMALL_GROWTH + args + ["--outdir", str(tmp_path)]) == PASS
+    report = (tmp_path / "growth-shifted-square.report.txt").read_text()
+    assert f"    {summary_key} = " in report
+
+
+def test_failed_check_exits_one(tmp_path):
+    # no partition defect is below a tolerance of 0
+    assert run(["partition", "--partition.tolerance", "0", "--outdir", str(tmp_path)]) == FAIL
+    assert "result = FAIL" in (tmp_path / "partition.report.txt").read_text()
+
+
+def test_lambda_and_plan_through_main(tmp_path):
+    assert run(["lambda", "4", "4", "inf", "--outdir", str(tmp_path)]) == PASS
+    assert "result = PASS" in (tmp_path / "lambda.report.txt").read_text()
+    # an interior target stalls: the diagnosis is a failed plan
+    assert run(["plan", "8", "8", "8", "8", "--outdir", str(tmp_path)]) == FAIL
+    assert "diagnosis" in (tmp_path / "plan.report.txt").read_text()
+
+
+def test_counterexample_separation_mode(tmp_path):
+    args = ["counterexample", "--counterexample.mode", "separation", "--counterexample.packets", "1 2"]
+    assert run(args + ["--outdir", str(tmp_path)]) == PASS
+    assert "mode = separation" in (tmp_path / "counterexample.report.txt").read_text()
 
 
 def test_peetre_command(tmp_path):
@@ -264,6 +307,14 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         # NaN exponents
         ["growth", "--growth.p", "nan"],
         ["counterexample", "--counterexample.lam", "nan"],
+        # unknown names, a malformed bound factor and counts out of range
+        ["growth", "--growth.criterion", "bogus"],
+        ["growth", "--growth.adversarial", "bogus"],
+        ["growth", "--growth.bound_factor", "nan"],
+        ["growth", "--growth.bound_factor", "-1"],
+        ["growth", "--growth.n_random", "-1"],
+        ["changevars", "--changevars.configs", "-1"],
+        ["changevars", "--changevars.configs", "0"],
     ],
 )
 def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):

@@ -19,7 +19,7 @@ from logmult.counterexample import (
     validate_config,
 )
 from logmult.field import GridSpec, Spectrum, lp_norm, transform
-from logmult.multiplier import apply_t, d_lambda
+from logmult.multiplier import SpectralFactor, apply_t, d_lambda
 
 
 def small_identity(n=3, packets=2):
@@ -327,13 +327,13 @@ def test_vanishing_closed_form_is_value_error():
 @pytest.mark.parametrize("n, calls", [(2, 0), (3, 1)])
 def test_build_inputs_synthesizes_beta_only_for_extra_slots(monkeypatch, n, calls):
     seen = []
-    original = counterexample.profile_to_field
+    original = SpectralFactor.field_on
 
-    def counting(profile, grid):
-        seen.append(profile)
-        return original(profile, grid)
+    def counting(factor, grid):
+        seen.append(factor.profile)
+        return original(factor, grid)
 
-    monkeypatch.setattr(counterexample, "profile_to_field", counting)
+    monkeypatch.setattr(SpectralFactor, "field_on", counting)
     fields = build_inputs(small_identity(n=n, packets=2))
     assert len(fields) == n
     assert len(seen) == calls

@@ -26,6 +26,8 @@ from logmult.field import (
     phase_shift,
     transform,
 )
+from logmult.calibration import make_lp_pair
+from logmult.lp_ops import square_function
 from logmult.shifted_lab import bump_train, dilate_field
 
 
@@ -111,7 +113,7 @@ def test_convolve_disjoint_supports_zero(grid):
         r = grid.frequency_radii()
         mask = (r >= lo) & (r <= hi)
         coeffs[mask] = rng.standard_normal(int(mask.sum()))
-        return inverse(Spectrum(grid, coeffs, support_certificate=(lo, hi)))
+        return inverse(Spectrum(grid, coeffs, shells=Shells.radial(lo, hi, grid.dimension)))
 
     f = banded(1.0, 2.0, 1)
     g = banded(3.0, 4.0, 2)
@@ -128,7 +130,7 @@ def test_convolve_certificate_intersection(grid):
         r = grid.frequency_radii()
         mask = (r >= lo) & (r <= hi)
         coeffs[mask] = np.random.default_rng(seed).standard_normal(int(mask.sum()))
-        return inverse(Spectrum(grid, coeffs, support_certificate=(lo, hi)))
+        return inverse(Spectrum(grid, coeffs, shells=Shells.radial(lo, hi, grid.dimension)))
 
     f = banded(1.0, 3.0, 1)
     g = banded(2.0, 5.0, 2)
@@ -165,7 +167,7 @@ def test_phase_shift_translation_invariance_of_norms(grid):
     r = grid.frequency_radii()
     mask = r <= 1.5
     coeffs[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(int(mask.sum()))
-    h = inverse(Spectrum(grid, coeffs, support_certificate=(0.0, 1.5)))
+    h = inverse(Spectrum(grid, coeffs, shells=Shells.radial(0.0, 1.5, grid.dimension)))
     k = phase_shift(h, [1.2345])
     for p in (2, 4):
         a, b = lp_norm(h, p), lp_norm(k, p)
@@ -232,7 +234,7 @@ def test_mixed_norm_empty(grid):
 def test_spectrum_certificate_rejects_content(grid):
     coeffs = np.ones(grid.shape, dtype=complex)
     with pytest.raises(ValueError):
-        Spectrum(grid, coeffs, support_certificate=(0.0, 1.0))
+        Spectrum(grid, coeffs, shells=Shells.radial(0.0, 1.0, grid.dimension))
 
 
 def test_field_values_must_be_finite(grid):
@@ -262,7 +264,7 @@ def test_pointwise_product_band_arithmetic(grid):
         r = grid.frequency_radii()
         mask = r <= hi
         coeffs[mask] = np.random.default_rng(seed).standard_normal(int(mask.sum()))
-        return inverse(Spectrum(grid, coeffs, support_certificate=(0.0, hi)))
+        return inverse(Spectrum(grid, coeffs, shells=Shells.radial(0.0, hi, grid.dimension)))
 
     f = banded(1.0, 1)
     g = banded(2.0, 2)
@@ -422,7 +424,7 @@ def test_transform_zeroes_exactly_the_bins_off_a_radial_band(grid, band):
     coeffs = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     coeffs[off] *= 1e-13  # roundoff-sized dust off the band
     values = np.fft.ifftn(coeffs) / grid.cell_volume
-    got = transform(SampledField(grid, values, band)).coefficients
+    got = transform(SampledField(grid, values, Shells.radial(*band, grid.dimension))).coefficients
     want = np.fft.fftn(values) * grid.cell_volume
     want[off] = 0.0
     assert np.array_equal(got, want)
@@ -433,10 +435,32 @@ def test_spectrum_checks_a_ball_union(grid):
     inside = brute_bins(grid, balls)
     coeffs = np.where(inside, 1.0 + 0.5j, 0.0)
     spectrum = Spectrum(grid, coeffs, shells=balls)
-    assert spectrum.support_certificate == (1.5, 3.25)
+    assert spectrum.shells.hull == (1.5, 3.25)
     coeffs[np.flatnonzero(~inside)[40]] = 1e-300
     with pytest.raises(ValueError, match="violated"):
         Spectrum(grid, coeffs, shells=balls)
+
+
+def test_sampled_field_rejects_a_band_tuple_certificate(grid):
+    with pytest.raises(TypeError, match="Shells"):
+        SampledField(grid, np.ones(grid.shape), (0.0, 1.0))
+
+
+def test_spectrum_rejects_a_band_tuple_certificate(grid):
+    with pytest.raises(TypeError, match="Shells"):
+        Spectrum(grid, np.zeros(grid.shape, dtype=complex), shells=(0.0, 1.0))
+
+
+def test_band_reads_as_the_radial_hull_of_the_certificate(grid):
+    kept = bump_train(grid, 1.0, [0, 1], 0.5)
+    eager = SampledField(grid, kept.values, shells=kept.shells)
+    assert kept.kept is not None and eager.kept is None
+    for f in (kept, eager):
+        assert f.band == f.shells.hull == (0.5, 2.5)
+        with pytest.raises(AttributeError):
+            f.band = (0.0, 1.0)
+    square = square_function(kept, make_lp_pair((-2, 3)))
+    assert square.shells is None and square.band is None
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +509,7 @@ def test_kept_spectrum_round_trips_exactly(s):
     for c in (2.0, 0.5 - 1.5j):
         assert np.array_equal(transform(c * f).coefficients, s.coefficients * c)
     # no other constructor keeps coefficients
-    pedestal = SampledField(grid, np.ones(grid.shape), band=(0.0, 0.0))
+    pedestal = SampledField(grid, np.ones(grid.shape), shells=Shells.radial(0.0, 0.0, grid.dimension))
     shift = np.full(grid.dimension, 0.3 * grid.spacing)
     others = [f + f, f - f, f.pointwise(pedestal), phase_shift(f, shift)]
     others += [SampledField(grid, f.values, shells=f.shells), dataclasses.replace(f, values=2.0 * f.values)]
@@ -575,7 +599,7 @@ def test_a_read_of_a_spectrums_own_boxes_is_a_view_of_them(s):
 
 def test_values_path_has_no_kept_coefficients(grid):
     assert random_field(grid).kept is None
-    assert SampledField(grid, np.ones(grid.shape), band=(0.0, 1.0)).kept is None
+    assert SampledField(grid, np.ones(grid.shape), shells=Shells.radial(0.0, 1.0, grid.dimension)).kept is None
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 128, 8.0)])
@@ -646,13 +670,13 @@ def test_deferred_fields_check_coefficients_and_samples():
     coeffs = np.zeros(grid.shape, dtype=complex)
     coeffs[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        inverse(Spectrum(grid, coeffs, support_certificate=(0.0, 20.0)))
+        inverse(Spectrum(grid, coeffs, shells=Shells.radial(0.0, 20.0, grid.dimension)))
     coeffs[3] = 1.0
     with pytest.raises(ValueError, match="finite"):
-        inverse(Spectrum(grid, coeffs, support_certificate=(0.0, 20.0))) * np.inf
+        inverse(Spectrum(grid, coeffs, shells=Shells.radial(0.0, 20.0, grid.dimension))) * np.inf
     # finite coefficients whose samples overflow: caught when the samples are first read
     coeffs[:5] = 1e308
-    f = inverse(Spectrum(grid, coeffs, support_certificate=(0.0, 20.0)))
+    f = inverse(Spectrum(grid, coeffs, shells=Shells.radial(0.0, 20.0, grid.dimension)))
     for _ in range(2):
         with pytest.raises(ValueError, match="finite"):
             f.values

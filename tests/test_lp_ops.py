@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logmult.calibration import make_lp_pair
-from logmult.field import GridSpec, NyquistError, SampledField, lp_norm, phase_shift
+from logmult.field import GridSpec, NyquistError, SampledField, Shells, lp_norm, phase_shift
 from logmult.lp_ops import (
     DyadicCubeSet,
     _peetre_weights,
@@ -41,7 +41,7 @@ def test_dyadic_piece_plateau_passthrough(grid, pair):
     # a pure tone at |xi| = 2**l sits where the annular profile equals one
     x = grid.axis_coordinates()
     tone = np.exp(2j * np.pi * 2.0 * x)
-    f = SampledField(grid, tone, band=(2.0, 2.0))
+    f = SampledField(grid, tone, shells=Shells.radial(2.0, 2.0, grid.dimension))
     piece = dyadic_piece(f, ShiftedDyadicOp(pair.psi_hat, 1, (0.0,)))
     assert np.max(np.abs(piece.values - f.values)) < 1e-12
 
@@ -73,7 +73,7 @@ def test_dyadic_piece_nyquist_guard(grid, pair):
 
 
 def test_square_function_zero_input(grid, pair):
-    z = SampledField(grid, np.zeros(grid.shape, dtype=complex), band=(0.0, 0.0))
+    z = SampledField(grid, np.zeros(grid.shape, dtype=complex), shells=Shells.radial(0.0, 0.0, grid.dimension))
     assert np.max(np.abs(square_function(z, pair).values)) == 0.0
 
 
@@ -131,18 +131,18 @@ def test_maximal_linf_shift_invariance(grid, pair):
 
 
 def test_maximal_zero(grid, pair):
-    z = SampledField(grid, np.zeros(grid.shape, dtype=complex), band=(0.0, 0.0))
+    z = SampledField(grid, np.zeros(grid.shape, dtype=complex), shells=Shells.radial(0.0, 0.0, grid.dimension))
     assert np.max(maximal_function(z, pair).values.real) == 0.0
 
 
 def test_bmo_constant_is_zero(grid, pair):
-    c = SampledField(grid, np.full(grid.shape, 2.0 + 0j), band=(0.0, 0.0))
+    c = SampledField(grid, np.full(grid.shape, 2.0 + 0j), shells=Shells.radial(0.0, 0.0, grid.dimension))
     assert bmo_norm(c, pair) == 0.0
 
 
 def test_bmo_modulo_constants(grid, pair):
     f = banded(grid, 1.0, 4.0, 9)
-    g = f + SampledField(grid, np.full(grid.shape, 5.0 + 0j), band=(0.0, 0.0))
+    g = f + SampledField(grid, np.full(grid.shape, 5.0 + 0j), shells=Shells.radial(0.0, 0.0, grid.dimension))
     a, b = bmo_norm(f, pair), bmo_norm(g, pair)
     assert abs(a - b) < 1e-10 * max(a, 1e-30)
 
@@ -236,7 +236,7 @@ def test_peetre_cube_ratio_two_resolutions():
 
 
 def test_fefferman_stein_constant_is_one(grid):
-    c = SampledField(grid, np.full(grid.shape, 2.0 + 0j), band=(0.0, 0.0))
+    c = SampledField(grid, np.full(grid.shape, 2.0 + 0j), shells=Shells.radial(0.0, 0.0, grid.dimension))
     assert fefferman_stein_ratio([c], [0], 2.0, 2, 2) == pytest.approx(1.0)
 
 
@@ -260,7 +260,7 @@ def test_fefferman_stein_empty_bank():
 
 
 def test_fefferman_stein_zero_bank(grid):
-    z = SampledField(grid, np.zeros(grid.shape, dtype=complex), band=(0.0, 0.0))
+    z = SampledField(grid, np.zeros(grid.shape, dtype=complex), shells=Shells.radial(0.0, 0.0, grid.dimension))
     with pytest.raises(ValueError, match="zero bank"):
         fefferman_stein_ratio([z], [0], 2.0, 2, 2)
 

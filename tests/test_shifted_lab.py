@@ -50,7 +50,7 @@ def offset_bank(grid, m, seed):
         pedestal = SampledField(
             grid,
             np.full(grid.shape, 1.5 * float(np.max(np.abs(base.values)))),
-            band=(0.0, 0.0),
+            shells=Shells.radial(0.0, 0.0, grid.dimension),
         )
         gs.append(base + pedestal)
     return gs
@@ -122,7 +122,7 @@ def test_proxy_grows_with_bank(grid):
 
 def test_proxy_rejects_degenerate_bank(grid):
     pair = make_lp_pair((-2, 3))
-    zero = SampledField(grid, np.zeros(grid.shape, dtype=complex), band=(0.0, 0.0))
+    zero = SampledField(grid, np.zeros(grid.shape, dtype=complex), shells=Shells.radial(0.0, 0.0, grid.dimension))
     with pytest.raises(ValueError):
         with pytest.warns(UserWarning):
             operator_norm_proxy("shifted-square", 2.0, [1.0], [zero], pair)
@@ -242,7 +242,7 @@ def test_growth_experiment_validates_ladder():
 
 def test_dilate_field_moves_tone(grid):
     x = grid.axis_coordinates()
-    f = SampledField(grid, np.exp(2j * np.pi * x * 2.0), band=(2.0, 2.0))
+    f = SampledField(grid, np.exp(2j * np.pi * x * 2.0), shells=Shells.radial(2.0, 2.0, grid.dimension))
     g = dilate_field(f, 2)
     expected = 4.0 * np.exp(2j * np.pi * x * 8.0)
     assert np.max(np.abs(g.values - expected)) < 1e-10
@@ -288,7 +288,7 @@ def test_modulated_bump_certifies_one_ball():
     assert f.shells == Shells((Shell((0.75,), 0.0, 0.25),))
     assert modulated_bump(GridSpec(2, 64, 16.0)).shells == Shells((Shell((0.75, 0.0), 0.0, 0.25),))
     # the two-sided annulus it replaces keeps twice the bins, half of them zero
-    annulus = inverse(Spectrum(grid, transform(f).coefficients, support_certificate=(0.5, 1.0)))
+    annulus = inverse(Spectrum(grid, transform(f).coefficients, shells=Shells.radial(0.5, 1.0, grid.dimension)))
     assert 2 * sum(v.size for _, v in f.kept.boxes) == sum(v.size for _, v in annulus.kept.boxes)
     # on the growth grid and pair the ball keeps the annulus's dispatch
     pair = make_lp_pair((-1, 14))
@@ -322,7 +322,7 @@ def test_change_of_variables_lp_variant(grid):
 
 
 def test_change_of_variables_zero_lhs_flag(grid):
-    zero = SampledField(grid, np.zeros(grid.shape, dtype=complex), band=(0.0, 0.0))
+    zero = SampledField(grid, np.zeros(grid.shape, dtype=complex), shells=Shells.radial(0.0, 0.0, grid.dimension))
     res = change_of_variables_check([zero, zero], [[0.5], [1.5]], 0, (0, 1))
     assert not res.relative
     assert res.discrepancy == 0.0

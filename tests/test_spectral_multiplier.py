@@ -124,7 +124,7 @@ def random_spectrum(grid, seed, band=None):
     if band is not None:
         r = grid.frequency_radii()
         coeffs[(r < band[0]) | (r > band[1])] = 0.0
-    return Spectrum(grid, coeffs, support_certificate=band)
+    return Spectrum(grid, coeffs, shells=None if band is None else Shells.radial(*band, grid.dimension))
 
 
 def assert_close(got, want, rel=1e-12):
