@@ -16,7 +16,6 @@ import configparser
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +24,7 @@ import numpy as np
 from . import counterexample as cx
 from .calibration import make_lp_pair
 from .exponents import (
+    INF_TOKENS,
     InterpolationDiagnosis,
     PTuple,
     counterexample_slots,
@@ -148,23 +148,28 @@ def resolve_config(
     return config
 
 
-def _numbers(text: str, kind: type) -> list:
+def _numbers(section: Dict[str, str], key: str, kind: type) -> list:
+    text = section[key]
     values = [kind(tok) for tok in text.replace(",", " ").split()]
     if not values:
-        raise ValueError(f"expected at least one number, got {text!r}")
+        raise ValueError(f"{key} needs at least one number, got {text!r}")
     return values
 
 
-def _floats(text: str) -> List[float]:
-    return _numbers(text, float)
+def _floats(section: Dict[str, str], key: str) -> List[float]:
+    return _numbers(section, key, float)
 
 
-def _ints(text: str) -> List[int]:
-    return _numbers(text, int)
+def _counts(section: Dict[str, str], key: str) -> List[int]:
+    """A list of counts, each at least 1."""
+    values = _numbers(section, key, int)
+    if min(values) < 1:
+        raise ValueError(f"{key} entries must be at least 1, got {section[key]!r}")
+    return values
 
 
 def _p_value(text: str) -> float:
-    return math.inf if text.strip().lower() in ("inf", "infinity", "oo") else float(text)
+    return math.inf if text.strip().lower() in INF_TOKENS else float(text)
 
 
 def _tolerance(section: Dict[str, str], key: str) -> float:
@@ -261,7 +266,7 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     grid = _grid_from(config)
     section = config["growth"]
     p = _p_value(section["p"])
-    band = _floats(section["random_band"])
+    band = _floats(section, "random_band")
     if len(band) != 2:
         raise ValueError(f"random_band needs exactly two values (inner, outer), got {band}")
     criterion = section["criterion"]
@@ -271,7 +276,7 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     experiment = GrowthExperiment(
         kind=section["kind"],
         p=p,
-        shifts=tuple(_floats(section["ladder"])),
+        shifts=tuple(_floats(section, "ladder")),
         grid=grid,
         scale_range=(int(section["scale_min"]), int(section["scale_max"])),
         bank=GrowthBankSpec(
@@ -294,6 +299,8 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         worst = max(abs(r - 1.0) for r in ratios)
         report.summary["max_equality_defect"] = worst
         report.passed = worst <= experiment.tolerance
+    if criterion != "fit":
+        report.notes = ()  # the fit's vacuous-verdict note speaks of a verdict not taken
     report.params["criterion"] = criterion
     return report
 
@@ -305,7 +312,7 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     n_configs = int(section["configs"])
     if n_configs < 1:
         raise ValueError(f"configs must be at least 1, got {n_configs}")
-    m_values = _ints(section["m_values"])
+    m_values = _counts(section, "m_values")
     scale_range = (int(section["scale_min"]), int(section["scale_max"]))
     if scale_range[1] < scale_range[0]:
         # rejected before any input is synthesised
@@ -358,7 +365,7 @@ def cmd_peetre(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     """Cube-constancy and vector maximal ratios, swept over sigma and two resolutions."""
     grid = _grid_from(config)
     section = config["peetre"]
-    sigmas = _floats(section["sigmas"])
+    sigmas = _floats(section, "sigmas")
     k = int(section["cube_scale"])
     band_factor = float(section["band_factor"])
     bank_size = int(section["bank_size"])
@@ -414,19 +421,9 @@ def cmd_peetre(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     )
 
 
-def _parse_ps(tokens: Sequence[str]) -> PTuple:
-    ps = []
-    for tok in tokens:
-        if tok.strip().lower() in ("inf", "infinity", "oo"):
-            ps.append("inf")
-        else:
-            ps.append(Fraction(tok))
-    return PTuple.from_ps(ps)
-
-
 def cmd_lambda(p_tokens: Sequence[str]) -> ExperimentReport:
     """Exact-rational exponent report for a p-tuple."""
-    pt = _parse_ps(p_tokens)
+    pt = PTuple.from_ps(p_tokens)
     lam = sharp_lambda(pt)
     lam_p = lambda_prime(pt)
     point = pt.full_point
@@ -468,7 +465,7 @@ def cmd_lambda(p_tokens: Sequence[str]) -> ExperimentReport:
 
 def cmd_plan(p_tokens: Sequence[str]) -> ExperimentReport:
     """Interpolation schedule (or stall diagnosis) for a reciprocal target."""
-    pt = _parse_ps(p_tokens)
+    pt = PTuple.from_ps(p_tokens)
     outcome = interpolation_plan(pt)
     if isinstance(outcome, InterpolationDiagnosis):
         return ExperimentReport(
@@ -508,7 +505,7 @@ def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     """Validation, exact cancellation, collapse identity, and the ratio sweep."""
     section = config["counterexample"]
     mode = section["mode"]
-    packets = _ints(section["packets"])
+    packets = _counts(section, "packets")
     lam_text = section["lam"].strip().lower()
     lam = None if lam_text == "sharp" else float(lam_text)
     if lam is not None and not 0 <= lam < math.inf:  # NaN fails too

@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
+    "INF_TOKENS",
     "PTuple",
     "SplitPlan",
     "InterpolationStep",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 RationalLike = Union[int, Fraction, str]
+INF_TOKENS = ("inf", "infinity", "oo")  # exponent spellings of infinity, any case
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
@@ -70,7 +72,7 @@ class PTuple:
         """Build from exponent values; the string 'inf' (or Fraction 0 reciprocal) is allowed."""
         recs = []
         for p in ps:
-            if isinstance(p, str) and p.strip().lower() in ("inf", "infinity", "oo"):
+            if isinstance(p, str) and p.strip().lower() in INF_TOKENS:
                 recs.append(Fraction(0))
                 continue
             pf = _frac(p)

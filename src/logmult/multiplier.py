@@ -13,12 +13,17 @@ output spectrum, which the output keeps: its samples take one full-size
 inverse transform, when first read.
 
 The log-weighted size D_lambda treats a factor's declared translation as a
-position in unbounded space: the weight sees ``log(e + |center + offset|)``
-with the offset folded to the torus min-image.  Without the lift, the period
-would cap the weight and mask the very growth the functional measures.  The
-certified bracket buckets each factor's sampled modulus by offset; the
-modulus comes from the factor's symbol boxes (:func:`field.box_modulus`),
-so the bracket runs no full-size transform.
+position in unbounded space: slot k's lifted coordinate is ``u_k = center_k +
+offset`` with the offset folded to the torus min-image, and the weight sees
+``log(e + |u|)``.  Without the lift, the period would cap the weight and mask
+the very growth the functional measures.  A transposed kernel's weight sees
+the shear of the base kernel's lifted coordinates, ``y_j = -u_j`` and ``y_k =
+u_k - u_j``, unfolded; the shear is a bijection of the product grid, so both
+paths read the base kernel and apply this one rule.  The exact path sums
+``|K|`` over the base kernel's rows; the certified bracket buckets each
+factor's sampled modulus by offset and bounds the same weight by interval
+arithmetic.  The modulus comes from the factor's symbol boxes
+(:func:`field.box_modulus`), so the bracket runs no full-size transform.
 """
 
 from __future__ import annotations
@@ -137,24 +142,8 @@ class TensorKernel:
     def values_on_rows(self, grid: GridSpec, rows: Sequence[int]) -> np.ndarray:
         """Pointwise values on {y_1 in rows} x grid^(n-1), d = 1 and n in {2, 3}."""
         _require_exact_grid(grid, self.n)
-        return _shear_rows(*self._sampled_terms(grid), np.asarray(rows))
-
-    def _sampled_terms(self, grid: GridSpec) -> Tuple[int, list]:
-        """No swapped slot (0), and every term's coefficient and sampled factors."""
-        return 0, [(coeff, [f.field_on(grid).values for f in factors]) for coeff, factors in self.terms]
-
-    def _exact_axes(self, grid: GridSpec) -> list:
-        """Per-slot weight coordinates: the lifted slot axes (shared by every term)."""
-        first = self.terms[0][1]
-        for _, factors in self.terms[1:]:
-            for k, factor in enumerate(factors):
-                if not np.allclose(factor.center(1), first[k].center(1)):
-                    raise ValueError("exact path requires all terms to share slot translations")
-        return [_lifted_axis(grid, factor.center(1)) for factor in first]
-
-    def _shell_bounds(self, centers, lows, highs, signed: bool) -> list:
-        """Per-slot bounds on |y_k| over each shell combination."""
-        return [_offset_bounds(c, lo, hi, signed) for c, lo, hi in zip(centers, lows, highs)]
+        base, j = _sheared(self)
+        return _shear_rows(j, _sampled_terms(base, grid), np.asarray(rows))
 
     def to_manifest(self) -> dict:
         terms = [
@@ -259,6 +248,18 @@ def _require_exact_grid(grid: GridSpec, n: int) -> None:
         raise ValueError("exact kernel evaluation supports d = 1 with n in {2, 3}")
 
 
+def _sheared(kernel: Union[TensorKernel, "TransposedKernel"]) -> Tuple[TensorKernel, int]:
+    """The base kernel and the swapped slot (0: a base kernel swaps nothing)."""
+    if isinstance(kernel, TransposedKernel):
+        return kernel.base, kernel.j
+    return kernel, 0
+
+
+def _sampled_terms(kernel: TensorKernel, grid: GridSpec) -> List[Tuple[complex, List[np.ndarray]]]:
+    """Every term's coefficient and sampled factors."""
+    return [(coeff, [f.field_on(grid).values for f in factors]) for coeff, factors in kernel.terms]
+
+
 def _shear_rows(j: int, terms: List[Tuple[complex, List[np.ndarray]]], rows: np.ndarray) -> np.ndarray:
     """The shear K^j on {y_1 in rows} x grid^(n-1) from sampled factors (d = 1).
 
@@ -280,23 +281,32 @@ def _shear_rows(j: int, terms: List[Tuple[complex, List[np.ndarray]]], rows: np.
 
 
 def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec) -> float:
-    """Direct quadrature over the n-fold product grid (d = 1, n in {2, 3}), in row chunks."""
-    n = kernel.n
+    """Direct quadrature over the n-fold product grid (d = 1, n in {2, 3}), in row chunks.
+
+    The sum runs over the base kernel's rows at its lifted axes ``u``; a
+    transposed kernel weighs them at ``y_j = -u_j``, ``y_k = u_k - u_j``.
+    """
+    base, j = _sheared(kernel)
+    n = base.n
     _require_exact_grid(grid, n)
     m = grid.samples_per_axis
-    axes = kernel._exact_axes(grid)
-    j, terms = kernel._sampled_terms(grid)
-    if n == 2:
-        rest_sq = axes[1][None, :] ** 2
-    else:
-        rest_sq = (axes[1][:, None] ** 2 + axes[2][None, :] ** 2)[None]
-    chunk = m if n == 2 else 64
+    first = base.terms[0][1]
+    for _, factors in base.terms[1:]:
+        for k, factor in enumerate(factors):
+            if not np.allclose(factor.center(1), first[k].center(1)):
+                raise ValueError("exact path requires all terms to share slot translations")
+    axes = [
+        _lifted_axis(grid, f.center(1)).reshape((1,) * k + (m,) + (1,) * (n - 1 - k)) for k, f in enumerate(first)
+    ]
+    terms = _sampled_terms(base, grid)
+    chunk = m if n == 2 and not j else 64  # a sheared weight is a full row block: chunked, it bounds peak memory
     total = 0.0
     for start in range(0, m, chunk):
         rows = np.arange(start, min(start + chunk, m))
-        vals = np.abs(_shear_rows(j, terms, rows))
-        lead_sq = (axes[0][rows] ** 2).reshape((rows.size,) + (1,) * (n - 1))
-        total += float(np.sum(vals * _weight(np.sqrt(lead_sq + rest_sq), lam)))
+        u = [axes[0][rows]] + axes[1:]
+        y = [-u[k] if k == j - 1 else u[k] - u[j - 1] for k in range(n)] if j else u
+        vals = np.abs(_shear_rows(0, terms, rows))
+        total += float(np.sum(vals * _weight(np.sqrt(y[0] ** 2 + sum(c**2 for c in y[1:])), lam)))
     return total * grid.cell_volume**n
 
 
@@ -391,11 +401,32 @@ def _offset_bounds(
     return np.maximum(0.0, np.maximum(lo - c, c - hi)), c + hi
 
 
+def _shell_bounds(j: int, centers, lows, highs, signed: bool) -> list:
+    """Per-slot bounds on |y_k| over each shell combination, after the shear
+    y_j = -u_j, y_k = u_k - u_j of swapped slot j (none when j = 0)."""
+    if not j:
+        return [_offset_bounds(c, lo, hi, signed) for c, lo, hi in zip(centers, lows, highs)]
+    jj = j - 1
+    c_j, lo_j, hi_j = centers[jj], lows[jj], highs[jj]
+    bounds = [_offset_bounds(c_j, lo_j, hi_j, signed)]
+    for k in range(len(centers)):
+        if k == jj:
+            continue
+        # y_k = (a_k - a_j) + (v_k - v_j): interval arithmetic on the difference
+        if signed:
+            lo, hi = lows[k] - hi_j, highs[k] - lo_j
+        else:
+            lo = np.maximum(0.0, np.maximum(lows[k] - hi_j, lo_j - highs[k]))
+            hi = highs[k] + hi_j
+        bounds.append(_offset_bounds(centers[k] - c_j, lo, hi, signed))
+    return bounds
+
+
 def _bracket_d_lambda(
     kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec
 ) -> Tuple[float, float]:
-    """Certified bounds from per-slot shell masses and the kernel's per-slot shell bounds."""
-    base = kernel.base if isinstance(kernel, TransposedKernel) else kernel
+    """Certified bounds from per-slot shell masses and the shell bounds of the sheared weight."""
+    base, j = _sheared(kernel)
     if base.rank != 1:
         raise ValueError("bracket path handles rank-1 kernels")
     n = base.n
@@ -414,7 +445,7 @@ def _bracket_d_lambda(
         lows.append(lo_k[flat[k]])
         highs.append(hi_k[flat[k]])
     centers = [f.center(grid.dimension) for f in factors]
-    bounds = kernel._shell_bounds(centers, lows, highs, signed=grid.dimension == 1)
+    bounds = _shell_bounds(j, centers, lows, highs, signed=grid.dimension == 1)
     lo_sq = sum(lo**2 for lo, _ in bounds)
     hi_sq = sum(hi**2 for _, hi in bounds)
     live = mass > 0
@@ -423,27 +454,19 @@ def _bracket_d_lambda(
     return lower, upper
 
 
-def d_lambda(
-    kernel: Union[TensorKernel, "TransposedKernel"],
-    lam: float,
-    grid: GridSpec,
-    method: str = "auto",
-) -> DLambdaResult:
+def d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec) -> DLambdaResult:
     """The log-weighted kernel size; exact on small product grids, bracketed otherwise.
 
-    The bracket is certified (quadrature value lies between the bounds); a
-    bracket wider than 10% of the value is refused with advice.
+    The exact path runs for d = 1, n <= 3 and at most ``_EXACT_BUDGET``
+    product-grid points.  The bracket is certified (quadrature value lies
+    between the bounds); a bracket wider than 10% of the value is refused
+    with advice.
     """
     if not 0 <= lam < math.inf:  # NaN fails too
         raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
-    if method == "auto":
-        exact_ok = grid.dimension == 1 and kernel.n <= 3 and grid.size**kernel.n <= _EXACT_BUDGET
-        method = "exact" if exact_ok else "bracket"
-    if method == "exact":
+    if grid.dimension == 1 and kernel.n <= 3 and grid.size**kernel.n <= _EXACT_BUDGET:
         value = _exact_d_lambda(kernel, lam, grid)
         return DLambdaResult(value, value, value, "exact")
-    if method != "bracket":
-        raise ValueError(f"unknown method {method!r}")
     lower, upper = _bracket_d_lambda(kernel, lam, grid)
     value = 0.5 * (lower + upper)
     if value > 0 and (upper - lower) > 0.1 * value:
@@ -460,9 +483,9 @@ class TransposedKernel:
 
     Evaluation at (y_1, ..., y_n) is K(y_1 - y_j, ..., -y_j, ..., y_n - y_j).
     The shear mixes slots, so the result is generally not rank-1; the handle
-    supports pointwise row evaluation (the exact D_lambda path) and the
-    bracketed size.  Grid differences stay on the grid, so the shear
-    evaluates exactly from the sampled factor fields.
+    supports pointwise row evaluation, and both D_lambda paths read its base
+    kernel (:func:`_sheared`).  Grid differences stay on the grid, so the
+    shear evaluates exactly from the sampled factor fields.
     """
 
     base: TensorKernel
@@ -477,31 +500,6 @@ class TransposedKernel:
         return self.base.n
 
     values_on_rows = TensorKernel.values_on_rows
-
-    def _sampled_terms(self, grid: GridSpec) -> Tuple[int, list]:
-        """The swapped slot and the base kernel's sampled terms."""
-        return self.j, self.base._sampled_terms(grid)[1]
-
-    def _exact_axes(self, grid: GridSpec) -> list:
-        """Per-slot weight coordinates: min-image offsets from the origin."""
-        return [_signed_offsets(grid, np.zeros(1))] * self.n
-
-    def _shell_bounds(self, centers, lows, highs, signed: bool) -> list:
-        """Per-slot bounds on |y_k| after the shear y_k -> y_k - y_j (y_j -> -y_j)."""
-        jj = self.j - 1
-        c_j, lo_j, hi_j = centers[jj], lows[jj], highs[jj]
-        bounds = [_offset_bounds(c_j, lo_j, hi_j, signed)]
-        for k in range(self.n):
-            if k == jj:
-                continue
-            # y_k = (a_k - a_j) + (v_k - v_j): interval arithmetic on the difference
-            if signed:
-                lo, hi = lows[k] - hi_j, highs[k] - lo_j
-            else:
-                lo = np.maximum(0.0, np.maximum(lows[k] - hi_j, lo_j - highs[k]))
-                hi = highs[k] + hi_j
-            bounds.append(_offset_bounds(centers[k] - c_j, lo, hi, signed))
-        return bounds
 
 
 def transpose_kernel(kernel: TensorKernel, j: int) -> TransposedKernel:

@@ -26,10 +26,8 @@ from .field import (
     SampledField,
     Shell,
     Shells,
-    Spectrum,
     bin_boxes,
     box_frequencies,
-    frozen,
     inverse,
     keep_spectrum,
     lp_norm,
@@ -379,7 +377,9 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
     Spectral index map: the coefficient at integer frequency k moves to
     2**l k (scaled by 2**(l d)); compressions (l < 0) do not stay periodic on
     the fixed torus and are rejected.  Each shell dilates; the union must stay below Nyquist.
-    A certified dilate keeps its spectrum (see :func:`field.inverse`).
+    Each box of the spectrum spreads by the step, zeros between its bins, and
+    adds into the dilated certificate's boxes; the dilate keeps that spectrum
+    (see :func:`field.inverse`).
     """
     if scale < 0:
         raise ValueError("dilation scales must be nonnegative on a fixed period")
@@ -389,15 +389,13 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
     step = 2**scale
     shells = None if g.shells is None else g.shells.scaled(step)
     grid.check_supports_radius(grid.nyquist * step if shells is None else shells.hull[1])
-    m = grid.samples_per_axis
-    coeffs = transform(g).coefficients
-    out = np.zeros_like(coeffs)
-    k = (np.arange(m) + m // 2) % m - m // 2  # signed integer frequencies, in FFT order
-    keep = np.abs(k) * step <= m // 2
-    idx = (k[keep] * step) % m
-    out[np.ix_(*[idx] * grid.dimension)] = coeffs[np.ix_(*[keep] * grid.dimension)]
-    out *= float(step) ** grid.dimension
-    return inverse(Spectrum(grid, frozen(out), shells=shells))
+    spread = []
+    for first, values in transform(g).boxes:
+        box = np.zeros(tuple((w - 1) * step + 1 for w in values.shape), dtype=np.complex128)
+        box[(slice(None, None, step),) * grid.dimension] = values
+        box *= float(step) ** grid.dimension
+        spread.append((tuple(k * step for k in first), box))
+    return inverse(spectrum_from_boxes(grid, spread, shells))
 
 
 @dataclass(frozen=True)

@@ -231,12 +231,16 @@ def test_growth_command_small(tmp_path):
             ],
             "max_equality_defect",
         ),
+        # p = 4 predicts 1/4, within the tolerance 0.4: the fit's verdict would be vacuous
+        (["--growth.kind", "shifted-square", "--growth.p", "4", "--growth.criterion", "bounded"], "bound"),
     ],
 )
-def test_growth_bounded_and_equality_criteria(tmp_path, args, summary_key):
+def test_growth_bounded_and_equality_criteria(tmp_path, capsys, args, summary_key):
     assert run(SMALL_GROWTH + args + ["--outdir", str(tmp_path)]) == PASS
     report = (tmp_path / "growth-shifted-square.report.txt").read_text()
     assert f"    {summary_key} = " in report
+    # the verdict is the criterion's, so the fit's vacuous-verdict note is not shown
+    assert "vacuous" not in report and "vacuous" not in capsys.readouterr().out
 
 
 def test_failed_check_exits_one(tmp_path):
@@ -315,6 +319,11 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         ["growth", "--growth.n_random", "-1"],
         ["changevars", "--changevars.configs", "-1"],
         ["changevars", "--changevars.configs", "0"],
+        # list entries below 1
+        ["changevars", "--changevars.m_values", "0"],
+        ["changevars", "--changevars.m_values", "-1"],
+        ["counterexample", "--counterexample.packets", "0"],
+        ["counterexample", "--counterexample.packets", "-2"],
     ],
 )
 def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
@@ -323,6 +332,9 @@ def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not (tmp_path / f"{args[0]}.report.txt").exists()
+    key = args[1].split(".")[-1]
+    if key in ("m_values", "random_band", "sigmas", "packets"):  # a list that cannot be read names its key
+        assert key in err
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])

@@ -42,4 +42,4 @@ def test_full_size_coefficients_are_read_only_at_named_sites():
                 for node in ast.walk(func):
                     if isinstance(node, ast.Attribute) and node.attr == "coefficients":
                         sites.add((path.name, func.name))
-    assert sites == {("multiplier.py", "spectrum_on"), ("shifted_lab.py", "dilate_field")}
+    assert sites == {("multiplier.py", "spectrum_on")}

@@ -74,15 +74,15 @@ def test_bracket_samples_each_distinct_factor_once(monkeypatch, profiles):
     monkeypatch.setattr(multiplier, "_shell_data", counting)
     # the separation kernel: equal translated annular factors on both slots
     pair = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat, (16.0,))])
-    d_lambda(pair, 0.5, grid, method="bracket")
+    multiplier._bracket_d_lambda(pair, 0.5, grid)
     assert len(calls) == 1
     # its shear reads the same base factors
     calls.clear()
-    d_lambda(transpose_kernel(pair, 1), 0.5, grid, method="bracket")
+    multiplier._bracket_d_lambda(transpose_kernel(pair, 1), 0.5, grid)
     assert len(calls) == 1
     calls.clear()
     mixed = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat)])
-    d_lambda(mixed, 0.5, grid, method="bracket")
+    multiplier._bracket_d_lambda(mixed, 0.5, grid)
     assert len(calls) == 2
 
 
@@ -171,9 +171,81 @@ def test_d_lambda_monotone(grid, kernel2):
 
 def test_d_lambda_bracket_contains_exact(grid, kernel2):
     exact = d_lambda(kernel2, 1.0, grid)
-    bracket = d_lambda(kernel2, 1.0, grid, method="bracket")
-    assert bracket.lower <= exact.value <= bracket.upper
-    assert bracket.width <= 0.1 * bracket.value
+    assert exact.method == "exact"
+    lower, upper = multiplier._bracket_d_lambda(kernel2, 1.0, grid)
+    assert lower <= exact.value <= upper
+    assert upper - lower <= 0.1 * 0.5 * (lower + upper)
+
+
+def assert_exact_in_bracket(kernel, lam, grid):
+    """The exact value lies in the certified bracket, up to 1e-12 relative roundoff.
+
+    At lambda = 0 the bracket has zero width, and the two paths sum the same
+    masses in different orders.
+    """
+    exact = multiplier._exact_d_lambda(kernel, lam, grid)
+    lower, upper = multiplier._bracket_d_lambda(kernel, lam, grid)
+    slack = 1e-12 * upper
+    assert lower - slack <= exact <= upper + slack, (exact, lower, upper)
+
+
+@pytest.mark.parametrize(
+    "translations, grid",
+    [
+        ((40.0, 0.0), GridSpec(1, 1024, 64.0)),
+        ((24.0, -8.0), GridSpec(1, 1024, 64.0)),
+        ((3.0, None, -2.0), GridSpec(1, 128, 16.0)),
+        ((6.0, -3.0, None), GridSpec(1, 128, 16.0)),
+    ],
+)
+def test_transposed_exact_lies_in_bracket_for_far_slots(profiles, translations, grid):
+    """Both paths weigh a transpose at the shear of the base kernel's lifted coordinates.
+
+    A slot gap |a_k - a_j| >= L/2 puts the unfolded difference y_k = u_k - u_j
+    beyond the torus min-image, where folding it would cap the weight.
+    """
+    _, beta_hat = profiles
+    kernel = TensorKernel.rank_one([SpectralFactor(beta_hat, None if a is None else (a,)) for a in translations])
+    for j in range(kernel.n + 1):
+        assert_exact_in_bracket(transpose_kernel(kernel, j) if j else kernel, 1.0, grid)
+
+
+def test_transposed_weight_is_the_unfolded_shear(grid, profiles):
+    """Slots at 40 and 0, j = 1: the folded difference read 13.209, below the bracket [15.004, 15.037]."""
+    _, beta_hat = profiles
+    kernel = TensorKernel.rank_one([SpectralFactor(beta_hat, (40.0,)), SpectralFactor(beta_hat, (0.0,))])
+    assert d_lambda(transpose_kernel(kernel, 1), 1.0, grid).value == pytest.approx(15.0206041, rel=1e-7)
+
+
+@st.composite
+def sheared_cases(draw):
+    """A rank-1 kernel of n in {2, 3} annular factors, a swapped slot j in 0..n and lambda in [0, 2].
+
+    Each slot is untranslated or translated on or off the grid, within 1.5
+    periods, so slot gaps |a_k - a_j| >= L/2 occur.
+    """
+    _, beta_hat = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
+    n = draw(st.sampled_from([2, 3]))
+    grid = GridSpec(1, 256 if n == 2 else 64, 32.0 if n == 2 else 16.0)
+
+    def translation():
+        kind = draw(st.sampled_from(["none", "on-grid", "off-grid"]))
+        if kind == "none":
+            return None
+        if kind == "on-grid":
+            return (draw(st.integers(-3 * grid.size // 2, 3 * grid.size // 2)) * grid.spacing,)
+        return (draw(st.floats(-1.5 * grid.period, 1.5 * grid.period)),)
+
+    kernel = TensorKernel.rank_one([SpectralFactor(beta_hat, translation()) for _ in range(n)])
+    j = draw(st.integers(0, n))
+    return (transpose_kernel(kernel, j) if j else kernel), draw(st.floats(0.0, 2.0)), grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(sheared_cases())
+def test_exact_d_lambda_lies_in_bracket(case):
+    kernel, lam, grid = case
+    assert_exact_in_bracket(kernel, lam, grid)
 
 
 def test_d_lambda_unit_mass_bump_weight_bounds(grid, profiles):
@@ -197,17 +269,11 @@ def test_d_lambda_rejects_non_finite_lambda(grid, kernel2, lam):
         d_lambda(kernel2, lam, grid)
 
 
-def test_d_lambda_rejects_unknown_method(grid, kernel2):
-    for kernel in (kernel2, transpose_kernel(kernel2, 1)):
-        with pytest.raises(ValueError, match="unknown method"):
-            d_lambda(kernel, 0.0, grid, method="exakt")
-
-
 def test_d_lambda_exact_path_checks_grid(kernel2):
     flat = GridSpec(2, 32, 8.0)
     for kernel in (kernel2, transpose_kernel(kernel2, 2)):
         with pytest.raises(ValueError, match="d = 1"):
-            d_lambda(kernel, 0.0, flat, method="exact")
+            multiplier._exact_d_lambda(kernel, 0.0, flat)
 
 
 def test_apply_t_single_term_single_scale(grid, kernel2, profiles):
