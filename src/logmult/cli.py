@@ -318,6 +318,9 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         # rejected before any input is synthesised
         raise ValueError(f"empty scale range {scale_range}")
     band_max = float(section["band_max"])
+    if not band_max * grid.period >= 1.0:  # NaN fails too
+        raise ValueError(f"band_max {section['band_max']!r} times the period {grid.period} is not at least 1: "
+                         "every input would be constant, with no nonzero integer frequency")
     seed = int(section["seed"])
     shift_scale = float(section["shift_scale"])
     tol2, tol3 = _tolerance(section, "tolerance_l2"), _tolerance(section, "tolerance_l3")
@@ -370,6 +373,13 @@ def cmd_peetre(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     band_factor = float(section["band_factor"])
     bank_size = int(section["bank_size"])
     k_min = int(section["bank_scale_min"])
+    if bank_size < 1:
+        raise ValueError(f"bank_size must be at least 1, got {section['bank_size']!r}")
+    scales = list(range(k_min, k_min + bank_size))
+    if not any(band_factor * 2.0**kk * grid.period >= 1.0 for kk in scales):  # NaN fails too
+        raise ValueError(f"band_factor {section['band_factor']!r} times 2**kk times the period {grid.period} is not at least 1 "
+                         f"at every bank scale kk from bank_scale_min {k_min} to {scales[-1]}: "
+                         "every bank field would be constant, with no nonzero integer frequency")
     seed = int(section["seed"])
     p, q = _p_value(section["p"]), _p_value(section["q"])
     stability = _tolerance(section, "stability")
@@ -381,7 +391,6 @@ def cmd_peetre(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         for g in (grid, fine):
             field = random_band_limited(g, (0.0, band_factor * 2.0**k), seed, 0)
             cube = peetre_cube_ratio(field, sigma, k, DyadicCubeSet(g, k))
-            scales = list(range(k_min, k_min + bank_size))
             bank = [
                 random_band_limited(g, (0.0, band_factor * 2.0**kk), seed, 10 + i)
                 for i, kk in enumerate(scales)

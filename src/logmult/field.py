@@ -46,9 +46,10 @@ support and certified spectra are exactly 0 off their shells, so every
 skipped product was a signed zero.  Products of such pieces are formed
 band-locally (:func:`add_box_product`), one choice of box per piece at a
 time, on the smallest power-of-two grid the product cannot wrap on, and
-added into the boxes of the product's certificate; the modulus of a narrow
-spectrum's samples takes short transforms on that grid too
-(:func:`box_modulus`).
+added into the boxes of the product's certificate.  The modulus of a real
+field from its narrow spectrum (:func:`box_modulus`) takes short transforms
+on that grid too: it checks that the boxes are Hermitian, folds only the
+half of them a real transform reads, and runs one batched real inverse.
 """
 
 from __future__ import annotations
@@ -1008,38 +1009,62 @@ def _product_sizes(grid: GridSpec, pieces: Sequence[BoxPiece]) -> Tuple[int, ...
     return tuple(_fold_size(m, sum(values.shape[i] for _, values in pieces)) for i in range(grid.dimension))
 
 
+_BLOCK = 2**17  # samples per block of box_modulus's write to natural order (1 MiB of floats)
+
+
 def box_modulus(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
-    """``|samples|`` of the spectrum held as the (disjoint) boxes ``pieces``, in natural sample order.
+    """``|samples|`` of the real field whose spectrum is held as the (disjoint) boxes ``pieces``, in natural order.
+
+    The spectrum must be Hermitian, ``c_{-k} = conj(c_k)`` with ``-k`` taken
+    mod M, and 0 where no box holds the bin: the pieces are read on each
+    :func:`_reflected` box and must equal it exactly, else ``ValueError``.
+    The symbol of a real radial profile times a translation phase is such a
+    spectrum, since its frequencies negate exactly.
 
     The four-step split of the inverse transform (Bailey, J. Supercomputing 4,
-    1990), for a spectrum narrower than the grid.  Per axis, with ``P =``
+    1990), taken as a real transform.  Per axis, with ``P =``
     :func:`_fold_size` of the boxes' signed-bin span and ``Q = M / P``, sample
     ``j = p Q + r`` is ``1/Q`` times the ``P``-point inverse transform, over
     ``p``, of the coefficients ``c_k exp(2 pi i r k / M)`` folded onto bin
     ``k mod P``; the span fits in ``P`` bins, so no two coefficients share a
-    bin.  One batched transform of ``Q`` rows of ``P`` points serves every
-    ``r``, and the modulus is transposed to natural order.  At ``P = M`` this
-    is the full-size inverse of :func:`_inverted`.
+    bin.  Each such row of samples is real, so its folded coefficients are
+    Hermitian mod ``P`` and only the bins whose last-axis residue lies in
+    ``[0, P/2]`` are folded and twiddled.  One batched real inverse
+    (``irfftn``) of ``Q`` rows of ``P`` points serves every ``r``, and the
+    modulus is written to natural order in blocks of rows.  At ``P = M``
+    this is the full-size inverse of :func:`_inverted`, taken as a real one.
     """
     m, d = grid.samples_per_axis, grid.dimension
+    for piece in pieces:
+        first, values = _reflected(piece)
+        if not np.array_equal(_read(grid, pieces, first, values.shape), values):
+            raise ValueError(f"spectrum is not Hermitian: its reflection differs on the bins {first} + {values.shape}")
     sizes = tuple(
         _fold_size(m, max(f[i] + v.shape[i] for f, v in pieces) - min(f[i] for f, _ in pieces)) for i in range(d)
     )
     folds = tuple(m // p for p in sizes)
-    batch = np.zeros(folds + sizes, dtype=np.complex128)
+    batch = np.zeros(folds + sizes[:-1] + (sizes[-1] // 2 + 1,), dtype=np.complex128)
     for first, values in pieces:
-        block = values.reshape((1,) * d + values.shape)
-        for i, (k, w) in enumerate(zip(first, values.shape)):
-            turns = (np.arange(folds[i])[:, None] * (k + np.arange(w))[None, :]) % m  # (r k) mod M, in integers
+        bins = [k + np.arange(w) for k, w in zip(first, values.shape)]
+        half = bins[-1] % sizes[-1] <= sizes[-1] // 2
+        bins[-1] = bins[-1][half]
+        block = values[..., half][(None,) * d]
+        for i, k in enumerate(bins):
+            turns = (np.arange(folds[i])[:, None] * k[None, :]) % m  # (r k) mod M, in integers
             shape = [1] * (2 * d)
-            shape[i], shape[d + i] = folds[i], w
+            shape[i], shape[d + i] = folds[i], k.size
             block = np.exp(2j * np.pi * turns / m).reshape(shape) * block
-        batch[(Ellipsis,) + np.ix_(*((k + np.arange(w)) % p for k, w, p in zip(first, values.shape, sizes)))] = block
-    np.fft.ifftn(batch, axes=tuple(range(d, 2 * d)), out=batch)
-    # the modulus is written straight into natural order: axes (p_1, r_1, p_2, r_2, ...)
-    natural = batch.transpose([a for i in range(d) for a in (d + i, i)])
-    mags = np.abs(natural, out=np.empty(natural.shape))
-    mags /= math.prod(folds) * grid.cell_volume
+        batch[(Ellipsis,) + np.ix_(*(k % p for k, p in zip(bins, sizes)))] = block
+    samples = np.fft.irfftn(batch, s=sizes, axes=tuple(range(d, 2 * d)))
+    # the modulus is written straight into natural order, axes (p_1, r_1, p_2, r_2, ...), a block of r_1 at a time
+    order = [a for i in range(d) for a in (d + i, i)]
+    mags = np.empty([samples.shape[a] for a in order])
+    scale = math.prod(folds) * grid.cell_volume
+    rows = max(1, _BLOCK // samples[0].size)
+    for r in range(0, folds[0], rows):
+        block = np.abs(samples[r : r + rows])
+        block /= scale
+        mags[:, r : r + rows] = block.transpose(order)
     return mags.reshape(grid.shape)
 
 

@@ -23,7 +23,10 @@ paths read the base kernel and apply this one rule.  The exact path sums
 ``|K|`` over the base kernel's rows; the certified bracket buckets each
 factor's sampled modulus by offset and bounds the same weight by interval
 arithmetic.  The modulus comes from the factor's symbol boxes
-(:func:`field.box_modulus`), so the bracket runs no full-size transform.
+(:func:`field.box_modulus`), so the bracket runs no full-size transform.  A
+factor is a real radial profile times a translation phase, and its grid
+frequencies negate exactly, so its symbol is Hermitian and ``g`` is real:
+the modulus folds half the symbol and takes one batched real inverse.
 """
 
 from __future__ import annotations
@@ -299,7 +302,7 @@ def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float,
         _lifted_axis(grid, f.center(1)).reshape((1,) * k + (m,) + (1,) * (n - 1 - k)) for k, f in enumerate(first)
     ]
     terms = _sampled_terms(base, grid)
-    chunk = m if n == 2 and not j else 64  # a sheared weight is a full row block: chunked, it bounds peak memory
+    chunk = 64  # rows per chunk: bounds peak memory
     total = 0.0
     for start in range(0, m, chunk):
         rows = np.arange(start, min(start + chunk, m))
@@ -326,7 +329,10 @@ def _shell_data(
 
     A shell's mass is the quadrature of ``|g|`` over the samples whose offset
     falls in it; ``|g|`` is :func:`field.box_modulus` of the factor's symbol
-    boxes, so no full-size transform runs.  d = 1 buckets the *signed*
+    boxes, so no full-size transform runs.  The symbol is Hermitian (a real
+    profile times ``exp(-2 pi i (t, xi))``, with ``xi(-k) = -xi(k)``
+    exactly), which that real-field modulus checks before it folds half of
+    it.  d = 1 buckets the *signed*
     min-image offset, which keeps interval arithmetic on differences tight
     (:func:`_signed_mass`); d = 2 buckets the radial offset.
     """

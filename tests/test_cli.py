@@ -324,6 +324,11 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         ["changevars", "--changevars.m_values", "-1"],
         ["counterexample", "--counterexample.packets", "0"],
         ["counterexample", "--counterexample.packets", "-2"],
+        # vacuous bands: every synthesised input is constant, and NaN bands
+        ["changevars", "--changevars.band_max", "0"],
+        ["changevars", "--changevars.band_max", "nan"],
+        ["peetre", "--peetre.bank_scale_min", "-50"],
+        ["peetre", "--peetre.band_factor", "nan"],
     ],
 )
 def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
@@ -333,7 +338,8 @@ def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
     assert "Traceback" not in err
     assert not (tmp_path / f"{args[0]}.report.txt").exists()
     key = args[1].split(".")[-1]
-    if key in ("m_values", "random_band", "sigmas", "packets"):  # a list that cannot be read names its key
+    named = ("m_values", "random_band", "sigmas", "packets", "band_max", "bank_scale_min", "band_factor")
+    if key in named:  # an unreadable list and a vacuous or NaN band name their key
         assert key in err
 
 

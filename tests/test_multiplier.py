@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logmult import multiplier
 from logmult.calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, make_lp_pair
@@ -142,6 +142,8 @@ def shell_cases(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(shell_cases())
+# one box over the whole grid, [-M/2, M/2): its reflection [-M/2 + 1, M/2] wraps onto it
+@example((SpectralFactor(RadialProfile(0.004687500000000001, 0.009375000000000001), (0.0,)), GridSpec(1, 8, 320.0), 1))
 def test_shell_data_matches_sampled_factor(case):
     factor, grid, shells = case
     mass, lo, hi = multiplier._shell_data(factor, grid, shells)

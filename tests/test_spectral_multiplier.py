@@ -774,20 +774,53 @@ def test_l4_norm_of_a_packet_train_inverts_each_box_once(monkeypatch):
     assert abs(norm - lp_norm(SampledField(grid, f.values), 4)) <= 1e-12 * norm
 
 
+def hermitian_runs(m, intervals, wrapped, pad):
+    """Runs ``[first, width]`` of signed bins holding every bin of ``intervals`` and its reflection, mod ``m``.
+
+    Signed runs lie in ``-m/2 .. m/2-1``, so a set across Nyquist becomes
+    runs against both ends; wrapped runs start after the set's widest gap
+    and may pass ``m/2 - 1``, so such a set is one run across Nyquist.
+    ``pad`` widens the first run by one empty bin below it.
+    """
+    held = np.zeros(m, dtype=bool)
+    for lo, w in intervals:
+        held[(lo + np.arange(w)) % m] = True
+    held |= held[-np.arange(m) % m]
+    start = -(m // 2)
+    if wrapped and not held.all():
+        bins = np.flatnonzero(held)
+        gaps = np.diff(np.append(bins, bins[0] + m))
+        start = int(bins[(np.argmax(gaps) + 1) % bins.size])
+        start -= m if start >= m // 2 else 0
+    runs = []
+    for b in range(start, start + m):
+        if held[b % m]:
+            if runs and sum(runs[-1]) == b:
+                runs[-1][1] += 1
+            else:
+                runs.append([b, 1])
+    if pad and not held[(runs[0][0] - 1) % m]:
+        runs[0] = [runs[0][0] - 1, runs[0][1] + 1]
+    return held, runs
+
+
 @st.composite
 def narrow_spectra(draw):
-    """Disjoint boxes of random coefficients whose signed-bin span is drawn per axis.
+    """Disjoint boxes of a random Hermitian spectrum, whose signed-bin span is drawn per axis.
 
-    The span is often a power of two (exactly P), sometimes past M/2 (P = M);
-    it sits anywhere, across 0, against the Nyquist bin at either end, or
-    across it.  Each axis splits the span into one or two intervals, and the
-    boxes are their products.
+    The span is often a power of two, sometimes past M/2; it sits anywhere,
+    across 0, against the Nyquist bin at either end, or across it.  Each
+    axis splits the span into one or two intervals and holds them with
+    their reflections (:func:`hermitian_runs`), so a span of M is the whole
+    grid; a padded run makes an even span, exactly P, possible.  The boxes
+    are the products of the runs, and the coefficients are ``(a_k +
+    conj(a_{-k})) / 2`` of random ``a``, 0 on the padded bins.
     """
     dim = draw(st.sampled_from([1, 1, 2]))
     m = 2 ** draw(st.integers(3, 12 if dim == 1 else 6))
     grid = GridSpec(dim, m, draw(st.sampled_from([1.0, 10.0, 320.0])))
-    per_axis = []
-    for _ in range(dim):
+    held, per_axis = np.ones(grid.shape, dtype=bool), []
+    for i in range(dim):
         if draw(st.booleans()):
             span = 2 ** draw(st.integers(0, int(math.log2(m))))
         else:
@@ -803,12 +836,16 @@ def narrow_spectra(draw):
             cut = draw(st.integers(1, span - 2))
             gap = draw(st.integers(0, span - 1 - cut - 1))
             intervals = [(lo, cut), (lo + cut + gap, span - cut - gap)]
-        per_axis.append(intervals)
+        axis_held, runs = hermitian_runs(m, intervals, draw(st.booleans()), draw(st.booleans()))
+        held &= axis_held.reshape((1,) * i + (m,) + (1,) * (dim - 1 - i))
+        per_axis.append(runs)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.where(held, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape), 0.0)
+    hermitian = (a + np.conj(a[np.ix_(*[-np.arange(m) % m] * dim)])) / 2.0
     pieces = []
     for box in itertools.product(*per_axis):
-        shape = tuple(w for _, w in box)
-        pieces.append((tuple(k for k, _ in box), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+        first, shape = tuple(k for k, _ in box), tuple(w for _, w in box)
+        pieces.append((first, hermitian[box_bins_index(grid, first, shape)]))
     return grid, pieces
 
 
@@ -822,21 +859,41 @@ def test_box_modulus_matches_full_size_inverse(case):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
+def test_box_modulus_rejects_a_spectrum_that_is_not_hermitian():
+    grid = GridSpec(1, 64, 10.0)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        box_modulus(grid, [((5,), values)])  # bins 5 .. 10 without -10 .. -5
+    reflection = np.conj(values[::-1])
+    assert box_modulus(grid, [((-10,), reflection), ((5,), values)]).shape == grid.shape
+    reflection[2] = complex(np.nextafter(reflection[2].real, np.inf), reflection[2].imag)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        box_modulus(grid, [((-10,), reflection), ((5,), values)])
+
+
 def test_box_modulus_transforms_the_folded_length(monkeypatch):
-    # a band of 64 bins on 2**14 points: 256 rows of 64-point transforms
+    # a Hermitian band of 64 bins on 2**14 points: one real inverse over 256 rows of 64 points
     grid = GridSpec(1, 2**14, 64.0)
     rng = np.random.default_rng(3)
-    pieces = [((-40,), rng.standard_normal(30) + 0j), ((5,), rng.standard_normal(19) + 0j)]
+    low = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    low[0] = 0.0  # bin -32, whose reflection +32 no box holds
+    pieces = [((-32,), low), ((13,), np.conj(low[:0:-1]))]
     calls = []
-    original = np.fft.ifftn
 
-    def counting(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs.get("axes")))
-        return original(a, *args, **kwargs)
+    def counting(name):
+        original = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "ifftn", counting)
+        def counted(a, *args, **kwargs):
+            calls.append((name, np.shape(a), kwargs.get("s"), kwargs.get("axes")))
+            return original(a, *args, **kwargs)
+
+        return counted
+
+    for name in ("ifftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name))
     box_modulus(grid, pieces)
-    assert calls == [((256, 64), (1,))]
+    assert calls == [("irfftn", (256, 33), (64,), (1,))]
 
 
 # ---------------------------------------------------------------------------
