@@ -318,7 +318,9 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         # rejected before any input is synthesised
         raise ValueError(f"empty scale range {scale_range}")
     band_max = float(section["band_max"])
-    if not band_max * grid.period >= 1.0:  # NaN fails too
+    if not math.isfinite(band_max):
+        raise ValueError(f"band_max {section['band_max']!r} is not finite")
+    if not band_max * grid.period >= 1.0:
         raise ValueError(f"band_max {section['band_max']!r} times the period {grid.period} is not at least 1: "
                          "every input would be constant, with no nonzero integer frequency")
     seed = int(section["seed"])
@@ -375,8 +377,10 @@ def cmd_peetre(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     k_min = int(section["bank_scale_min"])
     if bank_size < 1:
         raise ValueError(f"bank_size must be at least 1, got {section['bank_size']!r}")
+    if not math.isfinite(band_factor):
+        raise ValueError(f"band_factor {section['band_factor']!r} is not finite")
     scales = list(range(k_min, k_min + bank_size))
-    if not any(band_factor * 2.0**kk * grid.period >= 1.0 for kk in scales):  # NaN fails too
+    if not any(band_factor * 2.0**kk * grid.period >= 1.0 for kk in scales):
         raise ValueError(f"band_factor {section['band_factor']!r} times 2**kk times the period {grid.period} is not at least 1 "
                          f"at every bank scale kk from bank_scale_min {k_min} to {scales[-1]}: "
                          "every bank field would be constant, with no nonzero integer frequency")

@@ -1225,11 +1225,11 @@ def lp_norm(f: SampledField, p: Exponent) -> float:
     e = _peak_exponent(mags)
     if e is None:
         return 0.0
-    mags = np.ldexp(mags, -e)
+    np.ldexp(mags, -e, out=mags)  # mags is a fresh array: scale and raise it in place
     if q == 2.0:
-        norm = np.sqrt(np.sum(mags**2) * f.grid.cell_volume)
+        norm = np.sqrt(np.sum(np.square(mags, out=mags)) * f.grid.cell_volume)
     else:
-        norm = (np.sum(mags**q) * f.grid.cell_volume) ** (1.0 / q)
+        norm = (np.sum(np.power(mags, q, out=mags)) * f.grid.cell_volume) ** (1.0 / q)
     return float(np.ldexp(norm, e))
 
 

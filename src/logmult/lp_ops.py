@@ -15,10 +15,14 @@ Every piece falls into one of the three classes of :func:`field.piece_plan`:
   plateau, where the profile is exactly ``1.0`` on every occupied bin.  When
   the support meets every shell of the field's certificate (always, for a
   radial band), the piece is the input translated by ``2**-l y`` and the
-  profile is never evaluated.  A grid-aligned translation (the zero one
-  included) is a roll of one untranslated inverse, computed at most once per
-  call; an off-grid one is a phase multiply and an inverse.
+  profile is never evaluated.
 * *partial*: profile times phase on the certified boxes, then an inverse.
+
+A piece translated by whole samples (no shift included) is a roll of one
+untranslated inverse: one for the plateau pieces that are the input itself,
+one per scale for any other, each taken at most once per call and shared by
+the shifts of a :func:`maximal_functions` call.  An off-grid translation is a
+phase multiply and an inverse.
 
 All three give the same arrays as evaluating the profile at every scale.
 
@@ -71,6 +75,7 @@ __all__ = [
     "dyadic_piece",
     "square_function",
     "maximal_function",
+    "maximal_functions",
     "bmo_norm",
     "peetre_max",
     "peetre_cube_ratio",
@@ -98,10 +103,6 @@ def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     return SampledField(f.grid, frozen(values), shells=shells)
 
 
-def _zero_shift(grid: GridSpec) -> Tuple[float, ...]:
-    return (0.0,) * grid.dimension
-
-
 def _exponent(peak: float) -> int:
     """``e`` with ``2**-e peak`` near 1 far from amplitude 1, else 0 (the sums bit for bit)."""
     return int(np.frexp(peak)[1]) if peak > 2.0**400 or 0.0 < peak < 2.0**-400 else 0
@@ -125,28 +126,31 @@ def _pieces(
     spectrum: Spectrum,
     profile,
     scales: Iterable[int],
-    shift: Sequence[float],
+    shift: Optional[Sequence[float]],
     lift: Callable[[np.ndarray], np.ndarray],
-) -> Iterator[Tuple[int, Optional[Tuple[int, ...]], np.ndarray]]:
-    """``(scale, steps, lift(values))`` of the pieces not certified zero, from ``f``'s ``spectrum``.
+    untranslated: dict,
+) -> Iterator[Tuple[int, Optional[int], Optional[Tuple[int, ...]], np.ndarray]]:
+    """``(scale, key, steps, lifted)`` of the pieces not certified zero, from ``f``'s ``spectrum``.
 
-    ``steps`` is None when the yielded array is the piece itself.  Otherwise
-    the piece is a grid-aligned plateau piece: ``lift`` of the one untranslated
-    inverse, shared by every such piece, which the caller rolls by ``steps``
-    (``lift`` is pointwise, so lifting commutes with the roll).
+    ``key`` is None for a plateau piece that is ``f`` itself, else the scale.
+    A piece whose dilated shift is whole samples (:func:`field.dilated_steps`)
+    is ``lift`` of its untranslated inverse, taken once into the caller's
+    ``untranslated`` under ``key``, for the caller to roll by ``steps`` (``lift``
+    is pointwise and :func:`field.apply_multiplier` also inverts, then rolls).
+    Any other is ``lift`` of the piece itself, with ``steps`` None.
     """
-    base = None
     for scale in scales:
         cls, _, piece_profile = piece_plan(f, profile, scale)
         if cls == ZERO:
             continue
-        steps = dilated_steps(f.grid, shift, scale) if piece_profile is None else None
-        if steps is not None:
-            if base is None:
-                base = lift(apply_multiplier(spectrum))
-            yield scale, steps, base
-        else:
-            yield scale, None, lift(apply_multiplier(spectrum, piece_profile, scale, shift))
+        key = None if piece_profile is None else scale
+        steps = dilated_steps(f.grid, shift, scale)
+        if steps is None:
+            yield scale, key, None, lift(apply_multiplier(spectrum, piece_profile, scale, shift))
+            continue
+        if key not in untranslated:
+            untranslated[key] = lift(apply_multiplier(spectrum, piece_profile, scale))
+        yield scale, key, steps, untranslated[key]
 
 
 def square_function(
@@ -158,8 +162,6 @@ def square_function(
     kept as :func:`field.box_piece` boxes, and the samples summed when
     ``values`` is first read.
     """
-    if shift is None:
-        shift = _zero_shift(f.grid)
     spectrum = transform(f)
     moduli = []
     for scale in pair.scales:
@@ -172,32 +174,49 @@ def square_function(
         # sum the squares at 2**-e times the pieces and scale back (e = 0 near 1)
         e = _exponent(max((float(np.max(np.abs(v))) for _, piece in moduli for _, v in piece), default=0.0))
         acc = np.zeros(f.grid.shape, dtype=float)
-        for _, steps, energy in _pieces(f, spectrum, pair.psi_hat, pair.scales, shift, lambda v: _energy(v, e)):
+        untranslated: dict = {}
+        for _, key, steps, energy in _pieces(f, spectrum, pair.psi_hat, pair.scales, shift, lambda v: _energy(v, e), untranslated):
             acc += _rolled(energy, steps)
+            if key is not None:  # a scale's own piece serves this one shift
+                untranslated.pop(key, None)
         return np.ldexp(np.sqrt(acc), e).astype(np.complex128)
 
     return _deferred(None, sample, f.grid, moduli)
 
 
-def maximal_function(
-    f: SampledField, pair: LPPair, shift: Optional[Sequence[float]] = None
+def _maximal(
+    f: SampledField, spectrum: Spectrum, pair: LPPair, shift: Optional[Sequence[float]], untranslated: dict, last: bool
 ) -> SampledField:
-    """Pointwise sup over scales of the shifted low-pass pieces.
-
-    Aligned plateau pieces that repeat a step vector are skipped: max is
-    idempotent.
-    """
-    if shift is None:
-        shift = _zero_shift(f.grid)
-    acc = np.zeros(f.grid.shape, dtype=float)
-    seen = set()
-    for _, steps, modulus in _pieces(f, transform(f), pair.phi_hat, pair.scales, shift, np.abs):
-        if steps is not None:
-            if steps in seen:
-                continue
-            seen.add(steps)
-        np.maximum(acc, _rolled(modulus, steps), out=acc)
+    aligned = [scale for scale in pair.scales if dilated_steps(f.grid, shift, scale) is not None]
+    acc, seen = np.zeros(f.grid.shape, dtype=float), set()
+    for _, key, steps, modulus in _pieces(f, spectrum, pair.phi_hat, aligned, shift, np.abs, untranslated):
+        if (key, steps) not in seen:
+            seen.add((key, steps))
+            np.maximum(acc, _rolled(modulus, steps), out=acc)
+    if last:
+        untranslated.clear()
+    off_grid = [scale for scale in pair.scales if scale not in aligned]
+    for *_, modulus in _pieces(f, spectrum, pair.phi_hat, off_grid, shift, np.abs, untranslated):
+        np.maximum(acc, modulus, out=acc)
     return SampledField(f.grid, acc)
+
+
+def maximal_functions(f: SampledField, pair: LPPair, shifts: Sequence[Optional[Sequence[float]]]) -> Iterator[SampledField]:
+    """``maximal_function(f, pair, shift)`` for each of ``shifts`` in order, bit for bit.
+
+    The untranslated inverses of :func:`_pieces` serve every shift.  Per shift
+    the rolled pieces are folded first, one per ``(key, steps)`` (max is
+    idempotent, exact and order-free), and the off-grid pieces after; on the
+    last shift the shared inverses are released before the off-grid ones run.
+    """
+    spectrum, untranslated = transform(f), {}
+    for i, shift in enumerate(shifts):
+        yield _maximal(f, spectrum, pair, shift, untranslated, i == len(shifts) - 1)
+
+
+def maximal_function(f: SampledField, pair: LPPair, shift: Optional[Sequence[float]] = None) -> SampledField:
+    """Pointwise sup over scales of the shifted low-pass pieces."""
+    return next(maximal_functions(f, pair, [shift]))
 
 
 def representable_cube_scales(grid: GridSpec) -> List[int]:
@@ -229,11 +248,11 @@ class DyadicCubeSet:
         cubes = period * Fraction(2) ** self.scale
         if cubes.denominator != 1 or cubes.numerator < 1:
             raise ValueError(
-                f"cube side 2**-{self.scale} does not tile the period {self.grid.period}"
+                f"cube side 2**{-self.scale} does not tile the period {self.grid.period}"
             )
         if self.grid.samples_per_axis % cubes.numerator != 0:
             raise ValueError(
-                f"cube side 2**-{self.scale} is not an integer multiple of the grid spacing"
+                f"cube side 2**{-self.scale} is not an integer multiple of the grid spacing"
             )
 
     @property
@@ -274,8 +293,8 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
     e = _exponent(max((float(np.max(np.abs(v))) for _, v in spectrum.boxes), default=0.0))
     sq_pieces = {
         scale: _rolled(energy, steps)
-        for scale, steps, energy in _pieces(
-            f, spectrum, pair.psi_hat, pair.scales, _zero_shift(f.grid), lambda v: _energy(v, e)
+        for scale, _, steps, energy in _pieces(
+            f, spectrum, pair.psi_hat, pair.scales, None, lambda v: _energy(v, e), {}
         )
     }
     # cumulative sums from the top scale down: tail[l] = sum_{j >= l} |psi_j * f|^2

@@ -13,6 +13,7 @@ a roundoff test, not a statistical one.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .field import (
     transform,
     translation_phase,
 )
-from .lp_ops import maximal_function, square_function
+from .lp_ops import maximal_functions, square_function
 from .reporting import ExperimentReport
 
 __all__ = [
@@ -231,52 +232,37 @@ class GrowthExperiment:
         return bank
 
 
-def _estimator(kind: str):
+def _max_ratios(
+    kind: str, p: float, shifts: Sequence[Sequence[float]], bank: Sequence[SampledField], pair: LPPair
+) -> List[float]:
+    """Per shift, the max over the bank of shifted / unshifted estimator-norm ratios.
+
+    Each input's estimators are read at ``[None] + shifts`` in one pass; an
+    input with a zero unshifted estimator is skipped with a warning.
+    """
     if kind not in (SQUARE, MAXIMAL):
         raise ValueError(f"unknown operator kind {kind!r}")
-    return square_function if kind == SQUARE else maximal_function
-
-
-def _unshifted_norms(op, p: float, bank: Sequence[SampledField], pair: LPPair) -> List[float]:
-    """L_p norm of the unshifted estimator of every bank input (warns on zeros)."""
     if len(bank) == 0:
         raise ValueError("empty bank")
-    norms = [lp_norm(op(f, pair), p) for f in bank]
-    for i, denom in enumerate(norms):
+    at, best = [None, *shifts], None
+    for i, f in enumerate(bank):
+        estimators = maximal_functions(f, pair, at) if kind == MAXIMAL else (square_function(f, pair, y) for y in at)
+        # map holds no estimator past its norm, so only one is alive at a time
+        norms = map(lp_norm, estimators, itertools.repeat(p))
+        denom = next(norms)
         if denom == 0.0:
             warnings.warn(f"bank input {i} has zero unshifted estimator; skipped")
-    return norms
-
-
-def _max_ratio(
-    op,
-    p: float,
-    y: Sequence[float],
-    bank: Sequence[SampledField],
-    pair: LPPair,
-    denoms: Sequence[float],
-) -> float:
-    best = None
-    for f, denom in zip(bank, denoms):
-        if denom == 0.0:
             continue
-        ratio = lp_norm(op(f, pair, y), p) / denom
-        best = ratio if best is None else max(best, ratio)
+        ratios = [norm / denom for norm in norms]
+        best = ratios if best is None else list(map(max, best, ratios))
     if best is None:
         raise ValueError("every bank input had a zero unshifted estimator")
     return best
 
 
-def operator_norm_proxy(
-    kind: str,
-    p: float,
-    y: Sequence[float],
-    bank: Sequence[SampledField],
-    pair: LPPair,
-) -> float:
+def operator_norm_proxy(kind: str, p: float, y: Sequence[float], bank: Sequence[SampledField], pair: LPPair) -> float:
     """Max over the bank of shifted-norm / unshifted-estimator ratios (a lower bound)."""
-    op = _estimator(kind)
-    return _max_ratio(op, p, y, bank, pair, _unshifted_norms(op, p, bank, pair))
+    return _max_ratios(kind, p, [y], bank, pair)[0]
 
 
 @dataclass(frozen=True)
@@ -317,20 +303,11 @@ def predicted_growth_exponent(kind: str, p: float) -> float:
 
 def run_growth(experiment: GrowthExperiment) -> ExperimentReport:
     """Measure the proxy along the shift ladder, fit, and compare to the prediction."""
-    pair = experiment.make_pair()
-    bank = experiment.make_bank()
-    direction = np.zeros(experiment.grid.dimension)
-    rows = []
-    measured: List[Tuple[float, float]] = []
-    # the unshifted estimators do not depend on the shift: one per bank input
-    op = _estimator(experiment.kind)
-    denoms = _unshifted_norms(op, experiment.p, bank, pair)
-    for magnitude in experiment.shifts:
-        y = direction.copy()
-        y[0] = magnitude
-        ratio = _max_ratio(op, experiment.p, y, bank, pair, denoms)
-        rows.append({"shift": magnitude, "ratio": ratio})
-        measured.append((magnitude, ratio))
+    ys = np.zeros((len(experiment.shifts), experiment.grid.dimension))
+    ys[:, 0] = experiment.shifts
+    ratios = _max_ratios(experiment.kind, experiment.p, list(ys), experiment.make_bank(), experiment.make_pair())
+    measured = list(zip(experiment.shifts, ratios))
+    rows = [{"shift": magnitude, "ratio": ratio} for magnitude, ratio in measured]
     fit = fit_log_exponent(measured)
     predicted = predicted_growth_exponent(experiment.kind, experiment.p)
     gap = fit.exponent - predicted

@@ -329,6 +329,9 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         ["changevars", "--changevars.band_max", "nan"],
         ["peetre", "--peetre.bank_scale_min", "-50"],
         ["peetre", "--peetre.band_factor", "nan"],
+        # infinite bands, rejected before a Nyquist check that names no key
+        ["changevars", "--changevars.band_max", "inf"],
+        ["peetre", "--peetre.band_factor", "inf"],
     ],
 )
 def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
@@ -341,6 +344,12 @@ def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
     named = ("m_values", "random_band", "sigmas", "packets", "band_max", "bank_scale_min", "band_factor")
     if key in named:  # an unreadable list and a vacuous or NaN band name their key
         assert key in err
+
+
+def test_a_cube_scale_that_does_not_tile_names_the_side_once_signed(tmp_path, capsys):
+    assert run(["peetre", "--peetre.cube_scale", "-10", "--outdir", str(tmp_path)]) == CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "cube side 2**10 does not tile" in err and "--" not in err
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])

@@ -4,7 +4,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from logmult import shifted_lab
 from logmult.calibration import make_lp_pair
 from logmult.field import (
     PARTIAL,
@@ -16,6 +15,7 @@ from logmult.field import (
     Shell,
     Shells,
     Spectrum,
+    dilated_steps,
     inverse,
     phase_shift,
     piece_class,
@@ -192,29 +192,38 @@ def test_run_growth_notes_a_vacuous_fit_verdict():
     assert reports[8.0].notes == () and not reports[8.0].passed
 
 
-def test_run_growth_computes_each_unshifted_estimator_once(monkeypatch):
+def test_run_growth_inverts_each_input_once_per_untranslated_piece(monkeypatch):
+    # per bank input the maximal half takes one inverse of the input itself (its
+    # plateau pieces), one of its partial piece at scale -1 (whole samples at every
+    # rung) and one per plateau piece whose dilated shift is off the grid
     grid = GridSpec(1, 2**14, 2.0**10)
     exp = GrowthExperiment(
         kind="shifted-maximal",
         p=2.0,
-        shifts=(4.0, 8.0, 16.0, 32.0),
+        shifts=(0.5, 2.0, 8.0, 32.0),
         grid=grid,
-        scale_range=(0, 6),
+        scale_range=(-1, 6),
         bank=GrowthBankSpec(seed=3, n_random=1, random_band=(0.5, 1.0)),
     )
     bank, pair = exp.make_bank(), exp.make_pair()
     direct = [operator_norm_proxy(exp.kind, exp.p, [y], bank, pair) for y in exp.shifts]
-    shifts = []
-    estimator = shifted_lab.maximal_function
+    off_grid = 0
+    for f in bank:
+        classes = {scale: piece_class(f, pair.phi_hat, scale) for scale in pair.scales}
+        assert [scale for scale, cls in classes.items() if cls != PLATEAU] == [-1]
+        assert classes[-1] == PARTIAL and all(dilated_steps(grid, [y], -1) is not None for y in exp.shifts)
+        off_grid += sum(dilated_steps(grid, [y], scale) is None for y in exp.shifts for scale in pair.scales)
+    assert off_grid == 2 * (3 + 1)  # scales 4, 5, 6 at y = 0.5 and 6 at y = 2
+    calls = []
+    ifftn = np.fft.ifftn
 
-    def counting(f, pair, shift=None):
-        shifts.append(shift)
-        return estimator(f, pair, shift)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ifftn(*args, **kwargs)
 
-    monkeypatch.setattr(shifted_lab, "maximal_function", counting)
+    monkeypatch.setattr(np.fft, "ifftn", counting)
     report = run_growth(exp)
-    assert sum(y is None for y in shifts) == len(bank)
-    assert len(shifts) == len(bank) * (1 + len(exp.shifts))
+    assert len(calls) == 2 * len(bank) + off_grid
     assert [row["ratio"] for row in report.rows] == direct
 
 

@@ -54,6 +54,7 @@ from logmult.lp_ops import (
     bmo_norm,
     dyadic_piece,
     maximal_function,
+    maximal_functions,
     representable_cube_scales,
     square_function,
 )
@@ -419,6 +420,42 @@ def test_dispatch_matches_every_scale_reference(case):
     else:
         assert np.array_equal(maximal_function(f, PAIR, shift).values, full_maximal(f, shift))
         assert np.array_equal(square_function(f, PAIR, shift).values, full_square(f, shift))
+
+
+@st.composite
+def shift_list_cases(draw):
+    """A field of one or two random bands and a list of shifts: zero, aligned, off-grid, repeated."""
+    grid = draw(st.sampled_from(GRIDS))
+    axes = grid.dimension
+    cuts = sorted(draw(st.lists(st.floats(0.0, 0.95), min_size=4, max_size=4)))
+    f = random_band_limited(grid, (cuts[0] * grid.nyquist, cuts[1] * grid.nyquist), draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # a second band: plateau pieces that meet only the lower shell evaluate the profile
+        f = f + random_band_limited(grid, (cuts[2] * grid.nyquist, cuts[3] * grid.nyquist), draw(st.integers(0, 2**32 - 1)))
+    shifts = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "aligned", "off-grid", "repeat"]), min_size=1, max_size=5)):
+        if kind == "zero":
+            shifts.append(draw(st.sampled_from([None, [0.0] * axes])))
+        elif kind == "aligned":
+            # whole samples at every scale up to `top`, off-grid above it
+            top = draw(st.integers(-2, 8))
+            steps = draw(st.lists(st.integers(-40, 40), min_size=axes, max_size=axes))
+            shifts.append([k * grid.spacing * 2.0**top for k in steps])
+        elif kind == "off-grid":
+            shifts.append(draw(st.lists(st.floats(-20.0, 20.0), min_size=axes, max_size=axes)))
+        else:
+            shifts.append(shifts[-1] if shifts else None)
+    return f, shifts
+
+
+@settings(max_examples=80, deadline=None)
+@given(shift_list_cases())
+def test_maximal_functions_match_every_scale_reference_at_each_shift(case):
+    f, shifts = case
+    got = list(maximal_functions(f, PAIR, shifts))
+    assert len(got) == len(shifts)
+    for field_at, shift in zip(got, shifts):
+        assert np.array_equal(field_at.values, full_maximal(f, shift))
 
 
 def full_bmo(f):
