@@ -313,18 +313,28 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     if n_configs < 1:
         raise ValueError(f"configs must be at least 1, got {n_configs}")
     m_values = _counts(section, "m_values")
-    scale_range = (int(section["scale_min"]), int(section["scale_max"]))
-    if scale_range[1] < scale_range[0]:
-        # rejected before any input is synthesised
-        raise ValueError(f"empty scale range {scale_range}")
+    scale_min, scale_max = int(section["scale_min"]), int(section["scale_max"])
+    # every range, band and shift is rejected before any input is synthesised
+    if scale_min < 0:
+        raise ValueError(f"scale_min must be nonnegative (dilations on a fixed period), got {scale_min}")
+    if scale_max < scale_min:
+        raise ValueError(f"empty scale range {(scale_min, scale_max)}: scale_min exceeds scale_max")
+    scale_range = (scale_min, scale_max)
     band_max = float(section["band_max"])
     if not math.isfinite(band_max):
         raise ValueError(f"band_max {section['band_max']!r} is not finite")
     if not band_max * grid.period >= 1.0:
         raise ValueError(f"band_max {section['band_max']!r} times the period {grid.period} is not at least 1: "
                          "every input would be constant, with no nonzero integer frequency")
+    # the product of max(m_values) dilates at scale_max is certified to band_max * 2**scale_max * m
+    if band_max * max(m_values) >= math.ldexp(grid.nyquist, -scale_max):
+        raise ValueError(f"band_max {section['band_max']!r} times 2**scale_max (scale_max {scale_max}) times the "
+                         f"largest of m_values ({max(m_values)}) is not below the Nyquist frequency {grid.nyquist}: "
+                         "the product of the dilates would alias")
     seed = int(section["seed"])
     shift_scale = float(section["shift_scale"])
+    if not math.isfinite(shift_scale):
+        raise ValueError(f"shift_scale {section['shift_scale']!r} is not finite")
     tol2, tol3 = _tolerance(section, "tolerance_l2"), _tolerance(section, "tolerance_l3")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     rows = []

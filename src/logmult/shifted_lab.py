@@ -348,6 +348,17 @@ def run_growth(experiment: GrowthExperiment) -> ExperimentReport:
 # change of variables
 # ---------------------------------------------------------------------------
 
+def _dilated_shells(g: SampledField, scale: int) -> Optional[Shells]:
+    """``g``'s certificate dilated by ``2**scale`` (None for none); :class:`NyquistError` unless it stays below Nyquist.
+
+    An uncertified field is taken to reach Nyquist, so it dilates to past it.
+    """
+    step = 2**scale
+    shells = None if g.shells is None else g.shells.scaled(step)
+    g.grid.check_supports_radius(g.grid.nyquist * step if shells is None else shells.hull[1])
+    return shells
+
+
 def dilate_field(g: SampledField, scale: int) -> SampledField:
     """The L1-normalized dyadic dilate ``2**(l d) g(2**l x)`` for l >= 0.
 
@@ -356,7 +367,8 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
     the fixed torus and are rejected.  Each shell dilates; the union must stay below Nyquist.
     Each box of the spectrum spreads by the step, zeros between its bins, and
     adds into the dilated certificate's boxes; the dilate keeps that spectrum
-    (see :func:`field.inverse`).
+    (see :func:`field.inverse`).  A box spread wider than the M bins of an
+    axis folds onto them mod M: only its certified-zero bins collide there.
     """
     if scale < 0:
         raise ValueError("dilation scales must be nonnegative on a fixed period")
@@ -364,12 +376,12 @@ def dilate_field(g: SampledField, scale: int) -> SampledField:
         return g
     grid = g.grid
     step = 2**scale
-    shells = None if g.shells is None else g.shells.scaled(step)
-    grid.check_supports_radius(grid.nyquist * step if shells is None else shells.hull[1])
+    shells = _dilated_shells(g, scale)
     spread = []
     for first, values in transform(g).boxes:
-        box = np.zeros(tuple((w - 1) * step + 1 for w in values.shape), dtype=np.complex128)
-        box[(slice(None, None, step),) * grid.dimension] = values
+        shape = tuple(min((w - 1) * step + 1, grid.samples_per_axis) for w in values.shape)
+        box = np.zeros(shape, dtype=np.complex128)
+        np.add.at(box, np.ix_(*((np.arange(w) * step) % s for w, s in zip(values.shape, shape))), values)
         box *= float(step) ** grid.dimension
         spread.append((tuple(k * step for k in first), box))
     return inverse(spectrum_from_boxes(grid, spread, shells))
@@ -396,6 +408,20 @@ def change_of_variables_check(
     product of shifted dyadic dilates; the right-hand side removes the shift
     from slot ``k0`` and moves it onto the others.  On the torus the equality
     is exact, so the discrepancy measures only roundoff/quadrature.
+
+    No dilate is built.  On the torus ``g_l(x - 2**-l y) = 2**(l d) (tau_y
+    g)(2**l x)``, and ``x_n -> 2**l x_n`` maps samples to samples, so each
+    input is translated once per side, by :func:`field.phase_shift` at scale
+    0, and scale l reads every ``2**l``-th sample per axis of that translate
+    (times ``2**(l d)``), forming the product on that subgrid only.  Each
+    subgrid sample stands for ``grid.size / subgrid.size`` grid points, the
+    weight of its quadrature term (times the cell volume); that is
+    ``2**(l d)`` only while ``2**l <= M``.
+
+    Every dilate's certificate must stay below Nyquist, as for
+    :func:`dilate_field`, and so must the product's at the top scale (the sum
+    of the dilated hulls), else the product aliases on the grid:
+    :class:`field.NyquistError`, raised before any transform.
     """
     if not 0 <= k0 < len(gs):
         raise ValueError(f"k0={k0} out of range for {len(gs)} inputs")
@@ -406,17 +432,24 @@ def change_of_variables_check(
     scales = range(scale_range[0], scale_range[1] + 1)
     if not scales:
         raise ValueError(f"empty scale range {scale_range}")
-    gs = [keep_spectrum(g) for g in gs]  # one FFT per input: dilates and off-grid shifts read it
-    dilates = {scale: [dilate_field(g, scale) for g in gs] for scale in scales}
+    if scales[0] < 0:
+        raise ValueError("dilation scales must be nonnegative on a fixed period")
+    for scale in scales:
+        for g in gs if scale > 0 else ():  # scale 0 reads g itself, certified or not
+            _dilated_shells(g, scale)
+    if all(g.shells is not None for g in gs):
+        grid.check_supports_radius(sum(g.shells.hull[1] for g in gs) * 2**scales[-1])
+    gs = [keep_spectrum(g) for g in gs]  # one FFT per input: both sides' off-grid translates read it
 
     def norm_p(shifts: Sequence[np.ndarray]) -> float:
+        translates = [phase_shift(g, y).values for g, y in zip(gs, shifts)]
         total = 0.0
         for scale in scales:
-            prod = np.ones(grid.shape, dtype=np.complex128)
-            for g_l, y in zip(dilates[scale], shifts):
-                shifted = phase_shift(g_l, 2.0**-scale * y)
-                prod = prod * shifted.values
-            total += float(np.sum(np.abs(prod) ** p)) * grid.cell_volume
+            sub = (slice(None, None, 2**scale),) * grid.dimension
+            prod = 2.0 ** (scale * grid.dimension * len(gs))
+            for v in translates:
+                prod = prod * v[sub]
+            total += float(np.sum(np.abs(prod) ** p)) * (grid.size / prod.size) * grid.cell_volume
         return total ** (1.0 / p)
 
     lhs = norm_p(ys)

@@ -180,6 +180,25 @@ def test_changevars_transforms_each_input_once(tmp_path, monkeypatch):
     assert len(calls) == 299
 
 
+def test_changevars_translates_each_input_once_per_side(tmp_path, monkeypatch):
+    import numpy as np
+
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    assert run(["changevars", "--outdir", str(tmp_path)]) == PASS
+    # 299 synthesis inverses, plus one per input and side off the grid: every
+    # input of both sides but slot k0 on the right, whose zero shift is a roll
+    # (2 * 299 - 100 = 498); every scale reads these translates by sampling
+    assert calls == {"fftn": 299, "ifftn": 299 + 498}
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -307,6 +326,8 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         ["changevars", "--changevars.seed", "-1"],
         ["peetre", "--peetre.seed", "-1"],
         ["changevars", "--changevars.shift_scale", "nan"],
+        ["changevars", "--changevars.shift_scale", "inf"],
+        ["changevars", "--changevars.scale_min", "-1"],
         ["growth", "--grid.period", "1e400"],
         # NaN exponents
         ["growth", "--growth.p", "nan"],
@@ -332,6 +353,9 @@ def test_counterexample_vanishing_closed_form_is_config_error(tmp_path, capsys):
         # infinite bands, rejected before a Nyquist check that names no key
         ["changevars", "--changevars.band_max", "inf"],
         ["peetre", "--peetre.band_factor", "inf"],
+        # a product of dilates at or past Nyquist: by its band or by its top scale
+        ["changevars", "--changevars.band_max", "10"],
+        ["changevars", "--changevars.scale_max", "6"],
     ],
 )
 def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
@@ -341,8 +365,11 @@ def test_degenerate_lists_and_ranges_are_config_errors(tmp_path, capsys, args):
     assert "Traceback" not in err
     assert not (tmp_path / f"{args[0]}.report.txt").exists()
     key = args[1].split(".")[-1]
-    named = ("m_values", "random_band", "sigmas", "packets", "band_max", "bank_scale_min", "band_factor")
-    if key in named:  # an unreadable list and a vacuous or NaN band name their key
+    named = (
+        "m_values", "random_band", "sigmas", "packets", "band_max", "bank_scale_min", "band_factor",
+        "scale_min", "scale_max", "shift_scale",
+    )
+    if key in named:  # an unreadable list, a vacuous or NaN band and a changevars range name their key
         assert key in err
 
 
@@ -386,6 +413,24 @@ def test_changevars_empty_scale_range_synthesises_nothing(tmp_path, capsys, monk
     args = ["changevars", "--changevars.scale_min", "3", "--changevars.scale_max", "1"]
     assert run(args + ["--outdir", str(tmp_path)]) == CONFIG_ERROR
     assert capsys.readouterr().err.startswith("error: empty scale range")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--changevars.scale_min", "-1"],
+        ["--changevars.shift_scale", "inf"],
+        ["--changevars.band_max", "10"],
+        ["--changevars.scale_max", "6"],
+    ],
+)
+def test_changevars_out_of_range_values_synthesise_nothing(tmp_path, monkeypatch, args):
+    import logmult.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "random_band_limited", lambda *a, **k: calls.append(a))
+    assert run(["changevars"] + args + ["--outdir", str(tmp_path)]) == CONFIG_ERROR
     assert calls == []
 
 

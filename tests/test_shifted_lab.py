@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logmult.calibration import make_lp_pair
 from logmult.field import (
@@ -347,6 +348,92 @@ def test_change_of_variables_rejects_empty_scale_range(grid):
     gs = offset_bank(grid, 2, 31)
     with pytest.raises(ValueError, match="empty scale range"):
         change_of_variables_check(gs, [[0.5], [1.5]], 0, (3, 1))
+
+
+def test_change_of_variables_rejects_an_aliasing_product_before_any_transform(monkeypatch):
+    # each dilate fits under Nyquist 32 at scale 2 (3 * 4 = 12), their product's sum 36 does not
+    grid = GridSpec(1, 1024, 16.0)
+    gs = [random_band_limited(grid, (0.2, 3.0), 3, slot) for slot in range(3)]
+    ys = [[0.731], [-2.417], [1.113]]
+    transforms = []
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **k: transforms.append(a))
+    with pytest.raises(NyquistError, match="36.0"):
+        change_of_variables_check(gs, ys, 1, (0, 2))
+    monkeypatch.undo()
+    assert transforms == []
+    # two of them stay under it
+    assert change_of_variables_check(gs[:2], ys[:2], 1, (0, 2)).discrepancy < 1e-10
+
+
+def test_change_of_variables_keeps_the_dilate_checks(grid):
+    gs = offset_bank(grid, 2, 31)
+    with pytest.raises(ValueError, match="nonnegative"):
+        change_of_variables_check(gs, [[0.5], [1.5]], 0, (-1, 1))
+    # an uncertified input has no dilate, but scale 0 reads it as it is
+    bare = SampledField(grid, gs[1].values)
+    with pytest.raises(NyquistError, match=f"radius {2 * grid.nyquist}"):
+        change_of_variables_check([gs[0], bare], [[0.5], [1.5]], 0, (0, 1))
+    assert change_of_variables_check([gs[0], bare], [[0.5], [1.5]], 0, (0, 0)).discrepancy < 1e-12
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 8.0), GridSpec(2, 16, 4.0)])
+def test_a_constant_dilates_past_the_torus_to_its_closed_form(grid):
+    # a zero-radius certificate stays below Nyquist at every scale, so 2**l reaches 4 M
+    c = 2.0
+    const = SampledField(grid, np.full(grid.shape, c), shells=Shells.radial(0.0, 0.0, grid.dimension))
+    top = int(math.log2(grid.samples_per_axis)) + 2
+    for scale in range(top + 1):
+        want = 2.0 ** (scale * grid.dimension) * c
+        assert np.max(np.abs(dilate_field(const, scale).values - want)) <= 1e-12 * want, scale
+    volume = grid.period**grid.dimension
+    for m in (1, 2, 3):
+        ys = [[0.3 * (k + 1)] * grid.dimension for k in range(m)]
+        for p in (2.0, 3.0):
+            want = sum(2.0 ** (scale * grid.dimension * m * p) * c ** (m * p) * volume for scale in range(top + 1)) ** (1 / p)
+            res = change_of_variables_check([const] * m, ys, m - 1, (0, top), p=p)
+            assert res.lhs == pytest.approx(want, rel=1e-12) and res.rhs == pytest.approx(want, rel=1e-12)
+
+
+def reference_norm(gs, shifts, scales, p):
+    """L_p(l_p) norm of the product of shifted dilates, each built by :func:`dilate_field`."""
+    grid = gs[0].grid
+    total = 0.0
+    for scale in scales:
+        prod = np.ones(grid.shape, dtype=np.complex128)
+        for g, y in zip(gs, shifts):
+            prod = prod * phase_shift(dilate_field(g, scale), 2.0**-scale * np.asarray(y)).values
+        total += float(np.sum(np.abs(prod) ** p)) * grid.cell_volume
+    return total ** (1.0 / p)
+
+
+@st.composite
+def changevars_cases(draw):
+    grid = draw(st.sampled_from([GridSpec(1, 1024, 8.0), GridSpec(2, 256, 4.0)]))
+    m = draw(st.integers(1, 4))
+    lo = draw(st.integers(0, 3))
+    hi = draw(st.integers(lo, 3))
+    # the product's certificate m * band * 2**hi stays below Nyquist
+    band = draw(st.floats(0.3, 0.95)) * grid.nyquist / (m * 2**hi)
+    gs = [random_band_limited(grid, (0.0, band), draw(st.integers(0, 2**16)), slot) for slot in range(m)]
+    shift = st.one_of(
+        st.just(0.0),
+        st.integers(-grid.samples_per_axis, grid.samples_per_axis).map(lambda n: n * grid.spacing),
+        st.floats(-grid.period, grid.period),
+    )
+    ys = [[draw(shift) for _ in range(grid.dimension)] for _ in range(m)]
+    return gs, ys, draw(st.integers(0, m - 1)), (lo, hi), draw(st.sampled_from([2.0, 3.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(changevars_cases())
+def test_change_of_variables_matches_the_dilate_reference(case):
+    gs, ys, k0, scale_range, p = case
+    res = change_of_variables_check(gs, ys, k0, scale_range, p=p)
+    scales = range(scale_range[0], scale_range[1] + 1)
+    ys = np.asarray(ys)
+    assert res.lhs == pytest.approx(reference_norm(gs, ys, scales, p), rel=1e-12)
+    assert res.rhs == pytest.approx(reference_norm(gs, ys - ys[k0], scales, p), rel=1e-12)
 
 
 def test_random_band_limited_certificate_holds_at_band_edges():
