@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,6 +50,7 @@ from .field import (
     box_modulus,
     box_piece,
     certify,
+    frozen,
     inverse,
     piece_plan,
     require_same_grid,
@@ -296,7 +297,7 @@ def _exact_d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float,
     first = base.terms[0][1]
     for _, factors in base.terms[1:]:
         for k, factor in enumerate(factors):
-            if not np.allclose(factor.center(1), first[k].center(1)):
+            if not np.array_equal(factor.center(1), first[k].center(1)):
                 raise ValueError("exact path requires all terms to share slot translations")
     axes = [
         _lifted_axis(grid, f.center(1)).reshape((1,) * k + (m,) + (1,) * (n - 1 - k)) for k, f in enumerate(first)
@@ -322,23 +323,25 @@ def _bucket(off: np.ndarray, base: float, width: float, shells: int) -> np.ndarr
     return np.minimum(((off - base) / width).astype(int), shells - 1)
 
 
+@lru_cache(maxsize=32)
 def _shell_data(
-    factor: SpectralFactor, grid: GridSpec, shells: int
+    profile, center: Tuple[float, ...], grid: GridSpec, shells: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-shell (mass, offset low, offset high) for one factor.
+    """Per-shell (mass, offset low, offset high), read-only, for the factor ``profile`` translated to ``center``.
 
     A shell's mass is the quadrature of ``|g|`` over the samples whose offset
     falls in it; ``|g|`` is :func:`field.box_modulus` of the factor's symbol
     boxes, so no full-size transform runs.  The symbol is Hermitian (a real
     profile times ``exp(-2 pi i (t, xi))``, with ``xi(-k) = -xi(k)``
     exactly), which that real-field modulus checks before it folds half of
-    it.  d = 1 buckets the *signed*
-    min-image offset, which keeps interval arithmetic on differences tight
-    (:func:`_signed_mass`); d = 2 buckets the radial offset.
+    it.  d = 1 buckets the *signed* min-image offset, which keeps interval
+    arithmetic on differences tight (:func:`_signed_mass`); d = 2 buckets the
+    radial offset.  No lambda enters, so the masses are cached like the grid's
+    frequency arrays: each factor, grid and shell count is sampled once.
     """
-    grid.check_supports_radius(factor.support[1])
-    center = factor.center(grid.dimension)
-    mags = box_modulus(grid, symbol_box(grid, factor.profile, factor.translation))
+    grid.check_supports_radius(profile.support[1])
+    center = np.asarray(center)
+    mags = box_modulus(grid, symbol_box(grid, profile, center))
     if grid.dimension == 1:
         mass, base, width = _signed_mass(grid, center, mags, shells)
     else:
@@ -347,7 +350,7 @@ def _shell_data(
         width = reach / shells if reach > 0 else 1.0
         mass = np.bincount(_bucket(off, base, width, shells).ravel(), weights=mags.ravel(), minlength=shells)
     lo = base + np.arange(shells) * width
-    return mass * grid.cell_volume, lo, lo + width
+    return frozen(mass * grid.cell_volume), frozen(lo), frozen(lo + width)
 
 
 def _signed_mass(grid: GridSpec, center: np.ndarray, mags: np.ndarray, shells: int) -> Tuple[np.ndarray, float, float]:
@@ -441,16 +444,12 @@ def _bracket_d_lambda(
     flat = [g.ravel() for g in np.meshgrid(*[np.arange(s)] * n, indexing="ij")]
     mass = np.ones(flat[0].size)
     lows, highs = [], []
-    shell = {}  # equal factors (the s and t slots in separation mode) share one sampling
-    for k, factor in enumerate(factors):
-        key = (factor.profile, tuple(factor.center(grid.dimension)))
-        if key not in shell:
-            shell[key] = _shell_data(factor, grid, s)
-        m_k, lo_k, hi_k = shell[key]
+    centers = [f.center(grid.dimension) for f in factors]
+    for k, (factor, center) in enumerate(zip(factors, centers)):
+        m_k, lo_k, hi_k = _shell_data(factor.profile, tuple(float(c) for c in center), grid, s)
         mass *= m_k[flat[k]]
         lows.append(lo_k[flat[k]])
         highs.append(hi_k[flat[k]])
-    centers = [f.center(grid.dimension) for f in factors]
     bounds = _shell_bounds(j, centers, lows, highs, signed=grid.dimension == 1)
     lo_sq = sum(lo**2 for lo, _ in bounds)
     hi_sq = sum(hi**2 for _, hi in bounds)

@@ -1,12 +1,17 @@
 import contextlib
 import filecmp
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logmult
 from logmult.cli import (
     CONFIG_ERROR,
     DEFAULTS,
@@ -79,6 +84,17 @@ def test_changevars_command(tmp_path):
     assert code == PASS
     csv = (tmp_path / "changevars.csv").read_text()
     assert csv.splitlines()[0].startswith("config,m,p")
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    """``python -m logmult <command>`` is the ``logmult`` script: same runner, same exit code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(logmult.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "logmult", "lambda", "4", "4", "4", "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == PASS, done.stderr
+    assert "sharp_lambda = 1/2" in (tmp_path / "lambda.report.txt").read_text()
 
 
 def test_lambda_command_table():

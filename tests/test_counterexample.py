@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from logmult import counterexample
+from logmult import counterexample, multiplier
 from logmult.counterexample import (
     CxConfig,
     build_inputs,
@@ -193,6 +193,43 @@ def test_separation_sharp_slope_at_full_size():
     # criterion 15's sharp fit, recorded as for FULL_SIZE_BOUNDS
     fit = ratio_growth_fit([separation_config(n_packets=n) for n in (1, 2, 3)])
     assert abs(fit.slope - 0.06024448114885299) <= 1e-12 * 0.06024448114885299
+
+
+def test_criterion_15_fits_sample_each_factor_once(monkeypatch):
+    """The sharp and lowered fits at 2**22 sample their three kernel factors once, in the first fit.
+
+    The masses of ``|g|`` do not depend on lambda; rows read from the memo
+    equal those of fits that clear it before every ``d_lambda``.
+    """
+    lowered = separation_config().lam_value - 0.25
+    configs = [[separation_config(n_packets=n, lam=lam) for n in (1, 2, 3)] for lam in (None, lowered)]
+    samplings = []
+    sample = multiplier.box_modulus
+
+    def counting(*args):
+        samplings.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(multiplier, "box_modulus", counting)
+    multiplier._shell_data.cache_clear()
+    counts, memo_fits = [], []
+    for cfgs in configs:
+        samplings.clear()
+        memo_fits.append(ratio_growth_fit(cfgs))
+        counts.append(len(samplings))
+    assert counts == [3, 0]
+
+    def cold(*args):
+        multiplier._shell_data.cache_clear()
+        return d_lambda(*args)
+
+    monkeypatch.setattr(counterexample, "d_lambda", cold)
+    samplings.clear()
+    cold_fits = [ratio_growth_fit(cfgs) for cfgs in configs]
+    multiplier._shell_data.cache_clear()
+    assert len(samplings) == 6
+    for memo, fresh in zip(memo_fits, cold_fits):
+        assert memo.rows == fresh.rows and memo.slope == fresh.slope
 
 
 def test_input_norms_match_for_every_p():

@@ -61,29 +61,87 @@ def test_joint_support_does_not_depend_on_term_order(profiles, reverse):
         kernel.annulus_certificate()
 
 
+@pytest.fixture(autouse=True)
+def fresh_shell_memo():
+    """Every test starts and ends with an empty shell-mass memo: none reads or leaves another's masses."""
+    multiplier._shell_data.cache_clear()
+    yield
+    multiplier._shell_data.cache_clear()
+
+
+def shell_data(factor, grid, shells):
+    """The memoised shell masses of one factor."""
+    return multiplier._shell_data(factor.profile, tuple(float(c) for c in factor.center(grid.dimension)), grid, shells)
+
+
 def test_bracket_samples_each_distinct_factor_once(monkeypatch, profiles):
     eta_hat, beta_hat = profiles
     grid = GridSpec(1, 4096, 64.0)
-    calls = []
-    original = multiplier._shell_data
+    calls = []  # one box_modulus call per sampled factor
+    original = multiplier.box_modulus
 
-    def counting(factor, *args):
-        calls.append(factor)
-        return original(factor, *args)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(multiplier, "_shell_data", counting)
+    monkeypatch.setattr(multiplier, "box_modulus", counting)
     # the separation kernel: equal translated annular factors on both slots
     pair = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat, (16.0,))])
     multiplier._bracket_d_lambda(pair, 0.5, grid)
     assert len(calls) == 1
-    # its shear reads the same base factors
-    calls.clear()
+    # its shear reads the same base factors, and no lambda enters the masses
     multiplier._bracket_d_lambda(transpose_kernel(pair, 1), 0.5, grid)
+    multiplier._bracket_d_lambda(pair, 1.5, grid)
     assert len(calls) == 1
     calls.clear()
     mixed = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat)])
     multiplier._bracket_d_lambda(mixed, 0.5, grid)
+    assert len(calls) == 1  # the translated factor is a hit; the untranslated one is sampled
+    multiplier._shell_data.cache_clear()
+    calls.clear()
+    multiplier._bracket_d_lambda(mixed, 0.5, grid)
     assert len(calls) == 2
+
+
+def test_memo_hit_is_the_fresh_read_only_computation(profiles):
+    _, beta_hat = profiles
+    grid = GridSpec(1, 4096, 64.0)
+    factor = SpectralFactor(beta_hat, (16.0,))
+    first = shell_data(factor, grid, 256)
+    hit = shell_data(factor, grid, 256)
+    fresh = multiplier._shell_data.__wrapped__(beta_hat, (16.0,), grid, 256)
+    assert multiplier._shell_data.cache_info().hits == 1
+    for got, want in zip(hit, fresh):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+    assert all(a is b for a, b in zip(first, hit))
+
+
+@pytest.mark.parametrize("translation", [[16.0], np.array([16.0])], ids=["list", "array"])
+def test_sequence_translation_shares_the_tuple_entry(profiles, translation):
+    """A list translation (as :func:`shifted_form` builds) or an array one brackets like the tuple form, from its entry."""
+    _, beta_hat = profiles
+    grid = GridSpec(1, 4096, 64.0)
+    as_tuple = TensorKernel.rank_one([SpectralFactor(beta_hat, (16.0,))] * 2)
+    as_sequence = TensorKernel.rank_one([SpectralFactor(beta_hat, translation)] * 2)
+    want = multiplier._bracket_d_lambda(as_tuple, 0.5, grid)
+    assert multiplier._bracket_d_lambda(as_sequence, 0.5, grid) == want
+    info = multiplier._shell_data.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+
+
+def test_exact_path_refuses_nearly_equal_translations(profiles):
+    """Terms translated by 5.0 and 5.00004 passed an ``allclose`` check, and the value then
+    hung on term order (17.144396 one way, 17.145922 the other): each term was weighed
+    at the first term's centres."""
+    _, beta_hat = profiles
+    grid = GridSpec(1, 256, 32.0)
+    terms = [(1.0, (SpectralFactor(beta_hat, (a,)),) * 2) for a in (5.0, 5.00004)]
+    for order in (terms, terms[::-1]):
+        with pytest.raises(ValueError, match="share slot translations"):
+            d_lambda(TensorKernel(2, tuple(order)), 1.0, grid)
 
 
 def sampled_shell_data(factor, grid, shells, mags=None):
@@ -146,15 +204,17 @@ def shell_cases(draw):
 @example((SpectralFactor(RadialProfile(0.004687500000000001, 0.009375000000000001), (0.0,)), GridSpec(1, 8, 320.0), 1))
 def test_shell_data_matches_sampled_factor(case):
     factor, grid, shells = case
-    mass, lo, hi = multiplier._shell_data(factor, grid, shells)
+    mass, lo, hi = shell_data(factor, grid, shells)
     want_mass, want_lo, want_hi = sampled_shell_data(factor, grid, shells)
     assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
     assert np.max(np.abs(mass - want_mass)) <= 1e-12 * want_mass.sum()
-    # unit moduli: each shell's mass is its sample count times the cell volume, exactly
+    # unit moduli: each shell's mass is its sample count times the cell volume, exactly;
+    # computed past the memo, which holds this factor's real masses and must not keep ones
     ones = np.ones(grid.shape)
+    center = tuple(float(c) for c in factor.center(grid.dimension))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(multiplier, "box_modulus", lambda grid, pieces: ones)
-        counts = multiplier._shell_data(factor, grid, shells)[0]
+        counts = multiplier._shell_data.__wrapped__(factor.profile, center, grid, shells)[0]
     assert np.array_equal(counts, sampled_shell_data(factor, grid, shells, ones)[0])
 
 
