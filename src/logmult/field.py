@@ -46,10 +46,12 @@ support and certified spectra are exactly 0 off their shells, so every
 skipped product was a signed zero.  Products of such pieces are formed
 band-locally (:func:`add_box_product`), one choice of box per piece at a
 time, on the smallest power-of-two grid the product cannot wrap on, and
-added into the boxes of the product's certificate.  The modulus of a real
-field from its narrow spectrum (:func:`box_modulus`) takes short transforms
-on that grid too: it checks that the boxes are Hermitian, folds only the
-half of them a real transform reads, and runs one batched real inverse.
+added into the boxes of the product's certificate.  Narrow spectra invert on
+short transforms (:func:`_folded`, the four-step split): boxes fold onto ``P``
+bins per axis, one batched inverse runs all ``Q = M / P`` transforms, and the
+batch is the samples in natural order.  Samples fold onto ``Q = 4`` from 2**17
+grid points (:func:`_inverted`); a real field's modulus folds its Hermitian
+half onto the least ``P`` (:func:`box_modulus`).
 """
 
 from __future__ import annotations
@@ -688,11 +690,23 @@ def _scattered(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
 
 
 def _inverted(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
-    """Samples of the spectrum ``pieces``: the one full-size inverse FFT, run in place on :func:`_scattered`."""
-    coeffs = _scattered(grid, pieces)
-    np.fft.ifftn(coeffs, out=coeffs)
-    coeffs /= grid.cell_volume
-    return coeffs
+    """Samples of the spectrum held as the (disjoint) boxes ``pieces``: one inverse FFT, in place.
+
+    Below ``_FOLD_MIN`` grid points, the full-size inverse of :func:`_scattered`.  From there, an
+    axis whose boxes span at most ``M / _FOLD`` bins folds onto ``Q = _FOLD`` transforms (else
+    ``Q = 1``), and :func:`_folded`'s batch, inverted, is the samples in natural order.
+    """
+    if grid.size < _FOLD_MIN:
+        samples = _scattered(grid, pieces)
+        np.fft.ifftn(samples, out=samples)
+        samples /= grid.cell_volume
+        return samples
+    m = grid.samples_per_axis
+    sizes = tuple(m // _FOLD if p <= m // _FOLD else m for p in _fold_sizes(grid, pieces))
+    batch = _folded(grid, pieces, sizes)
+    np.fft.ifftn(batch, axes=tuple(range(0, 2 * grid.dimension, 2)), out=batch)
+    batch /= grid.size // math.prod(sizes) * grid.cell_volume
+    return batch.reshape(grid.shape)
 
 
 def inverse(s: Spectrum) -> SampledField:
@@ -1009,7 +1023,54 @@ def _product_sizes(grid: GridSpec, pieces: Sequence[BoxPiece]) -> Tuple[int, ...
     return tuple(_fold_size(m, sum(values.shape[i] for _, values in pieces)) for i in range(grid.dimension))
 
 
-_BLOCK = 2**17  # samples per block of box_modulus's write to natural order (1 MiB of floats)
+# on a 2-core Xeon, Q = 4 beat the full-size inverse in 1-D from 2**14 points and in 2-D from 512**2
+# (25.5 -> 15.2 ms at 2**20); Q = 2 never did, and Q = 8 or 16 lost to Q = 4
+_FOLD_MIN, _FOLD = 2**17, 4  # grid points from which _inverted folds, onto Q = _FOLD transforms
+
+
+def _fold_sizes(grid: GridSpec, pieces: Sequence[BoxPiece]) -> Tuple[int, ...]:
+    """The least ``P`` per axis: :func:`_fold_size` of the boxes' signed-bin span."""
+    return tuple(
+        _fold_size(grid.samples_per_axis, max((f[i] + v.shape[i] for f, v in pieces), default=0) - min((f[i] for f, _ in pieces), default=0))
+        for i in range(grid.dimension)
+    )
+
+
+def _twiddles(m: int, q: int, first: int, width: int) -> np.ndarray:
+    """``exp(2 pi i r k / M)`` at ``(k - first, r)``, ``k = first + [0, width)``, ``r < q``: the product of two
+    short tables, over ``(k - first) mod S`` and ``div S``, with every argument reduced mod M in integers."""
+    s = 1 << (width.bit_length() + 1) // 2
+    r = np.arange(q)
+    low = np.exp(2j * np.pi * ((np.arange(s)[:, None] * r) % m) / m)
+    high = np.exp(2j * np.pi * (((first + s * np.arange(-(-width // s)))[:, None] * r) % m) / m)
+    return (high[:, None, :] * low[None, :, :]).reshape(-1, q)[:width]
+
+
+def _folded(grid: GridSpec, pieces: Sequence[BoxPiece], sizes: Sequence[int], real: bool = False) -> np.ndarray:
+    """The batch of the four-step split (Bailey, J. Supercomputing 4, 1990), laid out ``(P_1, Q_1, ..., P_d, Q_d)``.
+
+    Per axis, with ``P`` from ``sizes`` and ``Q = M / P``, sample ``p Q + r`` is ``1/Q`` times the
+    ``P``-point inverse transform, over ``p``, of the coefficients ``c_k exp(2 pi i r k / M)`` folded
+    onto bin ``k mod P``; the boxes span at most ``P`` bins per axis, so no two share a bin.
+    ``real`` holds only the last axis's residues ``[0, P/2]``, the half a real inverse reads.
+    """
+    m, d = grid.samples_per_axis, grid.dimension
+    folds = [m // p for p in sizes]
+    held = list(sizes[:-1]) + [sizes[-1] // 2 + 1 if real else sizes[-1]]
+    batch = np.zeros([n for pq in zip(held, folds) for n in pq], dtype=np.complex128)
+    for first, values in pieces:
+        runs = [_runs(k % p, w, h, p) for k, w, p, h in zip(first, values.shape, sizes, held)]
+        for run in itertools.product(*runs):
+            target = batch[tuple(a for _, t in run for a in (t, slice(None)))]
+            block = values[tuple(s for s, _ in run)].reshape([a for w in target.shape[::2] for a in (w, 1)])
+            for i, ((s, _), k, q) in enumerate(zip(run, first, folds)):
+                if q > 1:
+                    turns = _twiddles(m, q, k + s.start, s.stop - s.start)
+                    np.multiply(block, turns.reshape((1,) * (2 * i) + turns.shape + (1,) * (2 * (d - 1 - i))), out=target)
+                    block = target
+            if block is not target:
+                target[...] = block
+    return batch
 
 
 def box_modulus(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
@@ -1021,50 +1082,18 @@ def box_modulus(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
     The symbol of a real radial profile times a translation phase is such a
     spectrum, since its frequencies negate exactly.
 
-    The four-step split of the inverse transform (Bailey, J. Supercomputing 4,
-    1990), taken as a real transform.  Per axis, with ``P =``
-    :func:`_fold_size` of the boxes' signed-bin span and ``Q = M / P``, sample
-    ``j = p Q + r`` is ``1/Q`` times the ``P``-point inverse transform, over
-    ``p``, of the coefficients ``c_k exp(2 pi i r k / M)`` folded onto bin
-    ``k mod P``; the span fits in ``P`` bins, so no two coefficients share a
-    bin.  Each such row of samples is real, so its folded coefficients are
-    Hermitian mod ``P`` and only the bins whose last-axis residue lies in
-    ``[0, P/2]`` are folded and twiddled.  One batched real inverse
-    (``irfftn``) of ``Q`` rows of ``P`` points serves every ``r``, and the
-    modulus is written to natural order in blocks of rows.  At ``P = M``
-    this is the full-size inverse of :func:`_inverted`, taken as a real one.
+    The four-step split of :func:`_folded` at the least ``P`` per axis, as a real transform: each
+    row of samples ``p Q + r`` over ``p`` is real, so only the half of it a real inverse reads is
+    folded.  One ``irfftn`` over the ``P`` axes leaves the samples in natural order.
     """
-    m, d = grid.samples_per_axis, grid.dimension
     for piece in pieces:
         first, values = _reflected(piece)
         if not np.array_equal(_read(grid, pieces, first, values.shape), values):
             raise ValueError(f"spectrum is not Hermitian: its reflection differs on the bins {first} + {values.shape}")
-    sizes = tuple(
-        _fold_size(m, max(f[i] + v.shape[i] for f, v in pieces) - min(f[i] for f, _ in pieces)) for i in range(d)
-    )
-    folds = tuple(m // p for p in sizes)
-    batch = np.zeros(folds + sizes[:-1] + (sizes[-1] // 2 + 1,), dtype=np.complex128)
-    for first, values in pieces:
-        bins = [k + np.arange(w) for k, w in zip(first, values.shape)]
-        half = bins[-1] % sizes[-1] <= sizes[-1] // 2
-        bins[-1] = bins[-1][half]
-        block = values[..., half][(None,) * d]
-        for i, k in enumerate(bins):
-            turns = (np.arange(folds[i])[:, None] * k[None, :]) % m  # (r k) mod M, in integers
-            shape = [1] * (2 * d)
-            shape[i], shape[d + i] = folds[i], k.size
-            block = np.exp(2j * np.pi * turns / m).reshape(shape) * block
-        batch[(Ellipsis,) + np.ix_(*(k % p for k, p in zip(bins, sizes)))] = block
-    samples = np.fft.irfftn(batch, s=sizes, axes=tuple(range(d, 2 * d)))
-    # the modulus is written straight into natural order, axes (p_1, r_1, p_2, r_2, ...), a block of r_1 at a time
-    order = [a for i in range(d) for a in (d + i, i)]
-    mags = np.empty([samples.shape[a] for a in order])
-    scale = math.prod(folds) * grid.cell_volume
-    rows = max(1, _BLOCK // samples[0].size)
-    for r in range(0, folds[0], rows):
-        block = np.abs(samples[r : r + rows])
-        block /= scale
-        mags[:, r : r + rows] = block.transpose(order)
+    sizes = _fold_sizes(grid, pieces)
+    samples = np.fft.irfftn(_folded(grid, pieces, sizes, real=True), s=sizes, axes=tuple(range(0, 2 * grid.dimension, 2)))
+    mags = np.abs(samples, out=samples)
+    mags /= grid.size // math.prod(sizes) * grid.cell_volume
     return mags.reshape(grid.shape)
 
 

@@ -42,6 +42,7 @@ so that the truncation is exact rather than approximate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +59,7 @@ from .field import (
     Shells,
     Spectrum,
     _deferred,
+    _runs,
     apply_multiplier,
     box_piece,
     dilated_steps,
@@ -115,10 +117,12 @@ def _energy(values: np.ndarray, e: int = 0) -> np.ndarray:
     return energy
 
 
-def _rolled(values: np.ndarray, steps: Optional[Tuple[int, ...]]) -> np.ndarray:
-    if steps is None or not any(steps):
-        return values
-    return np.roll(values, steps, axis=tuple(range(values.ndim)))
+def _fold_rolled(op, acc: np.ndarray, values: np.ndarray, steps: Optional[Tuple[int, ...]]) -> None:
+    """``op(acc, np.roll(values, steps), out=acc)``, bit for bit, on the (at most ``2**d``) slice pairs of the roll."""
+    m = acc.shape[0]
+    for run in itertools.product(*(_runs(s, m, m, m) for s in steps or (0,) * acc.ndim)):
+        target = acc[tuple(t for _, t in run)]
+        op(target, values[tuple(v for v, _ in run)], out=target)
 
 
 def _pieces(
@@ -176,7 +180,7 @@ def square_function(
         acc = np.zeros(f.grid.shape, dtype=float)
         untranslated: dict = {}
         for _, key, steps, energy in _pieces(f, spectrum, pair.psi_hat, pair.scales, shift, lambda v: _energy(v, e), untranslated):
-            acc += _rolled(energy, steps)
+            _fold_rolled(np.add, acc, energy, steps)
             if key is not None:  # a scale's own piece serves this one shift
                 untranslated.pop(key, None)
         return np.ldexp(np.sqrt(acc), e).astype(np.complex128)
@@ -192,7 +196,7 @@ def _maximal(
     for _, key, steps, modulus in _pieces(f, spectrum, pair.phi_hat, aligned, shift, np.abs, untranslated):
         if (key, steps) not in seen:
             seen.add((key, steps))
-            np.maximum(acc, _rolled(modulus, steps), out=acc)
+            _fold_rolled(np.maximum, acc, modulus, steps)
     if last:
         untranslated.clear()
     off_grid = [scale for scale in pair.scales if scale not in aligned]
@@ -291,9 +295,9 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
     spectrum = transform(f)
     # squares at 2**-e times the pieces, as in square_function, scaled back at the end
     e = _exponent(max((float(np.max(np.abs(v))) for _, v in spectrum.boxes), default=0.0))
-    sq_pieces = {
-        scale: _rolled(energy, steps)
-        for scale, _, steps, energy in _pieces(
+    sq_pieces = {  # unshifted: every piece is its untranslated inverse, steps all zero
+        scale: energy
+        for scale, _, _, energy in _pieces(
             f, spectrum, pair.psi_hat, pair.scales, None, lambda v: _energy(v, e), {}
         )
     }

@@ -91,16 +91,20 @@ class SpectralFactor:
     def spectrum_on(self, grid: GridSpec, dilation_scale: int = 0) -> np.ndarray:
         """Values of g_hat(2**-l xi) on the grid frequencies: the full-size scatter of the symbol's boxes."""
         dilated = Shells.radial(*(edge * 2.0**dilation_scale for edge in self.support), grid.dimension)
-        return Spectrum(grid, symbol_box(grid, self.profile, self.translation, dilation_scale), dilated).coefficients
+        return Spectrum(grid, symbol_box(grid, self.profile, self.center(grid.dimension), dilation_scale), dilated).coefficients
 
     def field_on(self, grid: GridSpec) -> SampledField:
         """The physical function ``g``: the inverse transform of its symbol, certified by the profile's support."""
-        return inverse(Spectrum(grid, symbol_box(grid, self.profile, self.translation), Shells.radial(*self.support, grid.dimension)))
+        return inverse(Spectrum(grid, symbol_box(grid, self.profile, self.center(grid.dimension)), Shells.radial(*self.support, grid.dimension)))
 
     def center(self, dimension: int) -> np.ndarray:
+        """The translation as ``dimension`` coordinates (the origin for none); ``ValueError`` if it has another length."""
         if self.translation is None:
             return np.zeros(dimension)
-        return np.asarray(self.translation, dtype=float)
+        center = np.atleast_1d(np.asarray(self.translation, dtype=float))
+        if center.shape != (dimension,):
+            raise ValueError(f"{self!r}: translation {self.translation!r} does not have {dimension} coordinates")
+        return center
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> 
     out = zero_boxes(grid, certificate)
     for scale, coeff, factors, plans in live:
         pieces = [
-            box_piece(spec, shells, profile, scale, factor.translation)
+            box_piece(spec, shells, profile, scale, factor.center(grid.dimension))
             for spec, factor, (_, shells, profile) in zip(spectra, factors, plans)
         ]
         add_box_product(out, grid, coeff, pieces)

@@ -421,7 +421,8 @@ def change_of_variables_check(
     Every dilate's certificate must stay below Nyquist, as for
     :func:`dilate_field`, and so must the product's at the top scale (the sum
     of the dilated hulls), else the product aliases on the grid:
-    :class:`field.NyquistError`, raised before any transform.
+    :class:`field.NyquistError`; an input without a certificate leaves it
+    unchecked (``ValueError``).  Both are raised before any transform.
     """
     if not 0 <= k0 < len(gs):
         raise ValueError(f"k0={k0} out of range for {len(gs)} inputs")
@@ -435,10 +436,12 @@ def change_of_variables_check(
     if scales[0] < 0:
         raise ValueError("dilation scales must be nonnegative on a fixed period")
     for scale in scales:
-        for g in gs if scale > 0 else ():  # scale 0 reads g itself, certified or not
+        for g in gs if scale > 0 else ():  # scale 0 reads g itself
             _dilated_shells(g, scale)
-    if all(g.shells is not None for g in gs):
-        grid.check_supports_radius(sum(g.shells.hull[1] for g in gs) * 2**scales[-1])
+    for i, g in enumerate(gs):
+        if g.shells is None:
+            raise ValueError(f"input {i} carries no support certificate, so the product's alias check cannot run")
+    grid.check_supports_radius(sum(g.shells.hull[1] for g in gs) * 2**scales[-1])
     gs = [keep_spectrum(g) for g in gs]  # one FFT per input: both sides' off-grid translates read it
 
     def norm_p(shifts: Sequence[np.ndarray]) -> float:

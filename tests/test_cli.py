@@ -180,35 +180,16 @@ def test_counterexample_invalid_config_exit_code(tmp_path):
     assert code == CONFIG_ERROR
 
 
-def test_changevars_transforms_each_input_once(tmp_path, monkeypatch):
-    import numpy as np
-
-    calls = []
-    original = np.fft.fftn
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fftn", counting)
+def test_changevars_transforms_each_input_once(tmp_path, fft_calls):
     assert run(["changevars", "--outdir", str(tmp_path)]) == PASS
+    calls = [n for name, n in fft_calls if name == "fftn"]
     # 100 configs of m = 2, 3, 4 inputs in turn: 34 * 2 + 33 * 3 + 33 * 4 = 299
     assert len(calls) == 299
 
 
-def test_changevars_translates_each_input_once_per_side(tmp_path, monkeypatch):
-    import numpy as np
-
-    calls = {"fftn": 0, "ifftn": 0}
-    for name in calls:
-        original = getattr(np.fft, name)
-
-        def counting(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counting)
+def test_changevars_translates_each_input_once_per_side(tmp_path, fft_calls):
     assert run(["changevars", "--outdir", str(tmp_path)]) == PASS
+    calls = {name: sum(called == name for called, _ in fft_calls) for name in ("fftn", "ifftn")}
     # 299 synthesis inverses, plus one per input and side off the grid: every
     # input of both sides but slot k0 on the right, whose zero shift is a roll
     # (2 * 299 - 100 = 498); every scale reads these translates by sampling

@@ -103,6 +103,20 @@ def test_bracket_samples_each_distinct_factor_once(monkeypatch, profiles):
     assert len(calls) == 2
 
 
+def test_a_translation_of_another_dimension_is_refused_by_name(profiles):
+    # it used to fail inside the multiplier core with numpy's broadcast error
+    _, beta_hat = profiles
+    factor = SpectralFactor(beta_hat, (3.0,))
+    grid = GridSpec(2, 64, 16.0)
+    refused = r"SpectralFactor\(.*\): translation \(3\.0,\) does not have 2 coordinates"
+    with pytest.raises(ValueError, match=refused):
+        multiplier._bracket_d_lambda(TensorKernel.rank_one([factor, factor]), 0.5, grid)
+    for use in (factor.center, lambda d: factor.spectrum_on(grid), lambda d: factor.field_on(grid)):
+        with pytest.raises(ValueError, match=refused):
+            use(2)
+    assert np.array_equal(factor.center(1), [3.0]) and np.array_equal(SpectralFactor(beta_hat).center(2), [0.0, 0.0])
+
+
 def test_memo_hit_is_the_fresh_read_only_computation(profiles):
     _, beta_hat = profiles
     grid = GridSpec(1, 4096, 64.0)

@@ -193,7 +193,7 @@ def test_run_growth_notes_a_vacuous_fit_verdict():
     assert reports[8.0].notes == () and not reports[8.0].passed
 
 
-def test_run_growth_inverts_each_input_once_per_untranslated_piece(monkeypatch):
+def test_run_growth_inverts_each_input_once_per_untranslated_piece(fft_calls):
     # per bank input the maximal half takes one inverse of the input itself (its
     # plateau pieces), one of its partial piece at scale -1 (whole samples at every
     # rung) and one per plateau piece whose dilated shift is off the grid
@@ -215,15 +215,9 @@ def test_run_growth_inverts_each_input_once_per_untranslated_piece(monkeypatch):
         assert classes[-1] == PARTIAL and all(dilated_steps(grid, [y], -1) is not None for y in exp.shifts)
         off_grid += sum(dilated_steps(grid, [y], scale) is None for y in exp.shifts for scale in pair.scales)
     assert off_grid == 2 * (3 + 1)  # scales 4, 5, 6 at y = 0.5 and 6 at y = 2
-    calls = []
-    ifftn = np.fft.ifftn
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return ifftn(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifftn", counting)
+    fft_calls.clear()
     report = run_growth(exp)
+    calls = [n for name, n in fft_calls if name == "ifftn"]
     assert len(calls) == 2 * len(bank) + off_grid
     assert [row["ratio"] for row in report.rows] == direct
 
@@ -274,18 +268,11 @@ def test_dilate_field_scales_each_shell(grid):
         dilate_field(f, 4)
 
 
-def test_phase_shift_of_a_dilate_runs_no_forward_fft(grid, monkeypatch):
+def test_phase_shift_of_a_dilate_runs_no_forward_fft(grid, fft_calls):
     d = dilate_field(random_band_limited(grid, (0.5, 3.0), 5), 1)
-    sizes = []
-    fftn = np.fft.fftn
-
-    def counting(a, *args, **kwargs):
-        sizes.append(np.size(a))
-        return fftn(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fftn", counting)
+    fft_calls.clear()
     shifted = phase_shift(d, [0.3 * grid.spacing])
-    monkeypatch.undo()
+    sizes = [n for name, n in fft_calls if name == "fftn"]
     assert sizes == []
     # the kept spectrum shifts as the FFT of the samples does, to roundoff
     want = phase_shift(SampledField(grid, d.values, shells=d.shells), [0.3 * grid.spacing]).values
@@ -350,17 +337,15 @@ def test_change_of_variables_rejects_empty_scale_range(grid):
         change_of_variables_check(gs, [[0.5], [1.5]], 0, (3, 1))
 
 
-def test_change_of_variables_rejects_an_aliasing_product_before_any_transform(monkeypatch):
+def test_change_of_variables_rejects_an_aliasing_product_before_any_transform(fft_calls):
     # each dilate fits under Nyquist 32 at scale 2 (3 * 4 = 12), their product's sum 36 does not
     grid = GridSpec(1, 1024, 16.0)
     gs = [random_band_limited(grid, (0.2, 3.0), 3, slot) for slot in range(3)]
     ys = [[0.731], [-2.417], [1.113]]
-    transforms = []
-    for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, lambda *a, **k: transforms.append(a))
+    fft_calls.clear()
     with pytest.raises(NyquistError, match="36.0"):
         change_of_variables_check(gs, ys, 1, (0, 2))
-    monkeypatch.undo()
+    transforms = list(fft_calls)
     assert transforms == []
     # two of them stay under it
     assert change_of_variables_check(gs[:2], ys[:2], 1, (0, 2)).discrepancy < 1e-10
@@ -370,11 +355,25 @@ def test_change_of_variables_keeps_the_dilate_checks(grid):
     gs = offset_bank(grid, 2, 31)
     with pytest.raises(ValueError, match="nonnegative"):
         change_of_variables_check(gs, [[0.5], [1.5]], 0, (-1, 1))
-    # an uncertified input has no dilate, but scale 0 reads it as it is
+    # an uncertified input has no dilate; at scale 0 alone it still leaves the product unchecked
     bare = SampledField(grid, gs[1].values)
     with pytest.raises(NyquistError, match=f"radius {2 * grid.nyquist}"):
         change_of_variables_check([gs[0], bare], [[0.5], [1.5]], 0, (0, 1))
-    assert change_of_variables_check([gs[0], bare], [[0.5], [1.5]], 0, (0, 0)).discrepancy < 1e-12
+    with pytest.raises(ValueError, match="input 1 carries no support certificate"):
+        change_of_variables_check([gs[0], bare], [[0.5], [1.5]], 0, (0, 0))
+
+
+def test_change_of_variables_refuses_uncertified_inputs_before_any_transform(fft_calls):
+    # uncertified, these three alias in the product: the unchecked run read a discrepancy of 3.2e-4
+    grid = GridSpec(1, 1024, 16.0)
+    gs = [SampledField(grid, random_band_limited(grid, (0.2, 20.0), 1, i).values) for i in range(3)]
+    fft_calls.clear()
+    with pytest.raises(ValueError, match="input 0 carries no support certificate"):
+        change_of_variables_check(gs, [[0.3], [1.1], [-0.7]], 0, (0, 0))
+    assert fft_calls == []
+    # certified, the same inputs are refused for the product's reach
+    with pytest.raises(NyquistError):
+        change_of_variables_check([random_band_limited(grid, (0.2, 20.0), 1, i) for i in range(3)], [[0.3], [1.1], [-0.7]], 0, (0, 0))
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 64, 8.0), GridSpec(2, 16, 4.0)])

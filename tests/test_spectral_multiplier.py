@@ -503,24 +503,16 @@ def test_bmo_norm_skip_is_exact():
     assert bmo_norm(f, PAIR) == full_bmo(f)
 
 
-def test_maximal_function_inverse_fft_count(monkeypatch):
+def test_maximal_function_inverse_fft_count(fft_calls):
     # partial pieces (scales 0, 1) take one inverse each; the plateau pieces
     # (scales 2..8) share one untranslated inverse while their dilated shift is
     # a whole number of samples and take one each when it is not
     f, shifts = skip_cases()
-    calls = []
-    ifftn = np.fft.ifftn
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return ifftn(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifftn", counting)
     counts = []
     for shift in shifts:
-        calls.clear()
+        fft_calls.clear()
         maximal_function(f, PAIR, shift)
-        counts.append(len(calls))
+        counts.append(sum(name == "ifftn" for name, _ in fft_calls))
     assert counts == [3, 5, 9, 3]
 
 
@@ -910,7 +902,8 @@ def test_box_modulus_rejects_a_spectrum_that_is_not_hermitian():
 
 
 def test_box_modulus_transforms_the_folded_length(monkeypatch):
-    # a Hermitian band of 64 bins on 2**14 points: one real inverse over 256 rows of 64 points
+    # a Hermitian band of 64 bins on 2**14 points: one real inverse of 256 columns of 64 points,
+    # over axis 0 of the (P/2 + 1, Q) batch, whose samples are then in natural order
     grid = GridSpec(1, 2**14, 64.0)
     rng = np.random.default_rng(3)
     low = rng.standard_normal(20) + 1j * rng.standard_normal(20)
@@ -930,7 +923,68 @@ def test_box_modulus_transforms_the_folded_length(monkeypatch):
     for name in ("ifftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(name))
     box_modulus(grid, pieces)
-    assert calls == [("irfftn", (256, 33), (64,), (1,))]
+    assert calls == [("irfftn", (33, 256), (64,), (0,))]
+
+
+# grids from field._FOLD_MIN points, where the inverse folds; the periods leave cell volumes that are not powers of two
+FOLD_GRIDS = (GridSpec(1, 2**17, 10.0), GridSpec(1, 2**18, 2.0**7), GridSpec(2, 512, 37.5))
+
+
+@st.composite
+def folded_spectra(draw):
+    """Disjoint boxes on a grid that folds: per axis 1-3 intervals, at any signed bins, across the seam or below 0.
+
+    Per axis the intervals lie in an extent of ``M/64`` or ``M/4`` bins, which
+    folds onto ``Q = 4`` transforms, or of ``M/2`` or ``M`` bins, which keeps
+    ``Q = 1``; a 2-D grid may fold one axis and not the other.
+    """
+    grid = draw(st.sampled_from(FOLD_GRIDS))
+    m = grid.samples_per_axis
+    per_axis = []
+    for _ in range(grid.dimension):
+        extent = draw(st.sampled_from([m // 64, m // 4, m // 2, m]))
+        n = draw(st.integers(1, 3))
+        cuts = sorted(draw(st.lists(st.integers(0, extent), min_size=2 * n, max_size=2 * n, unique=True)))
+        place = draw(st.sampled_from(["any", "seam", "negative"]))
+        lo = {"any": draw(st.integers(-(m // 2), m // 2 - 1)), "seam": m // 2 - extent // 2, "negative": -(m // 2)}[place]
+        per_axis.append([(lo + a, b - a) for a, b in zip(cuts[::2], cuts[1::2])])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = []
+    for box in itertools.product(*per_axis):
+        shape = tuple(w for _, w in box)
+        pieces.append((tuple(k for k, _ in box), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    return grid, pieces
+
+
+@settings(max_examples=60, deadline=None)
+@given(folded_spectra())
+def test_folded_inverse_matches_full_size_inverse(case):
+    grid, pieces = case
+    want = np.fft.ifftn(field._scattered(grid, pieces)) / grid.cell_volume
+    got = field._inverted(grid, pieces)
+    assert got.shape == grid.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_growth_bump_inverts_on_folded_axes(fft_calls):
+    # the bump's box spans 32771 of the 2**20 bins: one ifftn of four 2**18-point transforms
+    grid = GridSpec(1, 2**20, 2.0**16)
+    f = modulated_bump(grid, 0.75, 0.25)
+    fft_calls.clear()
+    f.values
+    maximal_function(f, make_lp_pair((-1, 14)), (16.0,))
+    # the input's samples above, then the partial piece at scale -1, the untranslated plateau piece the
+    # scales whose shift 2**-l * 16 is whole samples (l <= 8) share, and one per off-grid scale 9 .. 14
+    assert fft_calls == [("ifftn", (2**18,))] * 9
+
+
+def test_a_desk_grid_keeps_one_full_size_inverse(fft_calls):
+    # below field._FOLD_MIN points nothing folds: one 4096-point ifftn, bit for bit the scattered spectrum's
+    f = random_band_limited(GridSpec(1, 4096, 16.0), (2.0, 4.0), 21)
+    fft_calls.clear()
+    values = f.values
+    assert fft_calls == [("ifftn", (4096,))]
+    assert np.array_equal(values, np.fft.ifftn(transform(f).coefficients) / f.grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
