@@ -6,7 +6,12 @@ structured text report embedding its manifest, and tabular sweeps also land in
 CSV.  A single 64-bit seed drives all randomness through a counter-based
 generator, so reruns with an identical manifest are byte-identical.
 
-Exit codes: 0 = all checks pass, 1 = a check failed, 2 = config/validation error.
+Each command's key table (``section.key`` -> default text, parser, constraint)
+builds its flags; every key is parsed and checked, naming ``section.key`` on
+error, before the command runs on typed values.
+
+Exit codes: 0 = all checks pass, 1 = a check failed, 2 = config/validation
+error, also for a ``ValueError`` the library raises mid-run.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ import configparser
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +46,8 @@ from .field import GridSpec, SampledField, Shells
 from .lp_ops import DyadicCubeSet, fefferman_stein_ratio, peetre_cube_ratio
 from .reporting import ExperimentReport, RunManifest, render_report, write_csv
 from .shifted_lab import (
+    MAXIMAL,
+    SQUARE,
     GrowthBankSpec,
     GrowthExperiment,
     change_of_variables_check,
@@ -49,173 +57,242 @@ from .shifted_lab import (
 
 PASS, FAIL, CONFIG_ERROR = 0, 1, 2
 
+Config = Dict[str, Dict[str, Any]]  # typed values, {section: {key: value}}
+
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# configuration: one key table per command
 # ---------------------------------------------------------------------------
 
-DEFAULTS: Dict[str, Dict[str, Dict[str, str]]] = {
+def _p(text: str) -> float:
+    return math.inf if text.strip().lower() in INF_TOKENS else float(text)
+
+
+def _lam(text: str) -> Optional[float]:
+    return None if text.strip().lower() == "sharp" else float(text)
+
+
+def _numbers(kind: type) -> Callable[[str], list]:
+    def parse(text: str) -> list:
+        values = [kind(tok) for tok in text.replace(",", " ").split()]
+        if not values:
+            raise ValueError(f"needs at least one number, got {text!r}")
+        return values
+
+    return parse
+
+
+_ints, _floats = _numbers(int), _numbers(float)
+
+
+class Key(NamedTuple):
+    """One table entry: the default text, its parser, and (holds for the value, what it must be) or None."""
+
+    default: str
+    parse: Callable[[str], Any]
+    constraint: Optional[Tuple[Callable[[Any], bool], str]] = None
+
+
+def _one_of(*names) -> Tuple[Callable[[Any], bool], str]:
+    return (lambda v: v in names), "one of " + ", ".join(map(str, names))
+
+
+def _at_least(lo: int) -> Tuple[Callable[[Any], bool], str]:  # a list: each entry
+    return (lambda v: min(v) >= lo if isinstance(v, list) else v >= lo), f"at least {lo}"
+
+
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = ((lambda v: 0.0 < v < math.inf), "positive and finite")
+_TOLERANCE = ((lambda v: 0.0 <= v < math.inf), "finite and nonnegative")  # NaN fails too
+_EXPONENT = ((lambda v: v >= 1.0), "at least 1 or inf")
+_SEED = ((lambda v: 0 <= v < 2**64), "in [0, 2**64)")
+_SAMPLES = ((lambda v: v >= 8 and v & (v - 1) == 0), "a power of two, at least 8")
+
+
+def _grid_keys(samples: str, period: str) -> Dict[str, Key]:
+    return {
+        "grid.dimension": Key("1", int, _one_of(1, 2)),
+        "grid.samples": Key(samples, int, _SAMPLES),
+        "grid.period": Key(period, float, _POSITIVE),
+    }
+
+
+# every entry is a flag --section.key and a key of the config file's [section]
+TABLES: Dict[str, Dict[str, Key]] = {
     "partition": {
-        "grid": {"dimension": "1", "samples": "4096", "period": "64"},
-        "partition": {"scale_min": "-3", "scale_max": "4", "tolerance": "1e-12"},
+        **_grid_keys("4096", "64"),
+        "partition.scale_min": Key("-3", int),
+        "partition.scale_max": Key("4", int),
+        "partition.tolerance": Key("1e-12", float, _TOLERANCE),
     },
     "growth": {
-        "grid": {"dimension": "1", "samples": "1048576", "period": "65536"},
-        "growth": {
-            "kind": "shifted-maximal",
-            "p": "2",
-            "ladder": "16 64 256 1024 4096 16384",
-            "scale_min": "-1",
-            "scale_max": "14",
-            "seed": "20240801",
-            "n_random": "2",
-            "random_band": "0.5 1.0",
-            "adversarial": "bump",
-            "criterion": "fit",
-            "tolerance": "0.3",
-            "bound_factor": "3.0",
-        },
+        **_grid_keys("1048576", "65536"),
+        "growth.kind": Key(MAXIMAL, str, _one_of(MAXIMAL, SQUARE)),
+        "growth.p": Key("2", _p, _EXPONENT),
+        "growth.ladder": Key("16 64 256 1024 4096 16384", _floats),
+        "growth.scale_min": Key("-1", int),
+        "growth.scale_max": Key("14", int),
+        "growth.seed": Key("20240801", int, _SEED),
+        "growth.n_random": Key("2", int, _at_least(0)),
+        "growth.random_band": Key("0.5 1.0", _floats, ((lambda v: len(v) == 2), "two values (inner, outer)")),
+        "growth.adversarial": Key("bump", str, _one_of("bump", "none")),
+        "growth.criterion": Key("fit", str, _one_of("fit", "bounded", "equality")),
+        "growth.tolerance": Key("0.3", float, _TOLERANCE),
+        "growth.bound_factor": Key("3.0", float, _TOLERANCE),
     },
     "changevars": {
-        "grid": {"dimension": "1", "samples": "4096", "period": "16"},
-        "changevars": {
-            "configs": "100",
-            "m_values": "2 3 4",
-            "scale_min": "0",
-            "scale_max": "2",
-            "band_max": "3.0",
-            "seed": "20240801",
-            "shift_scale": "4.0",
-            "tolerance_l2": "1e-10",
-            "tolerance_l3": "1e-9",
-        },
+        **_grid_keys("4096", "16"),
+        "changevars.configs": Key("100", int, _at_least(1)),
+        "changevars.m_values": Key("2 3 4", _ints, _at_least(1)),
+        "changevars.scale_min": Key("0", int, _at_least(0)),  # dilations on a fixed period
+        "changevars.scale_max": Key("2", int),
+        "changevars.band_max": Key("3.0", float, _FINITE),
+        "changevars.seed": Key("20240801", int, _SEED),
+        "changevars.shift_scale": Key("4.0", float, _FINITE),
+        "changevars.tolerance_l2": Key("1e-10", float, _TOLERANCE),
+        "changevars.tolerance_l3": Key("1e-9", float, _TOLERANCE),
     },
     "peetre": {
-        "grid": {"dimension": "1", "samples": "256", "period": "16"},
-        "peetre": {
-            "sigmas": "2 4",
-            "cube_scale": "1",
-            "band_factor": "0.5",
-            "bank_size": "4",
-            "bank_scale_min": "0",
-            "seed": "20240801",
-            "p": "2",
-            "q": "2",
-            "stability": "0.10",
-        },
+        **_grid_keys("256", "16"),
+        "peetre.sigmas": Key("2 4", _floats, ((lambda v: all(0.0 < s < math.inf for s in v)), "positive and finite")),
+        "peetre.cube_scale": Key("1", int),
+        "peetre.band_factor": Key("0.5", float, _FINITE),
+        "peetre.bank_size": Key("4", int, _at_least(1)),
+        "peetre.bank_scale_min": Key("0", int),
+        "peetre.seed": Key("20240801", int, _SEED),
+        "peetre.p": Key("2", _p, _EXPONENT),
+        "peetre.q": Key("2", _p, _EXPONENT),
+        "peetre.stability": Key("0.10", float, _TOLERANCE),
     },
     "counterexample": {
-        "counterexample": {
-            "mode": "identity",
-            "n": "3",
-            "packets": "2 4 6",
-            "samples": "262144",
-            "period": "256",
-            "offset": "2",
-            "spacing": "4",
-            "identity_tolerance": "1e-8",
-            "orthogonality_tolerance": "1e-14",
-            "lam": "sharp",
-        },
+        "counterexample.mode": Key("identity", str, _one_of("identity", "separation", "reference")),
+        "counterexample.n": Key("3", int, _at_least(2)),
+        "counterexample.packets": Key("2 4 6", _ints, _at_least(1)),
+        "counterexample.samples": Key("262144", int, _SAMPLES),
+        "counterexample.period": Key("256", float, _POSITIVE),
+        "counterexample.offset": Key("2", int),
+        "counterexample.spacing": Key("4", int, _at_least(1)),
+        "counterexample.identity_tolerance": Key("1e-8", float, _TOLERANCE),
+        "counterexample.orthogonality_tolerance": Key("1e-14", float, _TOLERANCE),
+        "counterexample.lam": Key("sharp", _lam, ((lambda v: v is None or 0 <= v < math.inf), "sharp or finite >= 0")),
     },
 }
+
+
+def _default_texts(table: Dict[str, Key]) -> Dict[str, Dict[str, str]]:
+    texts: Dict[str, Dict[str, str]] = {}
+    for name, entry in table.items():
+        section, key = name.split(".")
+        texts.setdefault(section, {})[key] = entry.default
+    return texts
+
+
+# the tables' default texts, {command: {section: {key: text}}}
+DEFAULTS = {command: _default_texts(table) for command, table in TABLES.items()}
+
+
+def _changevars_bands(c: Config) -> None:
+    s, period = c["changevars"], c["grid"]["period"]
+    if not s["band_max"] * period >= 1.0:
+        raise ValueError(f"changevars.band_max {s['band_max']!r} times grid.period {period!r} is not at least 1: "
+                         "every input would be constant, with no nonzero integer frequency")
+    # the product of max(m_values) dilates at scale_max is certified to band_max * 2**scale_max * m
+    nyquist = c["grid"]["samples"] / (2.0 * period)
+    if s["band_max"] * max(s["m_values"]) >= math.ldexp(nyquist, -s["scale_max"]):
+        raise ValueError(f"changevars.band_max {s['band_max']!r} times 2**changevars.scale_max ({s['scale_max']}) "
+                         f"times the largest of changevars.m_values ({max(s['m_values'])}) is not below the Nyquist "
+                         f"frequency {nyquist}: the product of the dilates would alias")
+
+
+def _peetre_bank(c: Config) -> None:
+    s, period = c["peetre"], c["grid"]["period"]
+    scales = range(s["bank_scale_min"], s["bank_scale_min"] + s["bank_size"])
+    if not any(s["band_factor"] * 2.0**kk * period >= 1.0 for kk in scales):
+        raise ValueError(f"peetre.band_factor {s['band_factor']!r} times 2**kk times grid.period {period!r} is below 1 "
+                         f"at every bank scale kk from peetre.bank_scale_min {scales[0]} to {scales[-1]}: "
+                         "every bank field would be constant")
+
+
+# cross-key checks beyond the scale ranges, which every section with a scale_max gets
+CHECKS: Dict[str, Callable[[Config], None]] = {"changevars": _changevars_bands, "peetre": _peetre_bank}
 
 
 def load_config_file(path: Optional[str]) -> Dict[str, Dict[str, str]]:
     if path is None:
         return {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is text
     try:
         read = parser.read(path)
     except configparser.Error as exc:
         raise ValueError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ValueError(f"cannot read config file {path}")
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ValueError(f"unknown section [{parser.default_section}] in config file {path}")
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def resolve_config(
     command: str, file_config: Dict[str, Dict[str, str]], overrides: Sequence[Tuple[str, str, str]]
 ) -> Dict[str, Dict[str, str]]:
+    """The default texts, then the file's, then the flags'; a file section or key not in the table is an error."""
     config = {section: dict(keys) for section, keys in DEFAULTS[command].items()}
     for section, keys in file_config.items():
         if section not in config:
-            config[section] = {}
-        for key, value in keys.items():
-            config[section][key] = value
+            raise ValueError(f"unknown section [{section}] for {command}; expected one of {', '.join(config)}")
+        for key in keys:
+            if key not in config[section]:
+                raise ValueError(f"unknown key {section}.{key} for {command}")
+        config[section].update(keys)
     for section, key, value in overrides:
-        config.setdefault(section, {})[key] = value
+        config[section][key] = value
     return config
 
 
-def _numbers(section: Dict[str, str], key: str, kind: type) -> list:
-    text = section[key]
-    values = [kind(tok) for tok in text.replace(",", " ").split()]
-    if not values:
-        raise ValueError(f"{key} needs at least one number, got {text!r}")
+def _parse_config(command: str, config: Dict[str, Dict[str, str]]) -> Config:
+    """Every text parsed and constrained by its table entry, then the cross-key checks."""
+    values: Config = {section: {} for section in config}
+    for name, entry in TABLES[command].items():
+        section, key = name.split(".")
+        text = config[section][key]
+        try:
+            values[section][key] = value = entry.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if entry.constraint is not None and not entry.constraint[0](value):
+            raise ValueError(f"{name} must be {entry.constraint[1]}, got {text!r}")
+    for section, v in values.items():
+        if "scale_max" in v and v["scale_min"] > v["scale_max"]:
+            raise ValueError(f"empty scale range {(v['scale_min'], v['scale_max'])}: "
+                             f"{section}.scale_min exceeds {section}.scale_max")
+    CHECKS.get(command, lambda c: None)(values)
     return values
 
 
-def _floats(section: Dict[str, str], key: str) -> List[float]:
-    return _numbers(section, key, float)
-
-
-def _counts(section: Dict[str, str], key: str) -> List[int]:
-    """A list of counts, each at least 1."""
-    values = _numbers(section, key, int)
-    if min(values) < 1:
-        raise ValueError(f"{key} entries must be at least 1, got {section[key]!r}")
-    return values
-
-
-def _p_value(text: str) -> float:
-    return math.inf if text.strip().lower() in INF_TOKENS else float(text)
-
-
-def _tolerance(section: Dict[str, str], key: str) -> float:
-    value = float(section[key])
-    if not 0.0 <= value < math.inf:  # NaN fails too
-        raise ValueError(f"{key} must be finite and nonnegative, got {section[key]!r}")
-    return value
-
-
-def _grid_from(config: Dict[str, Dict[str, str]]) -> GridSpec:
+def _grid_from(config: Config) -> GridSpec:
     g = config["grid"]
-    return GridSpec(int(g["dimension"]), int(g["samples"]), float(g["period"]))
+    return GridSpec(g["dimension"], g["samples"], g["period"])
 
 
-def _emit(
-    report: ExperimentReport,
-    outdir: Path,
-    csv_rows: Optional[Sequence[dict]] = None,
-) -> List[str]:
+def _emit(report: ExperimentReport, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    report_path = outdir / f"{report.name}.report.txt"
-    if csv_rows:
-        csv_path = outdir / f"{report.name}.csv"
-        write_csv(csv_path, csv_rows)
-        paths.append(str(csv_path))
-    if report.manifest is not None:
-        # names only: the manifest must not depend on where the run landed
-        report.manifest.output_paths = tuple(
-            Path(p).name for p in paths + [str(report_path)]
-        )
-    report_path.write_text(render_report(report))
-    paths.append(str(report_path))
-    return paths
+    names = ([f"{report.name}.csv"] if report.rows else []) + [f"{report.name}.report.txt"]
+    if report.rows:
+        write_csv(outdir / names[0], report.rows)
+    # names only: the manifest must not depend on where the run landed
+    report.manifest.output_paths = tuple(names)
+    (outdir / names[-1]).write_text(render_report(report))
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_partition(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
+def cmd_partition(config: Config) -> ExperimentReport:
     """Dyadic partition-of-unity defect and profile support certificates."""
     grid = _grid_from(config)
     section = config["partition"]
-    scale_min, scale_max = int(section["scale_min"]), int(section["scale_max"])
-    tolerance = _tolerance(section, "tolerance")
+    scale_min, scale_max, tolerance = section["scale_min"], section["scale_max"], section["tolerance"]
     pair = make_lp_pair((scale_min, scale_max))
     radii = grid.frequency_radii().ravel()
     lo, hi = pair.covered_band
@@ -261,37 +338,29 @@ def cmd_partition(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     )
 
 
-def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
+def cmd_growth(config: Config) -> ExperimentReport:
     """Shifted-operator norm growth along a shift ladder, fitted and judged."""
-    grid = _grid_from(config)
     section = config["growth"]
-    p = _p_value(section["p"])
-    band = _floats(section, "random_band")
-    if len(band) != 2:
-        raise ValueError(f"random_band needs exactly two values (inner, outer), got {band}")
     criterion = section["criterion"]
-    if criterion not in ("fit", "bounded", "equality"):
-        raise ValueError(f"unknown growth criterion {criterion!r}; expected fit, bounded or equality")
-    bound_factor = _tolerance(section, "bound_factor")
     experiment = GrowthExperiment(
         kind=section["kind"],
-        p=p,
-        shifts=tuple(_floats(section, "ladder")),
-        grid=grid,
-        scale_range=(int(section["scale_min"]), int(section["scale_max"])),
+        p=section["p"],
+        shifts=tuple(section["ladder"]),
+        grid=_grid_from(config),
+        scale_range=(section["scale_min"], section["scale_max"]),
         bank=GrowthBankSpec(
-            seed=int(section["seed"]),
-            n_random=int(section["n_random"]),
-            random_band=tuple(band),
+            seed=section["seed"],
+            n_random=section["n_random"],
+            random_band=tuple(section["random_band"]),
             adversarial=section["adversarial"],
         ),
-        tolerance=_tolerance(section, "tolerance"),
+        tolerance=section["tolerance"],
         allow_wrapped_positions=criterion == "equality",
     )
     report = run_growth(experiment)
     ratios = [row["ratio"] for row in report.rows]
     if criterion == "bounded":
-        bound = bound_factor * ratios[0]
+        bound = section["bound_factor"] * ratios[0]
         report.summary["max_ratio"] = max(ratios)
         report.summary["bound"] = bound
         report.passed = max(ratios) <= bound
@@ -305,37 +374,14 @@ def cmd_growth(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     return report
 
 
-def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
+def cmd_changevars(config: Config) -> ExperimentReport:
     """Randomized shift-removal identity checks in L2(l2) and L3(l3)."""
     grid = _grid_from(config)
     section = config["changevars"]
-    n_configs = int(section["configs"])
-    if n_configs < 1:
-        raise ValueError(f"configs must be at least 1, got {n_configs}")
-    m_values = _counts(section, "m_values")
-    scale_min, scale_max = int(section["scale_min"]), int(section["scale_max"])
-    # every range, band and shift is rejected before any input is synthesised
-    if scale_min < 0:
-        raise ValueError(f"scale_min must be nonnegative (dilations on a fixed period), got {scale_min}")
-    if scale_max < scale_min:
-        raise ValueError(f"empty scale range {(scale_min, scale_max)}: scale_min exceeds scale_max")
-    scale_range = (scale_min, scale_max)
-    band_max = float(section["band_max"])
-    if not math.isfinite(band_max):
-        raise ValueError(f"band_max {section['band_max']!r} is not finite")
-    if not band_max * grid.period >= 1.0:
-        raise ValueError(f"band_max {section['band_max']!r} times the period {grid.period} is not at least 1: "
-                         "every input would be constant, with no nonzero integer frequency")
-    # the product of max(m_values) dilates at scale_max is certified to band_max * 2**scale_max * m
-    if band_max * max(m_values) >= math.ldexp(grid.nyquist, -scale_max):
-        raise ValueError(f"band_max {section['band_max']!r} times 2**scale_max (scale_max {scale_max}) times the "
-                         f"largest of m_values ({max(m_values)}) is not below the Nyquist frequency {grid.nyquist}: "
-                         "the product of the dilates would alias")
-    seed = int(section["seed"])
-    shift_scale = float(section["shift_scale"])
-    if not math.isfinite(shift_scale):
-        raise ValueError(f"shift_scale {section['shift_scale']!r} is not finite")
-    tol2, tol3 = _tolerance(section, "tolerance_l2"), _tolerance(section, "tolerance_l3")
+    n_configs, m_values, seed = section["configs"], section["m_values"], section["seed"]
+    scale_range = (section["scale_min"], section["scale_max"])
+    band_max, shift_scale = section["band_max"], section["shift_scale"]
+    tol2, tol3 = section["tolerance_l2"], section["tolerance_l3"]
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     rows = []
     worst = {2.0: 0.0, 3.0: 0.0}
@@ -376,27 +422,13 @@ def cmd_changevars(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
     )
 
 
-def cmd_peetre(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
+def cmd_peetre(config: Config) -> ExperimentReport:
     """Cube-constancy and vector maximal ratios, swept over sigma and two resolutions."""
     grid = _grid_from(config)
     section = config["peetre"]
-    sigmas = _floats(section, "sigmas")
-    k = int(section["cube_scale"])
-    band_factor = float(section["band_factor"])
-    bank_size = int(section["bank_size"])
-    k_min = int(section["bank_scale_min"])
-    if bank_size < 1:
-        raise ValueError(f"bank_size must be at least 1, got {section['bank_size']!r}")
-    if not math.isfinite(band_factor):
-        raise ValueError(f"band_factor {section['band_factor']!r} is not finite")
-    scales = list(range(k_min, k_min + bank_size))
-    if not any(band_factor * 2.0**kk * grid.period >= 1.0 for kk in scales):
-        raise ValueError(f"band_factor {section['band_factor']!r} times 2**kk times the period {grid.period} is not at least 1 "
-                         f"at every bank scale kk from bank_scale_min {k_min} to {scales[-1]}: "
-                         "every bank field would be constant, with no nonzero integer frequency")
-    seed = int(section["seed"])
-    p, q = _p_value(section["p"]), _p_value(section["q"])
-    stability = _tolerance(section, "stability")
+    sigmas, k, band_factor, seed = section["sigmas"], section["cube_scale"], section["band_factor"], section["seed"]
+    p, q, stability = section["p"], section["q"], section["stability"]
+    scales = list(range(section["bank_scale_min"], section["bank_scale_min"] + section["bank_size"]))
     fine = GridSpec(grid.dimension, grid.samples_per_axis * 2, grid.period)
     rows = []
     passed = True
@@ -524,36 +556,20 @@ def cmd_plan(p_tokens: Sequence[str]) -> ExperimentReport:
     )
 
 
-def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
+def cmd_counterexample(config: Config) -> ExperimentReport:
     """Validation, exact cancellation, collapse identity, and the ratio sweep."""
     section = config["counterexample"]
-    mode = section["mode"]
-    packets = _counts(section, "packets")
-    lam_text = section["lam"].strip().lower()
-    lam = None if lam_text == "sharp" else float(lam_text)
-    if lam is not None and not 0 <= lam < math.inf:  # NaN fails too
-        raise ValueError(f"lam must be 'sharp' or finite and nonnegative, got {section['lam']!r}")
+    mode, packets, lam = section["mode"], section["packets"], section["lam"]
 
     def make(n_packets: int) -> cx.CxConfig:
-        if mode == "identity":
-            return cx.identity_config(
-                n=int(section["n"]),
-                n_packets=n_packets,
-                samples=int(section["samples"]),
-                period=float(section["period"]),
-                offset=int(section["offset"]),
-            )
-        if mode == "separation":
-            return cx.separation_config(
-                n_packets=n_packets,
-                samples=int(section["samples"]),
-                period=float(section["period"]),
-                spacing=int(section["spacing"]),
-                lam=lam,
-            )
         if mode == "reference":
-            return cx.reference_config(n=int(section["n"]), n_packets=n_packets)
-        raise ValueError(f"unknown mode {mode!r}")
+            return cx.reference_config(n=section["n"], n_packets=n_packets)
+        grid = {"samples": section["samples"], "period": section["period"]}
+        if mode == "identity":
+            cfg = cx.identity_config(n=section["n"], n_packets=n_packets, offset=section["offset"], **grid)
+        else:
+            cfg = cx.separation_config(n_packets=n_packets, spacing=section["spacing"], **grid)
+        return replace(cfg, lam=lam)
 
     if mode == "reference":
         validation = cx.validate_config(make(max(packets)))
@@ -568,8 +584,7 @@ def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
             passed=validation.frequency_ok,
         )
 
-    id_tol = _tolerance(section, "identity_tolerance")
-    orth_tol = _tolerance(section, "orthogonality_tolerance")
+    id_tol, orth_tol = section["identity_tolerance"], section["orthogonality_tolerance"]
     rows = []
     passed = True
     cfgs = [make(n) for n in packets]
@@ -596,12 +611,7 @@ def cmd_counterexample(config: Dict[str, Dict[str, str]]) -> ExperimentReport:
         summary["fit_residual"] = fit.residual
     return ExperimentReport(
         name="counterexample",
-        params={
-            "mode": mode,
-            "n": int(section["n"]),
-            "packets": packets,
-            "lam": section["lam"],
-        },
+        params={"mode": mode, "n": cfgs[0].n, "packets": packets, "lam": "sharp" if lam is None else lam},
         rows=rows,
         summary=summary,
         passed=passed,
@@ -619,19 +629,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments for dyadic-annulus multilinear multiplier bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("partition", "growth", "changevars", "peetre", "counterexample"):
-        p = sub.add_parser(name)
+    for command, table in TABLES.items():
+        p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--outdir", default="reports", help="output directory")
-        for section, keys in DEFAULTS[name].items():
-            for key, default in keys.items():
-                p.add_argument(
-                    f"--{section}.{key}",
-                    dest=f"{section}.{key}",
-                    default=None,
-                    metavar="V",
-                    help=f"override [{section}] {key} (default {default})",
-                )
+        for name, entry in table.items():
+            must = f"; {entry.constraint[1]}" if entry.constraint else ""
+            p.add_argument(f"--{name}", dest=name, default=None, metavar="V",
+                           help=f"override {name} (default {entry.default}{must})")
     for name in ("lambda", "plan"):
         p = sub.add_parser(name)
         p.add_argument("p_values", nargs="+", help="exponents, e.g. 4 4 4 or inf")
@@ -656,13 +661,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed = 0
             grid_params: Dict[str, object] = {}
         else:
-            overrides = []
-            for section, keys in DEFAULTS[args.command].items():
-                for key in keys:
-                    value = getattr(args, f"{section}.{key}")
-                    if value is not None:
-                        overrides.append((section, key, value))
+            flags = [(*name.split("."), getattr(args, name)) for name in TABLES[args.command]]
+            overrides = [flag for flag in flags if flag[2] is not None]
             config = resolve_config(args.command, load_config_file(args.config), overrides)
+            values = _parse_config(args.command, config)
             handler = {
                 "partition": cmd_partition,
                 "growth": cmd_growth,
@@ -670,21 +672,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "peetre": cmd_peetre,
                 "counterexample": cmd_counterexample,
             }[args.command]
-            report = handler(config)
-            seed = int(config.get(args.command, {}).get("seed", 0))
+            report = handler(values)
+            seed = values[args.command].get("seed", 0)
             grid_params = dict(config.get("grid", {}))
-    except (ValueError, KeyError, OSError, OverflowError) as exc:  # overflow: a value out of range
+        elapsed = time.perf_counter() - start
+        report.manifest = RunManifest(
+            command=args.command, config=config, seed=seed, grid_params=grid_params, elapsed_seconds=elapsed
+        )
+        _emit(report, outdir)
+    # a ValueError raised mid-run is a refusal of the inputs too; overflow: a value out of range; OSError: the outdir
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    elapsed = time.perf_counter() - start
-    report.manifest = RunManifest(
-        command=args.command,
-        config=config,
-        seed=seed,
-        grid_params=grid_params,
-        elapsed_seconds=elapsed,
-    )
-    _emit(report, outdir, csv_rows=report.rows or None)
     sys.stdout.write(render_report(report))
     print(f"[elapsed {elapsed:.2f}s]", file=sys.stderr)
     if report.passed is False:

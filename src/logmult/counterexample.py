@@ -30,7 +30,7 @@ from .exponents import PTuple, lambda_st, sharp_lambda
 from .field import GridSpec, SampledField, Shells, add_box_product, certify, conjugate, inverse, lp_norm, transform
 from .field import spectrum_from_boxes, symbol_box, zero_boxes
 from .multiplier import SpectralFactor, TensorKernel, apply_t, d_lambda
-from .shifted_lab import bump_train, packet_bins
+from .shifted_lab import _line_fit, bump_train, packet_bins
 
 __all__ = [
     "CxConfig",
@@ -511,11 +511,10 @@ def _fit_reports(cfgs: Sequence[CxConfig], reports: Iterable[CxReport]) -> Ratio
     reports = list(reports)
     x = np.log(np.array(ns, dtype=float))
     z = np.log(np.array([r.ratio for r in reports]))
-    slope, intercept = np.polyfit(x, z, 1)
-    resid = float(np.sqrt(np.mean((z - (slope * x + intercept)) ** 2)))
+    slope, resid = _line_fit(x, z)
     pt = base.ptuple
     predicted = float(lambda_st(pt, base.s, base.t)) - base.lam_value
     rows = tuple(
         {"N": r.n_packets, "ratio": r.ratio, "identity_error": r.identity_error} for r in reports
     )
-    return RatioGrowthFit(float(slope), resid, predicted, rows)
+    return RatioGrowthFit(slope, resid, predicted, rows)

@@ -267,10 +267,6 @@ class DyadicCubeSet:
     def points_per_cube_axis(self) -> int:
         return self.grid.samples_per_axis // self.cubes_per_axis
 
-    @property
-    def cube_count(self) -> int:
-        return self.cubes_per_axis**self.grid.dimension
-
     def reduce(self, values: np.ndarray, how: str) -> np.ndarray:
         """Per-cube reduction (mean / max / min) of a grid-shaped real array."""
         if how not in ("mean", "max", "min"):

@@ -285,10 +285,14 @@ def fit_log_exponent(pairs: Sequence[Tuple[float, float]]) -> FitResult:
     x = np.log(np.log(np.e + ys))
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate abscissas")
-    z = np.log(ratios)
+    slope, resid = _line_fit(x, np.log(ratios))
+    return FitResult(slope, resid, tuple((float(a), float(b)) for a, b in zip(ys, ratios)))
+
+
+def _line_fit(x: np.ndarray, z: np.ndarray) -> Tuple[float, float]:
+    """Least-squares slope of z against x, and the RMS residual of the fitted line."""
     slope, intercept = np.polyfit(x, z, 1)
-    resid = float(np.sqrt(np.mean((z - (slope * x + intercept)) ** 2)))
-    return FitResult(float(slope), resid, tuple((float(a), float(b)) for a, b in zip(ys, ratios)))
+    return float(slope), float(np.sqrt(np.mean((z - (slope * x + intercept)) ** 2)))
 
 
 def predicted_growth_exponent(kind: str, p: float) -> float:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logmult
+import logmult.cli as cli
+import logmult.counterexample as cx
 from logmult.cli import (
     CONFIG_ERROR,
     DEFAULTS,
@@ -22,6 +24,7 @@ from logmult.cli import (
     main,
     resolve_config,
 )
+from logmult.exponents import lambda_st
 
 
 def run(args):
@@ -504,3 +507,93 @@ def test_cli_exit_code_contract_holds_for_malformed_values(argv):
             code = main(argv + ["--outdir", outdir])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the key tables: every key parsed, constrained and named before any command runs
+# ---------------------------------------------------------------------------
+
+# text each parser class refuses; a key with a new parser needs an entry here
+MALFORMED_TEXT = {
+    int: ("", "abc", "4.5", "1e400", "0x10"),
+    float: ("", "abc", "1.2.3", "1,5"),
+    str: ("", "bogus"),  # every text key names one of a few choices
+    cli._p: ("", "abc", "1/2"),
+    cli._lam: ("", "abc", "sharpest"),
+    cli._ints: ("", ",", "2 x", "2.5"),
+    cli._floats: ("", ",", "1 x"),
+}
+
+TABLE_KEYS = [(command, name) for command, table in cli.TABLES.items() for name in table]
+
+
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command, name", TABLE_KEYS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_table_key_names_itself_when_malformed(command, name, data):
+    text = data.draw(st.sampled_from(MALFORMED_TEXT[cli.TABLES[command][name].parse]))
+    section, key = name.split(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        ini, outdir = Path(tmp) / "run.ini", Path(tmp) / "out"
+        ini.write_text(f"[{section}]\n{key} = {text}\n")
+        for source in ([f"--{name}", text], ["--config", str(ini)]):
+            code, err = _run_captured([command, *source, "--outdir", str(outdir)])
+            assert code == CONFIG_ERROR, (source, err)
+            assert name in err and "Traceback" not in err
+            assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "ini, named",
+    [
+        ("[partition]\nscale_mx = 2\n", "partition.scale_mx"),  # a typo'd key
+        ("[bogus]\nscale_max = 2\n", "[bogus]"),  # a section no partition key lives in
+        ("[bogus]\n", "[bogus]"),
+        ("[DEFAULT]\nseed = 5\n[partition]\nscale_max = 2\n", "[DEFAULT]"),  # no key is copied into [partition]
+    ],
+)
+def test_unknown_file_keys_and_sections_are_config_errors(tmp_path, ini, named):
+    (tmp_path / "run.ini").write_text(ini)
+    code, err = _run_captured(["partition", "--config", str(tmp_path / "run.ini"), "--outdir", str(tmp_path / "out")])
+    assert code == CONFIG_ERROR and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_are_literal(tmp_path):
+    (tmp_path / "run.ini").write_text("[partition]\nscale_max = %(nope)s\n")
+    code, err = _run_captured(["partition", "--config", str(tmp_path / "run.ini"), "--outdir", str(tmp_path)])
+    assert code == CONFIG_ERROR
+    assert "partition.scale_max" in err and "'%(nope)s'" in err and "Traceback" not in err
+
+
+def test_identity_mode_applies_lam(tmp_path):
+    args = [
+        "counterexample",
+        "--counterexample.packets", "1 2 3",
+        "--counterexample.samples", "16384",
+        "--counterexample.period", "128",
+        "--counterexample.lam", "0.3",
+    ]
+    assert run(args + ["--outdir", str(tmp_path)]) == PASS
+    cfg = cx.identity_config()
+    predicted = float(lambda_st(cfg.ptuple, cfg.s, cfg.t)) - 0.3
+    assert f"    predicted_slope = {predicted!r}\n" in (tmp_path / "counterexample.report.txt").read_text()
+
+
+def test_separation_report_shows_the_bilinear_n(tmp_path):
+    args = ["counterexample", "--counterexample.mode", "separation", "--counterexample.packets", "1 2"]
+    assert run(args + ["--outdir", str(tmp_path)]) == PASS
+    assert "\n    n = 2\n" in (tmp_path / "counterexample.report.txt").read_text()
+
+
+def test_an_outdir_that_cannot_be_made_is_a_config_error(tmp_path):
+    (tmp_path / "taken").write_text("")
+    code, err = _run_captured(["lambda", "4", "4", "4", "--outdir", str(tmp_path / "taken")])
+    assert code == CONFIG_ERROR and err.startswith("error: ") and "Traceback" not in err
