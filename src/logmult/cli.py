@@ -42,7 +42,7 @@ from .exponents import (
     select_split,
     sharp_lambda,
 )
-from .field import GridSpec, SampledField, Shells
+from .field import GridSpec, SampledField, Shells, box_radii
 from .lp_ops import DyadicCubeSet, fefferman_stein_ratio, peetre_cube_ratio
 from .reporting import ExperimentReport, RunManifest, render_report, write_csv
 from .shifted_lab import (
@@ -97,8 +97,9 @@ def _one_of(*names) -> Tuple[Callable[[Any], bool], str]:
     return (lambda v: v in names), "one of " + ", ".join(map(str, names))
 
 
-def _at_least(lo: int) -> Tuple[Callable[[Any], bool], str]:  # a list: each entry
-    return (lambda v: min(v) >= lo if isinstance(v, list) else v >= lo), f"at least {lo}"
+def _within(lo: int, hi: float = math.inf) -> Tuple[Callable[[Any], bool], str]:  # a list: each entry
+    return ((lambda v: lo <= min(v) and max(v) <= hi if isinstance(v, list) else lo <= v <= hi),
+            f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]")
 
 
 _FINITE = (math.isfinite, "finite")
@@ -107,6 +108,10 @@ _TOLERANCE = ((lambda v: 0.0 <= v < math.inf), "finite and nonnegative")  # NaN 
 _EXPONENT = ((lambda v: v >= 1.0), "at least 1 or inf")
 _SEED = ((lambda v: 0 <= v < 2**64), "in [0, 2**64)")
 _SAMPLES = ((lambda v: v >= 8 and v & (v - 1) == 0), "a power of two, at least 8")
+_SCALE = _within(-256, 256)  # 2.0**scale, and supports, bands and offsets dilated by it, stay far below 2**1024
+_PACKETS = _within(1, 102)  # the reference schedule puts packet N at frequency 2**(10 N), finite up to N = 102
+_SPACING = _within(1, 10)  # the last packet sits at 2**(spacing N), finite for every N allowed while spacing <= 10
+_MAX_FIELDS = 64  # caps each count of full-size fields held at once (slots, a bank) before it sizes an allocation
 
 
 def _grid_keys(samples: str, period: str) -> Dict[str, Key]:
@@ -121,8 +126,8 @@ def _grid_keys(samples: str, period: str) -> Dict[str, Key]:
 TABLES: Dict[str, Dict[str, Key]] = {
     "partition": {
         **_grid_keys("4096", "64"),
-        "partition.scale_min": Key("-3", int),
-        "partition.scale_max": Key("4", int),
+        "partition.scale_min": Key("-3", int, _SCALE),
+        "partition.scale_max": Key("4", int, _SCALE),
         "partition.tolerance": Key("1e-12", float, _TOLERANCE),
     },
     "growth": {
@@ -130,10 +135,10 @@ TABLES: Dict[str, Dict[str, Key]] = {
         "growth.kind": Key(MAXIMAL, str, _one_of(MAXIMAL, SQUARE)),
         "growth.p": Key("2", _p, _EXPONENT),
         "growth.ladder": Key("16 64 256 1024 4096 16384", _floats),
-        "growth.scale_min": Key("-1", int),
-        "growth.scale_max": Key("14", int),
+        "growth.scale_min": Key("-1", int, _SCALE),
+        "growth.scale_max": Key("14", int, _SCALE),
         "growth.seed": Key("20240801", int, _SEED),
-        "growth.n_random": Key("2", int, _at_least(0)),
+        "growth.n_random": Key("2", int, _within(0, _MAX_FIELDS)),
         "growth.random_band": Key("0.5 1.0", _floats, ((lambda v: len(v) == 2), "two values (inner, outer)")),
         "growth.adversarial": Key("bump", str, _one_of("bump", "none")),
         "growth.criterion": Key("fit", str, _one_of("fit", "bounded", "equality")),
@@ -142,10 +147,10 @@ TABLES: Dict[str, Dict[str, Key]] = {
     },
     "changevars": {
         **_grid_keys("4096", "16"),
-        "changevars.configs": Key("100", int, _at_least(1)),
-        "changevars.m_values": Key("2 3 4", _ints, _at_least(1)),
-        "changevars.scale_min": Key("0", int, _at_least(0)),  # dilations on a fixed period
-        "changevars.scale_max": Key("2", int),
+        "changevars.configs": Key("100", int, _within(1)),
+        "changevars.m_values": Key("2 3 4", _ints, _within(1, _MAX_FIELDS)),
+        "changevars.scale_min": Key("0", int, _within(0, 256)),  # dilations on a fixed period
+        "changevars.scale_max": Key("2", int, _SCALE),
         "changevars.band_max": Key("3.0", float, _FINITE),
         "changevars.seed": Key("20240801", int, _SEED),
         "changevars.shift_scale": Key("4.0", float, _FINITE),
@@ -155,10 +160,10 @@ TABLES: Dict[str, Dict[str, Key]] = {
     "peetre": {
         **_grid_keys("256", "16"),
         "peetre.sigmas": Key("2 4", _floats, ((lambda v: all(0.0 < s < math.inf for s in v)), "positive and finite")),
-        "peetre.cube_scale": Key("1", int),
+        "peetre.cube_scale": Key("1", int, _SCALE),
         "peetre.band_factor": Key("0.5", float, _FINITE),
-        "peetre.bank_size": Key("4", int, _at_least(1)),
-        "peetre.bank_scale_min": Key("0", int),
+        "peetre.bank_size": Key("4", int, _within(1, _MAX_FIELDS)),
+        "peetre.bank_scale_min": Key("0", int, _SCALE),
         "peetre.seed": Key("20240801", int, _SEED),
         "peetre.p": Key("2", _p, _EXPONENT),
         "peetre.q": Key("2", _p, _EXPONENT),
@@ -166,12 +171,12 @@ TABLES: Dict[str, Dict[str, Key]] = {
     },
     "counterexample": {
         "counterexample.mode": Key("identity", str, _one_of("identity", "separation", "reference")),
-        "counterexample.n": Key("3", int, _at_least(2)),
-        "counterexample.packets": Key("2 4 6", _ints, _at_least(1)),
+        "counterexample.n": Key("3", int, _within(2, _MAX_FIELDS)),
+        "counterexample.packets": Key("2 4 6", _ints, _PACKETS),
         "counterexample.samples": Key("262144", int, _SAMPLES),
         "counterexample.period": Key("256", float, _POSITIVE),
-        "counterexample.offset": Key("2", int),
-        "counterexample.spacing": Key("4", int, _at_least(1)),
+        "counterexample.offset": Key("2", int, _SCALE),
+        "counterexample.spacing": Key("4", int, _SPACING),
         "counterexample.identity_tolerance": Key("1e-8", float, _TOLERANCE),
         "counterexample.orthogonality_tolerance": Key("1e-14", float, _TOLERANCE),
         "counterexample.lam": Key("sharp", _lam, ((lambda v: v is None or 0 <= v < math.inf), "sharp or finite >= 0")),
@@ -294,7 +299,7 @@ def cmd_partition(config: Config) -> ExperimentReport:
     section = config["partition"]
     scale_min, scale_max, tolerance = section["scale_min"], section["scale_max"], section["tolerance"]
     pair = make_lp_pair((scale_min, scale_max))
-    radii = grid.frequency_radii().ravel()
+    radii = box_radii(grid).ravel()
     lo, hi = pair.covered_band
     covered = (radii >= lo) & (radii <= hi)
     defect = float(np.max(np.abs(pair.partition_sum(radii[covered]) - 1.0))) if covered.any() else float("nan")

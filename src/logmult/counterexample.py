@@ -28,7 +28,7 @@ import numpy as np
 from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles
 from .exponents import PTuple, lambda_st, sharp_lambda
 from .field import GridSpec, SampledField, Shells, add_box_product, certify, conjugate, inverse, lp_norm, transform
-from .field import spectrum_from_boxes, symbol_box, zero_boxes
+from .field import box_radii, spectrum_from_boxes, symbol_box, zero_boxes
 from .multiplier import SpectralFactor, TensorKernel, apply_t, d_lambda
 from .shifted_lab import _line_fit, bump_train, packet_bins
 
@@ -377,13 +377,12 @@ def orthogonality_check(cfg: CxConfig) -> float:
     _require_valid(cfg)
     grid = cfg.grid
     eta_hat, beta_hat = cfg.profiles
-    radii = grid.frequency_radii()
     worst = 0.0
     for z in cfg.zetas:
         for _, index, _, ball in packet_bins(grid, eta_hat, 2.0**z):
-            ball = ball.real
+            ball, radii = ball.real, box_radii(grid, index)
             for ell in cfg.scale_range:
-                dilated = beta_hat(radii[index] * 2.0**-ell)
+                dilated = beta_hat(radii * 2.0**-ell)
                 expected = ball if ell == z else 0.0
                 worst = max(worst, float(np.max(np.abs(dilated * ball - expected))))
     return worst

@@ -11,8 +11,11 @@ Conventions:
 
 * Fourier transform  ``f_hat(xi) = integral f(x) exp(-2 pi i (x, xi)) dx``
   discretized with quadrature weight ``(L/M)**d``.
-* Grid frequencies are ``k / L`` for integer ``k`` in ``(-M/2, M/2]`` per axis
-  (numpy FFT ordering).
+* Array index ``i`` on an axis is the signed bin ``k = i mod M`` in
+  ``[-M/2, M/2)`` (numpy FFT ordering), at frequency ``k / L``.  One rule
+  computes it: :func:`box_frequencies` and :func:`box_radii` evaluate a box's
+  bins from their signed bins, bit for bit fftfreq's values, and no
+  full-size frequency array is cached.
 * All integrals are plain Riemann sums with weight ``(L/M)**d``; band-limited
   integrands make these spectrally accurate.
 
@@ -60,7 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -85,6 +88,7 @@ __all__ = [
     "frozen",
     "bin_boxes",
     "box_frequencies",
+    "box_radii",
     "translation_phase",
     "apply_multiplier",
     "box_piece",
@@ -165,18 +169,19 @@ class GridSpec:
         return _axis_coordinates(self.samples_per_axis, self.period)
 
     def axis_frequencies(self) -> np.ndarray:
-        return _axis_frequencies(self.samples_per_axis, self.period)
+        """``numpy.fft.fftfreq`` of the axis, built on each call: the reference :func:`box_frequencies` is equal to."""
+        return np.fft.fftfreq(self.samples_per_axis, d=self.period / self.samples_per_axis)
 
     def frequency_mesh(self) -> Tuple[np.ndarray, ...]:
         """Frequency coordinate arrays, one per axis, broadcastable to ``shape``."""
-        return _open_mesh(_axis_frequencies, self.samples_per_axis, self.period, self.dimension)
+        return tuple(np.meshgrid(*[self.axis_frequencies()] * self.dimension, indexing="ij", sparse=True))
 
     def frequency_radii(self) -> np.ndarray:
-        """|xi| on the full frequency grid."""
-        return _frequency_radii(self.samples_per_axis, self.period, self.dimension)
+        """|xi| on the full frequency grid, built on each call: the reference :func:`box_radii` is equal to."""
+        return np.sqrt(sum(a**2 for a in self.frequency_mesh()))
 
     def coordinate_mesh(self) -> Tuple[np.ndarray, ...]:
-        return _open_mesh(_axis_coordinates, self.samples_per_axis, self.period, self.dimension)
+        return tuple(np.meshgrid(*[self.axis_coordinates()] * self.dimension, indexing="ij", sparse=True))
 
     def torus_distances(self) -> np.ndarray:
         """Min-image distance |x| from the origin for every grid point."""
@@ -195,32 +200,6 @@ def _axis_coordinates(m: int, period: float) -> np.ndarray:
     x = np.arange(m) * (period / m)
     x.flags.writeable = False
     return x
-
-
-@lru_cache(maxsize=64)
-def _axis_frequencies(m: int, period: float) -> np.ndarray:
-    xi = np.fft.fftfreq(m, d=period / m)
-    xi.flags.writeable = False
-    return xi
-
-
-@lru_cache(maxsize=64)
-def _open_mesh(axis, m: int, period: float, dim: int) -> Tuple[np.ndarray, ...]:
-    """Read-only open mesh of ``axis(m, period)`` over ``dim`` axes."""
-    if dim == 1:
-        return (axis(m, period),)
-    mesh = np.meshgrid(*([axis(m, period)] * dim), indexing="ij", sparse=True)
-    for a in mesh:
-        a.flags.writeable = False
-    return tuple(mesh)
-
-
-@lru_cache(maxsize=64)
-def _frequency_radii(m: int, period: float, dim: int) -> np.ndarray:
-    mesh = _open_mesh(_axis_frequencies, m, period, dim)
-    r = np.sqrt(sum(a**2 for a in mesh))
-    r.flags.writeable = False
-    return r
 
 
 @lru_cache(maxsize=64)
@@ -360,8 +339,8 @@ class Shells:
         """Whether every bin of the union on ``grid`` lies in the closed annulus ``inner <= |xi| <= outer``.
 
         A shell about the origin is tested by its own radii.  An off-centre
-        shell is tested by the radii of its bins, as :meth:`GridSpec.frequency_radii`
-        gives them (the radii profiles are evaluated at), so it needs no slack.
+        shell is tested by the radii of its bins, as :func:`box_radii` gives
+        them (the radii profiles are evaluated at), so it needs no slack.
         """
         for s in self.parts:
             lo, hi = _bin_radii(grid, Shells((s,))) if any(s.center) else (s.inner, s.outer)
@@ -382,8 +361,8 @@ class Shells:
         """Boolean mask of the bins of ``index`` (see :func:`box_frequencies`) that lie in the union.
 
         About the origin the distance is bit for bit the radius
-        :meth:`GridSpec.frequency_radii` computes, so a radial certificate
-        admits exactly the bins it always has.
+        :func:`box_radii` computes, the one profiles are evaluated at, so a
+        radial certificate admits exactly the bins a profile reads.
         """
         freqs = box_frequencies(grid, index)
         inside = np.zeros(np.broadcast_shapes(*(f.shape for f in freqs)), dtype=bool)
@@ -509,16 +488,16 @@ def _certified_bins(grid: GridSpec, shells: Optional[Shells]) -> Tuple[Tuple[Tup
     """``(first, index, mask)`` per box of ``shells``: each box with its (read-only) mask of certified bins.
 
     None is the whole grid, one box without a mask (see :func:`_boxes`).
-    Cached like the grid's frequency arrays: the same certificate is checked
-    by every transform and spectrum that carries it.
+    Cached: the same certificate is checked by every transform and spectrum
+    that carries it.
     """
     return tuple((first, index, None if shells is None else frozen(shells.contains(grid, index))) for first, index in _boxes(grid, shells))
 
 
 @lru_cache(maxsize=64)
 def _bin_radii(grid: GridSpec, shells: Shells) -> Tuple[float, float]:
-    """Least and greatest :meth:`GridSpec.frequency_radii` over the bins of ``shells``; ``(inf, -inf)`` for none."""
-    radii = np.concatenate([grid.frequency_radii()[index][inside] for _, index, inside in _certified_bins(grid, shells)] + [[]])
+    """Least and greatest :func:`box_radii` over the bins of ``shells``; ``(inf, -inf)`` for none."""
+    radii = np.concatenate([box_radii(grid, index)[inside] for _, index, inside in _certified_bins(grid, shells)] + [[]])
     return float(np.min(radii, initial=math.inf)), float(np.max(radii, initial=-math.inf))
 
 
@@ -824,11 +803,25 @@ def _boxes(grid: GridSpec, shells: Optional[Shells]) -> List[Box]:
 
 
 def box_frequencies(grid: GridSpec, index=None) -> Tuple[np.ndarray, ...]:
-    """Axis frequencies on the bins of ``index`` (a box's, or slices; default the whole grid), broadcastable over them."""
-    axis = grid.axis_frequencies()
-    d = grid.dimension
-    index = index or (slice(None),) * d
-    return tuple(axis[s].reshape((1,) * i + (-1,) + (1,) * (d - 1 - i)) for i, s in enumerate(index))
+    """Axis frequencies on the bins of ``index`` (an open-mesh index; default the whole grid), broadcastable over them.
+
+    Bin ``i`` is the signed bin ``k = i mod M`` in ``[-M/2, M/2)`` (M is a
+    power of two, so a mask takes the modulus), at ``k`` times fftfreq's own
+    factor ``1 / (M (L / M))``: bit for bit :meth:`GridSpec.axis_frequencies` at ``i``.
+    """
+    m = grid.samples_per_axis
+    step = 1.0 / (m * (grid.period / m))
+    return tuple((((i + m // 2) & (m - 1)) - m // 2) * step for i in index or _box_index(grid, (0,) * grid.dimension, grid.shape))
+
+
+def box_radii(grid: GridSpec, index=None) -> np.ndarray:
+    """|xi| on the bins of ``index`` (default the whole grid): the radii every profile is evaluated at.
+
+    The square root of the summed squares of :func:`box_frequencies`, bit for
+    bit :meth:`GridSpec.frequency_radii` at ``index``.
+    """
+    radii = reduce(np.add, (f**2 for f in box_frequencies(grid, index)))
+    return np.sqrt(radii, out=radii)
 
 
 def translation_phase(grid: GridSpec, shift: Sequence[float], index=None) -> np.ndarray:
@@ -895,7 +888,7 @@ def _symbol_times(
         shape = tuple(i.size for i in index)
         values = np.ones(shape) if spectrum is None else _read(grid, spectrum.boxes, first, shape)
         if profile is not None:
-            values = values * profile(grid.frequency_radii()[index] * 2.0**-scale)
+            values = values * profile(box_radii(grid, index) * 2.0**-scale)
         phase = None
         if shift is not None:
             phase = translation_phase(grid, shift, index)

@@ -29,6 +29,7 @@ from .field import (
     Shells,
     bin_boxes,
     box_frequencies,
+    box_radii,
     inverse,
     keep_spectrum,
     lp_norm,
@@ -86,7 +87,7 @@ def random_band_limited(
     ks = np.arange(-kmax, kmax + 1)
     draws = gen.standard_normal((ks.size,) * grid.dimension + (2,))
     # the radii the support certificate checks, so band edges round alike
-    xi = grid.frequency_radii()[np.ix_(*[ks % grid.samples_per_axis] * grid.dimension)]
+    xi = box_radii(grid, np.ix_(*[ks % grid.samples_per_axis] * grid.dimension))
     inside = (lo <= xi) & (xi <= hi)
     drawn = np.zeros(inside.shape, dtype=np.complex128)
     drawn.real[inside] = draws[inside, 0]

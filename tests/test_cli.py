@@ -524,6 +524,15 @@ MALFORMED_TEXT = {
     cli._floats: ("", ",", "1 x"),
 }
 
+# text past the range of a scale key, where 2.0**scale would overflow or a dilated support reach inf;
+# kept small, since a larger out-of-range scale could run for long if the range check regressed
+SCALE_KEYS = {
+    "partition.scale_min", "partition.scale_max", "growth.scale_min", "growth.scale_max", "changevars.scale_min",
+    "changevars.scale_max", "peetre.cube_scale", "peetre.bank_scale_min", "counterexample.offset",
+    "counterexample.spacing",
+}
+OUT_OF_SCALE_TEXT = ("1e20", "2000")
+
 TABLE_KEYS = [(command, name) for command, table in cli.TABLES.items() for name in table]
 
 
@@ -538,7 +547,8 @@ def _run_captured(argv):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_every_table_key_names_itself_when_malformed(command, name, data):
-    text = data.draw(st.sampled_from(MALFORMED_TEXT[cli.TABLES[command][name].parse]))
+    texts = MALFORMED_TEXT[cli.TABLES[command][name].parse] + (OUT_OF_SCALE_TEXT if name in SCALE_KEYS else ())
+    text = data.draw(st.sampled_from(texts))
     section, key = name.split(".")
     with tempfile.TemporaryDirectory() as tmp:
         ini, outdir = Path(tmp) / "run.ini", Path(tmp) / "out"
@@ -548,6 +558,30 @@ def test_every_table_key_names_itself_when_malformed(command, name, data):
             assert code == CONFIG_ERROR, (source, err)
             assert name in err and "Traceback" not in err
             assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, text",
+    [
+        ("counterexample", "counterexample.packets", "2 1000000000"),
+        ("counterexample", "counterexample.n", "1000000000"),
+        ("changevars", "changevars.m_values", "1000000000"),
+        ("peetre", "peetre.bank_size", "1000000000"),
+        ("growth", "growth.n_random", "1000000000"),
+    ],
+)
+def test_counts_that_size_an_allocation_are_bounded(command, name, text):
+    # parsed only: a run with such a count would exhaust memory if its bound regressed
+    section, key = name.split(".")
+    overrides = [(section, key, text)] + [("counterexample", "mode", "reference")] * (command == "counterexample")
+    with pytest.raises(ValueError, match=name):
+        cli._parse_config(command, resolve_config(command, {}, overrides))
+
+
+def test_reference_packets_just_past_the_cap_name_the_key(tmp_path):
+    argv = ["counterexample", "--counterexample.mode", "reference", "--counterexample.packets", "103"]
+    code, err = _run_captured(argv + ["--outdir", str(tmp_path)])
+    assert code == CONFIG_ERROR and "counterexample.packets" in err
 
 
 @pytest.mark.parametrize(

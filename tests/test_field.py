@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logmult import field
 from logmult.field import (
@@ -16,7 +16,9 @@ from logmult.field import (
     Spectrum,
     apply_multiplier,
     bin_boxes,
+    box_frequencies,
     box_piece,
+    box_radii,
     conjugate,
     convolve,
     frozen,
@@ -359,6 +361,32 @@ def brute_bins(grid, shells):
 def bin_points(grid, mask):
     mesh = np.meshgrid(*[grid.axis_frequencies()] * grid.dimension, indexing="ij")
     return np.stack([axis[mask] for axis in mesh], axis=-1)
+
+
+@st.composite
+def grid_boxes(draw):
+    """A grid and one box of its bins: signed first bins in ``[-M/2, M/2)``, wrapping past M/2 when wide."""
+    d = draw(st.sampled_from([1, 2]))
+    m = 2 ** draw(st.integers(3, 12 if d == 1 else 10))  # the 2-D reference is a full M**2 array
+    period = draw(st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False))
+    grid = GridSpec(d, m, period)
+    first = [draw(st.integers(-m // 2, m // 2 - 1)) for _ in range(d)]
+    widths = [draw(st.integers(1, m)) for _ in range(d)]
+    return grid, np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, widths)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_boxes())
+@example((GridSpec(1, 8, 3.0), np.ix_(np.arange(-4, 4) % 8)))  # from the bin -M/2, every bin
+@example((GridSpec(2, 16, 0.7), np.ix_(np.arange(-8, -5) % 16, np.arange(6, 11) % 16)))  # wraps at M/2
+def test_box_frequencies_and_radii_are_the_fftfreq_grid_at_the_box(case):
+    grid, index = case
+    axis = grid.axis_frequencies()
+    assert all(np.array_equal(got, axis[i]) for got, i in zip(box_frequencies(grid, index), index))
+    assert np.array_equal(box_radii(grid, index), grid.frequency_radii()[index])
+    # no index: the whole grid in FFT order
+    assert all(np.array_equal(np.ravel(got), axis) for got in box_frequencies(grid))
+    assert np.array_equal(box_radii(grid), grid.frequency_radii())
 
 
 @settings(max_examples=150, deadline=None)

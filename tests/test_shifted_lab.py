@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,10 +19,12 @@ from logmult.field import (
     Spectrum,
     dilated_steps,
     inverse,
+    lp_norm,
     phase_shift,
     piece_class,
     transform,
 )
+from logmult.lp_ops import square_function
 from logmult.reporting import render_report
 from logmult.shifted_lab import (
     GrowthBankSpec,
@@ -329,6 +332,28 @@ def test_bump_train_band_certificate(grid):
     f = bump_train(grid, 4.0, [1, 2, 3])
     assert f.band is not None
     assert f.band[0] > 0
+
+
+def test_log_law_ladder_at_2_24_reads_no_full_size_frequency_array():
+    # the p = 4 ladder: a train of K live octaves at shift y = 2**(K + 3), its
+    # shifted over unshifted square-function L^4 norms, read from the pieces' boxes
+    grid, pair = GridSpec(1, 2**24, 2.0**15), make_lp_pair((-1, 14))
+
+    def ratio(k):
+        y = 2.0 ** (k + 3)
+        f = bump_train(grid, y, range(-1, k - 1), 0.1)
+        return lp_norm(square_function(f, pair, (y,)), 4) / lp_norm(square_function(f, pair), 4)
+
+    tracemalloc.start()
+    try:
+        f = bump_train(grid, 1024.0, range(-1, 6), 0.1)
+        lp_norm(square_function(f, pair, (1024.0,)), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.size  # one full-size float64 array: 128 MiB
+    got = [repr(ratio(k)) for k in (3, 5, 7, 9)]
+    assert got == ["1.315954233842094", "1.4952611310472126", "1.626506497439945", "1.7319918801795902"]
 
 
 def test_change_of_variables_rejects_empty_scale_range(grid):
