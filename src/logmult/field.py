@@ -46,10 +46,14 @@ has one core, which evaluates it only on the boxes its certificates allow:
 the spectrum's certificate met with the profile's dilated closed support.
 This is exact, not an approximation: profiles are hard 0 off their closed
 support and certified spectra are exactly 0 off their shells, so every
-skipped product was a signed zero.  Products of such pieces are formed
-band-locally (:func:`add_box_product`), one choice of box per piece at a
-time, on the smallest power-of-two grid the product cannot wrap on, and
-added into the boxes of the product's certificate.  Narrow spectra invert on
+skipped product was a signed zero.  A translation splits exactly, per axis,
+into whole samples and a remainder (:func:`_split`); it is aligned, and rolls
+samples, only when every remainder is 0 (:func:`dilated_steps`), and its one
+phase, :func:`translation_phase`, is exactly Hermitian and as accurate at any
+shift.  Products of such pieces are formed band-locally
+(:func:`add_box_product`), one choice of box per piece at a time, on the
+smallest power-of-two grid the product cannot wrap on, and added into the
+boxes of the product's certificate.  Narrow spectra invert on
 short transforms (:func:`_folded`, the four-step split): boxes fold onto ``P``
 bins per axis, one batched inverse runs all ``Q = M / P`` transforms, and the
 batch is the samples in natural order.  Samples fold onto ``Q = 4`` from 2**17
@@ -103,7 +107,6 @@ __all__ = [
     "PARTIAL",
     "dilated_steps",
     "phase_shift",
-    "grid_aligned_steps",
     "lp_norm",
     "mixed_norm",
 ]
@@ -733,23 +736,6 @@ def convolve(f: SampledField, g: SampledField) -> SampledField:
     return inverse(Spectrum(grid, boxes, shells=shells))
 
 
-def grid_aligned_steps(shift: Sequence[float], grid: GridSpec) -> Optional[Tuple[int, ...]]:
-    """Sample steps realizing the shift exactly, or None when off-grid.
-
-    The spacing is the period over a power of two, so ``a / spacing`` is exact
-    and only a whole number of samples counts as aligned: a shift a hair off
-    the grid keeps its sub-sample part instead of being rounded onto it.
-    """
-    steps = []
-    for a in shift:
-        t = a / grid.spacing
-        r = round(t)
-        if t != r:
-            return None
-        steps.append(int(r) % grid.samples_per_axis)
-    return tuple(steps)
-
-
 # ---------------------------------------------------------------------------
 # the spectral multiplier: profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))
 # ---------------------------------------------------------------------------
@@ -824,38 +810,53 @@ def box_radii(grid: GridSpec, index=None) -> np.ndarray:
     return np.sqrt(radii, out=radii)
 
 
-def translation_phase(grid: GridSpec, shift: Sequence[float], index=None) -> np.ndarray:
-    """``exp(-2 pi i (shift, xi))`` on the grid frequencies (or on the bins of ``index``)."""
-    phase_arg = sum(a * axis for a, axis in zip(shift, box_frequencies(grid, index)))
-    return np.exp(-2j * np.pi * phase_arg)
+def _split(grid: GridSpec, translation: Sequence[float], scale: int = 0) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    """``(n, rho)`` per axis with ``2**-scale t = (n + rho) h``: whole samples ``n`` mod M and a remainder ``|rho| < 1``.
 
-
-def _dilated_shift(translation: Optional[Sequence[float]], scale: int) -> Optional[np.ndarray]:
-    """``2**-scale * translation``, or None when there is nothing to translate."""
-    if translation is None:
-        return None
-    shift = np.atleast_1d(np.asarray(translation, dtype=float)) * 2.0**-scale
-    return shift if np.any(shift != 0.0) else None
-
-
-def _shift_or_steps(
-    grid: GridSpec, translation: Optional[Sequence[float]], scale: int
-) -> Tuple[Optional[np.ndarray], Optional[Tuple[int, ...]]]:
-    """``(shift, steps)``: the dilated translation off the grid, or in whole samples; at most one is set."""
-    shift = _dilated_shift(translation, scale)
-    steps = None if shift is None else grid_aligned_steps(shift, grid)
-    return (shift if steps is None else None), steps
-
-
-def dilated_steps(
-    grid: GridSpec, translation: Optional[Sequence[float]], scale: int
-) -> Optional[Tuple[int, ...]]:
-    """Sample steps realizing ``2**-scale * translation`` exactly, or None when off-grid.
-
-    No translation (or a zero one) is the all-zero step vector.
+    ``math.fmod`` gives ``t - n h`` exactly, so ``rho`` is rounded once and is 0 only when ``t`` is exactly whole
+    samples.  A translation that is not ``d`` coordinates, finite once dilated, is a ``ValueError`` naming it.
     """
-    shift, steps = _shift_or_steps(grid, translation, scale)
-    return (0,) * grid.dimension if shift is None and steps is None else steps
+    coords = np.ravel(translation).tolist()
+    dilated = [t * 2.0**-scale for t in coords]
+    if len(dilated) != grid.dimension or not all(map(math.isfinite, dilated)):
+        raise ValueError(f"translation {coords} is not a finite {grid.dimension}-vector at scale {scale}")
+    h, m = grid.spacing, grid.samples_per_axis
+    steps, rests = [], []
+    for t in dilated:
+        r = math.fmod(t, h)
+        # (t - r) / h rounds to the whole number it is below 2**51 samples; past that, divide exactly
+        steps.append((round((t - r) / h) if abs(t) < 2.0**51 * h else int((Fraction(t) - Fraction(r)) / Fraction(h))) % m)
+        rests.append(r / h)
+    return tuple(steps), tuple(rests)
+
+
+def dilated_steps(grid: GridSpec, translation: Optional[Sequence[float]], scale: int) -> Optional[Tuple[int, ...]]:
+    """Whole samples ``n`` (mod M) of ``2**-scale * translation`` when its remainder is 0, else None.
+
+    The one alignment test: :func:`_split`'s remainder is exact, so only exactly whole samples
+    are aligned.  No translation is the all-zero step vector.
+    """
+    if translation is None:
+        return (0,) * grid.dimension
+    steps, rests = _split(grid, translation, scale)
+    return None if any(rests) else steps
+
+
+def translation_phase(grid: GridSpec, shift: Sequence[float], index=None) -> np.ndarray:
+    """``exp(-2 pi i (shift, xi))`` on the grid frequencies (or on the bins of ``index``), exactly Hermitian.
+
+    With ``shift = (n + rho) h`` per axis (:func:`_split`), the phase at signed bins ``k`` is ``exp(-2 pi i w)``, ``w``
+    the sum over axes of ``u - trunc(2 u) + rho k / M`` with ``u = fmod(n k, M) / M`` (``n < M``, so ``n k`` fits in
+    int64); ``u - trunc(2 u)`` is ``sign(k) (((n |k| + M/2) mod M) - M/2) / M`` exactly.  So ``|w| < 1`` per axis at
+    any shift, and ``w`` is odd in ``k`` bit for bit: the phase at ``-k`` is the conjugate of that at ``k``.
+    """
+    m = grid.samples_per_axis
+    turns = []
+    for n, rho, i in zip(*_split(grid, shift), index or _box_index(grid, (0,) * grid.dimension, grid.shape)):
+        k = ((i + m // 2) & (m - 1)) - m // 2
+        u = np.fmod(n * k, m) / m
+        turns.append(u - np.trunc(u + u) + k * (rho / m))
+    return np.exp(-2j * np.pi * reduce(np.add, turns))
 
 
 def _dilated_support(support: Tuple[float, float], scale: int, dimension: int) -> Shells:
@@ -868,33 +869,28 @@ def _symbol_times(
     shells: Optional[Shells],
     profile=None,
     scale: int = 0,
-    shift: Optional[np.ndarray] = None,
-    steps: Optional[Tuple[int, ...]] = None,
+    translation: Optional[Sequence[float]] = None,
 ) -> Tuple[BoxPiece, ...]:
-    """``spectrum * profile(2**-scale |xi|) * phase`` on each box of ``shells``: the one multiplier core.
+    """``spectrum * profile(2**-scale |xi|) * exp(-2 pi i (2**-scale t, xi))`` on each box of ``shells``: the one multiplier core.
 
     ``spectrum=None`` and ``profile=None`` are 1; ``shells=None`` is the
     whole grid; the spectrum is read on the boxes of ``shells`` from its own.
-    The phase is :func:`translation_phase` of ``shift``, or the roll by
-    ``steps`` samples with its argument reduced modulo M in integers
-    (as exact as the roll for any size of shift), or 1.  It is the left
-    operand of the last product, as when numpy evaluates a large whole-grid
-    ``coefficients * phase`` in the phase's temporary buffer: with fused
-    multiply-adds, a complex product depends on the operand order.
+    The phase is :func:`translation_phase` of the dilated translation, whole
+    samples or not; a translation of no samples (none, zero, or whole
+    periods) multiplies by nothing.  The phase is the left operand of the
+    last product, as when numpy evaluates a large whole-grid ``coefficients *
+    phase`` in the phase's temporary buffer: with fused multiply-adds, a
+    complex product depends on the operand order.
     """
-    m = grid.samples_per_axis
+    shift = None if dilated_steps(grid, translation, scale) == (0,) * grid.dimension else np.multiply(translation, 2.0**-scale)
     pieces = []
     for first, index in _boxes(grid, shells):
         shape = tuple(i.size for i in index)
         values = np.ones(shape) if spectrum is None else _read(grid, spectrum.boxes, first, shape)
         if profile is not None:
             values = values * profile(box_radii(grid, index) * 2.0**-scale)
-        phase = None
         if shift is not None:
             phase = translation_phase(grid, shift, index)
-        elif steps is not None:
-            phase = np.exp(-2j * np.pi * (sum(s * k for s, k in zip(steps, index)) % m) / m)
-        if phase is not None:
             phase *= values
             values = phase
         pieces.append((first, values))
@@ -909,23 +905,23 @@ def apply_multiplier(
 ) -> np.ndarray:
     """Samples of the inverse transform of ``spectrum`` times ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``.
 
-    ``profile=None`` is the constant 1.  A grid-aligned dilated translation
-    rolls the untranslated samples (an exact permutation); any other one
-    multiplies by :func:`translation_phase`.  Profile and phase are evaluated
-    only on the bins where the spectrum's support certificate meets the
+    ``profile=None`` is the constant 1.  A dilated translation of exactly
+    whole samples (:func:`dilated_steps`) rolls the untranslated samples (an
+    exact permutation); any other multiplies by its :func:`translation_phase`.
+    Profile and phase are evaluated only on the bins where the spectrum's support certificate meets the
     profile's dilated closed support (either one alone when the other is
     absent).  Every other product is a signed zero, because profiles are hard
     0 off their support and certified coefficients are exactly 0 off their
     shells, so the result equals the whole-grid evaluation.
     """
     grid = spectrum.grid
-    shift, steps = _shift_or_steps(grid, translation, scale)
+    steps = dilated_steps(grid, translation, scale)
     shells = spectrum.shells
     if profile is not None:
         support = _dilated_support(profile.support, scale, grid.dimension)
         shells = support if shells is None else shells.meet(support)
-    values = _inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale, shift))
-    if steps is not None:
+    values = _inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale, translation if steps is None else None))
+    if steps is not None and any(steps):
         values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
     return values
 
@@ -943,15 +939,13 @@ def box_piece(
 ) -> Tuple[BoxPiece, ...]:
     """One multiplier piece on the certified boxes of ``shells``, as :data:`BoxPiece` boxes.
 
-    Each box holds ``spectrum * profile(2**-scale |xi|) *
-    exp(-2 pi i (2**-scale t, xi))``: the coefficients :func:`apply_multiplier`
-    inverts (a grid-aligned translation, which it applies as a roll, is the
-    roll's phase).  ``shells`` must hold every bin where the product can be
+    Each box holds ``spectrum * profile(2**-scale |xi|) * exp(-2 pi i
+    (2**-scale t, xi))``, one :func:`translation_phase` for any translation:
+    the coefficients :func:`apply_multiplier` inverts (or rolls, for whole
+    samples).  ``shells`` must hold every bin where the product can be
     nonzero, as the certificate :func:`piece_plan` returns does.
     """
-    grid = spectrum.grid
-    shift, steps = _shift_or_steps(grid, translation, scale)
-    return _symbol_times(grid, spectrum, shells, profile, scale, shift, steps)
+    return _symbol_times(spectrum.grid, spectrum, shells, profile, scale, translation)
 
 
 def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] = None, scale: int = 0) -> Tuple[BoxPiece, ...]:
@@ -960,7 +954,7 @@ def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] =
     A symbol as a piece, 0 off those boxes: ``Spectrum(grid, symbol_box(...), shells=support)`` holds it.
     """
     support = _dilated_support(profile.support, scale, grid.dimension)
-    return _symbol_times(grid, None, support, profile, scale, _dilated_shift(translation, scale))
+    return _symbol_times(grid, None, support, profile, scale, translation)
 
 
 def add_box_product(
@@ -1156,13 +1150,11 @@ def piece_class(f: SampledField, profile, scale: int) -> str:
 def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
     """Exact translation x -> f(x - shift) for arbitrary real shifts.
 
-    Grid-aligned shifts take a sample-roll path (bit-exact permutation);
-    everything else goes through the spectrum with unimodular phases.
+    A shift of exactly whole samples (:func:`dilated_steps`) rolls the
+    samples (a bit-exact permutation); any other goes through the spectrum
+    with its :func:`translation_phase`.
     """
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.shape != (f.grid.dimension,):
-        raise ValueError(f"shift must have length {f.grid.dimension}, got {shift.shape}")
-    steps = grid_aligned_steps(shift, f.grid)
+    steps = dilated_steps(f.grid, shift, 0)
     if steps is not None:
         values = np.roll(f.values, steps, axis=tuple(range(f.grid.dimension)))
     else:

@@ -166,6 +166,7 @@ def square_function(
     kept as :func:`field.box_piece` boxes, and the samples summed when
     ``values`` is first read.
     """
+    dilated_steps(f.grid, shift, 0)  # refuses a malformed shift before the transform
     spectrum = transform(f)
     moduli = []
     for scale in pair.scales:
@@ -213,6 +214,8 @@ def maximal_functions(f: SampledField, pair: LPPair, shifts: Sequence[Optional[S
     idempotent, exact and order-free), and the off-grid pieces after; on the
     last shift the shared inverses are released before the off-grid ones run.
     """
+    for shift in shifts:
+        dilated_steps(f.grid, shift, 0)  # refuses a malformed shift before the transform
     spectrum, untranslated = transform(f), {}
     for i, shift in enumerate(shifts):
         yield _maximal(f, spectrum, pair, shift, untranslated, i == len(shifts) - 1)

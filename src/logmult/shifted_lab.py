@@ -27,6 +27,8 @@ from .field import (
     SampledField,
     Shell,
     Shells,
+    _ldexp,
+    _peak_exponent,
     bin_boxes,
     box_frequencies,
     box_radii,
@@ -448,9 +450,11 @@ def change_of_variables_check(
             raise ValueError(f"input {i} carries no support certificate, so the product's alias check cannot run")
     grid.check_supports_radius(sum(g.shells.hull[1] for g in gs) * 2**scales[-1])
     gs = [keep_spectrum(g) for g in gs]  # one FFT per input: both sides' off-grid translates read it
+    # translates over 2**e (exact), e from each spectrum's peak (within L**d M**d of the samples'): no power overflows
+    peaks = [_peak_exponent(*(np.abs(v) for _, v in transform(g).boxes)) or 0 for g in gs]
 
     def norm_p(shifts: Sequence[np.ndarray]) -> float:
-        translates = [phase_shift(g, y).values for g, y in zip(gs, shifts)]
+        translates = [_ldexp(phase_shift(g, y).values, -e) for g, y, e in zip(gs, shifts, peaks)]
         total = 0.0
         for scale in scales:
             sub = (slice(None, None, 2**scale),) * grid.dimension
@@ -458,7 +462,7 @@ def change_of_variables_check(
             for v in translates:
                 prod = prod * v[sub]
             total += float(np.sum(np.abs(prod) ** p)) * (grid.size / prod.size) * grid.cell_volume
-        return total ** (1.0 / p)
+        return float(np.ldexp(total ** (1.0 / p), sum(peaks)))
 
     lhs = norm_p(ys)
     rhs = norm_p([y - ys[k0] for y in ys])

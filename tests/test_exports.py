@@ -3,7 +3,10 @@
 Every name a ``logmult`` module lists in ``__all__`` exists: a stale entry
 otherwise fails only at ``from logmult.<module> import *``.  FFT calls live in
 ``field.py`` alone, so one module owns every transform and its sizes.  A
-spectrum's full-size ``coefficients`` are scattered from its boxes on each
+translation's complex phase is built by ``field.translation_phase`` alone,
+whose argument stays small for any size of shift; the fold's twiddles and
+the packet train's carrier-centred phases, whose arguments stay small too,
+are the two other named sites.  A spectrum's full-size ``coefficients`` are scattered from its boxes on each
 read, so they are read only where a full array is the point.
 """
 
@@ -32,6 +35,33 @@ def test_fft_is_called_only_in_field():
         path.name for path in Path(logmult.__file__).parent.glob("*.py") if pattern.search(path.read_text())
     )
     assert users == ["field.py"]
+
+
+def is_complex_exp(node):
+    """A call of some ``exp`` with a complex literal in it: a complex phase being built."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "exp"
+        and any(isinstance(c, ast.Constant) and isinstance(c.value, complex) for c in ast.walk(node))
+    )
+
+
+def test_complex_phases_are_built_only_at_named_sites():
+    sites, unowned = set(), 0
+    for path in sorted(Path(logmult.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node) for node in ast.walk(tree) if is_complex_exp(node)}
+        owned = set()
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if id(node) in calls:
+                        sites.add((path.name, func.name))
+                        owned.add(id(node))
+        unowned += len(calls - owned)
+    assert unowned == 0
+    assert sites == {("field.py", "translation_phase"), ("field.py", "_twiddles"), ("shifted_lab.py", "bump_train")}
 
 
 def test_full_size_coefficients_are_read_only_at_named_sites():

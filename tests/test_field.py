@@ -1,4 +1,8 @@
+import cmath
 import dataclasses
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,16 +25,18 @@ from logmult.field import (
     box_radii,
     conjugate,
     convolve,
+    dilated_steps,
     frozen,
     inverse,
     lp_norm,
     mixed_norm,
     phase_shift,
     transform,
+    translation_phase,
 )
 from logmult.calibration import make_lp_pair
-from logmult.lp_ops import square_function
-from logmult.shifted_lab import bump_train, dilate_field
+from logmult.lp_ops import maximal_function, square_function
+from logmult.shifted_lab import bump_train, dilate_field, random_band_limited
 
 
 def random_field(grid, seed=0):
@@ -708,3 +714,106 @@ def test_deferred_fields_check_coefficients_and_samples():
     for _ in range(2):
         with pytest.raises(ValueError, match="finite"):
             f.values
+
+
+# ---------------------------------------------------------------------------
+# one translation rule: whole samples and a remainder, one Hermitian phase
+# ---------------------------------------------------------------------------
+
+PERIODS = (1.0, 0.3, 16.0, 320.0, 1000.0 / 3.0, 2.0**16)
+
+
+def exact_phase(shift, period, bins):
+    """``exp(-2 pi i (shift, k) / L)`` from the exact rational ``(shift, k) / L`` taken mod 1 into ``[-1/2, 1/2)``."""
+    turns = sum(Fraction(t) * k for t, k in zip(shift, bins)) / Fraction(period)
+    turns -= math.floor(turns + Fraction(1, 2))
+    return cmath.exp(-2j * math.pi * float(turns))
+
+
+@st.composite
+def phase_cases(draw):
+    """A grid (1-D up to 2**22 points, 2-D up to 256**2), a shift up to 2**16 and a box of bins, maybe across +-M/2."""
+    dimension = draw(st.sampled_from([1, 2]))
+    m = 2 ** draw(st.integers(3, 22 if dimension == 1 else 8))
+    grid = GridSpec(dimension, m, draw(st.sampled_from(PERIODS)))
+    shift = []
+    for _ in range(dimension):
+        kind = draw(st.sampled_from(["float", "whole", "next to whole"]))
+        if kind == "float":
+            shift.append(draw(st.floats(-(2.0**16), 2.0**16)))
+            continue
+        t = draw(st.integers(-int(2**16 / grid.spacing), int(2**16 / grid.spacing))) * grid.spacing
+        shift.append(t if kind == "whole" else math.nextafter(t, draw(st.sampled_from([-math.inf, math.inf]))))
+    widths = [draw(st.integers(1, min(m, 64 if dimension == 1 else 8))) for _ in range(dimension)]
+    firsts = [draw(st.one_of(st.integers(-m // 2, m // 2 - 1), st.just(m // 2 - w // 2))) for w in widths]
+    return grid, shift, firsts, widths
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_cases())
+# past 2**51 samples the whole part is divided exactly
+@example((GridSpec(1, 64, 0.3), [2.0**60], [-32], [64]))
+@example((GridSpec(2, 256, 320.0), [-3.3e17, 1e20 + 2.0**20], [120, -5], [16, 10]))
+def test_translation_phase_is_the_exact_phase_and_hermitian(case):
+    grid, shift, firsts, widths = case
+    m = grid.samples_per_axis
+    signed = [(k + np.arange(w) + m // 2) % m - m // 2 for k, w in zip(firsts, widths)]
+    got = translation_phase(grid, shift, np.ix_(*(k % m for k in signed)))
+    want = np.array([exact_phase(shift, grid.period, bins) for bins in itertools.product(*signed)]).reshape(got.shape)
+    assert np.max(np.abs(got - want)) <= 4e-15
+    # the phase at -k is the conjugate of the phase at k, bit for bit, off the unpaired bin -M/2
+    mirrored = translation_phase(grid, shift, np.ix_(*(-k % m for k in signed)))
+    paired = np.ix_(*(k != -m // 2 for k in signed))
+    assert np.array_equal(mirrored[paired], np.conj(got)[paired])
+
+
+@pytest.mark.parametrize("shift", [4096.0, 65536.0])
+def test_translation_phase_stays_exact_at_large_shifts(shift):
+    # criterion 15's grid; the float product (shift * xi) erred by 2.8e-8 at 4096 and 4.5e-7 at 65536.
+    # The shift and the period are integers, so (shift k mod L) / L is the exact phase.
+    grid = GridSpec(1, 2**22, 320.0)
+    m, t, period = grid.samples_per_axis, int(shift), int(grid.period)
+    worst = 0.0
+    for first in range(-m // 2, m // 2, 2**18):
+        k = first + np.arange(2**18)
+        want = np.exp(-2j * np.pi * (((t * k + period // 2) % period - period // 2) / period))
+        worst = max(worst, float(np.max(np.abs(translation_phase(grid, [shift], (k % m,)) - want))))
+    assert worst <= 4e-15
+
+
+def test_aligned_means_exactly_whole_samples():
+    grid = GridSpec(1, 64, 0.3)
+    h = grid.spacing
+    # the float 3 * h is not 3 samples, though it divides back to 3.0; only exact multiples roll
+    assert (3 * h) / h == 3.0 and Fraction(3 * h) != 3 * Fraction(h)
+    assert dilated_steps(grid, [3 * h], 0) is None
+    assert dilated_steps(grid, [4 * h], 0) == (4,) and dilated_steps(grid, [grid.period], 0) == (0,)
+    assert dilated_steps(grid, [3 * h], -1) is None and dilated_steps(grid, [4 * h], 1) == (2,)
+    for k in range(3000):
+        for t in (k * h, math.nextafter(k * h, -math.inf), math.nextafter(k * h, math.inf)):
+            samples = Fraction(t) / Fraction(h)
+            want = (int(samples) % grid.samples_per_axis,) if samples.denominator == 1 else None
+            assert dilated_steps(grid, [t], 0) == want
+    f = random_field(grid, 5)
+    shifted = phase_shift(f, [3 * h]).values
+    assert not np.array_equal(shifted, np.roll(f.values, 3))
+    assert np.max(np.abs(shifted - np.roll(f.values, 3))) < 1e-12
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "phase_shift": lambda f, t: phase_shift(f, [t]),
+    "maximal_function": lambda f, t: maximal_function(f, make_lp_pair((-2, 6)), [t]),
+    "square_function": lambda f, t: square_function(f, make_lp_pair((-2, 6)), [t]),
+    "translation_phase": lambda f, t: translation_phase(f.grid, [t]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_translations_are_refused_by_name(entry, value, fft_calls):
+    g = random_band_limited(GridSpec(1, 256, 16.0), (0.5, 2.0), 3)
+    f = SampledField(g.grid, g.values, shells=g.shells)  # no kept spectrum: each entry point would transform it
+    fft_calls.clear()
+    with pytest.raises(ValueError, match=r"translation \[.*\] is not a finite 1-vector"):
+        NON_FINITE_ENTRY_POINTS[entry](f, value)
+    assert fft_calls == []

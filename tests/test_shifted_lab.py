@@ -321,6 +321,22 @@ def test_change_of_variables_lp_variant(grid):
     assert res.discrepancy < 1e-9
 
 
+def test_change_of_variables_survives_extreme_amplitudes():
+    # at 1e80 the unscaled products overflowed (lhs = rhs = inf, discrepancy nan), and at 1e-80 they
+    # underflowed to an absolute discrepancy of 0; scaled by powers of two, every side is exact
+    gs = [random_band_limited(GridSpec(1, 1024, 16.0), (0.2, 2.0), 5, i) for i in range(3)]
+    ys = [[0.3], [1.1], [-0.7]]
+    unit = change_of_variables_check(gs, ys, 1, (0, 1), p=3.0)
+    assert unit.relative and 0.0 < unit.discrepancy < 1e-4
+    for e in (300, -300):
+        res = change_of_variables_check([g * 2.0**e for g in gs], ys, 1, (0, 1), p=3.0)
+        assert (res.lhs, res.rhs) == (math.ldexp(unit.lhs, 3 * e), math.ldexp(unit.rhs, 3 * e))
+        assert res.relative and res.discrepancy == unit.discrepancy
+    for amplitude in (1e80, 1e-80):
+        res = change_of_variables_check([g * amplitude for g in gs], ys, 1, (0, 1), p=3.0)
+        assert res.relative and abs(res.discrepancy - unit.discrepancy) < 1e-12
+
+
 def test_change_of_variables_zero_lhs_flag(grid):
     zero = SampledField(grid, np.zeros(grid.shape, dtype=complex), shells=Shells.radial(0.0, 0.0, grid.dimension))
     res = change_of_variables_check([zero, zero], [[0.5], [1.5]], 0, (0, 1))

@@ -40,7 +40,7 @@ from logmult.field import (
     apply_multiplier,
     box_modulus,
     bin_boxes,
-    grid_aligned_steps,
+    dilated_steps,
     lp_norm,
     piece_shells,
     piece_class,
@@ -148,7 +148,7 @@ def dense_apply(spectrum, profile, scale, translation):
     if profile is not None:
         coeffs = coeffs * profile(grid.frequency_radii() * 2.0**-scale)
     shift = np.asarray(translation, dtype=float) * 2.0**-scale
-    steps = grid_aligned_steps(shift, grid)
+    steps = dilated_steps(grid, shift, 0)
     if steps is None:
         phase = translation_phase(grid, shift)
         phase *= coeffs  # the primitive's operand order
