@@ -46,11 +46,11 @@ has one core, which evaluates it only on the boxes its certificates allow:
 the spectrum's certificate met with the profile's dilated closed support.
 This is exact, not an approximation: profiles are hard 0 off their closed
 support and certified spectra are exactly 0 off their shells, so every
-skipped product was a signed zero.  A translation splits exactly, per axis,
-into whole samples and a remainder (:func:`_split`); it is aligned, and rolls
-samples, only when every remainder is 0 (:func:`dilated_steps`), and its one
-phase, :func:`translation_phase`, is exactly Hermitian and as accurate at any
-shift.  Products of such pieces are formed band-locally
+skipped product was a signed zero.  A translation is split once, exactly, per
+axis, into whole samples mod M and a remainder (:func:`_split`); it is aligned,
+and rolls samples, only when every remainder is 0 (:func:`dilated_steps`), and
+its one phase, :func:`_phase` of the split, is exactly Hermitian and as
+accurate at any shift.  Products of such pieces are formed band-locally
 (:func:`add_box_product`), one choice of box per piece at a time, on the
 smallest power-of-two grid the product cannot wrap on, and added into the
 boxes of the product's certificate.  Narrow spectra invert on
@@ -114,6 +114,7 @@ __all__ = [
 Exponent = Union[int, float, Fraction]
 # ``(first, index)``: the signed bins ``first + [0, w)`` per axis and their open-mesh grid index
 Box = Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]
+Split = Tuple[Tuple[int, ...], Tuple[float, ...]]  # ``(n, rho)``: whole samples and remainder per axis (:func:`_split`)
 # ``(first, values)``: coefficients at the signed bins ``first + [0, w)`` per axis
 BoxPiece = Tuple[Tuple[int, ...], np.ndarray]
 
@@ -810,49 +811,48 @@ def box_radii(grid: GridSpec, index=None) -> np.ndarray:
     return np.sqrt(radii, out=radii)
 
 
-def _split(grid: GridSpec, translation: Sequence[float], scale: int = 0) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-    """``(n, rho)`` per axis with ``2**-scale t = (n + rho) h``: whole samples ``n`` mod M and a remainder ``|rho| < 1``.
+def _split(grid: GridSpec, translation: Optional[Sequence[float]], scale: int = 0) -> Split:
+    """``(n, rho)`` per axis with ``2**-scale t = (n + rho) h`` mod L: ``0 <= n < M`` whole samples, ``|rho| < 1`` (none: 0).
 
-    ``math.fmod`` gives ``t - n h`` exactly, so ``rho`` is rounded once and is 0 only when ``t`` is exactly whole
-    samples.  A translation that is not ``d`` coordinates, finite once dilated, is a ``ValueError`` naming it.
+    ``L = M h`` exactly, so ``math.fmod`` reduces ``t`` by ``L``, then by ``h``, exactly: ``rho`` is rounded once and
+    is 0 only for exactly whole samples, and one ``round`` counts the fewer than M whole samples left.  A
+    translation that is not ``d`` coordinates, finite once dilated, is a ``ValueError`` naming it.
     """
-    coords = np.ravel(translation).tolist()
+    coords = [0.0] * grid.dimension if translation is None else np.ravel(translation).tolist()
     dilated = [t * 2.0**-scale for t in coords]
     if len(dilated) != grid.dimension or not all(map(math.isfinite, dilated)):
         raise ValueError(f"translation {coords} is not a finite {grid.dimension}-vector at scale {scale}")
     h, m = grid.spacing, grid.samples_per_axis
     steps, rests = [], []
     for t in dilated:
+        t = math.fmod(t, grid.period)
         r = math.fmod(t, h)
-        # (t - r) / h rounds to the whole number it is below 2**51 samples; past that, divide exactly
-        steps.append((round((t - r) / h) if abs(t) < 2.0**51 * h else int((Fraction(t) - Fraction(r)) / Fraction(h))) % m)
+        steps.append(round((t - r) / h) % m)
         rests.append(r / h)
     return tuple(steps), tuple(rests)
 
 
 def dilated_steps(grid: GridSpec, translation: Optional[Sequence[float]], scale: int) -> Optional[Tuple[int, ...]]:
-    """Whole samples ``n`` (mod M) of ``2**-scale * translation`` when its remainder is 0, else None.
-
-    The one alignment test: :func:`_split`'s remainder is exact, so only exactly whole samples
-    are aligned.  No translation is the all-zero step vector.
-    """
-    if translation is None:
-        return (0,) * grid.dimension
+    """The one alignment test: whole samples ``n`` (mod M) of ``2**-scale * translation`` when its exact :func:`_split` remainder is 0, else None."""
     steps, rests = _split(grid, translation, scale)
     return None if any(rests) else steps
 
 
 def translation_phase(grid: GridSpec, shift: Sequence[float], index=None) -> np.ndarray:
-    """``exp(-2 pi i (shift, xi))`` on the grid frequencies (or on the bins of ``index``), exactly Hermitian.
+    """``exp(-2 pi i (shift, xi))`` on the grid frequencies (or on the bins of ``index``), exactly Hermitian: :func:`_phase` of :func:`_split`."""
+    return _phase(grid, _split(grid, shift), index)
 
-    With ``shift = (n + rho) h`` per axis (:func:`_split`), the phase at signed bins ``k`` is ``exp(-2 pi i w)``, ``w``
-    the sum over axes of ``u - trunc(2 u) + rho k / M`` with ``u = fmod(n k, M) / M`` (``n < M``, so ``n k`` fits in
-    int64); ``u - trunc(2 u)`` is ``sign(k) (((n |k| + M/2) mod M) - M/2) / M`` exactly.  So ``|w| < 1`` per axis at
-    any shift, and ``w`` is odd in ``k`` bit for bit: the phase at ``-k`` is the conjugate of that at ``k``.
+
+def _phase(grid: GridSpec, split: Split, index=None) -> np.ndarray:
+    """The one translation phase, of a shift split into ``(n + rho) h`` per axis: ``exp(-2 pi i w)`` at signed bins ``k``.
+
+    ``w`` sums over axes ``u - trunc(2 u) + rho k / M``, ``u = fmod(n k, M) / M`` (``n < M``, so ``n k`` fits in int64);
+    ``u - trunc(2 u)`` is ``sign(k) (((n |k| + M/2) mod M) - M/2) / M`` exactly.  So ``|w| < 1`` per axis at any shift,
+    and ``w`` is odd in ``k`` bit for bit: the phase at ``-k`` is the conjugate of that at ``k``.
     """
     m = grid.samples_per_axis
     turns = []
-    for n, rho, i in zip(*_split(grid, shift), index or _box_index(grid, (0,) * grid.dimension, grid.shape)):
+    for n, rho, i in zip(*split, index or _box_index(grid, (0,) * grid.dimension, grid.shape)):
         k = ((i + m // 2) & (m - 1)) - m // 2
         u = np.fmod(n * k, m) / m
         turns.append(u - np.trunc(u + u) + k * (rho / m))
@@ -869,28 +869,28 @@ def _symbol_times(
     shells: Optional[Shells],
     profile=None,
     scale: int = 0,
-    translation: Optional[Sequence[float]] = None,
+    split: Optional[Split] = None,
 ) -> Tuple[BoxPiece, ...]:
     """``spectrum * profile(2**-scale |xi|) * exp(-2 pi i (2**-scale t, xi))`` on each box of ``shells``: the one multiplier core.
 
     ``spectrum=None`` and ``profile=None`` are 1; ``shells=None`` is the
     whole grid; the spectrum is read on the boxes of ``shells`` from its own.
-    The phase is :func:`translation_phase` of the dilated translation, whole
-    samples or not; a translation of no samples (none, zero, or whole
-    periods) multiplies by nothing.  The phase is the left operand of the
+    The phase is :func:`_phase` of the dilated translation's one ``split``,
+    whole samples or not; none, or a split of no samples (zero, or whole
+    periods), multiplies by nothing.  The phase is the left operand of the
     last product, as when numpy evaluates a large whole-grid ``coefficients *
     phase`` in the phase's temporary buffer: with fused multiply-adds, a
     complex product depends on the operand order.
     """
-    shift = None if dilated_steps(grid, translation, scale) == (0,) * grid.dimension else np.multiply(translation, 2.0**-scale)
+    phased = split is not None and any(map(any, split))
     pieces = []
     for first, index in _boxes(grid, shells):
         shape = tuple(i.size for i in index)
         values = np.ones(shape) if spectrum is None else _read(grid, spectrum.boxes, first, shape)
         if profile is not None:
             values = values * profile(box_radii(grid, index) * 2.0**-scale)
-        if shift is not None:
-            phase = translation_phase(grid, shift, index)
+        if phased:
+            phase = _phase(grid, split, index)
             phase *= values
             values = phase
         pieces.append((first, values))
@@ -915,15 +915,13 @@ def apply_multiplier(
     shells, so the result equals the whole-grid evaluation.
     """
     grid = spectrum.grid
-    steps = dilated_steps(grid, translation, scale)
+    steps, rests = split = _split(grid, translation, scale)
     shells = spectrum.shells
     if profile is not None:
         support = _dilated_support(profile.support, scale, grid.dimension)
         shells = support if shells is None else shells.meet(support)
-    values = _inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale, translation if steps is None else None))
-    if steps is not None and any(steps):
-        values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
-    return values
+    values = _inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale, split if any(rests) else None))
+    return values if any(rests) or not any(steps) else np.roll(values, steps, axis=tuple(range(grid.dimension)))
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +943,7 @@ def box_piece(
     samples).  ``shells`` must hold every bin where the product can be
     nonzero, as the certificate :func:`piece_plan` returns does.
     """
-    return _symbol_times(spectrum.grid, spectrum, shells, profile, scale, translation)
+    return _symbol_times(spectrum.grid, spectrum, shells, profile, scale, _split(spectrum.grid, translation, scale))
 
 
 def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] = None, scale: int = 0) -> Tuple[BoxPiece, ...]:
@@ -954,7 +952,7 @@ def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] =
     A symbol as a piece, 0 off those boxes: ``Spectrum(grid, symbol_box(...), shells=support)`` holds it.
     """
     support = _dilated_support(profile.support, scale, grid.dimension)
-    return _symbol_times(grid, None, support, profile, scale, translation)
+    return _symbol_times(grid, None, support, profile, scale, _split(grid, translation, scale))
 
 
 def add_box_product(
@@ -1150,15 +1148,15 @@ def piece_class(f: SampledField, profile, scale: int) -> str:
 def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
     """Exact translation x -> f(x - shift) for arbitrary real shifts.
 
-    A shift of exactly whole samples (:func:`dilated_steps`) rolls the
+    The shift is split once (:func:`_split`): exactly whole samples roll the
     samples (a bit-exact permutation); any other goes through the spectrum
     with its :func:`translation_phase`.
     """
-    steps = dilated_steps(f.grid, shift, 0)
-    if steps is not None:
-        values = np.roll(f.values, steps, axis=tuple(range(f.grid.dimension)))
+    steps, rests = split = _split(f.grid, shift)
+    if any(rests):
+        values = _inverted(f.grid, _symbol_times(f.grid, transform(f), f.shells, split=split))
     else:
-        values = apply_multiplier(transform(f), translation=shift)
+        values = np.roll(f.values, steps, axis=tuple(range(f.grid.dimension)))
     return SampledField(f.grid, frozen(values), shells=f.shells)
 
 

@@ -3,7 +3,8 @@
 Every name a ``logmult`` module lists in ``__all__`` exists: a stale entry
 otherwise fails only at ``from logmult.<module> import *``.  FFT calls live in
 ``field.py`` alone, so one module owns every transform and its sizes.  A
-translation's complex phase is built by ``field.translation_phase`` alone,
+translation's complex phase is built by ``field._phase`` alone (behind
+``translation_phase`` and the multiplier core, from one split of the shift),
 whose argument stays small for any size of shift; the fold's twiddles and
 the packet train's carrier-centred phases, whose arguments stay small too,
 are the two other named sites.  A spectrum's full-size ``coefficients`` are scattered from its boxes on each
@@ -61,7 +62,7 @@ def test_complex_phases_are_built_only_at_named_sites():
                         owned.add(id(node))
         unowned += len(calls - owned)
     assert unowned == 0
-    assert sites == {("field.py", "translation_phase"), ("field.py", "_twiddles"), ("shifted_lab.py", "bump_train")}
+    assert sites == {("field.py", "_phase"), ("field.py", "_twiddles"), ("shifted_lab.py", "bump_train")}
 
 
 def test_full_size_coefficients_are_read_only_at_named_sites():

@@ -751,7 +751,7 @@ def phase_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(phase_cases())
-# past 2**51 samples the whole part is divided exactly
+# far past the period, which the split reduces by first
 @example((GridSpec(1, 64, 0.3), [2.0**60], [-32], [64]))
 @example((GridSpec(2, 256, 320.0), [-3.3e17, 1e20 + 2.0**20], [120, -5], [16, 10]))
 def test_translation_phase_is_the_exact_phase_and_hermitian(case):
