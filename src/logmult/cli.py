@@ -42,7 +42,7 @@ from .exponents import (
     select_split,
     sharp_lambda,
 )
-from .field import GridSpec, SampledField, Shells, box_radii
+from .field import GridSpec, SampledField, Shells, box_radii, inverse, spectrum_from_boxes
 from .lp_ops import DyadicCubeSet, fefferman_stein_ratio, peetre_cube_ratio
 from .reporting import ExperimentReport, RunManifest, render_report, write_csv
 from .shifted_lab import (
@@ -379,6 +379,14 @@ def cmd_growth(config: Config) -> ExperimentReport:
     return report
 
 
+def _changevars_input(grid: GridSpec, band_max: float, seed: int, stream: int) -> SampledField:
+    """A random field in ``|xi| <= band_max`` plus 1.5 times its peak modulus (bin 0 at that times ``L**d``), kept as its spectrum."""
+    base = random_band_limited(grid, (0.0, band_max), seed, stream)
+    level = 1.5 * max(1e-12, float(np.max(np.abs(base.values))))
+    pedestal = ((0,) * grid.dimension, np.full((1,) * grid.dimension, level * grid.period**grid.dimension, dtype=complex))
+    return inverse(spectrum_from_boxes(grid, base.kept.boxes + (pedestal,), base.shells | Shells.radial(0.0, 0.0, grid.dimension)))
+
+
 def cmd_changevars(config: Config) -> ExperimentReport:
     """Randomized shift-removal identity checks in L2(l2) and L3(l3)."""
     grid = _grid_from(config)
@@ -392,15 +400,7 @@ def cmd_changevars(config: Config) -> ExperimentReport:
     worst = {2.0: 0.0, 3.0: 0.0}
     for idx in range(n_configs):
         m = m_values[idx % len(m_values)]
-        gs = []
-        for slot in range(m):
-            base = random_band_limited(grid, (0.0, band_max), seed, 1000 + idx * 8 + slot)
-            offset = SampledField(
-                grid,
-                np.full(grid.shape, 1.5 * max(1e-12, float(np.max(np.abs(base.values))))),
-                Shells.radial(0.0, 0.0, grid.dimension),
-            )
-            gs.append(base + offset)
+        gs = [_changevars_input(grid, band_max, seed, 1000 + idx * 8 + slot) for slot in range(m)]
         ys = gen.uniform(-shift_scale, shift_scale, size=(m, grid.dimension))
         k0 = int(gen.integers(0, m))
         p = 2.0 if idx % 2 == 0 else 3.0

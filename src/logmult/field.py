@@ -30,7 +30,8 @@ carrier frequency, so a train of separated packets is certified packet by
 packet.  ``SampledField.band`` reads as the union's radial hull.
 
 A set of certified bins has one layout, the boxes of :func:`bin_boxes`: one
-merged interval of signed bins per axis.  A :class:`Spectrum` *is* its
+merged interval of signed bins per axis, computed once per (grid, certificate)
+and shared read-only (:func:`_certified_bins`).  A :class:`Spectrum` *is* its
 boxes: a certified one holds its coefficients on its certificate's boxes,
 zero off them, and is checked box by box; its full-size ``coefficients``
 are scattered only when read; a read of one of its own boxes is a view.  A
@@ -489,13 +490,12 @@ def _deferred(kept: Optional["Spectrum"], sampler, grid: Optional[GridSpec] = No
 
 @lru_cache(maxsize=32)
 def _certified_bins(grid: GridSpec, shells: Optional[Shells]) -> Tuple[Tuple[Tuple[int, ...], Tuple[np.ndarray, ...], Optional[np.ndarray]], ...]:
-    """``(first, index, mask)`` per box of ``shells``: each box with its (read-only) mask of certified bins.
-
-    None is the whole grid, one box without a mask (see :func:`_boxes`).
-    Cached: the same certificate is checked by every transform and spectrum
-    that carries it.
-    """
-    return tuple((first, index, None if shells is None else frozen(shells.contains(grid, index))) for first, index in _boxes(grid, shells))
+    """``(first, index, mask)`` per :func:`bin_boxes` box of ``shells``, with its (read-only) mask of certified bins; None is
+    the whole grid as one box in FFT order, without a mask.  Cached: the one layout of a (grid, certificate), which every
+    transform, inverse, symbol and spectrum that carries the certificate reads."""
+    if shells is None:
+        return (((0,) * grid.dimension, _box_index(grid, (0,) * grid.dimension, grid.shape), None),)
+    return tuple((first, index, frozen(shells.contains(grid, index))) for first, index in bin_boxes(grid, shells.windows(grid.dimension)))
 
 
 @lru_cache(maxsize=64)
@@ -677,18 +677,20 @@ def _inverted(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
 
     Below ``_FOLD_MIN`` grid points, the full-size inverse of :func:`_scattered`.  From there, an
     axis whose boxes span at most ``M / _FOLD`` bins folds onto ``Q = _FOLD`` transforms (else
-    ``Q = 1``), and :func:`_folded`'s batch, inverted, is the samples in natural order.
+    ``Q = 1``), and :func:`_folded`'s batch, inverted, is the samples in natural order.  Either is
+    scaled by ``1 / c`` (``c`` the cell volume, times ``M**d / prod P`` folded): numpy's quotient by a
+    real ``c`` is ``(re + im 0) (1 / c)`` (Smith's method), equal bar a zero's sign, at a fifth of the cost.
     """
     if grid.size < _FOLD_MIN:
         samples = _scattered(grid, pieces)
         np.fft.ifftn(samples, out=samples)
-        samples /= grid.cell_volume
+        samples *= 1.0 / grid.cell_volume
         return samples
     m = grid.samples_per_axis
     sizes = tuple(m // _FOLD if p <= m // _FOLD else m for p in _fold_sizes(grid, pieces))
     batch = _folded(grid, pieces, sizes)
     np.fft.ifftn(batch, axes=tuple(range(0, 2 * grid.dimension, 2)), out=batch)
-    batch /= grid.size // math.prod(sizes) * grid.cell_volume
+    batch *= 1.0 / (grid.size // math.prod(sizes) * grid.cell_volume)
     return batch.reshape(grid.shape)
 
 
@@ -747,9 +749,9 @@ def _widened_bins(a: float, b: float, period: float) -> Tuple[int, int]:
 
 
 def _box_index(grid: GridSpec, first: Sequence[int], shape: Sequence[int]) -> Tuple[np.ndarray, ...]:
-    """Open-mesh index of the signed bins ``first + [0, w)`` per axis, wrapped onto the grid."""
+    """Read-only open-mesh index of the signed bins ``first + [0, w)`` per axis, wrapped onto the grid."""
     m = grid.samples_per_axis
-    return np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, shape)))
+    return tuple(map(frozen, np.ix_(*((k + np.arange(w)) % m for k, w in zip(first, shape)))))
 
 
 def bin_boxes(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]]) -> List[Box]:
@@ -782,11 +784,8 @@ def bin_boxes(grid: GridSpec, windows: Sequence[Sequence[Tuple[float, float]]]) 
 
 
 def _boxes(grid: GridSpec, shells: Optional[Shells]) -> List[Box]:
-    """The :func:`bin_boxes` holding every bin of ``shells``; for None, the whole grid as one box in FFT order."""
-    if shells is None:
-        first = (0,) * grid.dimension
-        return [(first, _box_index(grid, first, grid.shape))]
-    return bin_boxes(grid, shells.windows(grid.dimension))
+    """The :func:`bin_boxes` holding every bin of ``shells``, read from :func:`_certified_bins`; for None, the whole grid."""
+    return [(first, index) for first, index, _ in _certified_bins(grid, shells)]
 
 
 def box_frequencies(grid: GridSpec, index=None) -> Tuple[np.ndarray, ...]:
@@ -987,7 +986,7 @@ def add_box_product(
                 padded = np.zeros(sizes, dtype=np.complex128)
                 padded[tuple(slice(0, w) for w in values.shape)] = values
                 piece = np.fft.ifftn(padded)
-                piece /= grid.cell_volume
+                piece *= 1.0 / grid.cell_volume
                 inverted[key] = piece
             prod *= inverted[key]
         spectrum = np.fft.fftn(prod)

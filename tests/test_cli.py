@@ -8,12 +8,14 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import logmult
 import logmult.cli as cli
 import logmult.counterexample as cx
+import logmult.field as field
 from logmult.cli import (
     CONFIG_ERROR,
     DEFAULTS,
@@ -25,6 +27,8 @@ from logmult.cli import (
     resolve_config,
 )
 from logmult.exponents import lambda_st
+from logmult.field import GridSpec, SampledField, Shells, transform
+from logmult.shifted_lab import random_band_limited
 
 
 def run(args):
@@ -186,8 +190,9 @@ def test_counterexample_invalid_config_exit_code(tmp_path):
 def test_changevars_transforms_each_input_once(tmp_path, fft_calls):
     assert run(["changevars", "--outdir", str(tmp_path)]) == PASS
     calls = [n for name, n in fft_calls if name == "fftn"]
-    # 100 configs of m = 2, 3, 4 inputs in turn: 34 * 2 + 33 * 3 + 33 * 4 = 299
-    assert len(calls) == 299
+    # 100 configs of m = 2, 3, 4 inputs in turn (34 * 2 + 33 * 3 + 33 * 4 = 299),
+    # each built on its spectrum, which every translate reads: no forward transform
+    assert len(calls) == 0
 
 
 def test_changevars_translates_each_input_once_per_side(tmp_path, fft_calls):
@@ -195,8 +200,43 @@ def test_changevars_translates_each_input_once_per_side(tmp_path, fft_calls):
     calls = {name: sum(called == name for called, _ in fft_calls) for name in ("fftn", "ifftn")}
     # 299 synthesis inverses, plus one per input and side off the grid: every
     # input of both sides but slot k0 on the right, whose zero shift is a roll
-    # (2 * 299 - 100 = 498); every scale reads these translates by sampling
-    assert calls == {"fftn": 299, "ifftn": 299 + 498}
+    # (2 * 299 - 100 = 498); every scale reads these translates by sampling.
+    # The 100 rolls read their inputs' samples, deferred until then: one
+    # inverse each
+    assert calls == {"fftn": 0, "ifftn": 299 + 498 + 100}
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 4096, 16.0), GridSpec(2, 128, 16.0)])
+def test_changevars_inputs_are_the_sample_built_sums(grid):
+    # the input built on its spectrum is the samples' sum base + constant, transformed
+    for stream in (1000, 1001, 1013):
+        g = cli._changevars_input(grid, 3.0, 20240801, stream)
+        base = random_band_limited(grid, (0.0, 3.0), 20240801, stream)
+        level = 1.5 * max(1e-12, float(np.max(np.abs(base.values))))
+        offset = SampledField(grid, np.full(grid.shape, level), Shells.radial(0.0, 0.0, grid.dimension))
+        want = transform(base + offset).coefficients
+        assert g.kept is not None
+        assert np.max(np.abs(g.kept.coefficients - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_changevars_lays_out_each_certificate_once(tmp_path, monkeypatch):
+    # the boxes of a (grid, certificate) are computed once and read from the layout cache after
+    certified_bins, boxes = field._certified_bins, field.bin_boxes
+    certificates, calls = set(), []
+
+    def recorded(grid, shells):
+        certificates.add((grid, shells))
+        return certified_bins(grid, shells)
+
+    def counted(grid, windows):
+        calls.append(grid)
+        return boxes(grid, windows)
+
+    monkeypatch.setattr(field, "_certified_bins", recorded)
+    monkeypatch.setattr(field, "bin_boxes", counted)
+    certified_bins.cache_clear()
+    assert run(["changevars", "--outdir", str(tmp_path)]) == PASS
+    assert 0 < len(calls) <= len({key for key in certificates if key[1] is not None})
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -431,6 +431,63 @@ def test_shell_unions_match_brute_force_bins(case):
     assert np.all(covered)
 
 
+LAYOUT_GRIDS = SHELL_GRIDS + (GridSpec(1, 4096, 16.0), GridSpec(2, 64, 0.3))
+
+
+@st.composite
+def layout_cases(draw):
+    """A grid and a certificate: radial bands, off-centre balls, shells across +-M/2, mixed unions, or None."""
+    grid = draw(st.sampled_from(LAYOUT_GRIDS))
+    m, half_bin, d = grid.samples_per_axis, 0.5 / grid.period, grid.dimension
+    radius = st.integers(0, m // 2).map(lambda k: k * half_bin)
+
+    def part(kind):
+        if kind == "band":
+            inner, outer = sorted((draw(radius), draw(radius)))
+            return Shell((0.0,) * d, inner, outer)
+        if kind == "ball":
+            center = tuple(draw(st.integers(-m, m)) * half_bin for _ in range(d))
+            return Shell(center, 0.0, draw(radius))
+        # about a centre within a few bins of -M/2 or M/2, so the windows cross it and are clipped
+        edge = draw(st.sampled_from([-1, 1])) * (grid.nyquist - draw(st.integers(0, 4)) * half_bin)
+        return Shell((edge,) + (0.0,) * (d - 1), 0.0, draw(st.integers(2, 8)) * half_bin)
+
+    kinds = draw(st.lists(st.sampled_from(["band", "ball", "edge"]), max_size=3))
+    return grid, None if draw(st.booleans()) and not kinds else Shells(tuple(part(kind) for kind in kinds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_cases())
+def test_the_cached_layout_is_a_fresh_bin_boxes(case):
+    # every caller reads the boxes of a (grid, certificate) from the one cache: they are bin_boxes's
+    grid, shells = case
+    got = field._boxes(grid, shells)
+    if shells is None:
+        want = [((0,) * grid.dimension, np.ix_(*[np.arange(grid.samples_per_axis)] * grid.dimension))]
+    else:
+        want = bin_boxes(grid, shells.windows(grid.dimension))
+    assert [first for first, _ in got] == [first for first, _ in want]
+    for (_, index), (_, fresh) in zip(got, want):
+        assert len(index) == len(fresh) and all(np.array_equal(a, b) for a, b in zip(index, fresh))
+    # a second read shares the same (read-only) index arrays
+    assert all(a is b for (_, i), (_, j) in zip(field._boxes(grid, shells), got) for a, b in zip(i, j))
+
+
+@pytest.mark.parametrize(
+    "grid, shells",
+    [
+        (GridSpec(1, 64, 8.0), None),
+        (GridSpec(1, 64, 8.0), Shells.radial(0.5, 2.0, 1)),
+        (GridSpec(2, 16, 4.0), Shells((Shell((0.5, -0.25), 0.0, 0.5), Shell((0.0, 0.0), 0.25, 1.0)))),
+    ],
+)
+def test_the_shared_layout_is_read_only(grid, shells):
+    for _, index in field._boxes(grid, shells):
+        for axis in index:
+            with pytest.raises(ValueError):
+                axis[(0,) * axis.ndim] = 1
+
+
 def test_pointwise_certifies_the_minkowski_sum(grid):
     # packets at +2 and -2 (radius 0.5) multiply to a ball of radius 1 about 0
     f = bump_train(grid, 1.0, [1], 0.5)
@@ -714,6 +771,60 @@ def test_deferred_fields_check_coefficients_and_samples():
     for _ in range(2):
         with pytest.raises(ValueError, match="finite"):
             f.values
+
+
+# ---------------------------------------------------------------------------
+# inverses are scaled by a multiply with the reciprocal, the quotient's values
+# ---------------------------------------------------------------------------
+
+SCALED_GRIDS = [GridSpec(d, m, period) for d, m in ((1, 2**17), (1, 4096), (2, 64)) for period in (16.0, 320.0, 0.3)]
+# each grid's cell volume, and the folded inverse's scale M**d / prod P times it (Q = 4 on one axis)
+INVERSE_SCALES = [g.cell_volume for g in SCALED_GRIDS] + [4 * g.cell_volume for g in SCALED_GRIDS]
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.sampled_from(EDGE_PARTS) | st.floats(allow_nan=False, allow_infinity=False)] * 2),
+        min_size=1, max_size=32,
+    ),
+    st.sampled_from(INVERSE_SCALES) | st.floats(1e-300, 1e300),
+)
+def test_dividing_by_a_real_scale_is_multiplying_by_its_reciprocal(parts, c):
+    # numpy divides complex by real as (re + im 0) (1 / c), (im - re 0) (1 / c): equal values, bar zeros' signs
+    z = np.array([complex(a, b) for a, b in parts])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(z / c, z * (1.0 / c))
+
+
+def divided_inverse(grid, pieces):
+    """:func:`field._inverted` as it was, scaled by a division."""
+    if grid.size < field._FOLD_MIN:
+        samples = field._scattered(grid, pieces)
+        np.fft.ifftn(samples, out=samples)
+        samples /= grid.cell_volume
+        return samples
+    m = grid.samples_per_axis
+    sizes = tuple(m // field._FOLD if p <= m // field._FOLD else m for p in field._fold_sizes(grid, pieces))
+    batch = field._folded(grid, pieces, sizes)
+    np.fft.ifftn(batch, axes=tuple(range(0, 2 * grid.dimension, 2)), out=batch)
+    batch /= grid.size // math.prod(sizes) * grid.cell_volume
+    return batch.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("grid", SCALED_GRIDS, ids=str)
+def test_inverted_equals_the_divided_inverse(grid):
+    m, d = grid.samples_per_axis, grid.dimension
+    rng = np.random.default_rng(m + d)
+    # a narrow box (folds onto Q = 4 on the 2**17-point grid), a wide one (does not), two apart
+    for boxes in ([(-m // 32, m // 16)], [(-m // 4, m // 2)], [(-m // 2, m // 8), (m // 4, 3)]):
+        pieces = []
+        for first, w in boxes:
+            values = rng.standard_normal((w,) * d) + 1j * rng.standard_normal((w,) * d)
+            values[rng.random(values.shape) < 0.1] = 0.0
+            pieces.append(((first,) * d, values))
+        assert np.array_equal(field._inverted(grid, pieces), divided_inverse(grid, pieces))
 
 
 # ---------------------------------------------------------------------------
