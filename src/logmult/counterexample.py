@@ -27,10 +27,10 @@ import numpy as np
 
 from .calibration import AnnularProfile, RadialProfile, make_counterexample_profiles
 from .exponents import PTuple, lambda_st, sharp_lambda
-from .field import GridSpec, SampledField, Shells, add_box_product, certify, conjugate, inverse, lp_norm, transform
-from .field import box_radii, spectrum_from_boxes, symbol_box, zero_boxes
+from .field import GridSpec, SampledField, Shell, Shells, add_box_product, certify, conjugate, inverse, lp_norm, transform
+from .field import _boxes, box_radii, spectrum_from_boxes, symbol_box, zero_boxes
 from .multiplier import SpectralFactor, TensorKernel, apply_t, d_lambda
-from .shifted_lab import _line_fit, bump_train, packet_bins
+from .shifted_lab import _line_fit, bump_train
 
 __all__ = [
     "CxConfig",
@@ -370,7 +370,8 @@ def orthogonality_check(cfg: CxConfig) -> float:
     be exactly the ball profile at the matching scale and exactly zero at every
     other scale; hard-zero profiles make this a roundoff-free statement.  Off
     a ball's boxes the ball profile is exactly 0, and so is the mismatch, so
-    each packet is swept on its own boxes only.
+    each packet is swept on its own ball's boxes only, its profile read about
+    the carrier.
     """
     if cfg.grid is None:
         raise ValueError("the frequency sweep requires a grid")
@@ -379,8 +380,9 @@ def orthogonality_check(cfg: CxConfig) -> float:
     eta_hat, beta_hat = cfg.profiles
     worst = 0.0
     for z in cfg.zetas:
-        for _, index, _, ball in packet_bins(grid, eta_hat, 2.0**z):
-            ball, radii = ball.real, box_radii(grid, index)
+        carrier = (2.0**z,) + (0.0,) * (grid.dimension - 1)
+        for _, index in _boxes(grid, Shells((Shell(carrier, *eta_hat.support),))):
+            ball, radii = eta_hat(box_radii(grid, index, carrier)), box_radii(grid, index)
             for ell in cfg.scale_range:
                 dilated = beta_hat(radii * 2.0**-ell)
                 expected = ball if ell == z else 0.0

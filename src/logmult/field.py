@@ -42,9 +42,10 @@ also holds pieces whose squared moduli sum to ``|f|**2`` (its kept spectrum,
 or a square function's dyadic pieces), from which :func:`lp_norm` reads L_2
 and L_4 without an FFT.
 
-The spectral multiplier ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``
+The spectral multiplier ``profile(2**-l |xi - c|) * exp(-2 pi i (2**-l t, xi))``
 has one core, which evaluates it only on the boxes its certificates allow:
 the spectrum's certificate met with the profile's dilated closed support.
+The centre ``c`` is the origin but for a packet, whose carrier it is.
 This is exact, not an approximation: profiles are hard 0 off their closed
 support and certified spectra are exactly 0 off their shells, so every
 skipped product was a signed zero.  A translation is split once, exactly, per
@@ -365,14 +366,13 @@ class Shells:
     def contains(self, grid: GridSpec, index) -> np.ndarray:
         """Boolean mask of the bins of ``index`` (see :func:`box_frequencies`) that lie in the union.
 
-        About the origin the distance is bit for bit the radius
-        :func:`box_radii` computes, the one profiles are evaluated at, so a
-        radial certificate admits exactly the bins a profile reads.
+        Each part's distance is :func:`box_radii` about its centre, the radius
+        a profile about that centre is evaluated at, so a certificate admits
+        exactly the bins a profile reads.
         """
-        freqs = box_frequencies(grid, index)
-        inside = np.zeros(np.broadcast_shapes(*(f.shape for f in freqs)), dtype=bool)
+        inside = np.zeros(grid.shape if index is None else np.broadcast_shapes(*(i.shape for i in index)), dtype=bool)
         for center, inner, outer in self.parts:
-            dist = np.sqrt(sum((f - c) ** 2 for f, c in zip(freqs, center)))
+            dist = box_radii(grid, index, center)
             inside |= (inner <= dist) & (dist <= outer)
         return inside
 
@@ -800,13 +800,17 @@ def box_frequencies(grid: GridSpec, index=None) -> Tuple[np.ndarray, ...]:
     return tuple((((i + m // 2) & (m - 1)) - m // 2) * step for i in index or _box_index(grid, (0,) * grid.dimension, grid.shape))
 
 
-def box_radii(grid: GridSpec, index=None) -> np.ndarray:
-    """|xi| on the bins of ``index`` (default the whole grid): the radii every profile is evaluated at.
+def box_radii(grid: GridSpec, index=None, center: Optional[Sequence[float]] = None) -> np.ndarray:
+    """|xi - c| on the bins of ``index`` (default the whole grid), about ``center`` (default the origin): the radii every profile is evaluated at.
 
-    The square root of the summed squares of :func:`box_frequencies`, bit for
-    bit :meth:`GridSpec.frequency_radii` at ``index``.
+    The square root of the summed squares of :func:`box_frequencies` less the
+    centre's coordinates; about the origin, bit for bit
+    :meth:`GridSpec.frequency_radii` at ``index``.
     """
-    radii = reduce(np.add, (f**2 for f in box_frequencies(grid, index)))
+    freqs = box_frequencies(grid, index)
+    for f, c in zip(freqs, center or ()):
+        f -= c
+    radii = reduce(np.add, (f**2 for f in freqs))
     return np.sqrt(radii, out=radii)
 
 
@@ -858,8 +862,8 @@ def _phase(grid: GridSpec, split: Split, index=None) -> np.ndarray:
     return np.exp(-2j * np.pi * reduce(np.add, turns))
 
 
-def _dilated_support(support: Tuple[float, float], scale: int, dimension: int) -> Shells:
-    return Shells.radial(support[0] * 2.0**scale, support[1] * 2.0**scale, dimension)
+def _dilated_support(support: Tuple[float, float], scale: int, dimension: int, center: Optional[Sequence[float]] = None) -> Shells:
+    return Shells((Shell(center or (0.0,) * dimension, support[0] * 2.0**scale, support[1] * 2.0**scale),))
 
 
 def _symbol_times(
@@ -869,11 +873,13 @@ def _symbol_times(
     profile=None,
     scale: int = 0,
     split: Optional[Split] = None,
+    center: Optional[Sequence[float]] = None,
 ) -> Tuple[BoxPiece, ...]:
-    """``spectrum * profile(2**-scale |xi|) * exp(-2 pi i (2**-scale t, xi))`` on each box of ``shells``: the one multiplier core.
+    """``spectrum * profile(2**-scale |xi - c|) * exp(-2 pi i (2**-scale t, xi))`` on each box of ``shells``: the one multiplier core.
 
     ``spectrum=None`` and ``profile=None`` are 1; ``shells=None`` is the
     whole grid; the spectrum is read on the boxes of ``shells`` from its own.
+    The profile reads :func:`box_radii` about ``center`` (default the origin).
     The phase is :func:`_phase` of the dilated translation's one ``split``,
     whole samples or not; none, or a split of no samples (zero, or whole
     periods), multiplies by nothing.  The phase is the left operand of the
@@ -887,7 +893,7 @@ def _symbol_times(
         shape = tuple(i.size for i in index)
         values = np.ones(shape) if spectrum is None else _read(grid, spectrum.boxes, first, shape)
         if profile is not None:
-            values = values * profile(box_radii(grid, index) * 2.0**-scale)
+            values = values * profile(box_radii(grid, index, center) * 2.0**-scale)
         if phased:
             phase = _phase(grid, split, index)
             phase *= values
@@ -945,13 +951,15 @@ def box_piece(
     return _symbol_times(spectrum.grid, spectrum, shells, profile, scale, _split(spectrum.grid, translation, scale))
 
 
-def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] = None, scale: int = 0) -> Tuple[BoxPiece, ...]:
-    """``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))`` on :func:`zero_boxes` of the profile's dilated closed support.
+def symbol_box(grid: GridSpec, profile, translation: Optional[Sequence[float]] = None, scale: int = 0, center=None) -> Tuple[BoxPiece, ...]:
+    """``profile(2**-l |xi - c|) * exp(-2 pi i (2**-l t, xi))`` on :func:`zero_boxes` of the profile's dilated closed support about ``c``.
 
     A symbol as a piece, 0 off those boxes: ``Spectrum(grid, symbol_box(...), shells=support)`` holds it.
+    ``center`` (default the origin) is a carrier ``c``: a low-pass profile about it is a packet, its
+    support a ball about ``c``, and the phase of :func:`_phase` translates the whole packet.
     """
-    support = _dilated_support(profile.support, scale, grid.dimension)
-    return _symbol_times(grid, None, support, profile, scale, _split(grid, translation, scale))
+    support = _dilated_support(profile.support, scale, grid.dimension, center)
+    return _symbol_times(grid, None, support, profile, scale, _split(grid, translation, scale), center)
 
 
 def add_box_product(

@@ -5,7 +5,10 @@ bank, hence lower bounds on the true operator norms.  Random band-limited
 fields alone do not witness logarithmic growth; the banks therefore include
 adversarial inputs (a modulated bump whose dyadic pieces translate to
 geometrically spaced positions, and trains of octave-matched packets that
-stack at a common point after shifting).
+stack at a common point after shifting).  Every packet is one rule: the
+multiplier core's symbol of a low-pass profile about its carrier
+(:func:`field.symbol_box`), on the cached boxes of its ball, translated by
+the one exact phase.
 
 The change-of-variables identity holds on the torus exactly, so its check is
 a roundoff test, not a statistical one.
@@ -27,10 +30,9 @@ from .field import (
     SampledField,
     Shell,
     Shells,
+    Spectrum,
     _ldexp,
     _peak_exponent,
-    bin_boxes,
-    box_frequencies,
     box_radii,
     inverse,
     keep_spectrum,
@@ -38,8 +40,8 @@ from .field import (
     phase_shift,
     require_same_grid,
     spectrum_from_boxes,
+    symbol_box,
     transform,
-    translation_phase,
 )
 from .lp_ops import maximal_functions, square_function
 from .reporting import ExperimentReport
@@ -98,22 +100,6 @@ def random_band_limited(
     return inverse(spectrum_from_boxes(grid, [((-kmax,) * grid.dimension, drawn)], Shells.radial(lo, hi, grid.dimension)))
 
 
-def packet_bins(grid: GridSpec, profile: RadialProfile, kappa: float):
-    """``(first, index, xi_1 - kappa, profile(|xi - kappa e_1|))`` per box of a packet at ``kappa e_1``.
-
-    The boxes (:func:`field.bin_boxes`) cover ``|xi - kappa e_1|_i <=
-    profile.support[1]``, so the profile, hard 0 off its support, is exactly
-    0 on every other bin.
-    """
-    radius = profile.support[1]
-    window = [(kappa - radius, kappa + radius)] + [(-radius, radius)] * (grid.dimension - 1)
-    for first, index in bin_boxes(grid, [window]):
-        freqs = box_frequencies(grid, index)
-        centered = freqs[0] - kappa
-        rest_sq = sum(f**2 for f in freqs[1:])
-        yield first, index, centered, profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
-
-
 def modulated_bump(
     grid: GridSpec,
     center_frequency: float = 0.75,
@@ -122,19 +108,17 @@ def modulated_bump(
 ) -> SampledField:
     """Smooth packet at a single base frequency, certified by the one ball it occupies.
 
+    The packet ``eta(x - p) exp(2 pi i kappa (x - p))``, kappa the centre frequency and p the
+    ``position`` (default 0): :func:`field.symbol_box` of ``RadialProfile(r / 2, r)`` (r the
+    envelope radius) about ``kappa e_1``.
     Its low-pass dyadic pieces at every scale l >= 0 are the packet itself, so
     under a shift y the maximal field develops copies at the geometrically
     spaced positions 2**-l y: the witness for logarithmic maximal growth.
     """
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
-    shift = None if position is None else np.atleast_1d(position)
-    pieces = []
-    for first, index, _, packet in packet_bins(grid, profile, center_frequency):
-        if shift is not None:
-            packet = packet * translation_phase(grid, shift, index)
-        pieces.append((first, packet))
-    ball = Shell((center_frequency,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius)
-    return inverse(spectrum_from_boxes(grid, pieces, Shells((ball,))))
+    carrier = (center_frequency,) + (0.0,) * (grid.dimension - 1)
+    ball = Shells((Shell(carrier, 0.0, envelope_radius),))
+    return inverse(Spectrum(grid, symbol_box(grid, profile, position, center=carrier), shells=ball))
 
 
 def bump_train(
@@ -142,27 +126,26 @@ def bump_train(
     shift_magnitude: float,
     scales: Sequence[int],
     envelope_radius: float = 0.5,
-    conjugate: bool = False,
 ) -> SampledField:
-    """Train of fixed-width packets, one per scale: frequency 2**s, position -2**-s y e_1.
+    """Train of fixed-width packets, one per scale: frequency 2**s, position p_s = -2**-s y e_1.
 
     After applying the shifted annular pieces at shift y e_1, every packet
     lands at the origin, which stacks the aggregate to ~#scales while the
     input's own L_p norm only grows like (#scales)**(1/p) as long as the
     positions stay separated.  The certificate is one ball per packet, of
     radius ``envelope_radius`` about its carrier frequency.
+
+    Packet s is :func:`modulated_bump` at ``(2**s, p_s)``, ``eta(x - p_s) exp(2 pi i 2**s
+    (x - p_s))``; as ``2**s p_s = -y``, that is ``eta(x - p_s) exp(2 pi i 2**s x)`` times
+    ``exp(2 pi i y)``, which is 1 for an integer y.  The mirrored train is its :func:`field.conjugate`.
     """
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
-    sign = -1.0 if conjugate else 1.0
+    rest = (0.0,) * (grid.dimension - 1)
     pieces, balls = [], []
     for scale in scales:
-        kappa = sign * 2.0**scale
-        position = -(2.0**-scale) * shift_magnitude
-        for first, _, centered, packet in packet_bins(grid, profile, kappa):
-            # f(x) = eta(x - position) exp(2 pi i kappa x): translation phase in
-            # the centered frequency variable
-            pieces.append((first, packet * np.exp(-2j * np.pi * position * centered)))
-        balls.append(Shell((kappa,) + (0.0,) * (grid.dimension - 1), 0.0, envelope_radius))
+        carrier = (2.0**scale,) + rest
+        pieces += symbol_box(grid, profile, (-(2.0**-scale) * shift_magnitude,) + rest, center=carrier)
+        balls.append(Shell(carrier, 0.0, envelope_radius))
     return inverse(spectrum_from_boxes(grid, pieces, Shells(tuple(balls))))
 
 

@@ -178,6 +178,8 @@ def test_separation_sharp_slope_at_full_size():
     # criterion 15's sharp fit, recorded as for FULL_SIZE_BOUNDS
     fit = ratio_growth_fit([separation_config(n_packets=n) for n in (1, 2, 3)])
     assert abs(fit.slope - 0.06024448114885299) <= 1e-12 * 0.06024448114885299
+    # the trains' phases are exact, so the collapse identity holds to roundoff at every N
+    assert max(row["identity_error"] for row in fit.rows) <= 1e-15
 
 
 def test_criterion_15_fits_sample_each_factor_once(monkeypatch):

@@ -5,9 +5,11 @@ otherwise fails only at ``from logmult.<module> import *``.  FFT calls live in
 ``field.py`` alone, so one module owns every transform and its sizes.  A
 translation's complex phase is built by ``field._phase`` alone (behind
 ``translation_phase`` and the multiplier core, from one split of the shift),
-whose argument stays small for any size of shift; the fold's twiddles and
-the packet train's carrier-centred phases, whose arguments stay small too,
-are the two other named sites.  A spectrum's full-size ``coefficients`` are scattered from its boxes on each
+whose argument stays small for any size of shift, packets' phases included;
+the fold's twiddles, whose arguments stay small too, are the one other named
+site.  A set of certified bins is cut into boxes by ``field.bin_boxes`` only
+inside ``field._certified_bins``, the one cached layout every other reader
+shares.  A spectrum's full-size ``coefficients`` are scattered from its boxes on each
 read, so they are read only where a full array is the point.
 """
 
@@ -62,7 +64,23 @@ def test_complex_phases_are_built_only_at_named_sites():
                         owned.add(id(node))
         unowned += len(calls - owned)
     assert unowned == 0
-    assert sites == {("field.py", "_phase"), ("field.py", "_twiddles"), ("shifted_lab.py", "bump_train")}
+    assert sites == {("field.py", "_phase"), ("field.py", "_twiddles")}
+
+
+def calls_bin_boxes(node):
+    return isinstance(node, ast.Call) and "bin_boxes" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_bin_boxes_is_called_only_by_the_layout_cache():
+    sites, calls = set(), 0
+    for path in sorted(Path(logmult.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = [node for node in ast.walk(tree) if calls_bin_boxes(node)]
+        calls += len(found)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(node in found for node in ast.walk(func)):
+                sites.add((path.name, func.name))
+    assert (sites, calls) == ({("field.py", "_certified_bins")}, 1)
 
 
 def test_full_size_coefficients_are_read_only_at_named_sites():

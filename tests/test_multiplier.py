@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from logmult import multiplier
 from logmult.calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, make_lp_pair
-from logmult.field import GridSpec, apply_multiplier, convolve, lp_norm, piece_shells, transform
+from logmult.field import GridSpec, apply_multiplier, conjugate, convolve, lp_norm, piece_shells, transform
 from logmult.multiplier import (
     SpectralFactor,
     TensorKernel,
@@ -476,7 +476,7 @@ def test_shifted_form_growth_tracks_pairwise_exponent():
         n_scales = round(math.log(math.e + y))
         scales = range(1, n_scales + 1)
         f_s = bump_train(grid, y, scales)
-        f_t = bump_train(grid, y, scales, conjugate=True)
+        f_t = conjugate(bump_train(grid, y, scales))
         val = abs(
             shifted_form(
                 [f_s, f_t, f_tau], (1, 2), 3, [[y], [y], [0.0]], range(0, n_scales + 2), pair
@@ -554,7 +554,7 @@ def test_shifted_form_matches_per_scale_loop(y, tau):
     scales = range(1, 5)
     fs = [
         bump_train(grid, y, scales),
-        bump_train(grid, y, scales, conjugate=True),
+        conjugate(bump_train(grid, y, scales)),
         modulated_bump(grid, 0.75, 0.25),
     ]
     shifts = [[y], [y], [0.5 * y]]

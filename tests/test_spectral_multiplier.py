@@ -11,6 +11,7 @@ plateau pieces as translates.
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -40,10 +41,12 @@ from logmult.field import (
     apply_multiplier,
     box_modulus,
     bin_boxes,
+    conjugate,
     dilated_steps,
     lp_norm,
     piece_shells,
     piece_class,
+    spectrum_from_boxes,
     symbol_box,
     transform,
     translation_phase,
@@ -991,22 +994,6 @@ def test_a_desk_grid_keeps_one_full_size_inverse(fft_calls):
 # packet synthesis on packet windows: bit-for-bit the whole-grid evaluation
 # ---------------------------------------------------------------------------
 
-def dense_bump_train(grid, shift_magnitude, scales, envelope_radius, conjugate):
-    """Packet-train coefficients evaluated on the whole grid, packet by packet."""
-    axis0 = np.asarray(grid.frequency_mesh()[0], dtype=float)
-    rest_sq = sum(np.asarray(a, dtype=float) ** 2 for a in grid.frequency_mesh()[1:]) if grid.dimension > 1 else 0.0
-    profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    sign = -1.0 if conjugate else 1.0
-    for scale in scales:
-        kappa = sign * 2.0**scale
-        centered = axis0 - kappa
-        packet = profile(np.sqrt(centered**2 + rest_sq)).astype(np.complex128)
-        position = -(2.0**-scale) * shift_magnitude
-        coeffs += packet * np.exp(-2j * np.pi * position * centered)
-    return coeffs
-
-
 def dense_modulated_bump(grid, center_frequency, envelope_radius, position):
     profile = RadialProfile(envelope_radius / 2.0, envelope_radius)
     centered = [np.array(a, dtype=float) for a in np.broadcast_arrays(*grid.frequency_mesh())]
@@ -1017,14 +1004,58 @@ def dense_modulated_bump(grid, center_frequency, envelope_radius, position):
     return coeffs
 
 
+def dense_bump_train(grid, shift_magnitude, scales, envelope_radius, sign=1.0):
+    """Packet-train coefficients evaluated on the whole grid: the packets at carriers ``sign * 2**s``, positions ``-2**-s y``."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for scale in scales:
+        position = [-(2.0**-scale) * shift_magnitude] + [0.0] * (grid.dimension - 1)
+        coeffs += dense_modulated_bump(grid, sign * 2.0**scale, envelope_radius, position)
+    return coeffs
+
+
 @pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 256, 16.0)])
-@pytest.mark.parametrize("conjugate", [False, True])
-def test_bump_train_equals_whole_grid_evaluation(grid, conjugate):
-    # packets at 1/2 .. 2 overlap the origin's window and each other's
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_bump_train_equals_whole_grid_evaluation(grid, mirrored):
+    # packets at 1/2 .. 2 overlap the origin's window and each other's; the
+    # mirrored train is the conjugate, its spectrum the packets at -2**s
     for scales, radius in (([-1, 0, 1], 0.4), ([0, 1, 2], 1.5), ([1], 0.05)):
-        got = bump_train(grid, 3.7, scales, radius, conjugate).values
-        want = np.fft.ifftn(dense_bump_train(grid, 3.7, scales, radius, conjugate)) / grid.cell_volume
+        train = bump_train(grid, 3.7, scales, radius)
+        if mirrored:
+            got, want = transform(conjugate(train)).coefficients, dense_bump_train(grid, 3.7, scales, radius, -1.0)
+        else:
+            got, want = train.values, np.fft.ifftn(dense_bump_train(grid, 3.7, scales, radius)) / grid.cell_volume
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dimension=st.sampled_from([1, 2]),
+    shift=st.one_of(st.integers(-512, 512).map(float), st.floats(-512.0, 512.0)),
+    scales=st.lists(st.integers(-2, 1), min_size=1, max_size=4, unique=True),
+    radius=st.sampled_from([0.05, 0.3, 0.6]),
+)
+def test_bump_train_is_the_sum_of_its_translated_packets(dimension, shift, scales, radius):
+    # packet s is modulated_bump at carrier 2**s translated by -2**-s y: kappa p = -y, whole or not
+    grid = GridSpec(dimension, 256 if dimension == 1 else 128, 16.0)
+    train = bump_train(grid, shift, scales, radius)
+    rest = [0.0] * (dimension - 1)
+    packets = [modulated_bump(grid, 2.0**s, radius, [-(2.0**-s) * shift] + rest) for s in scales]
+    want = spectrum_from_boxes(grid, (box for packet in packets for box in packet.kept.boxes), train.shells)
+    assert [first for first, _ in train.kept.boxes] == [first for first, _ in want.boxes]
+    for (_, got), (_, values) in zip(train.kept.boxes, want.boxes):
+        assert np.array_equal(got, values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_packet_translations_are_refused_by_the_split(fft_calls, bad):
+    grid = GridSpec(1, 256, 16.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="translation .* is not a finite 1-vector"):
+            bump_train(grid, bad, [0, 1], 0.25)
+        with pytest.raises(ValueError, match="translation .* is not a finite 1-vector"):
+            modulated_bump(grid, 0.75, 0.25, [bad])
+    assert fft_calls == []
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 2048, 16.0), GridSpec(2, 256, 16.0)])
