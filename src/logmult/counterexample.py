@@ -68,7 +68,6 @@ class CxConfig:
     reciprocals: Tuple[Fraction, ...]
     grid: Optional[GridSpec] = None
     lam: Optional[float] = None
-    mode: str = "custom"
 
     def __post_init__(self):
         if self.n < 2:
@@ -134,7 +133,6 @@ def identity_config(
         beta_support=(0.55, 1.25),
         reciprocals=recs,
         grid=GridSpec(1, samples, period),
-        mode="identity",
     )
 
 
@@ -159,7 +157,6 @@ def separation_config(
         reciprocals=(Fraction(1, 4), Fraction(1, 4)),
         grid=GridSpec(1, samples, period),
         lam=lam,
-        mode="separation",
     )
 
 
@@ -176,7 +173,6 @@ def reference_config(n: int = 3, n_packets: int = 3) -> CxConfig:
         beta_support=(10.0 / 11.0, 11.0 / 10.0),
         reciprocals=(Fraction(1, 4),) * n,
         grid=None,
-        mode="reference",
     )
 
 

@@ -69,7 +69,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -293,7 +293,7 @@ class Shells:
     def radial(cls, inner: float, outer: float, dimension: int) -> "Shells":
         return cls((Shell((0.0,) * dimension, inner, outer),))
 
-    @property
+    @cached_property  # kept beside the fields: equality and hashing read ``parts`` only
     def hull(self) -> Tuple[float, float]:
         """The radial band ``(inner, outer)`` containing the union; ``(0, 0)`` when empty."""
         if not self.parts:

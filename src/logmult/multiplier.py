@@ -153,16 +153,6 @@ class TensorKernel:
         base, j = _sheared(self)
         return _shear_rows(j, _sampled_terms(base, grid), np.asarray(rows))
 
-    def to_manifest(self) -> dict:
-        terms = [
-            {
-                "coefficient": str(coeff),
-                "factors": [{**f.profile.to_record(), "translation": f.translation} for f in factors],
-            }
-            for coeff, factors in self.terms
-        ]
-        return {"n": self.n, "terms": terms}
-
 
 def apply_t(kernel: TensorKernel, fs: Sequence[SampledField], scales: range) -> SampledField:
     """Diagonal restriction of the dyadic-sum action: per term and scale, the

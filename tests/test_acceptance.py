@@ -263,7 +263,7 @@ def test_criterion_11_linf_equality():
         kind="shifted-maximal", p=math.inf, shifts=LADDER, grid=grid,
         scale_range=(-1, 8),
         bank=GrowthBankSpec(seed=20240801, n_random=2, random_band=(1.0, 8.0)),
-        allow_wrapped_positions=True,
+        criterion="equality",
     )
     report = run_growth(experiment)
     worst = max(abs(row["ratio"] - 1.0) for row in report.rows)

@@ -275,30 +275,36 @@ def test_growth_command_small(tmp_path):
     assert "fitted_exponent" in report
 
 
+BOUNDED = ["--growth.kind", "shifted-square", "--growth.criterion", "bounded"]
+EQUALITY = [
+    "--grid.period", "64",
+    "--growth.scale_max", "4",
+    "--growth.kind", "shifted-square",
+    "--growth.p", "inf",
+    "--growth.criterion", "equality",
+    "--growth.random_band", "1 8",
+]
+# two shifts: too few for a fit, enough for either criterion
+SHORT_LADDER = ["--growth.ladder", "16 64"]
+
+
 @pytest.mark.parametrize(
     "args, summary_key",
     [
-        (["--growth.kind", "shifted-square", "--growth.criterion", "bounded"], "bound"),
-        (
-            [
-                "--grid.period", "64",
-                "--growth.scale_max", "4",
-                "--growth.kind", "shifted-square",
-                "--growth.p", "inf",
-                "--growth.criterion", "equality",
-                "--growth.random_band", "1 8",
-            ],
-            "max_equality_defect",
-        ),
+        (BOUNDED, "bound"),
+        (EQUALITY, "max_equality_defect"),
         # p = 4 predicts 1/4, within the tolerance 0.4: the fit's verdict would be vacuous
         (["--growth.kind", "shifted-square", "--growth.p", "4", "--growth.criterion", "bounded"], "bound"),
+        (BOUNDED + SHORT_LADDER, "bound"),
+        (EQUALITY + SHORT_LADDER, "max_equality_defect"),
     ],
 )
 def test_growth_bounded_and_equality_criteria(tmp_path, capsys, args, summary_key):
     assert run(SMALL_GROWTH + args + ["--outdir", str(tmp_path)]) == PASS
     report = (tmp_path / "growth-shifted-square.report.txt").read_text()
     assert f"    {summary_key} = " in report
-    # the verdict is the criterion's, so the fit's vacuous-verdict note is not shown
+    # the verdict is the criterion's: no fit runs, so neither its exponent nor its vacuous-verdict note is shown
+    assert "fitted_exponent" not in report
     assert "vacuous" not in report and "vacuous" not in capsys.readouterr().out
 
 

@@ -272,7 +272,6 @@ def test_identity_bilinear():
         beta_support=(10.0 / 11.0, 11.0 / 10.0),
         reciprocals=(F(1, 4), F(1, 4)),
         grid=GridSpec(1, 2**15, 2.0**7),
-        mode="custom",
     )
     assert validate_config(cfg).frequency_ok
     rep = run_counterexample(cfg)

@@ -518,16 +518,6 @@ def test_lambda_form_transpose_consistency():
     assert abs(via_transpose - form) < 1e-4 * abs(form)
 
 
-def test_kernel_manifest_serialization(kernel2):
-    manifest = kernel2.to_manifest()
-    assert manifest["n"] == 2
-    assert len(manifest["terms"]) == 1
-    factors = manifest["terms"][0]["factors"]
-    assert len(factors) == 2
-    assert factors[0]["kind"] == "annular"
-    assert "translation" in factors[0]
-
-
 def per_scale_shifted_form(fs, psi_slots, tau, shifts, scales, pair):
     """The shifted form as its own loop: one integral per scale, summed."""
     s, t = psi_slots

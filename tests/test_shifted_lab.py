@@ -153,6 +153,14 @@ def test_growth_experiment_rejects_a_nan_exponent():
         )
 
 
+def test_growth_experiment_refuses_an_unknown_criterion():
+    grid = GridSpec(1, 1024, 64.0)
+    with pytest.raises(ValueError, match="unknown growth criterion 'bogus'"):
+        GrowthExperiment(kind="shifted-maximal", p=2.0, shifts=(16.0, 64.0), grid=grid, scale_range=(0, 1), criterion="bogus")
+    # equality alone does not rely on separated positions, so a ladder past the period is accepted
+    GrowthExperiment(kind="shifted-maximal", p=2.0, shifts=(16.0, 20000.0), grid=grid, scale_range=(0, 4), criterion="equality")
+
+
 def test_predicted_exponents():
     assert predicted_growth_exponent("shifted-square", 2.0) == 0.0
     assert predicted_growth_exponent("shifted-maximal", 2.0) == 0.5
