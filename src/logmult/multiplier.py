@@ -210,10 +210,6 @@ class DLambdaResult:
     upper: float
     method: str
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def _signed_offsets(grid: GridSpec, center: np.ndarray, index: Optional[np.ndarray] = None) -> np.ndarray:
     """Min-image offsets x - center per grid point (d=1: shape (M,), d=2: radii).
@@ -428,29 +424,30 @@ def _shell_bounds(j: int, centers, lows, highs, signed: bool) -> list:
 def _bracket_d_lambda(
     kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec
 ) -> Tuple[float, float]:
-    """Certified bounds from per-slot shell masses and the shell bounds of the sheared weight."""
+    """Certified bounds from per-slot shell masses and the shell bounds of the sheared weight.
+
+    Slot k's shell arrays lie along axis k of the s^n lattice of shell combinations: broadcasting bounds a slot on
+    its s shells and a sheared difference on s x s; only the mass, the squared bounds and ``live`` fill the lattice.
+    Masking reads it in C order, the flat order of an ``indexing="ij"`` meshgrid, so each sum runs term for term.
+    """
     base, j = _sheared(kernel)
     if base.rank != 1:
         raise ValueError("bracket path handles rank-1 kernels")
     n = base.n
     s = _DEFAULT_SHELLS.get(n, 16)
     coeff, factors = base.terms[0]
-    flat = [g.ravel() for g in np.meshgrid(*[np.arange(s)] * n, indexing="ij")]
-    mass = np.ones(flat[0].size)
-    lows, highs = [], []
     centers = [f.center(grid.dimension) for f in factors]
+    masses, lows, highs = [], [], []
     for k, (factor, center) in enumerate(zip(factors, centers)):
-        m_k, lo_k, hi_k = _shell_data(factor.profile, tuple(float(c) for c in center), grid, s)
-        mass *= m_k[flat[k]]
-        lows.append(lo_k[flat[k]])
-        highs.append(hi_k[flat[k]])
+        for arrays, a in zip((masses, lows, highs), _shell_data(factor.profile, tuple(float(c) for c in center), grid, s)):
+            arrays.append(a.reshape((s,) + (1,) * (n - 1 - k)))  # axis k; broadcasting supplies the leading axes
+    mass = reduce(operator.mul, masses)
     bounds = _shell_bounds(j, centers, lows, highs, signed=grid.dimension == 1)
-    lo_sq = sum(lo**2 for lo, _ in bounds)
-    hi_sq = sum(hi**2 for _, hi in bounds)
     live = mass > 0
-    lower = abs(coeff) * float(np.sum(mass[live] * _weight(np.sqrt(lo_sq[live]), lam)))
-    upper = abs(coeff) * float(np.sum(mass[live] * _weight(np.sqrt(hi_sq[live]), lam)))
-    return lower, upper
+    mass = mass[live]  # gathered once for both bounds
+    return tuple(
+        abs(coeff) * float(np.sum(mass * _weight(np.sqrt(sum(b[side] ** 2 for b in bounds)[live]), lam))) for side in (0, 1)
+    )
 
 
 def d_lambda(kernel: Union[TensorKernel, "TransposedKernel"], lam: float, grid: GridSpec) -> DLambdaResult:

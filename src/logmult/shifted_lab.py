@@ -201,6 +201,9 @@ class GrowthExperiment:
             raise ValueError(f"unknown growth criterion {self.criterion!r}; expected one of {', '.join(CRITERIA)}")
         if not (self.p == math.inf or self.p >= 1):  # NaN fails both
             raise ValueError(f"p must be >= 1 or infinity, got {self.p}")
+        for name in ("tolerance", "bound_factor"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if any(b <= a for a, b in zip(self.shifts, self.shifts[1:])):
             raise ValueError("shift ladder must be strictly increasing")
         if self.criterion == "equality":

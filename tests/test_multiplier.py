@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,78 @@ def sheared_cases(draw):
 def test_exact_d_lambda_lies_in_bracket(case):
     kernel, lam, grid = case
     assert_exact_in_bracket(kernel, lam, grid)
+
+
+def gathered_bracket(kernel, lam, grid):
+    """Reference bracket: every slot's shell arrays gathered onto the flat s^n lattice by a meshgrid index."""
+    base, j = multiplier._sheared(kernel)
+    n = base.n
+    s = multiplier._DEFAULT_SHELLS.get(n, 16)
+    coeff, factors = base.terms[0]
+    flat = [g.ravel() for g in np.meshgrid(*[np.arange(s)] * n, indexing="ij")]
+    mass = np.ones(flat[0].size)
+    lows, highs = [], []
+    for k, factor in enumerate(factors):
+        m_k, lo_k, hi_k = shell_data(factor, grid, s)
+        mass *= m_k[flat[k]]
+        lows.append(lo_k[flat[k]])
+        highs.append(hi_k[flat[k]])
+    centers = [f.center(grid.dimension) for f in factors]
+    bounds = multiplier._shell_bounds(j, centers, lows, highs, signed=grid.dimension == 1)
+    lo_sq = sum(lo**2 for lo, _ in bounds)
+    hi_sq = sum(hi**2 for _, hi in bounds)
+    live = mass > 0
+    lower = abs(coeff) * float(np.sum(mass[live] * multiplier._weight(np.sqrt(lo_sq[live]), lam)))
+    upper = abs(coeff) * float(np.sum(mass[live] * multiplier._weight(np.sqrt(hi_sq[live]), lam)))
+    return lower, upper
+
+
+@st.composite
+def bracket_cases(draw):
+    """A rank-1 kernel of n in {2, 3} annular factors on a small d in {1, 2} grid, a shear j in 0..n and lambda in [0, 3]."""
+    _, beta_hat = make_counterexample_profiles(0.4, (0.9, 1.1), (0.55, 1.25))
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([2, 3]))
+    grid = GridSpec(1, 256, 32.0) if d == 1 else GridSpec(2, 32, 8.0)
+    reach = grid.period
+
+    def translation():
+        return draw(st.none() | st.tuples(*[st.floats(-reach, reach)] * d))
+
+    kernel = TensorKernel.rank_one([SpectralFactor(beta_hat, translation()) for _ in range(n)])
+    j = draw(st.integers(0, n))
+    return (transpose_kernel(kernel, j) if j else kernel), draw(st.floats(0.0, 3.0)), grid
+
+
+@settings(max_examples=16, deadline=None)
+@given(bracket_cases())
+def test_broadcast_bracket_is_the_gathered_bracket(case):
+    """The bracket on the broadcast shell lattice sums the gathered lattice's terms in its order, bit for bit."""
+    kernel, lam, grid = case
+    assert multiplier._bracket_d_lambda(kernel, lam, grid) == gathered_bracket(kernel, lam, grid)
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_a_warm_three_slot_bracket_holds_few_lattice_arrays(profiles, j):
+    """A warm n = 3 bracket (128^3 shell combinations) peaks at no more than 8 lattice-sized float64 arrays.
+
+    Gathering every slot's shell arrays onto the lattice peaked at about 22.
+    """
+    _, beta_hat = profiles
+    grid = GridSpec(1, 256, 64.0)
+    kernel = TensorKernel.rank_one(
+        [SpectralFactor(beta_hat, (16.0,)), SpectralFactor(beta_hat), SpectralFactor(beta_hat, (-8.0,))]
+    )
+    kernel = transpose_kernel(kernel, j) if j else kernel
+    multiplier._bracket_d_lambda(kernel, 1.0, grid)  # samples the factors into the memo
+    tracemalloc.start()
+    try:
+        multiplier._bracket_d_lambda(kernel, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lattice = 8 * 128**3  # bytes of one float64 array over the shell combinations
+    assert peak <= 8 * lattice, f"{peak / lattice:.2f} lattice arrays"
 
 
 def test_d_lambda_unit_mass_bump_weight_bounds(grid, profiles):

@@ -161,6 +161,18 @@ def test_growth_experiment_refuses_an_unknown_criterion():
     GrowthExperiment(kind="shifted-maximal", p=2.0, shifts=(16.0, 20000.0), grid=grid, scale_range=(0, 4), criterion="equality")
 
 
+@pytest.mark.parametrize(
+    "name, value", [("bound_factor", math.nan), ("tolerance", -1.0), ("tolerance", math.inf), ("tolerance", math.nan)]
+)
+def test_growth_experiment_refuses_a_threshold_that_is_not_finite_and_nonnegative(name, value):
+    """A NaN bound or a negative tolerance used to construct, and the ladder then failed at ratio 1 or defect 0."""
+    grid = GridSpec(1, 4096, 256.0)
+    ladder = dict(kind="shifted-maximal", p=2.0, shifts=(16.0, 64.0), grid=grid, scale_range=(0, 1))
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative, got {value}"):
+        GrowthExperiment(**ladder, **{name: value})
+    GrowthExperiment(**ladder, tolerance=0.0, bound_factor=0.0)
+
+
 def test_predicted_exponents():
     assert predicted_growth_exponent("shifted-square", 2.0) == 0.0
     assert predicted_growth_exponent("shifted-maximal", 2.0) == 0.5
