@@ -1,5 +1,10 @@
 """End-to-end sharpness stress construction for the log-weighted multiplier bound.
 
+The pair of slots is fixed at (s, t) = (1, 2): slot 1 holds the modulated
+packet train, slot 2 its conjugate, and every slot from 3 to n (n >= 3 only)
+an annular-profile field.  The predicted ratio slope is ``lambda_st(p, 1, 2)``
+minus the weight exponent.
+
 Two prepackaged regimes share the same machinery:
 
 * identity mode: tightly spaced modulation exponents on a modest grid.  The
@@ -53,14 +58,13 @@ __all__ = [
 class CxConfig:
     """Full parameterization of one construction run.
 
-    ``grid`` may be None for symbolic (support-arithmetic only) validation.
-    ``lam`` defaults to the sharp exponent of the p-tuple when unset.
+    The packet trains sit in slots 1 and 2, one packet per modulation
+    exponent in ``zetas``.  ``grid`` may be None for symbolic
+    (support-arithmetic only) validation.  ``lam`` defaults to the sharp
+    exponent of the p-tuple when unset.
     """
 
     n: int
-    n_packets: int
-    s: int
-    t: int
     zetas: Tuple[int, ...]
     eta_radius: float
     beta_plateau: Tuple[float, float]
@@ -72,12 +76,12 @@ class CxConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n >= 2 required")
-        if not (1 <= self.s < self.t <= self.n):
-            raise ValueError(f"need 1 <= s < t <= n, got ({self.s}, {self.t})")
-        if len(self.zetas) != self.n_packets:
-            raise ValueError("one modulation exponent per packet required")
         if len(self.reciprocals) != self.n:
             raise ValueError("one reciprocal exponent per slot required")
+
+    @property
+    def n_packets(self) -> int:
+        return len(self.zetas)
 
     @property
     def ptuple(self) -> PTuple:
@@ -114,24 +118,19 @@ def identity_config(
     samples: int = 2**18,
     period: float = 2.0**8,
     offset: int = 2,
-    reciprocals: Optional[Sequence[Fraction]] = None,
 ) -> CxConfig:
     """Spectral-identity regime: unit spacing with a small offset.
 
     Unit spacing needs the offset so the low-pass factor's plateau covers the
     annular factor's support at the smallest scale (an n >= 3 constraint).
     """
-    recs = tuple(reciprocals) if reciprocals is not None else (Fraction(1, 4),) * n
     return CxConfig(
         n=n,
-        n_packets=n_packets,
-        s=1,
-        t=2,
         zetas=tuple(k + offset for k in range(1, n_packets + 1)),
         eta_radius=0.4,
         beta_plateau=(0.9, 1.1),
         beta_support=(0.55, 1.25),
-        reciprocals=recs,
+        reciprocals=(Fraction(1, 4),) * n,
         grid=GridSpec(1, samples, period),
     )
 
@@ -147,9 +146,6 @@ def separation_config(
     """Separated-bump regime (bilinear): spacing 4, positions distinct modulo the period."""
     return CxConfig(
         n=2,
-        n_packets=n_packets,
-        s=1,
-        t=2,
         zetas=tuple(spacing * k for k in range(1, n_packets + 1)),
         eta_radius=eta_radius,
         beta_plateau=(20.0 / 21.0, 21.0 / 20.0),
@@ -164,9 +160,6 @@ def reference_config(n: int = 3, n_packets: int = 3) -> CxConfig:
     """Reference radii and schedule; symbolic validation only (no grid fits it)."""
     return CxConfig(
         n=n,
-        n_packets=n_packets,
-        s=1,
-        t=2,
         zetas=tuple(10 * k for k in range(1, n_packets + 1)),
         eta_radius=1.0 / 100.0,
         beta_plateau=(20.0 / 21.0, 21.0 / 20.0),
@@ -320,7 +313,7 @@ def _require_valid(cfg: CxConfig) -> CxValidation:
 
 
 def build_inputs(cfg: CxConfig) -> List[SampledField]:
-    """The two modulated packet trains plus annular-profile fields in the other slots."""
+    """The packet train and its conjugate in slots 1 and 2, annular-profile fields in the rest."""
     if cfg.grid is None:
         raise ValueError("building inputs requires a grid")
     _require_valid(cfg)
@@ -328,35 +321,22 @@ def build_inputs(cfg: CxConfig) -> List[SampledField]:
     # packet z sits at -2**(top - z): the annular factor's shift 2**top / 2**z
     # brings every packet to the origin
     top = max(cfg.zetas)
-    f_s = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius)
+    train = bump_train(grid, 2**top, cfg.zetas, cfg.eta_radius)
     # the packet envelope is real, so the mirrored train is exactly the conjugate
-    f_t = conjugate(f_s)
-    # only n >= 3 has slots besides s and t
-    beta_field = SpectralFactor(cfg.profiles[1]).field_on(grid) if cfg.n > 2 else None
-    fields: List[SampledField] = []
-    for slot in range(1, cfg.n + 1):
-        if slot == cfg.s:
-            fields.append(f_s)
-        elif slot == cfg.t:
-            fields.append(f_t)
-        else:
-            fields.append(beta_field)
+    fields = [train, conjugate(train)]
+    if cfg.n > 2:  # only n >= 3 has slots besides the trains
+        fields += [SpectralFactor(cfg.profiles[1]).field_on(grid)] * (cfg.n - 2)
     return fields
 
 
 def build_kernel(cfg: CxConfig) -> TensorKernel:
-    """Rank-1 kernel: translated annular factors in the pair slots, low-pass elsewhere."""
+    """Rank-1 kernel: translated annular factors in slots 1 and 2, low-pass elsewhere."""
     _require_valid(cfg)
     eta_hat, beta_hat = cfg.profiles
     dim = cfg.grid.dimension if cfg.grid is not None else 1
     shift = (2.0 ** max(cfg.zetas),) + (0.0,) * (dim - 1)
-    factors = []
-    for slot in range(1, cfg.n + 1):
-        if slot in (cfg.s, cfg.t):
-            factors.append(SpectralFactor(beta_hat, translation=shift))
-        else:
-            factors.append(SpectralFactor(eta_hat))
-    return TensorKernel.rank_one(factors)
+    pair = [SpectralFactor(beta_hat, translation=shift)] * 2
+    return TensorKernel.rank_one(pair + [SpectralFactor(eta_hat)] * (cfg.n - 2))
 
 
 def orthogonality_check(cfg: CxConfig) -> float:
@@ -398,7 +378,6 @@ class CxReport:
     lam: float
     ratio: float
     validation: CxValidation
-    orthogonality: float
 
     def rows(self) -> List[dict]:
         return [
@@ -413,7 +392,7 @@ class CxReport:
         ]
 
 
-def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxReport:
+def run_counterexample(cfg: CxConfig) -> CxReport:
     """Build, verify the collapse identity, and measure the norm ratio."""
     if cfg.grid is None:
         raise ValueError("running the construction requires a grid")
@@ -421,7 +400,6 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
     grid = cfg.grid
     fields = build_inputs(cfg)
     kernel = build_kernel(cfg)
-    ortho = orthogonality_check(cfg) if check_orthogonality else float("nan")
 
     output = apply_t(kernel, fields, cfg.scale_range)
     # closed form N eta**2 beta**(n-2) from the symbols, in the boxes of its
@@ -442,11 +420,11 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
     identity_error = lp_norm(inverse(error), 2) / closed_norm
 
     # the trains and the output keep their spectra: lp_norm reads L^2 and L^4 from them, unsampled;
-    # |f_t| = |conj f_s| = |f_s|, so the t slot takes the s-train's norm at the same p
+    # |f_2| = |conj f_1| = |f_1|, so slot 2 takes slot 1's norm at the same p
     pt = cfg.ptuple
     norm = lru_cache(maxsize=None)(lambda slot, p: lp_norm(fields[slot - 1], p))
     input_norms = [
-        norm(cfg.s if slot == cfg.t else slot, math.inf if r == 0 else float(1 / r))
+        norm(1 if slot == 2 else slot, math.inf if r == 0 else float(1 / r))
         for slot, r in enumerate(pt.reciprocals, 1)
     ]
     r_sum = sum(pt.reciprocals)
@@ -469,7 +447,6 @@ def run_counterexample(cfg: CxConfig, check_orthogonality: bool = True) -> CxRep
         lam=lam,
         ratio=ratio,
         validation=validation,
-        orthogonality=ortho,
     )
 
 
@@ -481,36 +458,29 @@ class RatioGrowthFit:
     rows: Tuple[dict, ...]
 
 
-def ratio_growth_fit(cfgs: Sequence[CxConfig]) -> RatioGrowthFit:
+def ratio_growth_fit(cfgs: Sequence[CxConfig], reports: Optional[Iterable[CxReport]] = None) -> RatioGrowthFit:
     """Slope of log(ratio) against log(N) across runs, vs the exact prediction.
 
-    The predicted slope is the pairwise exponent of the (s, t) slots minus the
-    weight exponent actually used in the denominator.
-    """
-    return _fit_reports(cfgs, (run_counterexample(cfg, check_orthogonality=False) for cfg in cfgs))
-
-
-def _fit_reports(cfgs: Sequence[CxConfig], reports: Iterable[CxReport]) -> RatioGrowthFit:
-    """:func:`ratio_growth_fit` from one report per config.
-
-    ``reports`` is consumed only after the configs pass the checks, so a lazy
-    iterable runs nothing for a rejected set.
+    The predicted slope is the pairwise exponent of slots (1, 2) minus the
+    weight exponent actually used in the denominator.  ``reports`` gives one
+    run per config where the caller already made them (each config runs here
+    otherwise); it is consumed only after the configs pass the checks, so a
+    lazy iterable runs nothing for a rejected set.
     """
     if len(cfgs) < 3:
         raise ValueError("need at least 3 packet counts for a growth fit")
     base = cfgs[0]
     for cfg in cfgs[1:]:
-        if (cfg.n, cfg.s, cfg.t, cfg.reciprocals) != (base.n, base.s, base.t, base.reciprocals):
-            raise ValueError("growth fits require consistent slots and exponents across runs")
+        if (cfg.n, cfg.reciprocals) != (base.n, base.reciprocals):
+            raise ValueError("growth fits require the same slot count and exponents across runs")
     ns = [cfg.n_packets for cfg in cfgs]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("packet counts must strictly increase")
-    reports = list(reports)
+    reports = list(map(run_counterexample, cfgs) if reports is None else reports)
     x = np.log(np.array(ns, dtype=float))
     z = np.log(np.array([r.ratio for r in reports]))
     slope, resid = _line_fit(x, z)
-    pt = base.ptuple
-    predicted = float(lambda_st(pt, base.s, base.t)) - base.lam_value
+    predicted = float(lambda_st(base.ptuple, 1, 2)) - base.lam_value
     rows = tuple(
         {"N": r.n_packets, "ratio": r.ratio, "identity_error": r.identity_error} for r in reports
     )

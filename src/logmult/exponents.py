@@ -185,7 +185,6 @@ class SplitPlan:
 
     s: int
     t: int
-    tau: int
     kind: str
     j0: Tuple[int, ...]
     alpha: Optional[int]
@@ -204,7 +203,7 @@ def select_split(pt: PTuple, s: int, t: int) -> SplitPlan:
     point = pt.full_point
     n1 = pt.n + 1
     if point[s - 1] >= HALF or point[t - 1] >= HALF:
-        return SplitPlan(s, t, t, "unshifted-square", (), None, None, None, None)
+        return SplitPlan(s, t, "unshifted-square", (), None, None, None, None)
 
     dominant = next(
         (u for u in range(1, n1 + 1) if u not in (s, t) and point[u - 1] >= HALF), None
@@ -213,9 +212,9 @@ def select_split(pt: PTuple, s: int, t: int) -> SplitPlan:
         x = HALF - point[s - 1]
         r_alpha = point[dominant - 1]
         if x == r_alpha:
-            return SplitPlan(s, t, t, "exact-half", (dominant,), None, None, None, None)
+            return SplitPlan(s, t, "exact-half", (dominant,), None, None, None, None)
         plan = SplitPlan(
-            s, t, t, "alpha-exceeds-half", (), dominant, x, r_alpha - x, x / r_alpha
+            s, t, "alpha-exceeds-half", (), dominant, x, r_alpha - x, x / r_alpha
         )
         _check_split_identities(plan, pt)
         return plan
@@ -231,11 +230,11 @@ def select_split(pt: PTuple, s: int, t: int) -> SplitPlan:
             running += r_i
         elif running + r_i == HALF:
             j0.append(i)
-            return SplitPlan(s, t, t, "exact-half", tuple(j0), None, None, None, None)
+            return SplitPlan(s, t, "exact-half", tuple(j0), None, None, None, None)
         else:
             x = HALF - running
             gamma = x / r_i
-            plan = SplitPlan(s, t, t, "standard", tuple(j0), i, x, r_i - x, gamma)
+            plan = SplitPlan(s, t, "standard", tuple(j0), i, x, r_i - x, gamma)
             _check_split_identities(plan, pt)
             return plan
     raise ValueError(

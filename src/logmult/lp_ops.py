@@ -53,12 +53,14 @@ import numpy as np
 from .calibration import LPPair
 from .field import (
     ZERO,
+    GridMismatchError,
     GridSpec,
     MixedNormSpec,
     SampledField,
     Shells,
     Spectrum,
     _deferred,
+    _peak_exponent,
     _runs,
     apply_multiplier,
     box_piece,
@@ -105,12 +107,7 @@ def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     return SampledField(f.grid, frozen(values), shells=shells)
 
 
-def _exponent(peak: float) -> int:
-    """``e`` with ``2**-e peak`` near 1 far from amplitude 1, else 0 (the sums bit for bit)."""
-    return int(np.frexp(peak)[1]) if peak > 2.0**400 or 0.0 < peak < 2.0**-400 else 0
-
-
-def _energy(values: np.ndarray, e: int = 0) -> np.ndarray:
+def _energy(values: np.ndarray, e: int) -> np.ndarray:
     """``(2**-e |values|)**2``; the power of two is exact."""
     energy = np.ldexp(np.abs(values), -e)
     energy *= energy  # in place, bit for bit abs(values) ** 2 at e = 0
@@ -175,9 +172,9 @@ def square_function(
             moduli.append((shells, box_piece(spectrum, shells, profile, scale, shift)))
 
     def sample(_) -> np.ndarray:
-        # far from amplitude 1 a squared piece would leave the double range:
-        # sum the squares at 2**-e times the pieces and scale back (e = 0 near 1)
-        e = _exponent(max((float(np.max(np.abs(v))) for _, piece in moduli for _, v in piece), default=0.0))
+        # far from amplitude 1 a squared piece would leave the double range: sum the
+        # squares at 2**-e times the pieces, e the power of two of their peak, and scale back
+        e = _peak_exponent(*(np.abs(v) for _, piece in moduli for _, v in piece)) or 0
         acc = np.zeros(f.grid.shape, dtype=float)
         untranslated: dict = {}
         for _, key, steps, energy in _pieces(f, spectrum, pair.psi_hat, pair.scales, shift, lambda v: _energy(v, e), untranslated):
@@ -293,7 +290,7 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
         )
     spectrum = transform(f)
     # squares at 2**-e times the pieces, as in square_function, scaled back at the end
-    e = _exponent(max((float(np.max(np.abs(v))) for _, v in spectrum.boxes), default=0.0))
+    e = _peak_exponent(*(np.abs(v) for _, v in spectrum.boxes)) or 0
     sq_pieces = {  # unshifted: every piece is its untranslated inverse, steps all zero
         scale: energy
         for scale, _, _, energy in _pieces(
@@ -399,6 +396,8 @@ def peetre_cube_ratio(
         cubes = DyadicCubeSet(f.grid, k)
     elif cubes.scale != k:
         raise ValueError(f"cube set at scale {cubes.scale} does not match k={k}")
+    elif cubes.grid != f.grid:
+        raise GridMismatchError(f"grid mismatch: cube set on {cubes.grid} vs field on {f.grid}")
     m = np.abs(peetre_max(f, sigma, k).values)
     sups = cubes.reduce(m, "max")
     infs = cubes.reduce(m, "min")

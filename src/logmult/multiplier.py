@@ -88,10 +88,9 @@ class SpectralFactor:
     def support(self) -> Tuple[float, float]:
         return self.profile.support
 
-    def spectrum_on(self, grid: GridSpec, dilation_scale: int = 0) -> np.ndarray:
-        """Values of g_hat(2**-l xi) on the grid frequencies: the full-size scatter of the symbol's boxes."""
-        dilated = Shells.radial(*(edge * 2.0**dilation_scale for edge in self.support), grid.dimension)
-        return Spectrum(grid, symbol_box(grid, self.profile, self.center(grid.dimension), dilation_scale), dilated).coefficients
+    def spectrum_on(self, grid: GridSpec) -> np.ndarray:
+        """Values of g_hat on the grid frequencies: the full-size scatter of the symbol's boxes."""
+        return Spectrum(grid, symbol_box(grid, self.profile, self.center(grid.dimension)), Shells.radial(*self.support, grid.dimension)).coefficients
 
     def field_on(self, grid: GridSpec) -> SampledField:
         """The physical function ``g``: the inverse transform of its symbol, certified by the profile's support."""
@@ -124,8 +123,8 @@ class TensorKernel:
                 raise ValueError("every term needs one factor per slot")
 
     @classmethod
-    def rank_one(cls, factors: Sequence[SpectralFactor], coefficient: complex = 1.0) -> "TensorKernel":
-        return cls(len(factors), ((complex(coefficient), tuple(factors)),))
+    def rank_one(cls, factors: Sequence[SpectralFactor]) -> "TensorKernel":
+        return cls(len(factors), ((1.0 + 0.0j, tuple(factors)),))
 
     @property
     def rank(self) -> int:
@@ -137,14 +136,11 @@ class TensorKernel:
         hi = max(math.sqrt(sum(f.support[1] ** 2 for f in factors)) for _, factors in self.terms)
         return lo, hi
 
-    def annulus_certificate(self, normalization_scale: float = 1.0) -> Tuple[float, float]:
-        """Joint support divided by the declared normalization; must land in [1/2, 2]."""
+    def annulus_certificate(self) -> Tuple[float, float]:
+        """The joint support, which must land in [1/2, 2]."""
         lo, hi = self.joint_support()
-        lo, hi = lo / normalization_scale, hi / normalization_scale
         if not (0.5 <= lo and hi <= 2.0):
-            raise ValueError(
-                f"joint spectrum [{lo}, {hi}] (after normalization) leaves the unit annulus [1/2, 2]"
-            )
+            raise ValueError(f"joint spectrum [{lo}, {hi}] leaves the unit annulus [1/2, 2]")
         return lo, hi
 
     def values_on_rows(self, grid: GridSpec, rows: Sequence[int]) -> np.ndarray:

@@ -663,7 +663,7 @@ def test_identity_mode_applies_lam(tmp_path):
     ]
     assert run(args + ["--outdir", str(tmp_path)]) == PASS
     cfg = cx.identity_config()
-    predicted = float(lambda_st(cfg.ptuple, cfg.s, cfg.t)) - 0.3
+    predicted = float(lambda_st(cfg.ptuple, 1, 2)) - 0.3
     assert f"    predicted_slope = {predicted!r}\n" in (tmp_path / "counterexample.report.txt").read_text()
 
 

@@ -41,7 +41,7 @@ def test_desk_identity_flags_overlap_but_keeps_frequency_constraints():
 
 
 def test_repeated_schedule_is_a_violation():
-    cfg = replace(small_identity(), zetas=(3, 3), n_packets=2)
+    cfg = replace(small_identity(), zetas=(3, 3))
     validation = validate_config(cfg)
     bad = validation.first_violation()
     assert bad is not None
@@ -57,7 +57,7 @@ def test_unit_spacing_without_offset_fails_for_n3():
 def test_build_inputs_single_packet_structure():
     cfg = small_identity(packets=1)
     fields = build_inputs(cfg)
-    f_s = fields[cfg.s - 1]
+    f_s = fields[0]
     s = transform(f_s)
     z = cfg.zetas[0]
     r = cfg.grid.frequency_radii()
@@ -69,7 +69,7 @@ def test_build_inputs_single_packet_structure():
 def test_build_inputs_conjugate_mirror():
     cfg = small_identity(packets=2)
     fields = build_inputs(cfg)
-    f_s, f_t = fields[cfg.s - 1], fields[cfg.t - 1]
+    f_s, f_t = fields[0], fields[1]
     assert np.max(np.abs(f_t.values - np.conj(f_s.values))) < 1e-12 * np.max(np.abs(f_s.values))
 
 
@@ -109,13 +109,13 @@ def test_t_train_norm_is_the_s_train_norm(monkeypatch):
         return norm
 
     monkeypatch.setattr(counterexample, "lp_norm", recording)
-    report = run_counterexample(cfg, check_orthogonality=False)
+    report = run_counterexample(cfg)
     monkeypatch.undo()
     # the s-train's L^4 norm runs FFTs; the t-train's is never taken
     trains = build_inputs(cfg)
-    runs = {slot: [n for f, p, n in calls if f.shells == trains[slot - 1].shells] for slot in (cfg.s, cfg.t)}
-    assert len(runs[cfg.s]) == 1 and runs[cfg.s][0] > 0
-    assert runs[cfg.t] == []
+    runs = {slot: [n for f, p, n in calls if f.shells == trains[slot - 1].shells] for slot in (1, 2)}
+    assert len(runs[1]) == 1 and runs[1][0] > 0
+    assert runs[2] == []
     assert report.input_norms[0] == report.input_norms[1]
 
 
@@ -222,7 +222,7 @@ def test_criterion_15_fits_sample_each_factor_once(monkeypatch):
 def test_input_norms_match_for_every_p():
     cfg = small_identity(packets=3)
     fields = build_inputs(cfg)
-    f_s, f_t = fields[cfg.s - 1], fields[cfg.t - 1]
+    f_s, f_t = fields[0], fields[1]
     for p in (1, 2, 4, np.inf):
         a, b = lp_norm(f_s, p), lp_norm(f_t, p)
         assert abs(a - b) < 1e-10 * a
@@ -232,7 +232,7 @@ def test_kernel_factor_translation_leaves_modulus():
     cfg = small_identity(packets=2)
     kernel = build_kernel(cfg)
     _, factors = kernel.terms[0]
-    slot_s = factors[cfg.s - 1]
+    slot_s = factors[0]
     spec = slot_s.spectrum_on(cfg.grid)
     _, beta_hat = cfg.profiles
     expected = beta_hat(cfg.grid.frequency_radii())
@@ -254,18 +254,16 @@ def test_orthogonality_exact_zeros():
 
 def test_identity_error_roundoff_small_grid():
     for packets in (2, 4):
-        rep = run_counterexample(small_identity(packets=packets))
+        cfg = small_identity(packets=packets)
+        rep = run_counterexample(cfg)
         assert rep.identity_error < 1e-8
-        assert rep.orthogonality < 1e-14
+        assert orthogonality_check(cfg) < 1e-14
         assert rep.ratio > 0
 
 
 def test_identity_bilinear():
     cfg = CxConfig(
         n=2,
-        n_packets=3,
-        s=1,
-        t=2,
         zetas=(1, 2, 3),
         eta_radius=1.0 / 16.0,
         beta_plateau=(20.0 / 21.0, 21.0 / 20.0),
@@ -320,6 +318,22 @@ def test_ratio_growth_fit_synthetic_consistency():
 def test_ratio_growth_fit_requires_three_runs():
     with pytest.raises(ValueError):
         ratio_growth_fit([separation_config(n_packets=1), separation_config(n_packets=2)])
+
+
+def test_ratio_growth_fit_reads_given_reports_after_its_checks():
+    cfgs = [separation_config(n_packets=N, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8) for N in (1, 2, 3)]
+    read = []
+
+    def reports(cfgs):
+        for cfg in cfgs:
+            read.append(cfg.n_packets)
+            yield run_counterexample(cfg)
+
+    with pytest.raises(ValueError, match="strictly increase"):
+        ratio_growth_fit(cfgs[::-1], reports(cfgs[::-1]))
+    assert read == []
+    assert ratio_growth_fit(cfgs, reports(cfgs)) == ratio_growth_fit(cfgs)
+    assert read == [1, 2, 3]
 
 
 def test_predicted_slope_shifts_with_lambda():

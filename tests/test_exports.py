@@ -10,7 +10,8 @@ the fold's twiddles, whose arguments stay small too, are the one other named
 site.  A set of certified bins is cut into boxes by ``field.bin_boxes`` only
 inside ``field._certified_bins``, the one cached layout every other reader
 shares.  A spectrum's full-size ``coefficients`` are scattered from its boxes on each
-read, so they are read only where a full array is the point.
+read, so they are read only where a full array is the point.  The CLI uses
+only the public names of the other modules.
 """
 
 import ast
@@ -92,3 +93,19 @@ def test_full_size_coefficients_are_read_only_at_named_sites():
                     if isinstance(node, ast.Attribute) and node.attr == "coefficients":
                         sites.add((path.name, func.name))
     assert sites == {("multiplier.py", "spectrum_on")}
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    tree = ast.parse((Path(logmult.__file__).parent / "cli.py").read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import counterexample as cx
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                private += [f"{node.module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+    assert modules and private == []

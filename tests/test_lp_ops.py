@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logmult.calibration import make_lp_pair
-from logmult.field import GridSpec, NyquistError, SampledField, Shells, lp_norm, phase_shift
+from logmult.field import GridMismatchError, GridSpec, NyquistError, SampledField, Shells, lp_norm, phase_shift
 from logmult.lp_ops import (
     DyadicCubeSet,
     _peetre_weights,
@@ -233,6 +234,18 @@ def test_peetre_cube_ratio_two_resolutions():
         f = random_band_limited(g, (0.0, 1.0), 77)
         vals.append(peetre_cube_ratio(f, 2.0, 1).ratio)
     assert abs(vals[1] - vals[0]) <= 0.10 * vals[0]
+
+
+def test_peetre_cube_ratio_refuses_cubes_of_another_grid():
+    # cubes of side 1/2 on period 32 reshape a 256-point field into 64 cubes
+    # that are not its own 32: the ratio read from them is meaningless
+    g = GridSpec(1, 256, 16.0)
+    f = modulated_bump(g, position=[5.0])
+    own = peetre_cube_ratio(f, 2.0, 1, DyadicCubeSet(g, 1))
+    assert own == peetre_cube_ratio(f, 2.0, 1)
+    other = GridSpec(1, 256, 32.0)
+    with pytest.raises(GridMismatchError, match=re.escape(f"{other!r}") + ".*" + re.escape(f"{g!r}")):
+        peetre_cube_ratio(f, 2.0, 1, DyadicCubeSet(other, 1))
 
 
 def test_fefferman_stein_constant_is_one(grid):
