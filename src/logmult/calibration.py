@@ -213,26 +213,8 @@ def make_counterexample_profiles(
     """Low-pass eta_hat (plateau rho/2, support rho) and annular beta_hat.
 
     Defaults are the reference radii; desk experiments override them with
-    wider, coarser-grid-friendly values.  Geometry violations are reported by
-    naming the failing constraint.
+    wider, coarser-grid-friendly values.  Each profile's constructor refuses
+    its own geometry, naming the radii it needs ordered.
     """
-    if not eta_radius > 0:
-        raise ValueError(f"eta_radius must be positive, got {eta_radius}")
-    pl_lo, pl_hi = beta_plateau
-    su_lo, su_hi = beta_support
-    if not (0 < su_lo < pl_lo):
-        raise ValueError(
-            f"beta support inner edge must sit strictly below the plateau: "
-            f"support_inner={su_lo}, plateau_inner={pl_lo}"
-        )
-    if not (pl_lo <= pl_hi):
-        raise ValueError(f"beta plateau must be a nonempty interval, got {beta_plateau}")
-    if not (pl_hi < su_hi):
-        raise ValueError(
-            f"beta plateau outer edge must sit strictly inside the support: "
-            f"plateau_outer={pl_hi}, support_outer={su_hi}"
-        )
-    eta_hat = RadialProfile(eta_radius / 2.0, eta_radius)
-    beta_hat = AnnularProfile(pl_lo, pl_hi, su_lo, su_hi)
-    return eta_hat, beta_hat
+    return RadialProfile(eta_radius / 2.0, eta_radius), AnnularProfile(*beta_plateau, *beta_support)
 

@@ -114,7 +114,7 @@ _SAMPLES = ((lambda v: v >= 8 and v & (v - 1) == 0), "a power of two, at least 8
 _SCALE = _within(-256, 256)  # 2.0**scale, and supports, bands and offsets dilated by it, stay far below 2**1024
 _PACKETS = _within(1, 102)  # the reference schedule puts packet N at frequency 2**(10 N), finite up to N = 102
 _SPACING = _within(1, 10)  # the last packet sits at 2**(spacing N), finite for every N allowed while spacing <= 10
-_MAX_FIELDS = 64  # caps each count of full-size fields held at once (slots, a bank) before it sizes an allocation
+_MAX_FIELDS = 64  # caps each count of full-size fields held at once (a bank, a product) before it sizes an allocation
 
 
 def _grid_keys(samples: str, period: str) -> Dict[str, Key]:
@@ -174,7 +174,7 @@ TABLES: Dict[str, Dict[str, Key]] = {
     },
     "counterexample": {
         "counterexample.mode": Key("identity", str, _one_of("identity", "separation", "reference")),
-        "counterexample.n": Key("3", int, _within(2, _MAX_FIELDS)),
+        "counterexample.n": Key("3", int, _within(2, 4)),  # n reciprocals of 1/4 sum to at most 1
         "counterexample.packets": Key("2 4 6", _ints, _PACKETS),
         "counterexample.samples": Key("262144", int, _SAMPLES),
         "counterexample.period": Key("256", float, _POSITIVE),
@@ -565,7 +565,7 @@ def cmd_counterexample(config: Config) -> ExperimentReport:
         return replace(cfg, lam=lam)
 
     if mode == "reference":
-        validation = cx.validate_config(make(max(packets)))
+        validation = make(max(packets)).validation
         rows = [
             {"constraint": c.name, "ok": c.ok, "detail": c.detail} for c in validation.constraints
         ]
@@ -596,7 +596,7 @@ def cmd_counterexample(config: Config) -> ExperimentReport:
         "orthogonality_tolerance": orth_tol,
     }
     notes: Tuple[str, ...] = ()
-    if not all(r.validation.separation_ok for r in reports):
+    if not all(cfg.validation.separation_ok for cfg in cfgs):
         notes = ("bump positions overlap: norm growth tracking is diagnostic only",)
     if len(packets) >= 3:
         fit = cx.ratio_growth_fit(cfgs, reports)

@@ -16,7 +16,9 @@ Two prepackaged regimes share the same machinery:
   regime where the output/input ratio exposes the converse direction.
 
 Every support condition the construction relies on is checked by exact
-interval arithmetic on the profile certificates before anything is sampled.
+interval arithmetic on the profile certificates before anything is sampled,
+once per configuration: each builder reads the config's one
+:attr:`CxConfig.validation`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +64,13 @@ class CxConfig:
     exponent in ``zetas``.  ``grid`` may be None for symbolic
     (support-arithmetic only) validation.  ``lam`` defaults to the sharp
     exponent of the p-tuple when unset.
+
+    Each derived fact is decided once: the exponent tuple when the config is
+    made, so a tuple the construction cannot run (fewer than 2 slots,
+    reciprocals summing past 1) is refused before anything is sampled; the
+    profiles and the validation on first use, so a config that is only
+    replaced costs nothing.  They are kept beside the fields: equality and
+    hashing read the fields only.
     """
 
     n: int
@@ -74,16 +83,15 @@ class CxConfig:
     lam: Optional[float] = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n >= 2 required")
         if len(self.reciprocals) != self.n:
             raise ValueError("one reciprocal exponent per slot required")
+        self.ptuple  # made, and so checked, now
 
     @property
     def n_packets(self) -> int:
         return len(self.zetas)
 
-    @property
+    @cached_property
     def ptuple(self) -> PTuple:
         return PTuple(self.reciprocals)
 
@@ -91,9 +99,13 @@ class CxConfig:
     def scale_range(self) -> range:
         return range(min(self.zetas), max(self.zetas) + 1)
 
-    @property
+    @cached_property
     def profiles(self) -> Tuple[RadialProfile, AnnularProfile]:
         return make_counterexample_profiles(self.eta_radius, self.beta_plateau, self.beta_support)
+
+    @cached_property
+    def validation(self) -> CxValidation:
+        return validate_config(self)
 
     @property
     def bump_positions(self) -> Tuple[float, ...]:
@@ -193,7 +205,11 @@ class CxValidation:
 
 
 def validate_config(cfg: CxConfig) -> CxValidation:
-    """Exact interval arithmetic over every support condition the identity needs."""
+    """Exact interval arithmetic over every support condition the identity needs.
+
+    Reports, never raises; the construction reads it once per config, as
+    :attr:`CxConfig.validation`.
+    """
     rho = cfg.eta_radius
     pl_lo, pl_hi = cfg.beta_plateau
     su_lo, su_hi = cfg.beta_support
@@ -304,12 +320,10 @@ def validate_config(cfg: CxConfig) -> CxValidation:
     return CxValidation(tuple(out))
 
 
-def _require_valid(cfg: CxConfig) -> CxValidation:
-    validation = validate_config(cfg)
-    if not validation.frequency_ok:
-        bad = validation.first_violation()
+def _require_valid(cfg: CxConfig) -> None:
+    if not cfg.validation.frequency_ok:
+        bad = cfg.validation.first_violation()
         raise ValueError(f"configuration violates {bad.name}: {bad.detail}")
-    return validation
 
 
 def build_inputs(cfg: CxConfig) -> List[SampledField]:
@@ -368,16 +382,15 @@ def orthogonality_check(cfg: CxConfig) -> float:
 
 @dataclass(frozen=True)
 class CxReport:
-    n: int
+    """One run's measurements; the config it ran holds its ``n``, ``lam_value`` and ``validation``."""
+
     n_packets: int
     identity_error: float
     output_norm: float
     input_norms: Tuple[float, ...]
     d_lambda_value: float
     d_lambda_bounds: Tuple[float, float]
-    lam: float
     ratio: float
-    validation: CxValidation
 
     def rows(self) -> List[dict]:
         return [
@@ -394,11 +407,8 @@ class CxReport:
 
 def run_counterexample(cfg: CxConfig) -> CxReport:
     """Build, verify the collapse identity, and measure the norm ratio."""
-    if cfg.grid is None:
-        raise ValueError("running the construction requires a grid")
-    validation = _require_valid(cfg)
+    fields = build_inputs(cfg)  # refuses a config without a grid or with a violated frequency constraint
     grid = cfg.grid
-    fields = build_inputs(cfg)
     kernel = build_kernel(cfg)
 
     output = apply_t(kernel, fields, cfg.scale_range)
@@ -433,20 +443,16 @@ def run_counterexample(cfg: CxConfig) -> CxReport:
     p_out = float(1 / r_sum)
     output_norm = lp_norm(output, p_out)
 
-    lam = cfg.lam_value
-    dres = d_lambda(kernel, lam, grid)
+    dres = d_lambda(kernel, cfg.lam_value, grid)
     ratio = output_norm / (dres.value * math.prod(input_norms))
     return CxReport(
-        n=cfg.n,
         n_packets=cfg.n_packets,
         identity_error=identity_error,
         output_norm=output_norm,
         input_norms=tuple(input_norms),
         d_lambda_value=dres.value,
         d_lambda_bounds=(dres.lower, dres.upper),
-        lam=lam,
         ratio=ratio,
-        validation=validation,
     )
 
 

@@ -60,8 +60,11 @@ from .field import (
     Shells,
     Spectrum,
     _deferred,
+    _inverted,
     _peak_exponent,
     _runs,
+    _split,
+    _symbol_times,
     apply_multiplier,
     box_piece,
     dilated_steps,
@@ -134,23 +137,26 @@ def _pieces(
     """``(scale, key, steps, lifted)`` of the pieces not certified zero, from ``f``'s ``spectrum``.
 
     ``key`` is None for a plateau piece that is ``f`` itself, else the scale.
-    A piece whose dilated shift is whole samples (:func:`field.dilated_steps`)
-    is ``lift`` of its untranslated inverse, taken once into the caller's
-    ``untranslated`` under ``key``, for the caller to roll by ``steps`` (``lift``
-    is pointwise and :func:`field.apply_multiplier` also inverts, then rolls).
-    Any other is ``lift`` of the piece itself, with ``steps`` None.
+    Each piece is the multiplier core on the certificate :func:`field.piece_plan`
+    returns, with one :func:`field._split` of its dilated shift: whole
+    samples make it ``lift`` of its untranslated inverse, taken once into the
+    caller's ``untranslated`` under ``key``, for the caller to roll by
+    ``steps`` (``lift`` is pointwise and :func:`field.apply_multiplier` also
+    inverts, then rolls).  Any other is ``lift`` of the phased piece, with
+    ``steps`` None.
     """
+    grid = f.grid
     for scale in scales:
-        cls, _, piece_profile = piece_plan(f, profile, scale)
+        cls, shells, piece_profile = piece_plan(f, profile, scale)
         if cls == ZERO:
             continue
         key = None if piece_profile is None else scale
-        steps = dilated_steps(f.grid, shift, scale)
-        if steps is None:
-            yield scale, key, None, lift(apply_multiplier(spectrum, piece_profile, scale, shift))
+        steps, rests = split = _split(grid, shift, scale)
+        if any(rests):
+            yield scale, key, None, lift(_inverted(grid, _symbol_times(grid, spectrum, shells, piece_profile, scale, split)))
             continue
         if key not in untranslated:
-            untranslated[key] = lift(apply_multiplier(spectrum, piece_profile, scale))
+            untranslated[key] = lift(_inverted(grid, _symbol_times(grid, spectrum, shells, piece_profile, scale)))
         yield scale, key, steps, untranslated[key]
 
 

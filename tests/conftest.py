@@ -35,3 +35,23 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, recording)
     return calls
+
+
+@pytest.fixture
+def cx_derivations(monkeypatch):
+    """Calls of ``validate_config`` and ``make_counterexample_profiles`` made through ``logmult.counterexample``.
+
+    The wrapped functions still run.
+    """
+    from logmult import counterexample
+
+    calls = {"validate_config": 0, "make_counterexample_profiles": 0}
+    for name in calls:
+        original = getattr(counterexample, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(counterexample, name, counting)
+    return calls

@@ -187,6 +187,20 @@ def test_counterexample_invalid_config_exit_code(tmp_path):
     assert code == CONFIG_ERROR
 
 
+@pytest.mark.parametrize("mode", ["identity", "separation", "reference"])
+def test_counterexample_n_past_four_slots_names_the_key(tmp_path, mode):
+    # n slots of reciprocal 1/4 sum past 1 from n = 5: refused before any mode builds a config
+    argv = ["counterexample", "--counterexample.mode", mode, "--counterexample.n", "5"]
+    code, err = _run_captured(argv + ["--outdir", str(tmp_path / "out")])
+    assert code == CONFIG_ERROR and "counterexample.n" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_counterexample_derives_each_config_once(tmp_path, cx_derivations):
+    assert run(["counterexample", "--outdir", str(tmp_path)]) == PASS
+    assert cx_derivations == {"validate_config": 3, "make_counterexample_profiles": 3}
+
+
 def test_changevars_transforms_each_input_once(tmp_path, fft_calls):
     assert run(["changevars", "--outdir", str(tmp_path)]) == PASS
     calls = [n for name, n in fft_calls if name == "fftn"]
