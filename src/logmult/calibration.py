@@ -8,12 +8,11 @@ piecewise so that the zeros are hard zeros, not small numbers.
 The plateau guarantee is exact too: at every radius on the closed plateau the
 ramp argument is at least 1 in floating point (rounding is monotone and the
 plateau edge maps to exactly 1), so the profile returns exactly ``1.0``, and
-dividing a grid radius by ``2**l`` is exact.  :func:`field.piece_class` relies
+dividing a grid radius by ``2**l`` is exact.  :func:`field.piece_plan` relies
 on this to sort each scale's piece of a field into one of three classes by
-its shell certificate, the field's met with the dilated support
-(:func:`field.piece_shells`): zero (the meet is empty), plateau (every bin of
-the meet lies inside the dilated closed plateau, so the profile is exactly 1
-there) and partial.
+its shell certificate, the field's met with the dilated support: zero (the
+meet is empty), plateau (every bin of the meet lies inside the dilated closed
+plateau, so the profile is exactly 1 there) and partial.
 
 The low-pass/annular pair is telescoped: ``psi_hat(xi) = phi_hat(xi) -
 phi_hat(2 xi)`` makes the dyadic partition of unity an algebraic identity on

@@ -115,6 +115,7 @@ _SCALE = _within(-256, 256)  # 2.0**scale, and supports, bands and offsets dilat
 _PACKETS = _within(1, 102)  # the reference schedule puts packet N at frequency 2**(10 N), finite up to N = 102
 _SPACING = _within(1, 10)  # the last packet sits at 2**(spacing N), finite for every N allowed while spacing <= 10
 _MAX_FIELDS = 64  # caps each count of full-size fields held at once (a bank, a product) before it sizes an allocation
+_MAX_POINTS = 2**27  # caps the points of each grid a command samples on (2 GiB of complex samples) before any is allocated
 
 
 def _grid_keys(samples: str, period: str) -> Dict[str, Key]:
@@ -225,6 +226,16 @@ def _peetre_bank(c: Config) -> None:
 CHECKS: Dict[str, Callable[[Config], None]] = {"changevars": _changevars_bands, "peetre": _peetre_bank}
 
 
+def _grid_points(command: str, c: Config) -> Tuple[int, str]:
+    """The points of the largest grid ``command`` samples on, and the keys that set them."""
+    if command == "counterexample":
+        return c["counterexample"]["samples"], "counterexample.samples"
+    g = c["grid"]
+    if command == "peetre":  # it also runs on the grid of twice the samples per axis
+        return (2 * g["samples"]) ** g["dimension"], "(2 * grid.samples) ** grid.dimension"
+    return g["samples"] ** g["dimension"], "grid.samples ** grid.dimension"
+
+
 def load_config_file(path: Optional[str]) -> Dict[str, Dict[str, str]]:
     if path is None:
         return {}
@@ -258,7 +269,7 @@ def resolve_config(
 
 
 def _parse_config(command: str, config: Dict[str, Dict[str, str]]) -> Config:
-    """Every text parsed and constrained by its table entry, then the cross-key checks."""
+    """Every text parsed and constrained by its table entry, then the grid-size cap and the cross-key checks."""
     values: Config = {section: {} for section in config}
     for name, entry in TABLES[command].items():
         section, key = name.split(".")
@@ -269,6 +280,9 @@ def _parse_config(command: str, config: Dict[str, Dict[str, str]]) -> Config:
             raise ValueError(f"{name}: {exc}") from None
         if entry.constraint is not None and not entry.constraint[0](value):
             raise ValueError(f"{name} must be {entry.constraint[1]}, got {text!r}")
+    points, keys = _grid_points(command, values)
+    if points > _MAX_POINTS:
+        raise ValueError(f"{keys} is {points} points, above the cap of {_MAX_POINTS} points per grid")
     for section, v in values.items():
         if "scale_max" in v and v["scale_min"] > v["scale_max"]:
             raise ValueError(f"empty scale range {(v['scale_min'], v['scale_max'])}: "

@@ -117,7 +117,7 @@ class CxConfig:
         # decay-length proxy for the band-limited envelope
         return 4.0 / self.eta_radius
 
-    @property
+    @cached_property
     def lam_value(self) -> float:
         if self.lam is not None:
             return self.lam

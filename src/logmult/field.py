@@ -43,9 +43,10 @@ or a square function's dyadic pieces), from which :func:`lp_norm` reads L_2
 and L_4 without an FFT.
 
 The spectral multiplier ``profile(2**-l |xi - c|) * exp(-2 pi i (2**-l t, xi))``
-has one core, which evaluates it only on the boxes its certificates allow:
-the spectrum's certificate met with the profile's dilated closed support.
-The centre ``c`` is the origin but for a packet, whose carrier it is.
+has one core, which evaluates it only on the boxes of a certificate it is
+given.  The centre ``c`` is the origin but for a packet, whose carrier it is.
+A dyadic piece's certificate, the spectrum's met with the profile's dilated
+closed support, and its dispatch class come from one rule, :func:`piece_plan`.
 This is exact, not an approximation: profiles are hard 0 off their closed
 support and certified spectra are exactly 0 off their shells, so every
 skipped product was a signed zero.  A translation is split once, exactly, per
@@ -80,7 +81,6 @@ __all__ = [
     "Shells",
     "SampledField",
     "Spectrum",
-    "MixedNormSpec",
     "GridMismatchError",
     "NyquistError",
     "transform",
@@ -96,13 +96,10 @@ __all__ = [
     "box_frequencies",
     "box_radii",
     "translation_phase",
-    "apply_multiplier",
     "box_piece",
     "symbol_box",
     "add_box_product",
     "box_modulus",
-    "piece_shells",
-    "piece_class",
     "piece_plan",
     "ZERO",
     "PLATEAU",
@@ -552,19 +549,6 @@ class Spectrum:
         return self.boxes[0][1] if self.shells is None else frozen(_scattered(self.grid, self.boxes))
 
 
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Outer Lebesgue exponent over space, inner sequence exponent: L_p(l_q)."""
-
-    outer_p: Exponent
-    inner_q: Exponent
-
-    def __post_init__(self):
-        for name, e in (("outer_p", self.outer_p), ("inner_q", self.inner_q)):
-            if not (e == np.inf or e >= 1):
-                raise ValueError(f"{name} must be >= 1 or infinity, got {e}")
-
-
 def require_same_grid(*objs) -> GridSpec:
     grid = objs[0].grid
     for o in objs[1:]:
@@ -701,7 +685,7 @@ def inverse(s: Spectrum) -> SampledField:
     uncertified one is inverted at once.
     """
     if s.shells is None:
-        return SampledField(s.grid, frozen(apply_multiplier(s)))
+        return SampledField(s.grid, frozen(_inverted(s.grid, s.boxes)))
     return _deferred(s, lambda f: _inverted(f.grid, f.kept.boxes))
 
 
@@ -902,33 +886,6 @@ def _symbol_times(
     return tuple(pieces)
 
 
-def apply_multiplier(
-    spectrum: Spectrum,
-    profile=None,
-    scale: int = 0,
-    translation: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """Samples of the inverse transform of ``spectrum`` times ``profile(2**-l |xi|) * exp(-2 pi i (2**-l t, xi))``.
-
-    ``profile=None`` is the constant 1.  A dilated translation of exactly
-    whole samples (:func:`dilated_steps`) rolls the untranslated samples (an
-    exact permutation); any other multiplies by its :func:`translation_phase`.
-    Profile and phase are evaluated only on the bins where the spectrum's support certificate meets the
-    profile's dilated closed support (either one alone when the other is
-    absent).  Every other product is a signed zero, because profiles are hard
-    0 off their support and certified coefficients are exactly 0 off their
-    shells, so the result equals the whole-grid evaluation.
-    """
-    grid = spectrum.grid
-    steps, rests = split = _split(grid, translation, scale)
-    shells = spectrum.shells
-    if profile is not None:
-        support = _dilated_support(profile.support, scale, grid.dimension)
-        shells = support if shells is None else shells.meet(support)
-    values = _inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale, split if any(rests) else None))
-    return values if any(rests) or not any(steps) else np.roll(values, steps, axis=tuple(range(grid.dimension)))
-
-
 # ---------------------------------------------------------------------------
 # band-local products of multiplier pieces
 # ---------------------------------------------------------------------------
@@ -944,7 +901,7 @@ def box_piece(
 
     Each box holds ``spectrum * profile(2**-scale |xi|) * exp(-2 pi i
     (2**-scale t, xi))``, one :func:`translation_phase` for any translation:
-    the coefficients :func:`apply_multiplier` inverts (or rolls, for whole
+    the coefficients :func:`lp_ops.dyadic_piece` inverts (or rolls, for whole
     samples).  ``shells`` must hold every bin where the product can be
     nonzero, as the certificate :func:`piece_plan` returns does.
     """
@@ -1093,34 +1050,19 @@ def box_modulus(grid: GridSpec, pieces: Sequence[BoxPiece]) -> np.ndarray:
 # the one band rule: certificates and dispatch classes of dyadic pieces
 # ---------------------------------------------------------------------------
 
-def piece_shells(f: SampledField, support: Tuple[float, float], scale: int) -> Optional[Shells]:
-    """Certificate of the scale-``scale`` piece of ``f`` under a profile supported on ``support``.
-
-    ``f``'s certificate met with the dilated closed support; None certifies
-    that the piece is identically zero.  A field without a certificate is
-    only accepted while the dilated support stays below Nyquist, where the
-    piece is exactly representable.
-    """
-    dilated = _dilated_support(support, scale, f.grid.dimension)
-    if f.shells is None:
-        hi = dilated.hull[1]
-        if hi >= f.grid.nyquist:
-            raise NyquistError(
-                f"dilated support reaches {hi} at scale {scale}, not below the Nyquist "
-                f"frequency {f.grid.nyquist}, and the field carries no band certificate"
-            )
-        return dilated
-    met = f.shells.meet(dilated)
-    return met if met.parts else None
-
-
 ZERO, PLATEAU, PARTIAL = "zero", "plateau", "partial"
 
 
 def piece_plan(f: SampledField, profile, scale: int) -> Tuple[str, Optional[Shells], object]:
-    """``(class, certificate, profile to evaluate)`` of the scale-``scale`` piece of ``f``.
+    """``(class, certificate, profile to evaluate)`` of the scale-``scale`` piece of ``f``: the one band rule.
 
-    * ``ZERO``: :func:`piece_shells` certifies the piece identically zero.
+    The certificate is ``f``'s met with the profile's dilated closed support.
+    A field without a certificate is only accepted while the dilated support
+    stays below Nyquist, where the piece is exactly representable; the
+    certificate is then the dilated support itself.
+
+    * ``ZERO``: the meet is empty, so the piece is identically zero; the
+      certificate is None.
     * ``PLATEAU``: every bin of the piece's certificate lies inside the
       profile's dilated closed plateau ``2**scale * profile.plateau``
       (:meth:`Shells.within`).  The profile is then
@@ -1136,20 +1078,24 @@ def piece_plan(f: SampledField, profile, scale: int) -> Tuple[str, Optional[Shel
     sphere ``|xi| = 1``) and a field without a certificate are never
     ``PLATEAU``.
     """
-    shells = piece_shells(f, profile.support, scale)
-    if shells is None:
+    dilated = _dilated_support(profile.support, scale, f.grid.dimension)
+    if f.shells is None:
+        hi = dilated.hull[1]
+        if hi >= f.grid.nyquist:
+            raise NyquistError(
+                f"dilated support reaches {hi} at scale {scale}, not below the Nyquist "
+                f"frequency {f.grid.nyquist}, and the field carries no band certificate"
+            )
+        return PARTIAL, dilated, profile
+    shells = f.shells.meet(dilated)
+    if not shells.parts:
         return ZERO, None, profile
     plateau = getattr(profile, "plateau", None)
-    if plateau is not None and f.shells is not None:
+    if plateau is not None:
         dilation = 2.0**scale
         if shells.within(f.grid, plateau[0] * dilation, plateau[1] * dilation):
             return PLATEAU, shells, None if shells == f.shells else profile
     return PARTIAL, shells, profile
-
-
-def piece_class(f: SampledField, profile, scale: int) -> str:
-    """Dispatch class of the scale-``scale`` piece of ``f`` under ``profile`` (see :func:`piece_plan`)."""
-    return piece_plan(f, profile, scale)[0]
 
 
 def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
@@ -1167,10 +1113,10 @@ def phase_shift(f: SampledField, shift: Sequence[float]) -> SampledField:
     return SampledField(f.grid, frozen(values), shells=f.shells)
 
 
-def _as_float_exponent(p: Exponent) -> float:
+def _as_float_exponent(p: Exponent, name: str = "p") -> float:
     q = np.inf if p == np.inf else float(p)
     if not (q == np.inf or q >= 1):  # NaN fails both
-        raise ValueError(f"p must be >= 1 or infinity, got {p}")
+        raise ValueError(f"{name} must be >= 1 or infinity, got {p}")
     return q
 
 
@@ -1252,13 +1198,13 @@ def lp_norm(f: SampledField, p: Exponent) -> float:
     return float(np.ldexp(norm, e))
 
 
-def mixed_norm(fs: Sequence[SampledField], spec: MixedNormSpec) -> float:
-    """Inner l_q over the sequence index pointwise, then outer L_p quadrature."""
+def mixed_norm(fs: Sequence[SampledField], p: Exponent, q: Exponent) -> float:
+    """L_p(l_q): inner l_q over the sequence index pointwise, then outer L_p quadrature."""
     if len(fs) == 0:
         raise ValueError("mixed_norm of an empty sequence")
     grid = require_same_grid(*fs)
-    q = _as_float_exponent(spec.inner_q)
-    p = _as_float_exponent(spec.outer_p)
+    q = _as_float_exponent(q, "q")
+    p = _as_float_exponent(p)
     stack = np.stack([np.abs(f.values) for f in fs])
     e = _peak_exponent(stack)
     if e is None:

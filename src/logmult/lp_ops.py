@@ -4,8 +4,10 @@ The shifted dilate of a profile ``Phi`` at scale ``l`` and shift ``y`` acts on
 a field by frequency multiplication with ``Phi_hat(2**-l xi) *
 exp(-2 pi i (2**-l y, xi))``; equivalently it is the unshifted piece translated
 by ``2**-l y``.  Because fields are band-limited interpolants, the action is
-exact to roundoff for any real shift.  The multiplication is
-:func:`field.apply_multiplier`, evaluated on the piece's certified boxes.
+exact to roundoff for any real shift.  The multiplication is the field's
+multiplier core, evaluated on the certified boxes :func:`field.piece_plan`
+returns, and every piece, :func:`dyadic_piece` included, is built the one way
+:func:`_pieces` builds it.
 
 Every piece falls into one of the three classes of :func:`field.piece_plan`:
 
@@ -55,7 +57,6 @@ from .field import (
     ZERO,
     GridMismatchError,
     GridSpec,
-    MixedNormSpec,
     SampledField,
     Shells,
     Spectrum,
@@ -65,7 +66,6 @@ from .field import (
     _runs,
     _split,
     _symbol_times,
-    apply_multiplier,
     box_piece,
     dilated_steps,
     frozen,
@@ -101,13 +101,23 @@ class ShiftedDyadicOp:
 
 
 def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
-    """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff)."""
+    """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff).
+
+    The piece is built as :func:`_pieces` builds it: the multiplier core on
+    the certificate and profile :func:`field.piece_plan` returns, with one
+    :func:`field._split` of the dilated shift, then inverted; whole samples
+    roll the untranslated inverse.
+    """
+    grid = f.grid
     cls, shells, profile = piece_plan(f, op.profile, op.scale)
     if cls == ZERO:
-        zero = frozen(np.zeros(f.grid.shape, dtype=np.complex128))
-        return SampledField(f.grid, zero, Shells.radial(0.0, 0.0, f.grid.dimension))
-    values = apply_multiplier(transform(f), profile, op.scale, op.shift)
-    return SampledField(f.grid, frozen(values), shells=shells)
+        zero = frozen(np.zeros(grid.shape, dtype=np.complex128))
+        return SampledField(grid, zero, Shells.radial(0.0, 0.0, grid.dimension))
+    steps, rests = split = _split(grid, op.shift, op.scale)
+    values = _inverted(grid, _symbol_times(grid, transform(f), shells, profile, op.scale, split if any(rests) else None))
+    if not any(rests) and any(steps):
+        values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
+    return SampledField(grid, frozen(values), shells=shells)
 
 
 def _energy(values: np.ndarray, e: int) -> np.ndarray:
@@ -141,9 +151,9 @@ def _pieces(
     returns, with one :func:`field._split` of its dilated shift: whole
     samples make it ``lift`` of its untranslated inverse, taken once into the
     caller's ``untranslated`` under ``key``, for the caller to roll by
-    ``steps`` (``lift`` is pointwise and :func:`field.apply_multiplier` also
-    inverts, then rolls).  Any other is ``lift`` of the phased piece, with
-    ``steps`` None.
+    ``steps`` (``lift`` is pointwise and :func:`dyadic_piece` also inverts,
+    then rolls).  Any other is ``lift`` of the phased piece, with ``steps``
+    None.
     """
     grid = f.grid
     for scale in scales:
@@ -444,9 +454,8 @@ def fefferman_stein_ratio(
                     f"field certified to radius {f.band[1]} exceeds 2*A*2**k = "
                     f"{2.0 * band_factor * 2.0 ** k} at k={k}"
                 )
-    spec = MixedNormSpec(p, q)
-    denom = mixed_norm(fs, spec)
+    denom = mixed_norm(fs, p, q)
     if denom == 0.0:
         raise ValueError("zero bank: mixed norm of the inputs vanishes")
-    numer = mixed_norm([peetre_max(f, sigma, k) for f, k in zip(fs, scales)], spec)
+    numer = mixed_norm([peetre_max(f, sigma, k) for f, k in zip(fs, scales)], p, q)
     return numer / denom

@@ -39,13 +39,13 @@ def fft_calls(monkeypatch):
 
 @pytest.fixture
 def cx_derivations(monkeypatch):
-    """Calls of ``validate_config`` and ``make_counterexample_profiles`` made through ``logmult.counterexample``.
+    """Calls of ``validate_config``, ``make_counterexample_profiles`` and ``sharp_lambda`` made through ``logmult.counterexample``.
 
     The wrapped functions still run.
     """
     from logmult import counterexample
 
-    calls = {"validate_config": 0, "make_counterexample_profiles": 0}
+    calls = {"validate_config": 0, "make_counterexample_profiles": 0, "sharp_lambda": 0}
     for name in calls:
         original = getattr(counterexample, name)
 

@@ -198,7 +198,7 @@ def test_counterexample_n_past_four_slots_names_the_key(tmp_path, mode):
 
 def test_default_counterexample_derives_each_config_once(tmp_path, cx_derivations):
     assert run(["counterexample", "--outdir", str(tmp_path)]) == PASS
-    assert cx_derivations == {"validate_config": 3, "make_counterexample_profiles": 3}
+    assert cx_derivations == {"validate_config": 3, "make_counterexample_profiles": 3, "sharp_lambda": 3}
 
 
 def test_changevars_transforms_each_input_once(tmp_path, fft_calls):
@@ -636,6 +636,45 @@ def test_counts_that_size_an_allocation_are_bounded(command, name, text):
     overrides = [(section, key, text)] + [("counterexample", "mode", "reference")] * (command == "counterexample")
     with pytest.raises(ValueError, match=name):
         cli._parse_config(command, resolve_config(command, {}, overrides))
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["partition", "--grid.samples", str(2**40)], "grid.samples ** grid.dimension"),
+        (["growth", "--grid.dimension", "2"], "grid.samples ** grid.dimension"),  # 2**20 samples per axis
+        (["peetre", "--grid.samples", str(2**39)], "(2 * grid.samples) ** grid.dimension"),
+        (["counterexample", "--counterexample.samples", str(2**40)], "counterexample.samples"),
+    ],
+)
+def test_a_grid_over_the_size_cap_names_its_keys(tmp_path, argv, keys):
+    # each grid holds 2**40 points: refused before any array or output directory exists
+    code, err = _run_captured(argv + ["--outdir", str(tmp_path / "out")])
+    assert code == CONFIG_ERROR and keys in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, admitted",
+    [
+        ("growth", [("grid", "samples", str(2**27))], True),
+        ("growth", [("grid", "samples", str(2**28))], False),
+        ("partition", [("grid", "dimension", "2"), ("grid", "samples", str(2**13))], True),
+        ("partition", [("grid", "dimension", "2"), ("grid", "samples", str(2**14))], False),
+        ("peetre", [("grid", "samples", str(2**26))], True),  # its twice-refined grid holds 2**27 points
+        ("peetre", [("grid", "samples", str(2**27))], False),
+        ("counterexample", [("counterexample", "samples", str(2**27))], True),
+        ("counterexample", [("counterexample", "samples", str(2**28))], False),
+    ],
+)
+def test_the_grid_size_cap_admits_2_to_the_27_points(command, overrides, admitted):
+    # parsed only, so no grid is allocated; every default runs in the tests above
+    config = resolve_config(command, {}, overrides)
+    if admitted:
+        cli._parse_config(command, config)
+    else:
+        with pytest.raises(ValueError, match="points per grid"):
+            cli._parse_config(command, config)
 
 
 def test_reference_packets_just_past_the_cap_name_the_key(tmp_path):

@@ -339,7 +339,7 @@ def test_ratio_growth_fit_reads_given_reports_after_its_checks():
 def test_a_separation_fit_derives_each_config_once(cx_derivations):
     cfgs = [separation_config(n_packets=N, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8) for N in (1, 2, 3)]
     ratio_growth_fit(cfgs)
-    assert cx_derivations == {"validate_config": 3, "make_counterexample_profiles": 3}
+    assert cx_derivations == {"validate_config": 3, "make_counterexample_profiles": 3, "sharp_lambda": 3}
 
 
 def test_an_exponent_tuple_the_construction_cannot_run_is_refused_when_made(fft_calls):

@@ -9,7 +9,8 @@ whose argument stays small for any size of shift, packets' phases included;
 the fold's twiddles, whose arguments stay small too, are the one other named
 site.  A set of certified bins is cut into boxes by ``field.bin_boxes`` only
 inside ``field._certified_bins``, the one cached layout every other reader
-shares.  A counterexample config is validated once, by its own
+shares.  A certificate is met with another only by the one band rule,
+``field.piece_plan``, and by ``field.convolve``.  A counterexample config is validated once, by its own
 ``CxConfig.validation``, which every builder reads.  A spectrum's full-size
 ``coefficients`` are scattered from its boxes on each read, so they are read
 only where a full array is the point.  The CLI uses
@@ -84,6 +85,22 @@ def test_bin_boxes_is_called_only_by_the_layout_cache():
             if isinstance(func, ast.FunctionDef) and any(node in found for node in ast.walk(func)):
                 sites.add((path.name, func.name))
     assert (sites, calls) == ({("field.py", "_certified_bins")}, 1)
+
+
+def calls_meet(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "meet"
+
+
+def test_certificates_are_met_only_by_the_band_rule_and_convolve():
+    sites, calls = set(), 0
+    for path in sorted(Path(logmult.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = [node for node in ast.walk(tree) if calls_meet(node)]
+        calls += len(found)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(node in found for node in ast.walk(func)):
+                sites.add((path.name, func.name))
+    assert (sites, calls) == ({("field.py", "piece_plan"), ("field.py", "convolve")}, 2)
 
 
 def calls_validate_config(node):

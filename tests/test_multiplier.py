@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from logmult import multiplier
 from logmult.calibration import AnnularProfile, RadialProfile, make_counterexample_profiles, make_lp_pair
-from logmult.field import GridSpec, apply_multiplier, conjugate, convolve, lp_norm, piece_shells, transform
+from logmult.field import GridSpec, conjugate, convolve, lp_norm, piece_plan
+from logmult.lp_ops import ShiftedDyadicOp, dyadic_piece
 from logmult.multiplier import (
     SpectralFactor,
     TensorKernel,
@@ -595,16 +596,15 @@ def per_scale_shifted_form(fs, psi_slots, tau, shifts, scales, pair):
     """The shifted form as its own loop: one integral per scale, summed."""
     s, t = psi_slots
     grid = fs[0].grid
-    spectra = [transform(f) for f in fs]
     profiles = [pair.psi_hat if k in (s, t) else pair.phi_hat for k in range(1, len(fs) + 1)]
     translations = [None if k == tau else shifts[k - 1] for k in range(1, len(fs) + 1)]
     total = 0.0 + 0.0j
     for scale in scales:
-        if any(piece_shells(f, p.support, scale) is None for f, p in zip(fs, profiles)):
+        if any(piece_plan(f, p, scale)[1] is None for f, p in zip(fs, profiles)):
             continue
         prod = np.ones(grid.shape, dtype=np.complex128)
-        for spec, profile, translation in zip(spectra, profiles, translations):
-            prod *= apply_multiplier(spec, profile, scale, translation)
+        for f, profile, translation in zip(fs, profiles, translations):
+            prod *= dyadic_piece(f, ShiftedDyadicOp(profile, scale, translation)).values
         total += np.sum(prod) * grid.cell_volume
     return complex(total)
 

@@ -21,7 +21,7 @@ from logmult.field import (
     inverse,
     lp_norm,
     phase_shift,
-    piece_class,
+    piece_plan,
     transform,
 )
 from logmult.lp_ops import square_function
@@ -233,7 +233,7 @@ def test_run_growth_inverts_each_input_once_per_untranslated_piece(fft_calls):
     direct = [operator_norm_proxy(exp.kind, exp.p, [y], bank, pair) for y in exp.shifts]
     off_grid = 0
     for f in bank:
-        classes = {scale: piece_class(f, pair.phi_hat, scale) for scale in pair.scales}
+        classes = {scale: piece_plan(f, pair.phi_hat, scale)[0] for scale in pair.scales}
         assert [scale for scale, cls in classes.items() if cls != PLATEAU] == [-1]
         assert classes[-1] == PARTIAL and all(dilated_steps(grid, [y], -1) is not None for y in exp.shifts)
         off_grid += sum(dilated_steps(grid, [y], scale) is None for y in exp.shifts for scale in pair.scales)
@@ -312,8 +312,8 @@ def test_modulated_bump_certifies_one_ball():
     assert 2 * sum(v.size for _, v in f.kept.boxes) == sum(v.size for _, v in annulus.kept.boxes)
     # on the growth grid and pair the ball keeps the annulus's dispatch
     pair = make_lp_pair((-1, 14))
-    assert Counter(piece_class(f, pair.phi_hat, s) for s in pair.scales) == {PLATEAU: 15, PARTIAL: 1}
-    assert Counter(piece_class(f, pair.psi_hat, s) for s in pair.scales) == {ZERO: 13, PARTIAL: 3}
+    assert Counter(piece_plan(f, pair.phi_hat, s)[0] for s in pair.scales) == {PLATEAU: 15, PARTIAL: 1}
+    assert Counter(piece_plan(f, pair.psi_hat, s)[0] for s in pair.scales) == {ZERO: 13, PARTIAL: 3}
 
 
 def test_change_of_variables_zero_shifts(grid):

@@ -1,12 +1,13 @@
 """Differential tests for the spectral-multiplier primitive and the piece dispatch.
 
 The primitive's reference spells the operation out (profile x translation
-phase x inverse FFT, never a sample roll).  The primitive evaluates its symbol
-only on the bins its certificates allow; the whole-grid evaluation it replaced
-is kept here as the oracle, and the results must be bit-for-bit equal.  The aggregate references (the
-square and maximal functions, apply_t) call the primitive with the profile at
-every scale and slot, so they neither skip certified-zero pieces nor serve
-plateau pieces as translates.
+phase x inverse FFT, never a sample roll).  A dyadic piece evaluates its
+symbol only on the bins its certificate allows; the whole-grid evaluation
+(:func:`dense_apply`) is kept here as the oracle, and the results must be
+bit-for-bit equal.  The aggregate references (the square and maximal
+functions, apply_t) take the whole-grid evaluation with the profile at every
+scale and slot, so they neither skip certified-zero pieces nor serve plateau
+pieces as translates.
 """
 
 import itertools
@@ -38,14 +39,13 @@ from logmult.field import (
     Shells,
     Spectrum,
     add_box_product,
-    apply_multiplier,
     box_modulus,
     bin_boxes,
     conjugate,
     dilated_steps,
+    inverse,
     lp_norm,
-    piece_shells,
-    piece_class,
+    piece_plan,
     spectrum_from_boxes,
     symbol_box,
     transform,
@@ -145,12 +145,15 @@ def dense_symbol(grid, profile, scale, translation):
 
 
 def dense_apply(spectrum, profile, scale, translation):
-    """The whole-grid multiplier: every bin multiplied, then inverted (and rolled when aligned)."""
+    """The whole-grid multiplier: every bin multiplied, then inverted (and rolled when aligned).
+
+    ``profile=None`` is the constant 1 and ``translation=None`` no translation.
+    """
     grid = spectrum.grid
     coeffs = spectrum.coefficients
     if profile is not None:
         coeffs = coeffs * profile(grid.frequency_radii() * 2.0**-scale)
-    shift = np.asarray(translation, dtype=float) * 2.0**-scale
+    shift = np.asarray([0.0] * grid.dimension if translation is None else translation, dtype=float) * 2.0**-scale
     steps = dilated_steps(grid, shift, 0)
     if steps is None:
         phase = translation_phase(grid, shift)
@@ -162,12 +165,20 @@ def dense_apply(spectrum, profile, scale, translation):
 
 @settings(max_examples=200, deadline=None)
 @given(multiplier_cases())
-def test_apply_multiplier_matches_reference(case):
+def test_dyadic_piece_matches_reference(case):
     grid, profile, scale, band, translation, seed = case
-    spectrum = random_spectrum(grid, seed, band)
-    got = apply_multiplier(spectrum, profile, scale, translation)
-    assert np.array_equal(got, dense_apply(spectrum, profile, scale, translation))
-    assert_close(got, reference_values(spectrum, profile, scale, translation))
+    f = inverse(random_spectrum(grid, seed, band))
+    op = ShiftedDyadicOp(profile, scale, tuple(translation))
+    if band is None and profile.support[1] * 2.0**scale >= grid.nyquist:
+        with pytest.raises(NyquistError):  # an uncertified piece must fit below Nyquist
+            dyadic_piece(f, op)
+        return
+    spectrum = transform(f)
+    piece = dyadic_piece(f, op)
+    assert np.array_equal(piece.values, dense_apply(spectrum, profile, scale, translation))
+    assert_close(piece.values, reference_values(spectrum, profile, scale, translation))
+    shells = piece_plan(f, profile, scale)[1]
+    assert piece.shells == (Shells.radial(0.0, 0.0, grid.dimension) if shells is None else shells)
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,12 +190,23 @@ def test_symbol_box_scatter_matches_reference(case):
     assert_close(got, reference_symbol(grid, profile, scale, translation))
 
 
+# 1 on |xi| <= 256, past Nyquist on every grid of GRIDS at every drawn scale
+FLAT = RadialProfile(256.0, 512.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(multiplier_cases())
-def test_apply_multiplier_without_profile_is_translation(case):
+def test_a_piece_on_its_whole_plateau_is_a_translation(case):
     grid, _, scale, band, translation, seed = case
-    spectrum = random_spectrum(grid, seed, band)
-    got = apply_multiplier(spectrum, translation=translation, scale=scale)
+    f = inverse(random_spectrum(grid, seed, band))
+    op = ShiftedDyadicOp(FLAT, scale, tuple(translation))
+    if band is None:
+        with pytest.raises(NyquistError):  # the flat profile's dilated support reaches Nyquist
+            dyadic_piece(f, op)
+        return
+    assert piece_plan(f, FLAT, scale)[::2] == (PLATEAU, None)  # the profile is not evaluated
+    spectrum = transform(f)
+    got = dyadic_piece(f, op).values
     assert np.array_equal(got, dense_apply(spectrum, None, scale, translation))
     assert_close(got, reference_values(spectrum, lambda r: np.ones_like(r), scale, translation))
 
@@ -280,12 +302,18 @@ def box_bins(grid, band):
 @pytest.mark.parametrize("grid", [GridSpec(1, 4096, 16.0), GridSpec(2, 128, 16.0)])
 def test_profile_sees_only_the_certified_bins(grid):
     psi = CountedProfile(PAIR.psi_hat)  # support (1/2, 2), dilated to (1, 4) at scale 1
-    spectrum = transform(random_band_limited(grid, (2.0, 3.0), 7))
-    apply_multiplier(spectrum, psi, 1, [0.3] * grid.dimension)
+    f = random_band_limited(grid, (2.0, 3.0), 7)
+    dyadic_piece(f, ShiftedDyadicOp(psi, 1, (0.3,) * grid.dimension))
     assert sum(psi.sizes) <= box_bins(grid, (2.0, 3.0))
     psi.sizes.clear()
-    # an unbanded spectrum: the profile's dilated support alone bounds the bins
-    apply_multiplier(Spectrum(grid, spectrum.coefficients), psi, 1)
+    # an unbanded field: the profile's dilated support alone bounds the bins,
+    # and must fit below Nyquist (4 on the 2-D grid)
+    op = ShiftedDyadicOp(psi, 1, (0.0,) * grid.dimension)
+    if 4.0 < grid.nyquist:
+        dyadic_piece(SampledField(grid, f.values), op)
+    else:
+        with pytest.raises(NyquistError):
+            dyadic_piece(SampledField(grid, f.values), op)
     symbol_box(grid, psi, None, 1)
     assert max(psi.sizes) <= box_bins(grid, (1.0, 4.0))
 
@@ -293,28 +321,28 @@ def test_profile_sees_only_the_certified_bins(grid):
 def test_piece_band_rule():
     grid = GridSpec(1, 512, 16.0)
     banded = random_band_limited(grid, (0.5, 4.0), 5)
-    support = PAIR.psi_hat.support  # (0.5, 2.0)
-    assert piece_shells(banded, support, 1).hull == (1.0, 4.0)
-    assert piece_shells(banded, support, 3).hull == (4.0, 4.0)  # closed: touching is not zero
-    assert piece_shells(banded, support, 4) is None
+    psi = PAIR.psi_hat  # support (0.5, 2.0)
+    assert piece_plan(banded, psi, 1)[1].hull == (1.0, 4.0)
+    assert piece_plan(banded, psi, 3)[1].hull == (4.0, 4.0)  # closed: touching is not zero
+    assert piece_plan(banded, psi, 4)[1] is None
     unbanded = SampledField(grid, banded.values)
-    assert piece_shells(unbanded, support, 2).hull == (2.0, 8.0)
+    assert piece_plan(unbanded, psi, 2)[1].hull == (2.0, 8.0)
     with pytest.raises(NyquistError):
-        piece_shells(unbanded, support, 4)  # dilated support (8, 32) reaches Nyquist 16
+        piece_plan(unbanded, psi, 4)  # dilated support (8, 32) reaches Nyquist 16
 
 
-def test_piece_class_rule():
+def test_piece_plan_class_rule():
     grid = GridSpec(1, 512, 16.0)
     f = random_band_limited(grid, (2.0, 4.0), 5)
     phi = PAIR.phi_hat  # plateau [0, 1], support [0, 2]
-    assert piece_class(f, phi, 0) == PARTIAL  # support touches the band at 2
-    assert piece_class(f, phi, -1) == ZERO
-    assert piece_class(f, phi, 1) == PARTIAL  # plateau [0, 2] covers only the edge
-    assert piece_class(f, phi, 2) == PLATEAU  # plateau [0, 4] ends on the band edge
-    assert piece_class(SampledField(grid, f.values), phi, 2) == PARTIAL  # no certificate
+    assert piece_plan(f, phi, 0)[0] == PARTIAL  # support touches the band at 2
+    assert piece_plan(f, phi, -1)[0] == ZERO
+    assert piece_plan(f, phi, 1)[0] == PARTIAL  # plateau [0, 2] covers only the edge
+    assert piece_plan(f, phi, 2)[0] == PLATEAU  # plateau [0, 4] ends on the band edge
+    assert piece_plan(SampledField(grid, f.values), phi, 2)[0] == PARTIAL  # no certificate
     # the telescoped psi is 1 only at |xi| = 1 and has no plateau to certify
     unit = random_band_limited(grid, (1.0, 1.0), 5)
-    assert piece_class(unit, PAIR.psi_hat, 0) == PARTIAL
+    assert piece_plan(unit, PAIR.psi_hat, 0)[0] == PARTIAL
 
 
 @st.composite
@@ -360,7 +388,7 @@ SQUARE_PAIR = LPPair(PAIR.phi_hat, ANNULUS, PAIR.scale_min, PAIR.scale_max)
 
 def every_scale(f, profile, shift, scales=PAIR.scales):
     spectrum = transform(f)
-    return {scale: apply_multiplier(spectrum, profile, scale, shift) for scale in scales}
+    return {scale: dense_apply(spectrum, profile, scale, shift) for scale in scales}
 
 
 def full_square(f, shift, pair=PAIR):
@@ -412,17 +440,36 @@ def dispatch_cases(draw):
 @given(dispatch_cases())
 def test_dispatch_matches_every_scale_reference(case):
     f, profile, scale, relation, shift = case
-    assert piece_class(f, profile, scale) == (PARTIAL if relation == "straddle" else PLATEAU)
+    cls, shells, _ = piece_plan(f, profile, scale)
+    assert cls == (PARTIAL if relation == "straddle" else PLATEAU)
     piece = dyadic_piece(f, ShiftedDyadicOp(profile, scale, tuple(shift)))
-    want = apply_multiplier(transform(f), profile, scale, shift)
+    want = dense_apply(transform(f), profile, scale, shift)
     assert np.array_equal(piece.values, want)
-    assert piece.band == piece_shells(f, profile.support, scale).hull
+    assert piece.band == shells.hull
     if profile is ANNULUS:
         got = square_function(f, SQUARE_PAIR, shift).values
         assert np.array_equal(got, full_square(f, shift, SQUARE_PAIR))
     else:
         assert np.array_equal(maximal_function(f, PAIR, shift).values, full_maximal(f, shift))
         assert np.array_equal(square_function(f, PAIR, shift).values, full_square(f, shift))
+
+
+@pytest.mark.parametrize("shift", [(0.0,), (0.25,), (1.7,)])
+def test_a_dyadic_piece_meets_its_certificate_once(monkeypatch, shift):
+    # piece_plan meets the field's certificate with the dilated support; the piece is built on that meet
+    f, _ = skip_cases()
+    meets = []
+    meet = Shells.meet
+
+    def counting(self, other):
+        meets.append(other)
+        return meet(self, other)
+
+    monkeypatch.setattr(Shells, "meet", counting)
+    for profile in (PAIR.phi_hat, PAIR.psi_hat):
+        meets.clear()
+        dyadic_piece(f, ShiftedDyadicOp(profile, 1, shift))
+        assert len(meets) == 1
 
 
 @st.composite
@@ -482,7 +529,7 @@ def skip_cases():
     # the band (2, 4) leaves psi certified zero at scales -2, -1 and 4..8 and
     # phi at -2 and -1; scales 0 and 3 touch the band and are kept
     zero = {
-        name: [s for s in PAIR.scales if piece_shells(f, profile.support, s) is None]
+        name: [s for s in PAIR.scales if piece_plan(f, profile, s)[1] is None]
         for name, profile in (("psi", PAIR.psi_hat), ("phi", PAIR.phi_hat))
     }
     assert zero == {"psi": [-2, -1, 4, 5, 6, 7, 8], "phi": [-2, -1]}
@@ -598,7 +645,7 @@ def test_square_norms_match_sampled_norms(case, exponent, p):
 
 
 # ---------------------------------------------------------------------------
-# apply_t: slot pieces dispatched on piece_class, products formed band-locally
+# apply_t: slot pieces dispatched on piece_plan, products formed band-locally
 # in the spectrum, so equal to the sample-domain product to roundoff
 # ---------------------------------------------------------------------------
 
@@ -610,7 +657,7 @@ def every_slot_apply_t(kernel, fs, scales):
         for coeff, factors in kernel.terms:
             prod = np.full(fs[0].grid.shape, coeff, dtype=np.complex128)
             for spec, factor in zip(spectra, factors):
-                prod *= apply_multiplier(spec, factor.profile, scale, factor.translation)
+                prod *= dense_apply(spec, factor.profile, scale, factor.translation)
             out += prod
     return out
 
@@ -620,7 +667,7 @@ def test_apply_t_identity_plateau_slot_is_exact():
     kernel, fs = build_kernel(cfg), build_inputs(cfg)
     eta = kernel.terms[0][1][2]
     # the low-pass eta slot is plateau at every scale of the construction
-    assert [piece_class(fs[2], eta.profile, s) for s in cfg.scale_range] == [PLATEAU] * 4
+    assert [piece_plan(fs[2], eta.profile, s)[0] for s in cfg.scale_range] == [PLATEAU] * 4
     got = apply_t(kernel, fs, cfg.scale_range).values
     assert_close(got, every_slot_apply_t(kernel, fs, cfg.scale_range))
 
@@ -645,7 +692,7 @@ def test_separation_apply_t_takes_one_full_size_inverse(monkeypatch):
     kernel, fs = build_kernel(cfg), build_inputs(cfg)
     factors = kernel.terms[0][1]
     classes = Counter(
-        piece_class(f, factor.profile, s) for s in cfg.scale_range for f, factor in zip(fs, factors)
+        piece_plan(f, factor.profile, s)[0] for s in cfg.scale_range for f, factor in zip(fs, factors)
     )
     assert classes == {PLATEAU: 6, ZERO: 4}
     sizes = []
