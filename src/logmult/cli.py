@@ -22,7 +22,6 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
@@ -571,12 +570,10 @@ def cmd_counterexample(config: Config) -> ExperimentReport:
     def make(n_packets: int) -> cx.CxConfig:
         if mode == "reference":
             return cx.reference_config(n=section["n"], n_packets=n_packets)
-        grid = {"samples": section["samples"], "period": section["period"]}
+        shared = {"samples": section["samples"], "period": section["period"], "lam": lam}
         if mode == "identity":
-            cfg = cx.identity_config(n=section["n"], n_packets=n_packets, offset=section["offset"], **grid)
-        else:
-            cfg = cx.separation_config(n_packets=n_packets, spacing=section["spacing"], **grid)
-        return replace(cfg, lam=lam)
+            return cx.identity_config(n=section["n"], n_packets=n_packets, offset=section["offset"], **shared)
+        return cx.separation_config(n_packets=n_packets, spacing=section["spacing"], **shared)
 
     if mode == "reference":
         validation = make(max(packets)).validation
@@ -612,10 +609,14 @@ def cmd_counterexample(config: Config) -> ExperimentReport:
     notes: Tuple[str, ...] = ()
     if not all(cfg.validation.separation_ok for cfg in cfgs):
         notes = ("bump positions overlap: norm growth tracking is diagnostic only",)
-    if len(packets) >= 3:
+    pt = cfgs[0].ptuple
+    if lambda_st(pt, 1, 2) != sharp_lambda(pt):
+        notes += (f"the trains in slots (1, 2) witness lambda_st = {lambda_st(pt, 1, 2)} and not the sharp exponent "
+                  f"{sharp_lambda(pt)}: counterexample_slots names the pair {counterexample_slots(pt)[:2]}",)
+    if len(packets) >= 3:  # no slope tolerance here, so the fit's numbers are reported without a verdict
         fit = cx.ratio_growth_fit(cfgs, reports)
         summary["ratio_slope"] = fit.slope
-        summary["predicted_slope"] = fit.predicted_slope
+        summary["predicted_slope"] = fit.predicted
         summary["fit_residual"] = fit.residual
     return ExperimentReport(
         name="counterexample",

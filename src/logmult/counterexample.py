@@ -37,7 +37,7 @@ from .exponents import PTuple, lambda_st, sharp_lambda
 from .field import GridSpec, SampledField, Shell, Shells, add_box_product, certify, conjugate, inverse, lp_norm, transform
 from .field import _boxes, box_radii, spectrum_from_boxes, symbol_box, zero_boxes
 from .multiplier import SpectralFactor, TensorKernel, apply_t, d_lambda
-from .shifted_lab import _line_fit, bump_train
+from .shifted_lab import LogLawFit, _log_law_fit, bump_train
 
 __all__ = [
     "CxConfig",
@@ -130,6 +130,7 @@ def identity_config(
     samples: int = 2**18,
     period: float = 2.0**8,
     offset: int = 2,
+    lam: Optional[float] = None,
 ) -> CxConfig:
     """Spectral-identity regime: unit spacing with a small offset.
 
@@ -144,6 +145,7 @@ def identity_config(
         beta_support=(0.55, 1.25),
         reciprocals=(Fraction(1, 4),) * n,
         grid=GridSpec(1, samples, period),
+        lam=lam,
     )
 
 
@@ -456,38 +458,26 @@ def run_counterexample(cfg: CxConfig) -> CxReport:
     )
 
 
-@dataclass(frozen=True)
-class RatioGrowthFit:
-    slope: float
-    residual: float
-    predicted_slope: float
-    rows: Tuple[dict, ...]
-
-
-def ratio_growth_fit(cfgs: Sequence[CxConfig], reports: Optional[Iterable[CxReport]] = None) -> RatioGrowthFit:
-    """Slope of log(ratio) against log(N) across runs, vs the exact prediction.
+def ratio_growth_fit(cfgs: Sequence[CxConfig], reports: Optional[Iterable[CxReport]] = None) -> LogLawFit:
+    """Slope of log(ratio) against log(N) across the runs' own rows, vs the exact prediction.
 
     The predicted slope is the pairwise exponent of slots (1, 2) minus the
-    weight exponent actually used in the denominator.  ``reports`` gives one
-    run per config where the caller already made them (each config runs here
-    otherwise); it is consumed only after the configs pass the checks, so a
-    lazy iterable runs nothing for a rejected set.
+    weight exponent λ actually used in the denominator, both shared by every run.
+    ``reports`` gives one run per config where the caller already made them (each
+    config runs here otherwise); it is consumed only after the configs pass the
+    checks, so a lazy iterable runs nothing for a rejected set.
     """
     if len(cfgs) < 3:
         raise ValueError("need at least 3 packet counts for a growth fit")
     base = cfgs[0]
     for cfg in cfgs[1:]:
-        if (cfg.n, cfg.reciprocals) != (base.n, base.reciprocals):
-            raise ValueError("growth fits require the same slot count and exponents across runs")
+        if (cfg.n, cfg.reciprocals, cfg.lam_value) != (base.n, base.reciprocals, base.lam_value):
+            raise ValueError("growth fits require the same slot count, exponents and λ across runs")
     ns = [cfg.n_packets for cfg in cfgs]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("packet counts must strictly increase")
     reports = list(map(run_counterexample, cfgs) if reports is None else reports)
-    x = np.log(np.array(ns, dtype=float))
-    z = np.log(np.array([r.ratio for r in reports]))
-    slope, resid = _line_fit(x, z)
+    if [r.n_packets for r in reports] != ns:
+        raise ValueError(f"reports of packet counts {[r.n_packets for r in reports]} do not match the configs' {ns}")
     predicted = float(lambda_st(base.ptuple, 1, 2)) - base.lam_value
-    rows = tuple(
-        {"N": r.n_packets, "ratio": r.ratio, "identity_error": r.identity_error} for r in reports
-    )
-    return RatioGrowthFit(slope, resid, predicted, rows)
+    return _log_law_fit(np.log(np.array(ns, dtype=float)), [row for r in reports for row in r.rows()], predicted)

@@ -50,7 +50,7 @@ __all__ = [
     "GrowthBankSpec",
     "GrowthExperiment",
     "CRITERIA",
-    "FitResult",
+    "LogLawFit",
     "ChangeOfVariablesResult",
     "operator_norm_proxy",
     "fit_log_exponent",
@@ -264,33 +264,49 @@ def operator_norm_proxy(kind: str, p: float, y: Sequence[float], bank: Sequence[
 
 
 @dataclass(frozen=True)
-class FitResult:
-    exponent: float
+class LogLawFit:
+    """A log law's fit: slope and RMS residual of log(row["ratio"]) over the fit's abscissa, and the predicted slope."""
+
+    rows: Tuple[dict, ...]
+    slope: float
     residual: float
-    pairs: Tuple[Tuple[float, float], ...]
+    predicted: float
+
+    @property
+    def gap(self) -> float:
+        return self.slope - self.predicted
+
+    def verdict(self, tolerance: float) -> Tuple[bool, Tuple[str, ...]]:
+        """Whether the slope is within ``tolerance`` of the prediction, with a note when that verdict is vacuous."""
+        passed = abs(self.gap) <= tolerance
+        if self.predicted == 0.0 or abs(self.predicted) > tolerance:
+            return passed, ()
+        # growth predicted within the tolerance of none: the fit's verdict cannot tell them apart
+        return passed, (f"the fit's verdict is vacuous: a flat fit (exponent 0) would also pass, since the "
+                        f"predicted exponent {self.predicted!r} is within the tolerance {tolerance!r}",)
 
 
-def fit_log_exponent(pairs: Sequence[Tuple[float, float]]) -> FitResult:
-    """Least-squares slope of log(ratio) against log(log(e + |y|))."""
-    if len(pairs) < 4:
-        raise ValueError(f"need at least 4 (|y|, ratio) pairs, got {len(pairs)}")
-    ys = np.array([abs(y) for y, _ in pairs], dtype=float)
-    ratios = np.array([r for _, r in pairs], dtype=float)
-    if np.any(ratios <= 0):
+def _log_law_fit(x: np.ndarray, rows: Sequence[dict], predicted: float) -> LogLawFit:
+    """The one line fit: log(row["ratio"]) against the abscissas ``x``, one per row, refusing what cannot be fitted."""
+    ratios = np.array([row["ratio"] for row in rows], dtype=float)
+    if not np.all(ratios > 0):  # NaN fails too
         raise ValueError("ratios must be positive")
-    if math.log2(ys.max() / ys.min()) < 3.0:
-        raise ValueError("shift ladder must span at least 3 octaves")
-    x = np.log(np.log(np.e + ys))
     if np.ptp(x) == 0.0:
         raise ValueError("degenerate abscissas")
-    slope, resid = _line_fit(x, np.log(ratios))
-    return FitResult(slope, resid, tuple((float(a), float(b)) for a, b in zip(ys, ratios)))
-
-
-def _line_fit(x: np.ndarray, z: np.ndarray) -> Tuple[float, float]:
-    """Least-squares slope of z against x, and the RMS residual of the fitted line."""
+    z = np.log(ratios)
     slope, intercept = np.polyfit(x, z, 1)
-    return float(slope), float(np.sqrt(np.mean((z - (slope * x + intercept)) ** 2)))
+    return LogLawFit(tuple(rows), float(slope), float(np.sqrt(np.mean((z - (slope * x + intercept)) ** 2))), predicted)
+
+
+def fit_log_exponent(pairs: Sequence[Tuple[float, float]], predicted: float) -> LogLawFit:
+    """Least-squares slope of log(ratio) against log(log(e + |y|)), against the ``predicted`` exponent."""
+    if len(pairs) < 4:
+        raise ValueError(f"need at least 4 (|y|, ratio) pairs, got {len(pairs)}")
+    rows = [{"shift": abs(float(y)), "ratio": float(r)} for y, r in pairs]
+    ys = np.array([row["shift"] for row in rows])
+    if math.log2(ys.max() / ys.min()) < 3.0:
+        raise ValueError("shift ladder must span at least 3 octaves")
+    return _log_law_fit(np.log(np.log(np.e + ys)), rows, predicted)
 
 
 def predicted_growth_exponent(kind: str, p: float) -> float:
@@ -316,23 +332,15 @@ def run_growth(experiment: GrowthExperiment) -> ExperimentReport:
     rows = [{"shift": magnitude, "ratio": ratio} for magnitude, ratio in zip(experiment.shifts, ratios)]
     notes = ()
     if experiment.criterion == "fit":
-        fit = fit_log_exponent(list(zip(experiment.shifts, ratios)))
-        predicted = predicted_growth_exponent(experiment.kind, experiment.p)
-        gap = fit.exponent - predicted
+        fit = fit_log_exponent(list(zip(experiment.shifts, ratios)), predicted_growth_exponent(experiment.kind, experiment.p))
         summary = {
-            "fitted_exponent": fit.exponent,
+            "fitted_exponent": fit.slope,
             "fit_residual": fit.residual,
-            "predicted_exponent": predicted,
-            "gap": gap,
+            "predicted_exponent": fit.predicted,
+            "gap": fit.gap,
             "tolerance": experiment.tolerance,
         }
-        passed = abs(gap) <= experiment.tolerance
-        # growth predicted within the tolerance of none: the fit's verdict cannot tell them apart
-        if predicted != 0.0 and abs(predicted) <= experiment.tolerance:
-            notes = (
-                f"the fit's verdict is vacuous: a flat fit (exponent 0) would also pass, since the "
-                f"predicted exponent {predicted!r} is within the tolerance {experiment.tolerance!r}",
-            )
+        passed, notes = fit.verdict(experiment.tolerance)
     elif experiment.criterion == "bounded":
         summary = {"max_ratio": max(ratios), "bound": experiment.bound_factor * ratios[0]}
         passed = summary["max_ratio"] <= summary["bound"]

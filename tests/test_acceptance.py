@@ -346,7 +346,7 @@ def test_criterion_15_counterexample_ratio_fit():
         15,
         ok,
         f"sharp slope {fit_sharp.slope:.3f} (|.| <= 0.3); "
-        f"lowered slope {fit_low.slope:.3f} in [-0.05, 0.55] around {fit_low.predicted_slope:.2f}; "
+        f"lowered slope {fit_low.slope:.3f} in [-0.05, 0.55] around {fit_low.predicted:.2f}; "
         f"{elapsed:.0f}s at M=2**22",
     )
 

@@ -720,6 +720,36 @@ def test_identity_mode_applies_lam(tmp_path):
     assert f"    predicted_slope = {predicted!r}\n" in (tmp_path / "counterexample.report.txt").read_text()
 
 
+def test_a_default_counterexample_run_builds_each_config_once(tmp_path, monkeypatch):
+    made = []
+    post_init = cx.CxConfig.__post_init__
+
+    def counting(self):
+        made.append(self.n_packets)
+        post_init(self)
+
+    monkeypatch.setattr(cx.CxConfig, "__post_init__", counting)
+    assert run(["counterexample", "--outdir", str(tmp_path)]) == PASS
+    assert made == [2, 4, 6]
+
+
+@pytest.mark.parametrize(
+    "args, note",
+    [
+        (["--counterexample.n", "4"], "witness lambda_st = 1/2 and not the sharp exponent 3/4: "
+         "counterexample_slots names the pair (1, 5)"),
+        (["--counterexample.n", "3"], None),
+        (["--counterexample.mode", "separation"], None),
+    ],
+    ids=["identity-n4", "identity-n3", "separation"],
+)
+def test_a_note_says_when_the_trains_miss_the_sharp_pair(tmp_path, args, note):
+    args = ["counterexample", "--counterexample.packets", "2", *args, "--outdir", str(tmp_path)]
+    assert run(args) == PASS
+    lines = [line for line in (tmp_path / "counterexample.report.txt").read_text().splitlines() if "slots (1, 2)" in line]
+    assert lines == ([] if note is None else [f"  note: the trains in slots (1, 2) {note}"])
+
+
 def test_separation_report_shows_the_bilinear_n(tmp_path):
     args = ["counterexample", "--counterexample.mode", "separation", "--counterexample.packets", "1 2"]
     assert run(args + ["--outdir", str(tmp_path)]) == PASS

@@ -310,7 +310,7 @@ def test_ratio_growth_fit_synthetic_consistency():
         for N in (1, 2, 3)
     ]
     fit = ratio_growth_fit(cfgs)
-    assert fit.predicted_slope == 0.0
+    assert fit.predicted == 0.0
     assert np.isfinite(fit.slope)
     assert len(fit.rows) == 3
 
@@ -336,6 +336,48 @@ def test_ratio_growth_fit_reads_given_reports_after_its_checks():
     assert read == [1, 2, 3]
 
 
+def small_separation(N, lam=None):
+    return separation_config(n_packets=N, samples=2**13, period=40.0, spacing=2, lam=lam, eta_radius=1 / 8)
+
+
+@pytest.fixture(scope="module")
+def small_runs():
+    cfgs = [small_separation(N) for N in (1, 2, 3)]
+    return cfgs, [run_counterexample(cfg) for cfg in cfgs]
+
+
+def test_ratio_growth_fit_rows_are_the_runs_own_rows(small_runs):
+    cfgs, reports = small_runs
+    assert ratio_growth_fit(cfgs, reports).rows == tuple(row for rep in reports for row in rep.rows())
+
+
+def test_ratio_growth_fit_refuses_mixed_lambda_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(counterexample, "run_counterexample", lambda cfg: runs.append(cfg))
+    cfgs = [small_separation(1), small_separation(2, lam=0.25), small_separation(3)]
+    assert [cfg.lam_value for cfg in cfgs] == [0.5, 0.25, 0.5]
+    with pytest.raises(ValueError, match="the same slot count, exponents and λ across runs"):
+        ratio_growth_fit(cfgs)
+    assert runs == []
+
+
+def test_ratio_growth_fit_refuses_a_zero_ratio_before_any_run(monkeypatch, small_runs):
+    cfgs, reports = small_runs
+    reports = [reports[0], replace(reports[1], ratio=0.0), reports[2]]
+    runs = []
+    monkeypatch.setattr(counterexample, "run_counterexample", lambda cfg: runs.append(cfg))
+    with pytest.raises(ValueError, match="ratios must be positive"):
+        ratio_growth_fit(cfgs, reports)
+    assert runs == []
+
+
+def test_ratio_growth_fit_refuses_reports_that_are_not_one_per_config_in_order(small_runs):
+    cfgs, reports = small_runs
+    for given in (reports[:2], reports[::-1], reports + reports[:1]):
+        with pytest.raises(ValueError, match="do not match the configs' \\[1, 2, 3\\]"):
+            ratio_growth_fit(cfgs, given)
+
+
 def test_a_separation_fit_derives_each_config_once(cx_derivations):
     cfgs = [separation_config(n_packets=N, samples=2**13, period=40.0, spacing=2, eta_radius=1 / 8) for N in (1, 2, 3)]
     ratio_growth_fit(cfgs)
@@ -357,7 +399,7 @@ def test_predicted_slope_shifts_with_lambda():
         for N in (1, 2, 3)
     ]
     fit = ratio_growth_fit(cfgs)
-    assert fit.predicted_slope == pytest.approx(0.25)
+    assert fit.predicted == pytest.approx(0.25)
 
 
 def test_single_packet_baseline_quantities():

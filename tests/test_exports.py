@@ -11,7 +11,8 @@ site.  A set of certified bins is cut into boxes by ``field.bin_boxes`` only
 inside ``field._certified_bins``, the one cached layout every other reader
 shares.  A certificate is met with another only by the one band rule,
 ``field.piece_plan``, and by ``field.convolve``.  A counterexample config is validated once, by its own
-``CxConfig.validation``, which every builder reads.  A spectrum's full-size
+``CxConfig.validation``, which every builder reads.  Every log law is fitted by
+``shifted_lab._log_law_fit``, the one ``np.polyfit`` call.  A spectrum's full-size
 ``coefficients`` are scattered from its boxes on each read, so they are read
 only where a full array is the point.  The CLI uses
 only the public names of the other modules.
@@ -144,3 +145,21 @@ def test_cli_reads_no_private_name_of_another_module():
             if node.attr.startswith("_"):
                 private.append(f"{node.value.id}.{node.attr}")
     assert modules and private == []
+
+
+def calls_polyfit(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "polyfit"
+
+
+def test_every_log_law_is_fitted_by_the_one_builder():
+    sites, calls, imports = set(), 0, []
+    for path in sorted(Path(logmult.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = [node for node in ast.walk(tree) if calls_polyfit(node)]
+        calls += len(found)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(node in found for node in ast.walk(func)):
+                sites.add((path.name, func.name))
+        imports += [path.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.name == "_line_fit"]
+    assert (sites, calls, imports) == ({("shifted_lab.py", "_log_law_fit")}, 1, [])

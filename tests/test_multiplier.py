@@ -558,8 +558,8 @@ def test_shifted_form_growth_tracks_pairwise_exponent():
         )
         denom = lp_norm(f_s, 4) * lp_norm(f_t, 4) * lp_norm(f_tau, 2)
         rows.append((y, val / denom))
-    fit = fit_log_exponent(rows)
-    assert abs(fit.exponent - 0.5) < 0.3
+    fit = fit_log_exponent(rows, 0.5)
+    assert abs(fit.slope - 0.5) < 0.3
 
 
 def _direct_bilinear_output(kernel_values, g1, g2, grid):

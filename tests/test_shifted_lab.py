@@ -29,6 +29,7 @@ from logmult.reporting import render_report
 from logmult.shifted_lab import (
     GrowthBankSpec,
     GrowthExperiment,
+    LogLawFit,
     bump_train,
     change_of_variables_check,
     dilate_field,
@@ -65,15 +66,15 @@ def offset_bank(grid, m, seed):
 def test_fit_recovers_exact_power_law():
     ladder = [2.0**j for j in (4, 6, 8, 10, 12, 14)]
     pairs = [(y, math.log(math.e + y) ** 0.5) for y in ladder]
-    fit = fit_log_exponent(pairs)
-    assert abs(fit.exponent - 0.5) < 1e-9
+    fit = fit_log_exponent(pairs, 0.5)
+    assert abs(fit.slope - 0.5) < 1e-9
     assert fit.residual < 1e-12
 
 
 def test_fit_constant_ratios():
     ladder = [2.0**j for j in (4, 6, 8, 10)]
-    fit = fit_log_exponent([(y, 3.7) for y in ladder])
-    assert abs(fit.exponent) < 1e-9
+    fit = fit_log_exponent([(y, 3.7) for y in ladder], 0.0)
+    assert abs(fit.slope) < 1e-9
 
 
 def test_fit_with_noise_recovers_exponent():
@@ -84,15 +85,32 @@ def test_fit_with_noise_recovers_exponent():
         (y, math.log(math.e + y) ** 1.0 * float(np.exp(rng.normal(0, 0.05))))
         for y in ladder
     ]
-    fit = fit_log_exponent(pairs)
-    assert abs(fit.exponent - 1.0) < 0.05
+    fit = fit_log_exponent(pairs, 1.0)
+    assert abs(fit.slope - 1.0) < 0.05
+
+
+def test_fit_rows_are_the_shifts_and_ratios():
+    fit = fit_log_exponent([(-16.0, 1.0), (32.0, 1.1), (64.0, 1.2), (128.0, 1.3)], 0.5)
+    assert fit.rows == tuple({"shift": y, "ratio": r} for y, r in ((16.0, 1.0), (32.0, 1.1), (64.0, 1.2), (128.0, 1.3)))
+    assert fit.predicted == 0.5 and fit.gap == fit.slope - 0.5
+
+
+def test_a_verdict_is_vacuous_only_for_a_nonzero_prediction_a_flat_fit_meets():
+    flat = LogLawFit(rows=(), slope=0.0, residual=0.0, predicted=0.25)
+    passed, notes = flat.verdict(0.3)
+    assert passed and len(notes) == 1 and "predicted exponent 0.25 is within the tolerance 0.3" in notes[0]
+    assert flat.verdict(0.2) == (False, ())
+    assert LogLawFit(rows=(), slope=0.01, residual=0.0, predicted=0.0).verdict(0.3) == (True, ())
 
 
 def test_fit_input_validation():
     with pytest.raises(ValueError):
-        fit_log_exponent([(16.0, 1.0), (32.0, 1.1), (64.0, 1.2)])
+        fit_log_exponent([(16.0, 1.0), (32.0, 1.1), (64.0, 1.2)], 0.5)
     with pytest.raises(ValueError):
-        fit_log_exponent([(16.0, 1.0), (17.0, 1.1), (18.0, 1.2), (19.0, 1.3)])
+        fit_log_exponent([(16.0, 1.0), (17.0, 1.1), (18.0, 1.2), (19.0, 1.3)], 0.5)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            fit_log_exponent([(16.0, 1.0), (32.0, bad), (64.0, 1.2), (128.0, 1.3)], 0.5)
 
 
 # --- proxies ---------------------------------------------------------------
