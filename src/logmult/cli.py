@@ -105,6 +105,7 @@ def _within(lo: int, hi: float = math.inf) -> Tuple[Callable[[Any], bool], str]:
 
 
 _FINITE = (math.isfinite, "finite")
+_ALL_FINITE = ((lambda v: all(map(math.isfinite, v))), "finite in every entry")
 _POSITIVE = ((lambda v: 0.0 < v < math.inf), "positive and finite")
 _TOLERANCE = ((lambda v: 0.0 <= v < math.inf), "finite and nonnegative")  # NaN fails too
 _EXPONENT = ((lambda v: v >= 1.0), "at least 1 or inf")
@@ -137,7 +138,7 @@ TABLES: Dict[str, Dict[str, Key]] = {
         **_grid_keys("1048576", "65536"),
         "growth.kind": Key(MAXIMAL, str, _one_of(MAXIMAL, SQUARE)),
         "growth.p": Key("2", _p, _EXPONENT),
-        "growth.ladder": Key("16 64 256 1024 4096 16384", _floats),
+        "growth.ladder": Key("16 64 256 1024 4096 16384", _floats, _ALL_FINITE),
         "growth.scale_min": Key("-1", int, _SCALE),
         "growth.scale_max": Key("14", int, _SCALE),
         "growth.seed": Key("20240801", int, _SEED),
@@ -221,8 +222,15 @@ def _peetre_bank(c: Config) -> None:
                          "every bank field would be constant")
 
 
+def _packet_order(c: Config) -> None:
+    mode, packets = c["counterexample"]["mode"], c["counterexample"]["packets"]
+    if mode != "reference" and len(packets) >= 3 and any(b <= a for a, b in zip(packets, packets[1:])):
+        raise ValueError(f"counterexample.packets {packets} must strictly increase: 3 or more counts are fitted")
+
+
 # cross-key checks beyond the scale ranges, which every section with a scale_max gets
-CHECKS: Dict[str, Callable[[Config], None]] = {"changevars": _changevars_bands, "peetre": _peetre_bank}
+CHECKS: Dict[str, Callable[[Config], None]] = {"changevars": _changevars_bands, "peetre": _peetre_bank,
+                                              "counterexample": _packet_order}
 
 
 def _grid_points(command: str, c: Config) -> Tuple[int, str]:

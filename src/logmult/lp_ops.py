@@ -6,8 +6,8 @@ exp(-2 pi i (2**-l y, xi))``; equivalently it is the unshifted piece translated
 by ``2**-l y``.  Because fields are band-limited interpolants, the action is
 exact to roundoff for any real shift.  The multiplication is the field's
 multiplier core, evaluated on the certified boxes :func:`field.piece_plan`
-returns, and every piece, :func:`dyadic_piece` included, is built the one way
-:func:`_pieces` builds it.
+returns.  A call plans its pieces once (:func:`_plans`), and :func:`_pieces`
+builds every one from its plan and one :func:`field._split` of its shift.
 
 Every piece falls into one of the three classes of :func:`field.piece_plan`:
 
@@ -28,9 +28,9 @@ phase multiply and an inverse.
 
 All three give the same arrays as evaluating the profile at every scale.
 
-The square function is deferred: it keeps each live piece as the boxes
-:func:`field.box_piece` builds (the coefficients the piece's inverse would
-take), and sums the samples above only when its ``values`` are first read.
+The square function is deferred: it keeps each live piece as its multiplier
+core's boxes (the coefficients the piece's inverse would take), and sums the
+samples above only when its ``values`` are first read.
 At p = 2, ``||S^y f||_2**2 = sum_l ||psi_l f_hat||**2`` by Parseval for every
 shift ``y``, so :func:`field.lp_norm` reads that norm, and the p = 4 norm
 where the spectrum of ``|S^y f|**2`` is cheaper than the samples, from those
@@ -59,6 +59,7 @@ from .field import (
     GridSpec,
     SampledField,
     Shells,
+    Split,
     Spectrum,
     _deferred,
     _inverted,
@@ -66,8 +67,6 @@ from .field import (
     _runs,
     _split,
     _symbol_times,
-    box_piece,
-    dilated_steps,
     frozen,
     mixed_norm,
     piece_plan,
@@ -103,21 +102,17 @@ class ShiftedDyadicOp:
 def dyadic_piece(f: SampledField, op: ShiftedDyadicOp) -> SampledField:
     """Apply one shifted dyadic dilate in the frequency domain (exact to roundoff).
 
-    The piece is built as :func:`_pieces` builds it: the multiplier core on
-    the certificate and profile :func:`field.piece_plan` returns, with one
-    :func:`field._split` of the dilated shift, then inverted; whole samples
-    roll the untranslated inverse.
+    The one piece :func:`_pieces` builds from its plan, rolled by the whole
+    samples of its shift.
     """
     grid = f.grid
-    cls, shells, profile = piece_plan(f, op.profile, op.scale)
-    if cls == ZERO:
-        zero = frozen(np.zeros(grid.shape, dtype=np.complex128))
-        return SampledField(grid, zero, Shells.radial(0.0, 0.0, grid.dimension))
-    steps, rests = split = _split(grid, op.shift, op.scale)
-    values = _inverted(grid, _symbol_times(grid, transform(f), shells, profile, op.scale, split if any(rests) else None))
-    if not any(rests) and any(steps):
+    plans = _plans(f, op.profile, [op.scale])
+    if not plans:
+        return SampledField(grid, frozen(np.zeros(grid.shape, dtype=np.complex128)), Shells.radial(0.0, 0.0, grid.dimension))
+    ((_, _, steps, values),) = _pieces(transform(f), [(plans[0], _split(grid, op.shift, op.scale))], lambda v: v, {})
+    if any(steps or ()):
         values = np.roll(values, steps, axis=tuple(range(grid.dimension)))
-    return SampledField(grid, frozen(values), shells=shells)
+    return SampledField(grid, frozen(values), shells=plans[0][1])
 
 
 def _energy(values: np.ndarray, e: int) -> np.ndarray:
@@ -135,38 +130,33 @@ def _fold_rolled(op, acc: np.ndarray, values: np.ndarray, steps: Optional[Tuple[
         op(target, values[tuple(v for v, _ in run)], out=target)
 
 
-def _pieces(
-    f: SampledField,
-    spectrum: Spectrum,
-    profile,
-    scales: Iterable[int],
-    shift: Optional[Sequence[float]],
-    lift: Callable[[np.ndarray], np.ndarray],
-    untranslated: dict,
-) -> Iterator[Tuple[int, Optional[int], Optional[Tuple[int, ...]], np.ndarray]]:
-    """``(scale, key, steps, lifted)`` of the pieces not certified zero, from ``f``'s ``spectrum``.
+Plan = Tuple[int, "Shells", object]  # (scale, certificate, profile); unquoted, typing's cache would pin older imports
 
-    ``key`` is None for a plateau piece that is ``f`` itself, else the scale.
-    Each piece is the multiplier core on the certificate :func:`field.piece_plan`
-    returns, with one :func:`field._split` of its dilated shift: whole
-    samples make it ``lift`` of its untranslated inverse, taken once into the
-    caller's ``untranslated`` under ``key``, for the caller to roll by
-    ``steps`` (``lift`` is pointwise and :func:`dyadic_piece` also inverts,
-    then rolls).  Any other is ``lift`` of the phased piece, with ``steps``
-    None.
+
+def _plans(f: SampledField, profile, scales: Iterable[int]) -> List[Plan]:
+    """The pieces of ``f`` at ``scales`` that :func:`field.piece_plan`, called once per scale, does not class zero."""
+    planned = ((scale, *piece_plan(f, profile, scale)) for scale in scales)
+    return [(scale, shells, piece_profile) for scale, cls, shells, piece_profile in planned if cls != ZERO]
+
+
+def _pieces(
+    spectrum: Spectrum, pieces: Iterable[Tuple[Plan, Split]], lift: Callable[[np.ndarray], np.ndarray], untranslated: dict
+) -> Iterator[Tuple[int, Optional[int], Optional[Tuple[int, ...]], np.ndarray]]:
+    """``(scale, key, steps, lifted)`` of each ``(plan, split)`` of ``pieces``: the multiplier core on the plan's certificate.
+
+    ``key`` is None for a plateau piece that is the field itself, else the scale.  A split into whole samples makes
+    the piece ``lift`` (pointwise) of its untranslated inverse, taken once into the caller's ``untranslated`` under
+    ``key``, for the caller to roll by ``steps``; any other is ``lift`` of the phased piece, with ``steps`` None.
     """
-    grid = f.grid
-    for scale in scales:
-        cls, shells, piece_profile = piece_plan(f, profile, scale)
-        if cls == ZERO:
-            continue
-        key = None if piece_profile is None else scale
-        steps, rests = split = _split(grid, shift, scale)
+    grid = spectrum.grid
+    for (scale, shells, profile), split in pieces:
+        key = None if profile is None else scale
+        steps, rests = split
         if any(rests):
-            yield scale, key, None, lift(_inverted(grid, _symbol_times(grid, spectrum, shells, piece_profile, scale, split)))
+            yield scale, key, None, lift(_inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale, split)))
             continue
         if key not in untranslated:
-            untranslated[key] = lift(_inverted(grid, _symbol_times(grid, spectrum, shells, piece_profile, scale)))
+            untranslated[key] = lift(_inverted(grid, _symbol_times(grid, spectrum, shells, profile, scale)))
         yield scale, key, steps, untranslated[key]
 
 
@@ -176,16 +166,14 @@ def square_function(
     """Pointwise l2 aggregate of the shifted annular pieces over the pair's scales.
 
     Deferred (see the module docstring): the pieces not certified zero are
-    kept as :func:`field.box_piece` boxes, and the samples summed when
-    ``values`` is first read.
+    kept as multiplier-core boxes, and the samples summed when ``values`` is
+    first read; both read the one list of plans and splits.
     """
-    dilated_steps(f.grid, shift, 0)  # refuses a malformed shift before the transform
+    _split(f.grid, shift, 0)  # refuses a malformed shift before the transform
+    pieces = [(plan, _split(f.grid, shift, plan[0])) for plan in _plans(f, pair.psi_hat, pair.scales)]
     spectrum = transform(f)
-    moduli = []
-    for scale in pair.scales:
-        cls, shells, profile = piece_plan(f, pair.psi_hat, scale)
-        if cls != ZERO:
-            moduli.append((shells, box_piece(spectrum, shells, profile, scale, shift)))
+    moduli = [(shells, _symbol_times(f.grid, spectrum, shells, profile, scale, split))
+              for (scale, shells, profile), split in pieces]
 
     def sample(_) -> np.ndarray:
         # far from amplitude 1 a squared piece would leave the double range: sum the
@@ -193,7 +181,7 @@ def square_function(
         e = _peak_exponent(*(np.abs(v) for _, piece in moduli for _, v in piece)) or 0
         acc = np.zeros(f.grid.shape, dtype=float)
         untranslated: dict = {}
-        for _, key, steps, energy in _pieces(f, spectrum, pair.psi_hat, pair.scales, shift, lambda v: _energy(v, e), untranslated):
+        for _, key, steps, energy in _pieces(spectrum, pieces, lambda v: _energy(v, e), untranslated):
             _fold_rolled(np.add, acc, energy, steps)
             if key is not None:  # a scale's own piece serves this one shift
                 untranslated.pop(key, None)
@@ -202,36 +190,37 @@ def square_function(
     return _deferred(None, sample, f.grid, moduli)
 
 
-def _maximal(
-    f: SampledField, spectrum: Spectrum, pair: LPPair, shift: Optional[Sequence[float]], untranslated: dict, last: bool
-) -> SampledField:
-    aligned = [scale for scale in pair.scales if dilated_steps(f.grid, shift, scale) is not None]
-    acc, seen = np.zeros(f.grid.shape, dtype=float), set()
-    for _, key, steps, modulus in _pieces(f, spectrum, pair.phi_hat, aligned, shift, np.abs, untranslated):
+def _maximal(spectrum: Spectrum, pieces: Sequence[Tuple[Plan, Split]], untranslated: dict, last: bool) -> SampledField:
+    aligned = [(plan, split) for plan, split in pieces if not any(split[1])]
+    acc, seen = np.zeros(spectrum.grid.shape, dtype=float), set()
+    for _, key, steps, modulus in _pieces(spectrum, aligned, np.abs, untranslated):
         if (key, steps) not in seen:
             seen.add((key, steps))
             _fold_rolled(np.maximum, acc, modulus, steps)
     if last:
         untranslated.clear()
-    off_grid = [scale for scale in pair.scales if scale not in aligned]
-    for *_, modulus in _pieces(f, spectrum, pair.phi_hat, off_grid, shift, np.abs, untranslated):
+    off_grid = [(plan, split) for plan, split in pieces if any(split[1])]
+    for *_, modulus in _pieces(spectrum, off_grid, np.abs, untranslated):
         np.maximum(acc, modulus, out=acc)
-    return SampledField(f.grid, acc)
+    return SampledField(spectrum.grid, acc)
 
 
 def maximal_functions(f: SampledField, pair: LPPair, shifts: Sequence[Optional[Sequence[float]]]) -> Iterator[SampledField]:
     """``maximal_function(f, pair, shift)`` for each of ``shifts`` in order, bit for bit.
 
-    The untranslated inverses of :func:`_pieces` serve every shift.  Per shift
-    the rolled pieces are folded first, one per ``(key, steps)`` (max is
-    idempotent, exact and order-free), and the off-grid pieces after; on the
-    last shift the shared inverses are released before the off-grid ones run.
+    The pieces are planned once, and their untranslated inverses serve every
+    shift.  Per shift the rolled pieces are folded first, one per ``(key,
+    steps)`` (max is idempotent, exact and order-free), and the off-grid pieces
+    after; on the last shift the shared inverses are released before the
+    off-grid ones run.
     """
     for shift in shifts:
-        dilated_steps(f.grid, shift, 0)  # refuses a malformed shift before the transform
+        _split(f.grid, shift, 0)  # refuses a malformed shift before the transform
+    plans = _plans(f, pair.phi_hat, pair.scales)
     spectrum, untranslated = transform(f), {}
     for i, shift in enumerate(shifts):
-        yield _maximal(f, spectrum, pair, shift, untranslated, i == len(shifts) - 1)
+        pieces = [(plan, _split(f.grid, shift, plan[0])) for plan in plans]
+        yield _maximal(spectrum, pieces, untranslated, i == len(shifts) - 1)
 
 
 def maximal_function(f: SampledField, pair: LPPair, shift: Optional[Sequence[float]] = None) -> SampledField:
@@ -307,12 +296,8 @@ def bmo_norm(f: SampledField, pair: LPPair) -> float:
     spectrum = transform(f)
     # squares at 2**-e times the pieces, as in square_function, scaled back at the end
     e = _peak_exponent(*(np.abs(v) for _, v in spectrum.boxes)) or 0
-    sq_pieces = {  # unshifted: every piece is its untranslated inverse, steps all zero
-        scale: energy
-        for scale, _, _, energy in _pieces(
-            f, spectrum, pair.psi_hat, pair.scales, None, lambda v: _energy(v, e), {}
-        )
-    }
+    pieces = [(plan, _split(f.grid, None, plan[0])) for plan in _plans(f, pair.psi_hat, pair.scales)]  # every piece unshifted
+    sq_pieces = {scale: energy for scale, _, _, energy in _pieces(spectrum, pieces, lambda v: _energy(v, e), {})}
     # cumulative sums from the top scale down: tail[l] = sum_{j >= l} |psi_j * f|^2
     tail: dict = {}
     running = np.zeros(f.grid.shape, dtype=float)
@@ -446,6 +431,8 @@ def fefferman_stein_ratio(
         raise ValueError("empty bank: the ratio needs at least one field")
     require_same_grid(*fs)
     if band_factor is not None:
+        if not 0.0 < band_factor < math.inf:  # NaN fails too
+            raise ValueError(f"band_factor must be positive and finite, got {band_factor}")
         for f, k in zip(fs, scales):
             if f.band is None:
                 raise ValueError("fields must carry band certificates for the declared A")

@@ -204,8 +204,8 @@ class GrowthExperiment:
         for name in ("tolerance", "bound_factor"):
             if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
-        if any(b <= a for a, b in zip(self.shifts, self.shifts[1:])):
-            raise ValueError("shift ladder must be strictly increasing")
+        if not all(map(math.isfinite, self.shifts)) or any(b <= a for a, b in zip(self.shifts, self.shifts[1:])):
+            raise ValueError(f"shifts must be finite and strictly increasing, got {self.shifts}")
         if self.criterion == "equality":
             return
         reach = max(self.shifts) * 2.0 ** -self.scale_range[0]

@@ -654,6 +654,36 @@ def test_a_grid_over_the_size_cap_names_its_keys(tmp_path, argv, keys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("ladder", ["16 64 256 nan", "16 inf"])
+def test_a_non_finite_rung_names_the_ladder_before_any_synthesis(tmp_path, monkeypatch, ladder):
+    from logmult.shifted_lab import GrowthExperiment
+
+    banks = []
+    original = GrowthExperiment.make_bank
+    monkeypatch.setattr(GrowthExperiment, "make_bank", lambda self: banks.append(1) or original(self))
+    code, err = _run_captured(["growth", "--growth.ladder", ladder, "--outdir", str(tmp_path)])
+    assert code == CONFIG_ERROR and "growth.ladder" in err
+    assert banks == []
+
+
+@pytest.mark.parametrize("mode, packets", [("identity", "6 4 2"), ("separation", "1 2 2")])
+def test_a_packet_list_the_fit_refuses_is_refused_before_any_run(tmp_path, monkeypatch, mode, packets):
+    runs = []
+    original = cx.run_counterexample
+    monkeypatch.setattr(cx, "run_counterexample", lambda cfg, *a, **k: runs.append(cfg.n_packets) or original(cfg, *a, **k))
+    argv = ["counterexample", "--counterexample.mode", mode, "--counterexample.packets", packets]
+    code, err = _run_captured(argv + ["--outdir", str(tmp_path)])
+    assert code == CONFIG_ERROR and "counterexample.packets" in err
+    assert runs == []
+
+
+@pytest.mark.parametrize("mode, packets", [("identity", "4 2"), ("separation", "2"), ("reference", "6 4 2")])
+def test_packet_lists_that_are_not_fitted_keep_their_order(mode, packets):
+    overrides = [("counterexample", "mode", mode), ("counterexample", "packets", packets)]
+    values = cli._parse_config("counterexample", resolve_config("counterexample", {}, overrides))
+    assert values["counterexample"]["packets"] == [int(n) for n in packets.split()]
+
+
 @pytest.mark.parametrize(
     "command, overrides, admitted",
     [

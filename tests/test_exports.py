@@ -10,7 +10,9 @@ the fold's twiddles, whose arguments stay small too, are the one other named
 site.  A set of certified bins is cut into boxes by ``field.bin_boxes`` only
 inside ``field._certified_bins``, the one cached layout every other reader
 shares.  A certificate is met with another only by the one band rule,
-``field.piece_plan``, and by ``field.convolve``.  A counterexample config is validated once, by its own
+``field.piece_plan``, and by ``field.convolve``.  In ``lp_ops`` each call plans its pieces in
+``_plans``, the one caller of ``piece_plan``, and ``_pieces``, the one caller of
+``_inverted``, builds every one.  A counterexample config is validated once, by its own
 ``CxConfig.validation``, which every builder reads.  Every log law is fitted by
 ``shifted_lab._log_law_fit``, the one ``np.polyfit`` call.  A spectrum's full-size
 ``coefficients`` are scattered from its boxes on each read, so they are read
@@ -102,6 +104,21 @@ def test_certificates_are_met_only_by_the_band_rule_and_convolve():
             if isinstance(func, ast.FunctionDef) and any(node in found for node in ast.walk(func)):
                 sites.add((path.name, func.name))
     assert (sites, calls) == ({("field.py", "piece_plan"), ("field.py", "convolve")}, 2)
+
+
+def calls_named(node, name):
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+@pytest.mark.parametrize("name, site", [("piece_plan", "_plans"), ("_inverted", "_pieces")])
+def test_lp_ops_plans_its_pieces_in_one_place_and_builds_them_in_one(name, site):
+    tree = ast.parse((Path(logmult.__file__).parent / "lp_ops.py").read_text())
+    found = [node for node in ast.walk(tree) if calls_named(node, name)]
+    sites = {
+        func.name for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and any(node in found for node in ast.walk(func))
+    }
+    assert found and sites == {site}
 
 
 def calls_validate_config(node):

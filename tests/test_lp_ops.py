@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logmult.lp_ops as lp_ops
 from logmult.calibration import make_lp_pair
 from logmult.field import GridMismatchError, GridSpec, NyquistError, SampledField, Shells, lp_norm, phase_shift
 from logmult.lp_ops import (
@@ -16,6 +18,7 @@ from logmult.lp_ops import (
     dyadic_piece,
     fefferman_stein_ratio,
     maximal_function,
+    maximal_functions,
     peetre_cube_ratio,
     peetre_max,
     representable_cube_scales,
@@ -120,6 +123,37 @@ def test_maximal_function_dominates_plateau_field(grid, pair):
     f = banded(grid, 0.5, 2.0 ** pair.scale_max, 7)
     mx = maximal_function(f, pair)
     assert np.min(mx.values.real - np.abs(f.values)) > -1e-10
+
+
+def planned_scales(monkeypatch):
+    """The scale of every ``piece_plan`` call made through ``lp_ops``; the plans still run."""
+    calls = []
+    original = lp_ops.piece_plan
+
+    def counting(f, profile, scale):
+        calls.append(scale)
+        return original(f, profile, scale)
+
+    monkeypatch.setattr(lp_ops, "piece_plan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_shifts", [1, 2, 7])
+def test_maximal_functions_plan_each_scale_once_per_input(grid, monkeypatch, n_shifts):
+    pair = make_lp_pair((-1, 14))
+    shifts = [None, (0.25,), (1.0,), (3.7,), (16.0,), (100.3,), (0.0,)][:n_shifts]
+    calls = planned_scales(monkeypatch)
+    for seed in (1, 2):
+        calls.clear()
+        assert len(list(maximal_functions(banded(grid, 0.5, 1.0, seed), pair, shifts))) == n_shifts
+        assert calls == list(pair.scales)
+
+
+def test_a_sampled_square_function_read_plans_nothing(grid, monkeypatch):
+    pair = make_lp_pair((-1, 14))
+    s = square_function(banded(grid, 0.5, 3.0, 4), pair, (1.3,))
+    calls = planned_scales(monkeypatch)
+    assert np.all(np.isfinite(s.values)) and calls == []
 
 
 def test_maximal_linf_shift_invariance(grid, pair):
@@ -265,6 +299,15 @@ def test_fefferman_stein_band_guard(grid):
     f = random_band_limited(grid, (0.0, 4.0), 13)
     with pytest.raises(ValueError):
         fefferman_stein_ratio([f], [0], 2.0, 2, 2, band_factor=0.5)
+
+
+@pytest.mark.parametrize("band_factor", [math.nan, math.inf, 0.0, -0.5])
+def test_fefferman_stein_refuses_a_declared_constant_that_is_not_positive_and_finite(band_factor):
+    """A NaN constant made the band check false for every field, so it was skipped and a ratio returned."""
+    grid = GridSpec(1, 256, 16.0)
+    bank = [random_band_limited(grid, (0.0, 0.5 * 2.0**k), 90 + k, k) for k in (0, 1)]
+    with pytest.raises(ValueError, match="band_factor must be positive and finite"):
+        fefferman_stein_ratio(bank, [0, 1], 2.0, 2, 2, band_factor=band_factor)
 
 
 def test_fefferman_stein_empty_bank():

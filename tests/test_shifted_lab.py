@@ -191,6 +191,15 @@ def test_growth_experiment_refuses_a_threshold_that_is_not_finite_and_nonnegativ
     GrowthExperiment(**ladder, tolerance=0.0, bound_factor=0.0)
 
 
+@pytest.mark.parametrize("criterion", ["fit", "bounded", "equality"])
+@pytest.mark.parametrize("shifts", [(1.0, math.nan, 4.0), (1.0, 2.0, math.inf)])
+def test_growth_experiment_refuses_a_non_finite_shift_by_name(criterion, shifts):
+    """A NaN rung passed the ordering check, and only the first split of it refused it, after the bank was made."""
+    grid = GridSpec(1, 4096, 256.0)
+    with pytest.raises(ValueError, match="shifts must be finite"):
+        GrowthExperiment(kind="shifted-maximal", p=2.0, shifts=shifts, grid=grid, scale_range=(0, 1), criterion=criterion)
+
+
 def test_predicted_exponents():
     assert predicted_growth_exponent("shifted-square", 2.0) == 0.0
     assert predicted_growth_exponent("shifted-maximal", 2.0) == 0.5
